@@ -101,37 +101,40 @@ def _config(args) -> SweepConfig:
     )
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        cfg = _config(args)
-    except ContractViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+def _run(command: str, cfg: SweepConfig) -> list[str]:
+    """Run one subcommand, write its CSV and return its gate failures."""
     failures: list[str] = []
-    if args.command == "equiv":
+    if command == "equiv":
         rows, failures = run_equiv(cfg)
         write_csv(cfg.out_path, EQUIV_HEADER, rows)
-    elif args.command == "flops":
+    elif command == "flops":
         rows, ratio_rows = run_flops(cfg)
         write_csv(cfg.out_path, FLOPS_HEADER, rows)
         ratios_path = Path(cfg.out_path).with_suffix(".ratios.csv")
         write_csv(ratios_path, RATIOS_HEADER, ratio_rows)
         print(f"wrote {cfg.out_path} and {ratios_path}")
-    elif args.command == "mem":
+    elif command == "mem":
         rows, failures = run_mem(cfg)
         write_csv(cfg.out_path, MEM_HEADER, rows)
-    elif args.command == "ber":
+    elif command == "ber":
         rows = run_ber(cfg)
         write_csv(cfg.out_path, BER_HEADER, rows)
+    return failures
 
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        failures = _run(args.command, _config(args))
+    except ContractViolationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if failures:
         print(f"FAIL: {failures[0]}", file=sys.stderr)
         if len(failures) > 1:
             print(f"({len(failures) - 1} further failures)", file=sys.stderr)
         return 1
-    print(f"ok: wrote {cfg.out_path}")
+    print(f"ok: wrote {args.out}")
     return 0
 
 

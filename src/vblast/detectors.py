@@ -67,7 +67,7 @@ from .kernels import (
     real_pivot,
     vdot_c,
     _deflate_sm_inplace,
-    _sm_update_inplace,
+    _packed_unpack,
 )
 from .sigmodel import ChannelRealization, RxFrame, quantize
 
@@ -145,8 +145,12 @@ def _argmin_gap(diag: np.ndarray):
 
 def _sym_swap(a: np.ndarray, i: int, j: int, m: int) -> None:
     """Swap rows and columns i, j of the leading m x m block."""
-    a[[i, j], :m] = a[[j, i], :m]
-    a[:m, [i, j]] = a[:m, [j, i]]
+    row = a[i, :m].copy()
+    a[i, :m] = a[j, :m]
+    a[j, :m] = row
+    col = a[:m, i].copy()
+    a[:m, i] = a[:m, j]
+    a[:m, j] = col
 
 
 def _deflate_iv_inplace(q, m, led, om_inv=None):
@@ -225,15 +229,8 @@ def detect_original(ch, rx, c, *, cancel_soft=False, collect_q=False):
     mem.alloc("workvec", m_tx)
     h = ch.h.copy()
     x = rx.x.copy()
-    r = np.zeros((m_tx, m_tx), np.complex128)
-    np.fill_diagonal(r, alpha)
-    q = np.zeros((m_tx, m_tx), np.complex128)
-    np.fill_diagonal(q, 1.0 / alpha)
-    led.tick(cdiv=1)
-    for row in range(n_rx):
-        v = np.conj(ch.h[row])
-        rank1_update_herm(r, v, v, led)
-        _sm_update_inplace(q, v, led, triangle_only=False)
+    r = init_gram(ch.h, alpha, led)
+    q = init_q_sherman_morrison(ch.h, alpha, led, triangle_only=False)
     p = np.arange(m_tx)
     soft = np.zeros(m_tx, np.complex128)
     hard = np.zeros(m_tx, np.complex128)
@@ -569,16 +566,8 @@ def _rank1_sub_indexed(q, idx, u, w, led):
 
 def _packed_herm_matvec(packed, k, v, led):
     """Hermitian matvec from packed upper storage; charges k**2 products."""
-    rows, cols = _triu_indices(k)
-    flat = _packed_triu_flat(k)
-    vals = packed[flat]
-    out = np.zeros(k, np.complex128)
-    np.add.at(out, rows, vals * v[cols])
-    s0, s1 = _triu_strict_indices(k)
-    sflat = s1 * (s1 + 1) // 2 + s0
-    np.add.at(out, s1, np.conj(packed[sflat]) * v[s0])
     led.tick(cmul=k * k, cadd=k * (k - 1))
-    return out
+    return _packed_unpack(packed, k) @ v
 
 
 def _cover_inverse_packed(packed, m, led):
@@ -630,25 +619,6 @@ def _packed_sym_swap(packed, l, last):
     dl, dm = lbase + l, mbase + last
     packed[dl], packed[dm] = packed[dm], packed[dl]
     packed[mbase + l] = np.conj(packed[mbase + l])
-
-
-def _packed_unpack(packed, m):
-    out = np.zeros((m, m), np.complex128)
-    rows, cols = _triu_indices(m)
-    vals = packed[cols * (cols + 1) // 2 + rows]
-    out[rows, cols] = vals
-    strict = rows < cols
-    out[cols[strict], rows[strict]] = np.conj(vals[strict])
-    return out
-
-
-def _packed_gather_sub(packed, idx):
-    a = idx[:, None]
-    b = idx[None, :]
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    raw = packed[hi * (hi + 1) // 2 + lo]
-    return np.where(a > b, np.conj(raw), raw)
 
 
 def _init_single_buffer_packed(ch, rx, alpha, led, mem):
@@ -741,7 +711,7 @@ def detect_proposed_2_tri_noperm(ch, rx, c, *, cancel_soft=False, collect_q=Fals
             p[[l, m - 1]] = p[[m - 1, l]]
         trace.append(OrderingTrace(m, l, qmin, gap))
         if qs is not None:
-            qs.append(_packed_gather_sub(packed, p[:m]))
+            qs.append(_packed_unpack(packed, m_tx)[np.ix_(p[:m], p[:m])])
         pm = p[m - 1]
         rest = p[: m - 1]
         lo = np.minimum(rest, pm)

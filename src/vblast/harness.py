@@ -62,6 +62,9 @@ class SweepConfig:
             raise ContractViolationError("all M must be >= 1")
         if self.n_list is not None and len(self.n_list) != len(self.m_list):
             raise ContractViolationError("n_list must match m_list in length")
+        for m, n in self.dims():
+            if n < m:
+                raise ContractViolationError(f"need N >= M, got N={n} for M={m}")
         for name in self.algorithms:
             get_detector(name)
 
@@ -90,10 +93,15 @@ def write_csv(path, header, rows) -> None:
 
 
 def worker_count() -> int:
+    """Trial worker processes: ``VBLAST_WORKERS`` (default 1), at most the CPU count."""
+    raw = os.environ.get("VBLAST_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("VBLAST_WORKERS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ContractViolationError(f"VBLAST_WORKERS must be a positive integer, got {raw!r}")
+    return min(workers, os.cpu_count() or 1)
 
 
 def _map_ordered(fn, args_list):
@@ -316,7 +324,9 @@ BER_HEADER = ["M", "N", "snr_db", "algorithm", "bit_errors", "bits", "ber"]
 
 def run_ber(cfg: SweepConfig):
     """BER sweep; returns csv rows aggregated over trials."""
-    names = [n for n in cfg.algorithms if n != "oracle"] or list(DETECTOR_NAMES)
+    names = [n for n in cfg.algorithms if n != "oracle"]
+    if not names:
+        raise ContractViolationError("ber needs at least one recursive detector besides the oracle")
     rows = []
     for m, n in cfg.dims():
         for snr in cfg.snr_db_list:

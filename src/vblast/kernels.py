@@ -8,9 +8,15 @@ helpers here, which charge a :class:`FlopLedger` under a fixed convention:
 * one reciprocal or divide (also real/cplx) -> 1 ``cdiv``
 
 Conjugation, negation and data movement are free.  Hermitian-aware rank-one
-updates compute only the upper triangle and mirror it, so they charge
-``k*(k+1)/2`` products instead of ``k**2``; quadratic forms computed through
-an explicit matrix-vector product charge the full ``k**2``.
+updates charge only the upper triangle, ``k*(k+1)/2`` products instead of
+``k**2``, and the Gram matrix ``H^H H`` of an N x M channel charges
+``N*M*(M+1)/2`` products and adds; quadratic forms computed through an
+explicit matrix-vector product charge the full ``k**2``.
+
+The ledger charges the algorithm's arithmetic, not numpy's evaluation of
+it.  Where a dense numpy call is faster than gathering a triangle, the
+kernels compute the full square and overwrite the strict lower triangle with
+the conjugate of the upper one; the extra products are not charged.
 
 The Gauss-Jordan routine at the bottom is the independent oracle used by the
 test-suite: it is deliberately plain, uses partial pivoting, and never
@@ -19,6 +25,7 @@ touches a ledger.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -112,13 +119,7 @@ class HermPacked:
     def unpack(self, m: int | None = None) -> np.ndarray:
         """Materialize the leading ``m`` x ``m`` Hermitian block."""
         m = self.dim if m is None else m
-        out = np.zeros((m, m), dtype=np.complex128)
-        rows, cols = _triu_indices(m)
-        vals = self.upper[cols * (cols + 1) // 2 + rows]
-        out[rows, cols] = vals
-        strict = rows < cols
-        out[cols[strict], rows[strict]] = np.conj(vals[strict])
-        return out
+        return _packed_unpack(self.upper, m)
 
     def diagonal(self, m: int | None = None) -> np.ndarray:
         m = self.dim if m is None else m
@@ -128,6 +129,17 @@ class HermPacked:
 def packed_index(i: int, j: int) -> int:
     """Flat index of entry (i, j), i <= j, in packed upper storage."""
     return j * (j + 1) // 2 + i
+
+
+def _packed_unpack(upper: np.ndarray, m: int) -> np.ndarray:
+    """Dense leading ``m`` x ``m`` Hermitian block of packed upper storage.
+
+    Entries below the diagonal are read from their upper mirror and
+    conjugated, so the result is exactly Hermitian.
+    """
+    out = upper[_packed_square_flat(m)]
+    np.conjugate(out, out=out, where=_strict_lower_mask(m))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -143,6 +155,32 @@ def _triu_strict_indices(k: int):
 
 
 @lru_cache(maxsize=None)
+def _square_tables(size: int):
+    """Strict-lower mask and packed flat index of every entry of a square.
+
+    Neither depends on the block size, so a k x k block reads the leading
+    corner of the tables for the next power of two; caching one table per
+    power of two instead of per k keeps them small.
+    """
+    rows, cols = np.indices((size, size))
+    lower = rows > cols
+    hi = np.maximum(rows, cols)
+    flat = hi * (hi + 1) // 2 + np.minimum(rows, cols)
+    lower.flags.writeable = False
+    flat.flags.writeable = False
+    return lower, flat
+
+
+def _strict_lower_mask(k: int) -> np.ndarray:
+    return _square_tables(1 << (k - 1).bit_length())[0][:k, :k]
+
+
+def _packed_square_flat(k: int) -> np.ndarray:
+    """Packed flat index of every entry of a k x k block (upper mirror below)."""
+    return _square_tables(1 << (k - 1).bit_length())[1][:k, :k]
+
+
+@lru_cache(maxsize=None)
 def _packed_diag_indices(k: int):
     j = np.arange(k)
     return j * (j + 1) // 2 + j
@@ -152,11 +190,6 @@ def _packed_diag_indices(k: int):
 def _packed_triu_flat(k: int):
     rows, cols = _triu_indices(k)
     return cols * (cols + 1) // 2 + rows
-
-
-@lru_cache(maxsize=None)
-def _arange(k: int):
-    return np.arange(k)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +221,7 @@ def real_pivot(x, context: str) -> float:
         raise ContractViolationError(
             f"{context}: pivot {x} has a non-negligible imaginary part"
         )
-    if not np.isfinite(x.real):
+    if not math.isfinite(x.real):
         raise ContractViolationError(f"{context}: pivot is not finite")
     return x.real
 
@@ -232,24 +265,25 @@ def rank1_update_herm(
 ) -> None:
     """In place ``a +/-= u w^H`` for a Hermitian result.
 
-    Only the upper triangle is computed (k*(k+1)/2 products); the strict
-    lower triangle is mirrored by conjugation, which is free.  As in the
-    reference Hermitian rank-one BLAS routines, the diagonal's imaginary
-    parts are set to zero: callers only use this with ``u`` a real multiple
-    of ``w``, where any diagonal imaginary part is rounding noise.
+    Charged as the upper triangle (k*(k+1)/2 products); the strict lower
+    triangle is then overwritten by the conjugate of the upper one, so it is
+    exactly Hermitian.  numpy evaluates the whole square in one dense pass,
+    which is cheaper than gathering the triangle, but the ledger counts the
+    algorithm's arithmetic, not numpy's.  ``a`` may be a strided view such
+    as ``q[:k, :k]``.  As in the reference Hermitian rank-one BLAS routines,
+    the diagonal's imaginary parts are set to zero: callers only use this
+    with ``u`` a real multiple of ``w``, where any diagonal imaginary part is
+    rounding noise.
     """
     k = u.shape[0]
-    rows, cols = _triu_indices(k)
-    prods = u[rows] * np.conj(w)[cols]
     led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
+    prods = np.multiply.outer(u, np.conj(w))
     if subtract:
-        a[rows, cols] -= prods
+        np.subtract(a, prods, out=a)
     else:
-        a[rows, cols] += prods
-    srows, scols = _triu_strict_indices(k)
-    a[scols, srows] = np.conj(a[srows, scols])
-    d = _arange(k)
-    a[d, d] = a[d, d].real
+        np.add(a, prods, out=a)
+    np.copyto(a, a.T.conj(), where=_strict_lower_mask(k))
+    np.fill_diagonal(a.imag, 0.0)
 
 
 def rank1_update_full(
@@ -270,8 +304,7 @@ def rank1_update_full(
         a -= np.outer(u, np.conj(w))
     else:
         a += np.outer(u, np.conj(w))
-    d = _arange(k)
-    a[d, d] = a[d, d].real
+    np.fill_diagonal(a.imag, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -495,19 +528,19 @@ def _deflate_sm_inplace(q_block, r_bar, gamma, led, triangle_only=True):
 
 
 def init_gram(h: np.ndarray, alpha: float, ledger: FlopLedger) -> np.ndarray:
-    """Accumulate ``H^H H + alpha I`` one receive row at a time.
+    """Return ``H^H H + alpha I``, exactly Hermitian with a real diagonal.
 
-    Each row contributes a Hermitian outer product, computed on the upper
-    triangle only (M*(M+1)/2 products per row).
+    Charged as the row-by-row accumulation of Hermitian outer products on
+    the upper triangle (N*M*(M+1)/2 products and adds); numpy forms the
+    full product in one call and the strict lower triangle is mirrored.
     """
     h = as_cmat(h, "h")
     n, m = h.shape
     alpha = real_pivot(alpha, "init_gram alpha")
-    r = np.zeros((m, m), dtype=np.complex128)
-    np.fill_diagonal(r, alpha)
-    for row in range(n):
-        v = np.conj(h[row])
-        rank1_update_herm(r, v, v, ledger)
+    ledger.tick(cmul=n * m * (m + 1) // 2, cadd=n * m * (m + 1) // 2)
+    r = h.conj().T @ h
+    np.copyto(r, r.T.conj(), where=_strict_lower_mask(m))
+    np.fill_diagonal(r, r.diagonal().real + alpha)
     return r
 
 

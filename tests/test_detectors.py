@@ -8,6 +8,7 @@ from vblast.detectors import (
     DETECTOR_NAMES,
     _cover_gram_rows,
     _cover_inverse,
+    _sym_swap,
     detect_mem_saving,
     detect_oracle,
     detect_proposed_2,
@@ -207,6 +208,21 @@ def test_covering_schedules_match_out_of_place():
     r[cu, ru] = np.conj(r[ru, cu])
     init_q_recursive(r, led_b, variant="v")
     assert (led_a.cmul - pre.cmul, led_a.cadd - pre.cadd, led_a.cdiv - pre.cdiv) == led_b.as_tuple()
+
+
+@pytest.mark.parametrize("i, j, m", [(0, 1, 2), (0, 4, 5), (2, 6, 7), (3, 4, 5)])
+def test_sym_swap_is_permutation_similarity(i, j, m):
+    rng = make_rng(71, i * 10 + j)
+    buf = rng.standard_normal((m + 2, m + 3)) + 1j * rng.standard_normal((m + 2, m + 3))
+    before = buf.copy()
+    _sym_swap(buf, i, j, m)
+    perm = np.arange(m)
+    perm[[i, j]] = [j, i]
+    p = np.eye(m)[perm]
+    assert np.array_equal(buf[:m, :m], p @ before[:m, :m] @ p.T)
+    outside = np.ones(buf.shape, bool)
+    outside[:m, :m] = False
+    assert np.array_equal(buf[outside], before[outside])
 
 
 # ---------------------------------------------------------------------------

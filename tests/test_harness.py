@@ -17,6 +17,7 @@ from vblast.harness import (
     run_equiv,
     run_flops,
     run_mem,
+    worker_count,
     write_csv,
 )
 
@@ -35,6 +36,8 @@ def test_sweepconfig_validation():
         SweepConfig(algorithms=["nope"])
     with pytest.raises(ContractViolationError):
         SweepConfig(m_list=[2, 4], n_list=[4])
+    with pytest.raises(ContractViolationError):
+        SweepConfig(m_list=[2, 4], n_list=[2, 3])
 
 
 def test_equiv_small_grid_passes():
@@ -175,6 +178,50 @@ def test_cli_mem_and_ber(tmp_path):
 def test_cli_rejects_zero_trials(tmp_path):
     code = main(["equiv", "--m", "2", "--trials", "0", "--out", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+def test_cli_rejects_fewer_receive_than_transmit_antennas(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["equiv", "--m", "4", "--n", "2", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: need N >= M")
+    assert not out.exists()
+
+
+def test_cli_ber_rejects_oracle_only(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    code = main(["ber", "--m", "2", "--algo", "oracle", "--trials", "1", "--out", str(out)])
+    assert code == 2
+    assert "recursive detector" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ContractViolationError):
+        run_ber(SweepConfig(algorithms=["oracle"], m_list=[2], trials=1))
+
+
+@pytest.mark.parametrize("raw", ["", "two", "1.5", "0", "-3"])
+def test_worker_count_rejects_junk(monkeypatch, raw):
+    monkeypatch.setenv("VBLAST_WORKERS", raw)
+    with pytest.raises(ContractViolationError, match="VBLAST_WORKERS"):
+        worker_count()
+
+
+def test_worker_count_default_and_clamp(monkeypatch):
+    monkeypatch.delenv("VBLAST_WORKERS", raising=False)
+    assert worker_count() == 1
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    monkeypatch.setenv("VBLAST_WORKERS", "3")
+    assert worker_count() == 3
+    monkeypatch.setenv("VBLAST_WORKERS", "64")
+    assert worker_count() == 4
+    monkeypatch.setattr("os.cpu_count", lambda: None)   # count unknown
+    assert worker_count() == 1
+
+
+def test_cli_rejects_junk_worker_count(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("VBLAST_WORKERS", "many")
+    code = main(["equiv", "--m", "2", "--trials", "2", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "VBLAST_WORKERS" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_algorithm(tmp_path):

@@ -16,6 +16,7 @@ from vblast.kernels import (
     init_gram,
     init_q_recursive,
     init_q_sherman_morrison,
+    rank1_update_herm,
     sm_rank1_inverse_update,
 )
 from vblast.sigmodel import make_rng
@@ -92,6 +93,63 @@ def test_rank1_rejects_nan():
     a[0, 1] = np.nan
     with pytest.raises(ContractViolationError):
         herm_rank1_update(a, np.zeros(2, complex), 1.0, True, FlopLedger())
+
+
+@pytest.mark.parametrize("subtract", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 17, 64])
+def test_rank1_update_herm_on_strided_view(k, subtract):
+    """The in-place kernel on ``buf[:k, :k]``, as the detectors call it.
+
+    Only the upper triangle is read: the strict lower one starts as junk and
+    must come out as its conjugate mirror.
+    """
+    rng = make_rng(43, k)
+    buf = random_complex(rng, k + 3, k + 5)
+    block = np.triu(seeded_spd(rng, k)) + np.tril(random_complex(rng, k, k), -1)
+    block[np.diag_indices(k)] = block.diagonal().real
+    buf[:k, :k] = block
+    before = buf.copy()
+    w = random_complex(rng, k)
+    u = -0.7 * w
+    led = FlopLedger()
+    rank1_update_herm(buf[:k, :k], u, w, led, subtract=subtract)
+    assert led.as_tuple() == (k * (k + 1) // 2, k * (k + 1) // 2, 0)
+    got = buf[:k, :k]
+    sign = -1.0 if subtract else 1.0
+    naive = np.empty((k, k), complex)
+    for i in range(k):
+        for j in range(k):
+            naive[i, j] = before[i, j] + sign * (u[i] * np.conj(w[j]))
+    rows, cols = np.triu_indices(k)
+    err = np.abs(got[rows, cols] - naive[rows, cols]).max() / np.abs(naive).max()
+    assert err <= 1e-14
+    lo_rows, lo_cols = np.tril_indices(k, -1)
+    assert np.array_equal(got[lo_rows, lo_cols], np.conj(got[lo_cols, lo_rows]))
+    assert np.all(got.diagonal().imag == 0.0)
+    outside = np.ones(buf.shape, bool)
+    outside[:k, :k] = False
+    assert np.array_equal(buf[outside], before[outside])
+
+
+# ---------------------------------------------------------------------------
+# Gram matrix
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (3, 2), (8, 8), (20, 16), (64, 64)])
+def test_init_gram_matches_row_accumulation(n, m):
+    rng = make_rng(53, n * 100 + m)
+    h = random_complex(rng, n, m)
+    alpha = 0.25
+    led = FlopLedger()
+    r = init_gram(h, alpha, led)
+    assert led.as_tuple() == (n * m * (m + 1) // 2, n * m * (m + 1) // 2, 0)
+    ref = alpha * np.eye(m, dtype=complex)
+    for row in range(n):
+        v = np.conj(h[row])
+        ref += np.outer(v, np.conj(v))
+    assert np.abs(r - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(r, r.conj().T)
+    assert np.all(r.diagonal().imag == 0.0)
 
 
 # ---------------------------------------------------------------------------
