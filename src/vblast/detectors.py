@@ -3,38 +3,42 @@
 Ten routines share one contract: consume ``(ChannelRealization, RxFrame,
 Constellation)``, return a :class:`DetectionResult`.  They are mathematically
 equivalent and differ only in recursion schedule, flop count and working
-memory:
+memory.
 
-``oracle``
-    brute force; re-inverts the regularized Gram matrix at every step with
-    the unledgered Gauss-Jordan routine.
-``original``
-    rank-one inverse updates over receive rows, estimation straight from the
-    received vector, border-based deflation.
-``fastest_known``
-    partitioned-matrix initialization, estimation and cancellation in the
-    matched-filter domain, Hermitian-aware updates.
-``speed_adv``
-    ``fastest_known`` plus deflation from the inverse's own column.
-``mem_saving``
-    never materializes the Gram matrix; permutes the channel copy instead.
-``proposed_1``
-    ``speed_adv`` with the single-division initialization step.
-``proposed_2``
-    one matrix buffer: the stored conjugate-transposed channel is overwritten
-    first by the Gram matrix, then by its inverse; cancellation runs through
-    the deficiency vector ``d`` so the Gram matrix is never needed again.
-``proposed_2_noperm``
-    ``proposed_2`` addressing everything through the order permutation
-    instead of physically swapping rows/columns.
-``proposed_2_tri`` / ``proposed_2_tri_noperm``
-    the same with only the upper triangle of the inverse stored (packed).
+``oracle`` is the brute-force reference: it re-inverts the regularized Gram
+matrix at every step with the unledgered Gauss-Jordan routine, in a loop of
+its own.  The nine recursive routines all run one recursion, :func:`_sic`:
+pick the stream with the smallest diagonal entry of ``Q = (H^H H + alpha
+I)^-1``, estimate it, cancel it, deflate ``Q``.  Each ``detect_*`` wrapper
+only chooses the initializer, the estimation domain and the Q storage:
 
-Sign note: the unpermuted variants keep the running cancellation vector with
-the opposite sign of ``proposed_2``'s ``d`` (their update adds what the
-permuted form subtracts).  Both start from zero, so the estimates produced
-are identical; the cross-variant tests pin the two forms to bit-exact
-agreement.
+detector               Q initialized by     domain  Q storage        deflation
+---------------------  -------------------  ------  ---------------  --------------
+original               Sherman-Morrison     x       dense, swapped   R border, full
+mem_saving             Sherman-Morrison     x       dense, swapped   own column
+fastest_known          partitioned (I)      z       dense, swapped   R border, tri
+speed_adv              partitioned (I)      z       dense, swapped   own column
+proposed_1             single-division (V)  z       dense, swapped   own column
+proposed_2             single buffer (V)    d (VI)  dense, swapped   own column
+proposed_2_noperm      single buffer (V)    d (VI)  dense, indexed   own column
+proposed_2_tri         single buffer (V)    d (VI)  packed, swapped  own column
+proposed_2_tri_noperm  single buffer (V)    d (VI)  packed, indexed  own column
+
+Sherman-Morrison builds Q from ``I/alpha`` by rank-one corrections over the
+receive rows; the partitioned and single-division steps grow Q from the Gram
+matrix R; the single buffer holds ``H^H`` and is covered in place by R, then
+by Q.  Domain ``x`` estimates from ``H_m^H x`` and cancels from ``x``; ``z``
+estimates from ``z = H^H x`` and cancels with R's column; ``d`` cancels
+through the deficiency vector ``d`` and never reads R again.  Swapped
+storage keeps Q and the domain's vectors in detection order by symmetric
+swaps; indexed storage leaves them in antenna order and addresses them
+through the order permutation; packed storage keeps Q's upper triangle.
+Q is deflated from its own column, or from R's border by a
+Sherman-Morrison step on the full square or the upper triangle.
+
+The ``d`` convention: every ``d``-domain form estimates ``q^H z - d_m`` and
+updates ``d -= (s + d_m) / omega * q_bar``, swapped or indexed alike.  The
+published update is written in the '+' form, with ``d_paper = -d``.
 
 Memory accounting counts named, detector-owned working buffers of at least M
 complex words (matrix buffers, copies of mutated inputs, and the M-length
@@ -153,21 +157,6 @@ def _sym_swap(a: np.ndarray, i: int, j: int, m: int) -> None:
     a[:m, j] = col
 
 
-def _deflate_iv_inplace(q, m, led, om_inv=None):
-    """Deflate the leading block using the inverse's own border column."""
-    k = m - 1
-    if om_inv is None:
-        omega = real_pivot(q[k, k], "deflation omega")
-        if omega <= SINGULAR_RTOL:
-            raise SingularMatrixError(f"deflation at recursion {m}: omega={omega:g}")
-        om_inv = 1.0 / omega
-        led.tick(cdiv=1)
-    q_bar = q[:k, k]
-    v = om_inv * q_bar
-    led.tick(cmul=k)
-    rank1_update_herm(q[:k, :k], v, q_bar, led, subtract=True)
-
-
 # ---------------------------------------------------------------------------
 # brute-force oracle
 
@@ -214,162 +203,7 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
 
 
 # ---------------------------------------------------------------------------
-# recursive detectors
-
-
-def detect_original(ch, rx, c, *, cancel_soft=False, collect_q=False):
-    """Rank-one init of Gram matrix and inverse, border-based deflation."""
-    m_tx, n_rx, alpha = _prep(ch, rx)
-    led = FlopLedger()
-    mem = MemLedger()
-    mem.alloc("h_copy", m_tx * n_rx)
-    mem.alloc("x", n_rx)
-    mem.alloc("gram", m_tx * m_tx)
-    mem.alloc("inv", m_tx * m_tx)
-    mem.alloc("workvec", m_tx)
-    h = ch.h.copy()
-    x = rx.x.copy()
-    r = init_gram(ch.h, alpha, led)
-    q = init_q_sherman_morrison(ch.h, alpha, led, triangle_only=False)
-    p = np.arange(m_tx)
-    soft = np.zeros(m_tx, np.complex128)
-    hard = np.zeros(m_tx, np.complex128)
-    trace: list[OrderingTrace] = []
-    qs = [] if collect_q else None
-    for m in range(m_tx, 0, -1):
-        l, qmin, gap = _argmin_gap(q.diagonal()[:m].real)
-        if m > 1 and l != m - 1:
-            p[[l, m - 1]] = p[[m - 1, l]]
-            h[:, [l, m - 1]] = h[:, [m - 1, l]]
-            _sym_swap(r, l, m - 1, m)
-            _sym_swap(q, l, m - 1, m)
-        trace.append(OrderingTrace(m, l, qmin, gap))
-        if qs is not None:
-            qs.append(q[:m, :m].copy())
-        w = conj_matvec(h[:, :m], x, led)
-        est = vdot_c(q[:m, m - 1], w, led)
-        s = quantize(est, c)
-        ant = p[m - 1]
-        soft[ant] = est
-        hard[ant] = s
-        if m == 1:
-            break
-        s_use = est if cancel_soft else s
-        x -= s_use * h[:, m - 1]
-        led.tick(cmul=n_rx, cadd=n_rx)
-        _deflate_sm_inplace(q[: m - 1, : m - 1], r[: m - 1, m - 1],
-                            real_pivot(r[m - 1, m - 1], "deflation gamma"),
-                            led, triangle_only=False)
-    return DetectionResult(hard, p, soft, led, mem, trace, qs)
-
-
-def _detect_z_domain(ch, rx, c, *, init_variant, fast_deflation,
-                     cancel_soft, collect_q):
-    """Shared skeleton: Gram-domain estimation with z-vector cancellation."""
-    m_tx, n_rx, alpha = _prep(ch, rx)
-    led = FlopLedger()
-    mem = MemLedger()
-    mem.alloc("z", m_tx)
-    mem.alloc("gram", m_tx * m_tx)
-    mem.alloc("inv", m_tx * m_tx)
-    z = conj_matvec(ch.h, rx.x, led)
-    r = init_gram(ch.h, alpha, led)
-    q = init_q_recursive(r, led, variant=init_variant)
-    p = np.arange(m_tx)
-    soft = np.zeros(m_tx, np.complex128)
-    hard = np.zeros(m_tx, np.complex128)
-    trace: list[OrderingTrace] = []
-    qs = [] if collect_q else None
-    for m in range(m_tx, 0, -1):
-        l, qmin, gap = _argmin_gap(q.diagonal()[:m].real)
-        if m > 1 and l != m - 1:
-            p[[l, m - 1]] = p[[m - 1, l]]
-            z[[l, m - 1]] = z[[m - 1, l]]
-            _sym_swap(r, l, m - 1, m)
-            _sym_swap(q, l, m - 1, m)
-        trace.append(OrderingTrace(m, l, qmin, gap))
-        if qs is not None:
-            qs.append(q[:m, :m].copy())
-        est = vdot_c(q[:m, m - 1], z[:m], led)
-        s = quantize(est, c)
-        ant = p[m - 1]
-        soft[ant] = est
-        hard[ant] = s
-        if m == 1:
-            break
-        s_use = est if cancel_soft else s
-        z[: m - 1] -= s_use * r[: m - 1, m - 1]
-        led.tick(cmul=m - 1, cadd=m - 1)
-        if fast_deflation:
-            _deflate_iv_inplace(q, m, led)
-        else:
-            _deflate_sm_inplace(q[: m - 1, : m - 1], r[: m - 1, m - 1],
-                                real_pivot(r[m - 1, m - 1], "deflation gamma"),
-                                led, triangle_only=True)
-    return DetectionResult(hard, p, soft, led, mem, trace, qs)
-
-
-def detect_fastest_known(ch, rx, c, *, cancel_soft=False, collect_q=False):
-    """Partitioned init + z-domain cancellation, border-based deflation."""
-    return _detect_z_domain(ch, rx, c, init_variant="i", fast_deflation=False,
-                            cancel_soft=cancel_soft, collect_q=collect_q)
-
-
-def detect_speed_adv(ch, rx, c, *, cancel_soft=False, collect_q=False):
-    """As ``fastest_known`` but deflating from the inverse's own column."""
-    return _detect_z_domain(ch, rx, c, init_variant="i", fast_deflation=True,
-                            cancel_soft=cancel_soft, collect_q=collect_q)
-
-
-def detect_proposed_1(ch, rx, c, *, cancel_soft=False, collect_q=False):
-    """``speed_adv`` with the single-division initialization step."""
-    return _detect_z_domain(ch, rx, c, init_variant="v", fast_deflation=True,
-                            cancel_soft=cancel_soft, collect_q=collect_q)
-
-
-def detect_mem_saving(ch, rx, c, *, cancel_soft=False, collect_q=False):
-    """No Gram matrix at all: permutes a channel copy, estimates from x."""
-    m_tx, n_rx, alpha = _prep(ch, rx)
-    led = FlopLedger()
-    mem = MemLedger()
-    mem.alloc("h_copy", m_tx * n_rx)
-    mem.alloc("x", n_rx)
-    mem.alloc("inv", m_tx * m_tx)
-    mem.alloc("workvec", m_tx)
-    h = ch.h.copy()
-    x = rx.x.copy()
-    q = init_q_sherman_morrison(ch.h, alpha, led, triangle_only=True)
-    p = np.arange(m_tx)
-    soft = np.zeros(m_tx, np.complex128)
-    hard = np.zeros(m_tx, np.complex128)
-    trace: list[OrderingTrace] = []
-    qs = [] if collect_q else None
-    for m in range(m_tx, 0, -1):
-        l, qmin, gap = _argmin_gap(q.diagonal()[:m].real)
-        if m > 1 and l != m - 1:
-            p[[l, m - 1]] = p[[m - 1, l]]
-            h[:, [l, m - 1]] = h[:, [m - 1, l]]
-            _sym_swap(q, l, m - 1, m)
-        trace.append(OrderingTrace(m, l, qmin, gap))
-        if qs is not None:
-            qs.append(q[:m, :m].copy())
-        w = conj_matvec(h[:, :m], x, led)
-        est = vdot_c(q[:m, m - 1], w, led)
-        s = quantize(est, c)
-        ant = p[m - 1]
-        soft[ant] = est
-        hard[ant] = s
-        if m == 1:
-            break
-        s_use = est if cancel_soft else s
-        x -= s_use * h[:, m - 1]
-        led.tick(cmul=n_rx, cadd=n_rx)
-        _deflate_iv_inplace(q, m, led)
-    return DetectionResult(hard, p, soft, led, mem, trace, qs)
-
-
-# ---------------------------------------------------------------------------
-# single-buffer algorithm and its variants
+# in-place covering and packed-storage helpers
 
 
 def _cover_gram_rows(a, alpha, led):
@@ -424,144 +258,6 @@ def _cover_inverse(a, m, led):
         a[i, :i] = np.conj(a[:i, i])
         rank1_update_herm(a[:i, :i], q_tilde, a[:i, i], led, subtract=True)
 
-
-def detect_proposed_2(ch, rx, c, *, cancel_soft=False, collect_q=False,
-                      collect_aux=False):
-    """One matrix buffer covered in place, cancellation through d."""
-    m_tx, n_rx, alpha = _prep(ch, rx)
-    led = FlopLedger()
-    mem = MemLedger()
-    mem.alloc("ht", m_tx * n_rx)
-    mem.alloc("z", m_tx)
-    mem.alloc("d", m_tx)
-    a = ch.h.conj().T.copy()
-    z = matvec(a, rx.x, led)
-    d = np.zeros(m_tx, np.complex128)
-    _cover_gram_rows(a, alpha, led)
-    _cover_inverse(a, m_tx, led)
-    q = a[:, :m_tx]
-    p = np.arange(m_tx)
-    soft = np.zeros(m_tx, np.complex128)
-    hard = np.zeros(m_tx, np.complex128)
-    trace: list[OrderingTrace] = []
-    qs = [] if collect_q else None
-    aux = {"p": [], "z": [], "d": []} if collect_aux else None
-    for m in range(m_tx, 0, -1):
-        l, qmin, gap = _argmin_gap(q.diagonal()[:m].real)
-        if m > 1 and l != m - 1:
-            p[[l, m - 1]] = p[[m - 1, l]]
-            z[[l, m - 1]] = z[[m - 1, l]]
-            d[[l, m - 1]] = d[[m - 1, l]]
-            _sym_swap(q, l, m - 1, m)
-        trace.append(OrderingTrace(m, l, qmin, gap))
-        if qs is not None:
-            qs.append(q[:m, :m].copy())
-        if aux is not None:
-            aux["p"].append(p[:m].copy())
-            aux["z"].append(z[:m].copy())
-            aux["d"].append(d[:m].copy())
-        est = vdot_c(q[:m, m - 1], z[:m], led) - d[m - 1]
-        led.tick(cadd=1)
-        s = quantize(est, c)
-        ant = p[m - 1]
-        soft[ant] = est
-        hard[ant] = s
-        if m == 1:
-            break
-        s_use = est if cancel_soft else s
-        omega = real_pivot(q[m - 1, m - 1], "deflation omega")
-        if omega <= SINGULAR_RTOL:
-            raise SingularMatrixError(f"deflation at recursion {m}: omega={omega:g}")
-        om_inv = 1.0 / omega
-        led.tick(cdiv=1)
-        coeff = (s_use + d[m - 1]) * om_inv
-        led.tick(cadd=1, cmul=1)
-        d[: m - 1] -= coeff * q[: m - 1, m - 1]
-        led.tick(cmul=m - 1, cadd=m - 1)
-        _deflate_iv_inplace(q, m, led, om_inv=om_inv)
-    return DetectionResult(hard, p, soft, led, mem, trace, qs, aux)
-
-
-def detect_proposed_2_noperm(ch, rx, c, *, cancel_soft=False, collect_q=False):
-    """``proposed_2`` addressed through the permutation, no physical swaps."""
-    m_tx, n_rx, alpha = _prep(ch, rx)
-    led = FlopLedger()
-    mem = MemLedger()
-    mem.alloc("ht", m_tx * n_rx)
-    mem.alloc("z", m_tx)
-    mem.alloc("d", m_tx)
-    a = ch.h.conj().T.copy()
-    z = matvec(a, rx.x, led)
-    d = np.zeros(m_tx, np.complex128)
-    _cover_gram_rows(a, alpha, led)
-    _cover_inverse(a, m_tx, led)
-    q = a[:, :m_tx]
-    p = np.arange(m_tx)
-    soft = np.zeros(m_tx, np.complex128)
-    hard = np.zeros(m_tx, np.complex128)
-    trace: list[OrderingTrace] = []
-    qs = [] if collect_q else None
-    for m in range(m_tx, 0, -1):
-        act = p[:m]
-        l, qmin, gap = _argmin_gap(q[act, act].real)
-        if m > 1 and l != m - 1:
-            p[[l, m - 1]] = p[[m - 1, l]]
-        trace.append(OrderingTrace(m, l, qmin, gap))
-        if qs is not None:
-            qs.append(_gather_sub_full(q, p[:m]))
-        pm = p[m - 1]
-        idx = p[:m]
-        est = vdot_c(q[idx, pm], z[idx], led) + d[pm]
-        led.tick(cadd=1)
-        s = quantize(est, c)
-        soft[pm] = est
-        hard[pm] = s
-        if m == 1:
-            break
-        s_use = est if cancel_soft else s
-        omega = real_pivot(q[pm, pm], "deflation omega")
-        if omega <= SINGULAR_RTOL:
-            raise SingularMatrixError(f"deflation at recursion {m}: omega={omega:g}")
-        om_inv = 1.0 / omega
-        led.tick(cdiv=1)
-        rest = p[: m - 1]
-        w = q[rest, pm]
-        coeff = (s_use - d[pm]) * om_inv
-        led.tick(cadd=1, cmul=1)
-        d[rest] += coeff * w
-        led.tick(cmul=m - 1, cadd=m - 1)
-        v = om_inv * w
-        led.tick(cmul=m - 1)
-        _rank1_sub_indexed(q, rest, v, w, led)
-    return DetectionResult(hard, p, soft, led, mem, trace, qs)
-
-
-def _gather_sub_full(q, idx):
-    return q[np.ix_(idx, idx)].copy()
-
-
-def _rank1_sub_indexed(q, idx, u, w, led):
-    """q[idx, idx] -= u w^H on the upper triangle in index order, mirrored.
-
-    Hermitian-result semantics: diagonal imaginary parts are zeroed, as in
-    :func:`vblast.kernels.rank1_update_herm`.
-    """
-    k = idx.shape[0]
-    iu0, iu1 = _triu_indices(k)
-    rows = idx[iu0]
-    cols = idx[iu1]
-    prods = u[iu0] * np.conj(w)[iu1]
-    led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
-    q[rows, cols] -= prods
-    s0, s1 = _triu_strict_indices(k)
-    srows = idx[s0]
-    scols = idx[s1]
-    q[scols, srows] = np.conj(q[srows, scols])
-    q[idx, idx] = q[idx, idx].real
-
-
-# ---------------------------------------------------------------------------
-# packed upper-triangle variants
 
 
 def _packed_herm_matvec(packed, k, v, led):
@@ -621,135 +317,351 @@ def _packed_sym_swap(packed, l, last):
     packed[mbase + l] = np.conj(packed[mbase + l])
 
 
-def _init_single_buffer_packed(ch, rx, alpha, led, mem):
-    """Shared init for the packed variants: cover, then pack the triangle."""
-    m_tx, n_rx = ch.m, ch.n
-    mem.alloc("ht", m_tx * n_rx)
-    mem.alloc("z", m_tx)
-    mem.alloc("d", m_tx)
-    a = ch.h.conj().T.copy()
-    z = matvec(a, rx.x, led)
-    d = np.zeros(m_tx, np.complex128)
-    _cover_gram_rows(a, alpha, led)
-    packed = HermPacked.pack(a[:, :m_tx]).upper
-    mem.alloc("q_packed", m_tx * (m_tx + 1) // 2)
-    mem.free("ht")
-    del a
-    _cover_inverse_packed(packed, m_tx, led)
-    return packed, z, d
+# ---------------------------------------------------------------------------
+# Q storage for the recursive detectors
 
 
-def detect_proposed_2_tri(ch, rx, c, *, cancel_soft=False, collect_q=False):
-    """``proposed_2`` with only the upper triangle of the inverse stored."""
-    m_tx, n_rx, alpha = _prep(ch, rx)
+class _Dense:
+    """Dense Q (and R, where kept) in detection order by symmetric swaps."""
+
+    def __init__(self, q, r=None):
+        self.q = q
+        self.mats = (q,) if r is None else (q, r)
+
+    def diag(self, m, p):
+        return self.q.diagonal()[:m].real
+
+    def swap(self, l, last, *vecs):
+        for a in self.mats:
+            _sym_swap(a, l, last, last + 1)
+        for v in vecs:
+            v[[l, last]] = v[[last, l]]
+
+    def active(self, m, p):
+        """Addresses of the m active streams, the m-1 kept ones and the detected
+        one, and the detected stream's column of the active block (omega last)."""
+        return slice(0, m), slice(0, m - 1), m - 1, self.q[:m, m - 1]
+
+    def sub(self, rest, u, w, led):
+        """Hermitian ``Q[rest, rest] -= u w^H``."""
+        rank1_update_herm(self.q[rest, rest], u, w, led, subtract=True)
+
+    def block(self, m, p):
+        return self.q[:m, :m].copy()
+
+
+class _DenseIndexed(_Dense):
+    """Dense Q in antenna order, addressed through the order permutation."""
+
+    def diag(self, m, p):
+        return self.q.diagonal()[p[:m]].real
+
+    def swap(self, l, last, *vecs):
+        pass
+
+    def active(self, m, p):
+        act, last = p[:m], p[m - 1]
+        return act, p[: m - 1], last, self.q[act, last]
+
+    def sub(self, rest, u, w, led):
+        """Upper triangle in index order, mirrored; diagonal imaginary parts zeroed."""
+        k = rest.shape[0]
+        iu0, iu1 = _triu_indices(k)
+        led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
+        self.q[rest[iu0], rest[iu1]] -= u[iu0] * np.conj(w)[iu1]
+        s0, s1 = _triu_strict_indices(k)
+        self.q[rest[s1], rest[s0]] = np.conj(self.q[rest[s0], rest[s1]])
+        self.q[rest, rest] = self.q[rest, rest].real
+
+    def block(self, m, p):
+        return self.q[np.ix_(p[:m], p[:m])]
+
+
+class _Packed:
+    """Packed upper triangle of Q, kept in detection order by swaps."""
+
+    def __init__(self, upper, dim):
+        self.upper = upper
+        self.dim = dim
+        self.dflat = _packed_diag_indices(dim)
+
+    def diag(self, m, p):
+        return self.upper[self.dflat[:m]].real
+
+    def swap(self, l, last, *vecs):
+        _packed_sym_swap(self.upper, l, last)
+        for v in vecs:
+            v[[l, last]] = v[[last, l]]
+
+    def active(self, m, p):
+        base = (m - 1) * m // 2
+        return slice(0, m), slice(0, m - 1), m - 1, self.upper[base : base + m]
+
+    def sub(self, rest, u, w, led):
+        k = u.shape[0]
+        r0, c0 = _triu_indices(k)
+        self.upper[_packed_triu_flat(k)] -= u[r0] * np.conj(w)[c0]
+        led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
+        dflat = self.dflat[rest]
+        self.upper[dflat] = self.upper[dflat].real
+
+    def block(self, m, p):
+        return _packed_unpack(self.upper, m)
+
+
+class _PackedIndexed(_Packed):
+    """Packed Q in antenna order; entries below the diagonal read conjugated."""
+
+    def diag(self, m, p):
+        return self.upper[self.dflat[p[:m]]].real
+
+    def swap(self, l, last, *vecs):
+        pass
+
+    @staticmethod
+    def _flat(i, j):
+        """Packed index of entries (i, j) and whether each is stored conjugated."""
+        lo = np.minimum(i, j)
+        hi = np.maximum(i, j)
+        return hi * (hi + 1) // 2 + lo, i > j
+
+    def active(self, m, p):
+        rest, last = p[: m - 1], p[m - 1]
+        flat, lower = self._flat(rest, last)
+        raw = self.upper[flat]
+        q_bar = np.where(lower, np.conj(raw), raw)
+        omega = real_pivot(self.upper[self.dflat[last]], "deflation omega")
+        return p[:m], rest, last, np.concatenate([q_bar, [omega]])
+
+    def sub(self, rest, u, w, led):
+        k = rest.shape[0]
+        iu0, iu1 = _triu_indices(k)
+        flat, lower = self._flat(rest[iu0], rest[iu1])
+        vals = u[iu0] * np.conj(w)[iu1]
+        led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
+        self.upper[flat] -= np.where(lower, np.conj(vals), vals)
+        dflat = self.dflat[rest]
+        self.upper[dflat] = self.upper[dflat].real
+
+    def block(self, m, p):
+        return _packed_unpack(self.upper, self.dim)[np.ix_(p[:m], p[:m])]
+
+
+# ---------------------------------------------------------------------------
+# deflation, initializers and the one recursion
+
+
+def _deflate_own(q, col, rest, led):
+    """Shrink Q from its own column ``col`` (omega last); returns 1/omega, q_bar."""
+    m = col.shape[0]
+    omega = real_pivot(col[m - 1], "deflation omega")
+    if omega <= SINGULAR_RTOL:
+        raise SingularMatrixError(f"deflation at recursion {m}: omega={omega:g}")
+    om_inv = 1.0 / omega
+    led.tick(cdiv=1)
+    q_bar = col[: m - 1]
+    v = om_inv * q_bar
+    led.tick(cmul=m - 1)
+    q.sub(rest, v, q_bar, led)
+    return om_inv, q_bar
+
+
+def _deflate(q, col, rest, last, led, r_border, triangle_only):
+    """From Q's own column, or from R's border when ``r_border`` is given."""
+    if r_border is None:
+        _deflate_own(q, col, rest, led)
+    else:
+        _deflate_sm_inplace(q.q[rest, rest], r_border[rest, last],
+                            real_pivot(r_border[last, last], "deflation gamma"),
+                            led, triangle_only=triangle_only)
+
+
+def _init_x(border):
+    """Sherman-Morrison Q, domain x; ``border`` keeps R to deflate from (full)."""
+
+    def init(ch, rx, alpha, led, mem):
+        m_tx, n_rx = ch.m, ch.n
+        mem.alloc("h_copy", m_tx * n_rx)
+        mem.alloc("x", n_rx)
+        if border:
+            mem.alloc("gram", m_tx * m_tx)
+        mem.alloc("inv", m_tx * m_tx)
+        mem.alloc("workvec", m_tx)
+        h = ch.h.copy()
+        x = rx.x.copy()
+        r = init_gram(ch.h, alpha, led) if border else None
+        q = _Dense(init_q_sherman_morrison(ch.h, alpha, led, triangle_only=not border), r)
+
+        def estimate(col, act, last):
+            return vdot_c(col, conj_matvec(h[:, act], x, led), led)
+
+        def cancel(col, rest, last, s_use):
+            np.subtract(x, s_use * h[:, last], out=x)
+            led.tick(cmul=n_rx, cadd=n_rx)
+            _deflate(q, col, rest, last, led, r, triangle_only=False)
+
+        return q, (h.T,), estimate, cancel   # h.T's rows are the channel's columns
+
+    return init
+
+
+def _init_z(variant, border):
+    """Q grown from R by the ``variant`` step, domain z; ``border``: deflate from R (tri)."""
+
+    def init(ch, rx, alpha, led, mem):
+        m_tx = ch.m
+        mem.alloc("z", m_tx)
+        mem.alloc("gram", m_tx * m_tx)
+        mem.alloc("inv", m_tx * m_tx)
+        z = conj_matvec(ch.h, rx.x, led)
+        r = init_gram(ch.h, alpha, led)
+        q = _Dense(init_q_recursive(r, led, variant=variant), r)
+
+        def estimate(col, act, last):
+            return vdot_c(col, z[act], led)
+
+        def cancel(col, rest, last, s_use):
+            z[rest] -= s_use * r[rest, last]
+            k = col.shape[0] - 1
+            led.tick(cmul=k, cadd=k)
+            _deflate(q, col, rest, last, led, r if border else None, triangle_only=True)
+
+        return q, (z,), estimate, cancel
+
+    return init
+
+
+def _init_single_buffer(storage):
+    """One buffer holds H^H, then R, then Q (packed: R is packed, the buffer freed)."""
+
+    def init(ch, rx, alpha, led, mem):
+        m_tx, n_rx = ch.m, ch.n
+        mem.alloc("ht", m_tx * n_rx)
+        mem.alloc("z", m_tx)
+        mem.alloc("d", m_tx)
+        a = ch.h.conj().T.copy()
+        z = matvec(a, rx.x, led)
+        d = np.zeros(m_tx, np.complex128)
+        _cover_gram_rows(a, alpha, led)
+        if issubclass(storage, _Packed):
+            upper = HermPacked.pack(a[:, :m_tx]).upper
+            mem.alloc("q_packed", m_tx * (m_tx + 1) // 2)
+            mem.free("ht")
+            del a
+            _cover_inverse_packed(upper, m_tx, led)
+            q = storage(upper, m_tx)
+        else:
+            _cover_inverse(a, m_tx, led)
+            q = storage(a[:, :m_tx])
+
+        def estimate(col, act, last):
+            est = vdot_c(col, z[act], led) - d[last]
+            led.tick(cadd=1)
+            return est
+
+        def cancel(col, rest, last, s_use):
+            om_inv, q_bar = _deflate_own(q, col, rest, led)
+            coeff = (s_use + d[last]) * om_inv
+            led.tick(cadd=1, cmul=1)
+            d[rest] -= coeff * q_bar
+            led.tick(cmul=q_bar.shape[0], cadd=q_bar.shape[0])
+
+        return q, (z, d), estimate, cancel
+
+    return init
+
+
+def _sic(ch, rx, c, init, cancel_soft, collect_q, collect_aux=False):
+    """Ordered SIC: order by Q's smallest diagonal, estimate, cancel, deflate.
+
+    ``init`` allocates and initializes the detector's state and returns its
+    Q storage, the vectors kept in Q's order, and its estimate and cancel
+    steps.  ``collect_aux`` records ``p``, ``z`` and ``d`` of the active
+    streams at every step (single-buffer swapped storage only).
+    """
+    m_tx, _, alpha = _prep(ch, rx)
     led = FlopLedger()
     mem = MemLedger()
-    packed, z, d = _init_single_buffer_packed(ch, rx, alpha, led, mem)
+    q, vecs, estimate, cancel = init(ch, rx, alpha, led, mem)
+    diag, swap, active, block = q.diag, q.swap, q.active, q.block
     p = np.arange(m_tx)
     soft = np.zeros(m_tx, np.complex128)
     hard = np.zeros(m_tx, np.complex128)
     trace: list[OrderingTrace] = []
     qs = [] if collect_q else None
+    aux = {"p": [], "z": [], "d": []} if collect_aux else None
     for m in range(m_tx, 0, -1):
-        diag = packed[_packed_diag_indices(m)].real
-        l, qmin, gap = _argmin_gap(diag)
+        l, qmin, gap = _argmin_gap(diag(m, p))
         if m > 1 and l != m - 1:
             p[[l, m - 1]] = p[[m - 1, l]]
-            z[[l, m - 1]] = z[[m - 1, l]]
-            d[[l, m - 1]] = d[[m - 1, l]]
-            _packed_sym_swap(packed, l, m - 1)
+            swap(l, m - 1, *vecs)
         trace.append(OrderingTrace(m, l, qmin, gap))
         if qs is not None:
-            qs.append(_packed_unpack(packed, m))
-        base = (m - 1) * m // 2
-        est = vdot_c(packed[base : base + m], z[:m], led) - d[m - 1]
-        led.tick(cadd=1)
+            qs.append(block(m, p))
+        if aux is not None:
+            for key, v in zip(aux, (p, *vecs)):
+                aux[key].append(v[:m].copy())
+        act, rest, last, col = active(m, p)
+        est = estimate(col, act, last)
         s = quantize(est, c)
         ant = p[m - 1]
         soft[ant] = est
         hard[ant] = s
         if m == 1:
             break
-        s_use = est if cancel_soft else s
-        omega = real_pivot(packed[base + m - 1], "deflation omega")
-        if omega <= SINGULAR_RTOL:
-            raise SingularMatrixError(f"deflation at recursion {m}: omega={omega:g}")
-        om_inv = 1.0 / omega
-        led.tick(cdiv=1)
-        q_bar = packed[base : base + m - 1]
-        coeff = (s_use + d[m - 1]) * om_inv
-        led.tick(cadd=1, cmul=1)
-        d[: m - 1] -= coeff * q_bar
-        led.tick(cmul=m - 1, cadd=m - 1)
-        v = om_inv * q_bar
-        led.tick(cmul=m - 1)
-        k = m - 1
-        r0, c0 = _triu_indices(k)
-        packed[_packed_triu_flat(k)] -= v[r0] * np.conj(q_bar)[c0]
-        led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
-        dflat = _packed_diag_indices(k)
-        packed[dflat] = packed[dflat].real
-    return DetectionResult(hard, p, soft, led, mem, trace, qs)
+        cancel(col, rest, last, est if cancel_soft else s)
+    return DetectionResult(hard, p, soft, led, mem, trace, qs, aux)
+
+
+# ---------------------------------------------------------------------------
+# recursive detectors
+
+
+def detect_original(ch, rx, c, *, cancel_soft=False, collect_q=False):
+    """Rank-one init of Gram matrix and inverse, border-based deflation."""
+    return _sic(ch, rx, c, _init_x(border=True), cancel_soft, collect_q)
+
+
+def detect_fastest_known(ch, rx, c, *, cancel_soft=False, collect_q=False):
+    """Partitioned init + z-domain cancellation, border-based deflation."""
+    return _sic(ch, rx, c, _init_z("i", border=True), cancel_soft, collect_q)
+
+
+def detect_speed_adv(ch, rx, c, *, cancel_soft=False, collect_q=False):
+    """As ``fastest_known`` but deflating from the inverse's own column."""
+    return _sic(ch, rx, c, _init_z("i", border=False), cancel_soft, collect_q)
+
+
+def detect_proposed_1(ch, rx, c, *, cancel_soft=False, collect_q=False):
+    """``speed_adv`` with the single-division initialization step."""
+    return _sic(ch, rx, c, _init_z("v", border=False), cancel_soft, collect_q)
+
+
+def detect_mem_saving(ch, rx, c, *, cancel_soft=False, collect_q=False):
+    """No Gram matrix at all: permutes a channel copy, estimates from x."""
+    return _sic(ch, rx, c, _init_x(border=False), cancel_soft, collect_q)
+
+
+def detect_proposed_2(ch, rx, c, *, cancel_soft=False, collect_q=False,
+                      collect_aux=False):
+    """One matrix buffer covered in place, cancellation through d."""
+    return _sic(ch, rx, c, _init_single_buffer(_Dense), cancel_soft, collect_q,
+                collect_aux)
+
+
+def detect_proposed_2_noperm(ch, rx, c, *, cancel_soft=False, collect_q=False):
+    """``proposed_2`` addressed through the permutation, no physical swaps."""
+    return _sic(ch, rx, c, _init_single_buffer(_DenseIndexed), cancel_soft, collect_q)
+
+
+def detect_proposed_2_tri(ch, rx, c, *, cancel_soft=False, collect_q=False):
+    """``proposed_2`` with only the upper triangle of the inverse stored."""
+    return _sic(ch, rx, c, _init_single_buffer(_Packed), cancel_soft, collect_q)
 
 
 def detect_proposed_2_tri_noperm(ch, rx, c, *, cancel_soft=False, collect_q=False):
     """Packed storage addressed through the permutation, conjugate-aware."""
-    m_tx, n_rx, alpha = _prep(ch, rx)
-    led = FlopLedger()
-    mem = MemLedger()
-    packed, z, d = _init_single_buffer_packed(ch, rx, alpha, led, mem)
-    p = np.arange(m_tx)
-    soft = np.zeros(m_tx, np.complex128)
-    hard = np.zeros(m_tx, np.complex128)
-    trace: list[OrderingTrace] = []
-    qs = [] if collect_q else None
-    for m in range(m_tx, 0, -1):
-        act = p[:m]
-        diag = packed[act * (act + 1) // 2 + act].real
-        l, qmin, gap = _argmin_gap(diag)
-        if m > 1 and l != m - 1:
-            p[[l, m - 1]] = p[[m - 1, l]]
-        trace.append(OrderingTrace(m, l, qmin, gap))
-        if qs is not None:
-            qs.append(_packed_unpack(packed, m_tx)[np.ix_(p[:m], p[:m])])
-        pm = p[m - 1]
-        rest = p[: m - 1]
-        lo = np.minimum(rest, pm)
-        hi = np.maximum(rest, pm)
-        raw = packed[hi * (hi + 1) // 2 + lo]
-        q_bar = np.where(rest > pm, np.conj(raw), raw)
-        omega = real_pivot(packed[pm * (pm + 1) // 2 + pm], "deflation omega")
-        q_col = np.concatenate([q_bar, [omega]])
-        est = vdot_c(q_col, z[p[:m]], led) + d[pm]
-        led.tick(cadd=1)
-        s = quantize(est, c)
-        soft[pm] = est
-        hard[pm] = s
-        if m == 1:
-            break
-        s_use = est if cancel_soft else s
-        if omega <= SINGULAR_RTOL:
-            raise SingularMatrixError(f"deflation at recursion {m}: omega={omega:g}")
-        om_inv = 1.0 / omega
-        led.tick(cdiv=1)
-        coeff = (s_use - d[pm]) * om_inv
-        led.tick(cadd=1, cmul=1)
-        d[rest] += coeff * q_bar
-        led.tick(cmul=m - 1, cadd=m - 1)
-        v = om_inv * q_bar
-        led.tick(cmul=m - 1)
-        k = m - 1
-        iu0, iu1 = _triu_indices(k)
-        a_i = rest[iu0]
-        b_j = rest[iu1]
-        lo = np.minimum(a_i, b_j)
-        hi = np.maximum(a_i, b_j)
-        vals = v[iu0] * np.conj(q_bar)[iu1]
-        led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
-        packed[hi * (hi + 1) // 2 + lo] -= np.where(a_i > b_j, np.conj(vals), vals)
-        dd = rest * (rest + 1) // 2 + rest
-        packed[dd] = packed[dd].real
-    return DetectionResult(hard, p, soft, led, mem, trace, qs)
+    return _sic(ch, rx, c, _init_single_buffer(_PackedIndexed), cancel_soft, collect_q)
 
 
 ALGORITHMS = {

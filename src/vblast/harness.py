@@ -113,6 +113,15 @@ def _map_ordered(fn, args_list):
         return list(pool.map(fn, args_list, chunksize=chunk))
 
 
+def _recursive_names(cfg, command):
+    """The selected detectors except the oracle; an oracle-only run is misuse."""
+    names = [n for n in cfg.algorithms if n != "oracle"]
+    if not names:
+        raise ContractViolationError(
+            f"{command} needs at least one recursive detector besides the oracle")
+    return names
+
+
 def _trial_frame(m, n, snr_db, seed, trial, cname):
     """Channel/frame/rx for one trial; streams are disjoint per trial."""
     c = constellation(cname)
@@ -180,7 +189,7 @@ def equiv_trial(args):
 
 def run_equiv(cfg: SweepConfig):
     """Equivalence sweep; returns (csv_rows, failures)."""
-    names = [n for n in cfg.algorithms if n != "oracle"]
+    names = _recursive_names(cfg, "equiv")
     args = []
     for m, n in cfg.dims():
         for snr in cfg.snr_db_list:
@@ -234,7 +243,7 @@ RATIOS_HEADER = ["M", "N", "ratio", "value"]
 
 def run_flops(cfg: SweepConfig):
     """Flop sweep; returns (csv_rows, ratio_rows)."""
-    names = [n for n in cfg.algorithms if n != "oracle"]
+    names = _recursive_names(cfg, "flops")
     rows = []
     ratio_rows = []
     for m, n in cfg.dims():
@@ -324,9 +333,7 @@ BER_HEADER = ["M", "N", "snr_db", "algorithm", "bit_errors", "bits", "ber"]
 
 def run_ber(cfg: SweepConfig):
     """BER sweep; returns csv rows aggregated over trials."""
-    names = [n for n in cfg.algorithms if n != "oracle"]
-    if not names:
-        raise ContractViolationError("ber needs at least one recursive detector besides the oracle")
+    names = _recursive_names(cfg, "ber")
     rows = []
     for m, n in cfg.dims():
         for snr in cfg.snr_db_list:

@@ -200,9 +200,9 @@ def test_criterion_8_variant_fidelity():
     assert elapsed < 30.0
     report(8, "variant fidelity on 1000 seeds (M<=16): hard/order identical, "
               f"max soft diff {worst_soft:.2e} <= 1e-10, {elapsed:.1f}s. "
-              "Sign resolution: the index-addressed forms keep the running "
-              "cancellation vector negated, so their '+' updates reproduce the "
-              "permuted recursion's '-' updates exactly.")
+              "d convention: swapped and index-addressed forms keep the "
+              "cancellation vector with one sign, the published '+' form's "
+              "negation (d_paper = -d).")
 
 
 def test_criterion_9_noiseless_recovery():

@@ -243,8 +243,9 @@ def test_triangular_variants_reconstruct_same_q():
 def test_unpermuted_variants_reproduce_permuted_outputs():
     """Index-addressed forms must equal the physically permuted ones.
 
-    Their stored cancellation vector carries the opposite sign, so agreement
+    All four keep the cancellation vector ``d`` with one sign, so agreement
     here pins down the consistent reading of the two published update forms.
+    The packed pair agrees bit for bit; the dense pair to rounding.
     """
     for seed in range(50):
         m = 1 + seed % 16
@@ -256,11 +257,13 @@ def test_unpermuted_variants_reproduce_permuted_outputs():
         assert np.abs(base.soft - idx.soft).max() <= 1e-12
         for qa, qb in zip(base.q_steps, idx.q_steps):
             assert np.abs(qa - qb).max() <= 1e-13 * max(np.abs(qa).max(), 1e-300)
-        tri = detect_proposed_2_tri(ch, rx, QPSK)
-        tri_idx = detect_proposed_2_tri_noperm(ch, rx, QPSK)
+        tri = detect_proposed_2_tri(ch, rx, QPSK, collect_q=True)
+        tri_idx = detect_proposed_2_tri_noperm(ch, rx, QPSK, collect_q=True)
         assert np.array_equal(tri.s_hat, tri_idx.s_hat)
         assert np.array_equal(tri.order, tri_idx.order)
         assert np.abs(tri.soft - tri_idx.soft).max() <= 1e-12
+        assert np.array_equal(tri.soft, tri_idx.soft)
+        assert all(np.array_equal(qa, qb) for qa, qb in zip(tri.q_steps, tri_idx.q_steps))
 
 
 def test_sign_resolution_trivial_cases():

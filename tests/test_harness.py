@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vblast.cli import main
+from vblast.detectors import ALGORITHMS
 from vblast.errors import ContractViolationError
 from vblast.harness import (
     BER_HEADER,
@@ -110,6 +111,43 @@ def test_mem_rows_and_gate():
     assert peaks["proposed_2"] <= 0.55 * peaks["mem_saving"]
 
 
+MEM_PINS = {
+    (4, 4): {
+        "fastest_known": (36, "z=4;gram=16;inv=16"),
+        "mem_saving": (40, "h_copy=16;x=4;inv=16;workvec=4"),
+        "oracle": (84, "h_copy=16;x=4;gram=16;inv=16;gj_workspace=32"),
+        "original": (56, "h_copy=16;x=4;gram=16;inv=16;workvec=4"),
+        "proposed_1": (36, "z=4;gram=16;inv=16"),
+        "proposed_2": (24, "ht=16;z=4;d=4"),
+        "proposed_2_noperm": (24, "ht=16;z=4;d=4"),
+        "proposed_2_tri": (34, "ht=16;z=4;d=4;q_packed=10"),
+        "proposed_2_tri_noperm": (34, "ht=16;z=4;d=4;q_packed=10"),
+        "speed_adv": (36, "z=4;gram=16;inv=16"),
+    },
+    (4, 6): {
+        "fastest_known": (36, "z=4;gram=16;inv=16"),
+        "mem_saving": (50, "h_copy=24;x=6;inv=16;workvec=4"),
+        "oracle": (94, "h_copy=24;x=6;gram=16;inv=16;gj_workspace=32"),
+        "original": (66, "h_copy=24;x=6;gram=16;inv=16;workvec=4"),
+        "proposed_1": (36, "z=4;gram=16;inv=16"),
+        "proposed_2": (32, "ht=24;z=4;d=4"),
+        "proposed_2_noperm": (32, "ht=24;z=4;d=4"),
+        "proposed_2_tri": (42, "ht=24;z=4;d=4;q_packed=10"),
+        "proposed_2_tri_noperm": (42, "ht=24;z=4;d=4;q_packed=10"),
+        "speed_adv": (36, "z=4;gram=16;inv=16"),
+    },
+}
+
+
+@pytest.mark.parametrize("m, n", sorted(MEM_PINS))
+def test_mem_rows_pin_every_ledger(m, n):
+    """Exact peak and named buffers, in allocation order, for all ten algorithms."""
+    rows, failures = run_mem(SweepConfig(algorithms=list(ALGORITHMS), m_list=[m],
+                                         n_list=[n], trials=1))
+    assert failures == []
+    assert {r[2]: (r[3], r[4]) for r in rows} == MEM_PINS[(m, n)]
+
+
 def test_mem_single_stream_no_assertion():
     cfg = SweepConfig(m_list=[1], trials=1)
     rows, failures = run_mem(cfg)
@@ -188,14 +226,16 @@ def test_cli_rejects_fewer_receive_than_transmit_antennas(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_ber_rejects_oracle_only(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["ber", "equiv", "flops"])
+def test_cli_rejects_oracle_only(tmp_path, capsys, command):
     out = tmp_path / "b.csv"
-    code = main(["ber", "--m", "2", "--algo", "oracle", "--trials", "1", "--out", str(out)])
+    code = main([command, "--m", "2", "--algo", "oracle", "--trials", "1", "--out", str(out)])
     assert code == 2
     assert "recursive detector" in capsys.readouterr().err
     assert not out.exists()
+    run = {"ber": run_ber, "equiv": run_equiv, "flops": run_flops}[command]
     with pytest.raises(ContractViolationError):
-        run_ber(SweepConfig(algorithms=["oracle"], m_list=[2], trials=1))
+        run(SweepConfig(algorithms=["oracle"], m_list=[2], trials=1))
 
 
 @pytest.mark.parametrize("raw", ["", "two", "1.5", "0", "-3"])
