@@ -69,6 +69,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--trials", type=int, default=100,
                      help="Monte-Carlo trials per grid point (default: 100)")
     sub.add_argument("--seed", type=int, default=1, help="RNG seed (default: 1)")
+    sub.add_argument("--constellation", default="qpsk",
+                     help="symbol alphabet, qpsk or qam16 (default: qpsk)")
     sub.add_argument("--cancel-soft", action="store_true",
                      help="cancel with the soft estimate instead of the sliced symbol")
     sub.add_argument("--out", type=Path, required=True, help="output CSV path")
@@ -98,6 +100,7 @@ def _config(args) -> SweepConfig:
         seed=args.seed,
         cancel_soft=args.cancel_soft,
         out_path=args.out,
+        constellation=args.constellation,
     )
 
 

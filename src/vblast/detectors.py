@@ -48,6 +48,7 @@ expression temporaries are outside the convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +59,9 @@ from .kernels import (
     HermPacked,
     SINGULAR_RTOL,
     _packed_diag_indices,
+    _packed_square_flat,
     _packed_triu_flat,
+    _strict_lower_mask,
     _triu_indices,
     _triu_strict_indices,
     conj_matvec,
@@ -71,6 +74,7 @@ from .kernels import (
     real_pivot,
     vdot_c,
     _deflate_sm_inplace,
+    _grow_inverse,
     _packed_unpack,
 )
 from .sigmodel import ChannelRealization, RxFrame, quantize
@@ -138,13 +142,22 @@ def _prep(ch: ChannelRealization, rx: RxFrame):
     return ch.m, ch.n, float(rx.alpha)
 
 
-def _argmin_gap(diag: np.ndarray):
-    """First index of the smallest entry, its value, and the ordering gap."""
-    l = int(np.argmin(diag))
-    if diag.shape[0] < 2:
-        return l, float(diag[l]), float("inf")
-    two = np.partition(diag, 1)[:2]
-    return l, float(two[0]), float(two[1] - two[0])
+def _argmin_gap(d: list[float]):
+    """First index of the smallest entry, its value, and the ordering gap.
+
+    As ``np.argmin`` and ``np.partition`` on the same values: a NaN is the
+    smallest entry for the index but sorts last for the value and the gap.
+    """
+    if len(d) < 2:
+        return 0, d[0], math.inf
+    total = sum(d)
+    if total != total:                      # a NaN, or both infinities
+        nan = [i for i, x in enumerate(d) if x != x]
+        two = sorted(x for x in d if x == x) + [math.nan, math.nan]
+        return (nan[0] if nan else d.index(two[0])), two[0], two[1] - two[0]
+    q_min = min(d)
+    l = d.index(q_min)
+    return l, q_min, min(d[:l] + d[l + 1 :]) - q_min
 
 
 def _sym_swap(a: np.ndarray, i: int, j: int, m: int) -> None:
@@ -182,7 +195,7 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
         hm = h[:, :m]
         r = hm.conj().T @ hm + alpha * np.eye(m)
         q = gauss_jordan_inverse(r)
-        l, qmin, gap = _argmin_gap(q.diagonal().real)
+        l, qmin, gap = _argmin_gap(q.diagonal().real.tolist())
         if m > 1 and l != m - 1:
             p[[l, m - 1]] = p[[m - 1, l]]
             h[:, [l, m - 1]] = h[:, [m - 1, l]]
@@ -214,18 +227,13 @@ def _cover_gram_rows(a, alpha, led):
     covered in place.  The diagonal term is computed separately, which keeps
     per-row scratch below M words.
     """
-    m = a.shape[0]
-    n = a.shape[1]
+    m, n = a.shape
+    tri = m * (m + 1) // 2
+    led.tick(cmul=n * tri, cadd=(n - 1) * tri + m)      # + m: alpha on the diagonal
     for i in range(m):
-        if i < m - 1:
-            tail = a[i + 1 : m, :].conj() @ a[i, :]
-            led.tick(cmul=(m - 1 - i) * n, cadd=(m - 1 - i) * (n - 1))
-        else:
-            tail = None
+        tail = a[i + 1 : m, :].conj() @ a[i, :] if i < m - 1 else None
         diag = np.vdot(a[i, :], a[i, :]).real
-        led.tick(cmul=n, cadd=n - 1)
         a[i, i] = diag + alpha
-        led.tick(cadd=1)
         if tail is not None:
             a[i, i + 1 : m] = tail
 
@@ -233,37 +241,17 @@ def _cover_gram_rows(a, alpha, led):
 def _cover_inverse(a, m, led):
     """Overwrite the square block (holding the Gram matrix) with its inverse.
 
-    Single-division growth steps; iteration i reads only column i of the old
-    content plus the already-inverted leading block, so the same buffer can
-    hold both.
+    The single-division growth steps of ``init_q_recursive(variant="v")``,
+    run on the same buffer: step i reads only column i of the old content
+    plus the already-inverted leading block.
     """
     g0 = real_pivot(a[0, 0], "inverse covering leading entry")
     if abs(g0) < SINGULAR_RTOL:
         raise SingularMatrixError("inverse covering: leading entry is singular")
     a[0, 0] = 1.0 / g0
     led.tick(cdiv=1)
-    for i in range(1, m):
-        q_tilde = matvec(a[:i, :i], a[:i, i], led)
-        t = vdot_c(a[:i, i], q_tilde, led)
-        gamma = real_pivot(a[i, i], "inverse covering gamma")
-        delta = real_pivot(gamma - t, f"inverse covering (recursion index {i + 1})")
-        led.tick(cadd=1)
-        if abs(delta) < SINGULAR_RTOL * max(abs(gamma), 1e-300):
-            raise SingularMatrixError(f"inverse covering: singular pivot at index {i + 1}")
-        omega = 1.0 / delta
-        led.tick(cdiv=1)
-        a[i, i] = omega
-        a[:i, i] = (-omega) * q_tilde
-        led.tick(cmul=i)
-        a[i, :i] = np.conj(a[:i, i])
-        rank1_update_herm(a[:i, :i], q_tilde, a[:i, i], led, subtract=True)
-
-
-
-def _packed_herm_matvec(packed, k, v, led):
-    """Hermitian matvec from packed upper storage; charges k**2 products."""
-    led.tick(cmul=k * k, cadd=k * (k - 1))
-    return _packed_unpack(packed, k) @ v
+    _grow_inverse(a, m, led, "v", "inverse covering gamma", "inverse covering",
+                  singular="inverse covering: singular pivot at index {}")
 
 
 def _cover_inverse_packed(packed, m, led):
@@ -276,25 +264,22 @@ def _cover_inverse_packed(packed, m, led):
     for i in range(1, m):
         base = i * (i + 1) // 2
         rcol = packed[base : base + i].copy()
-        q_tilde = _packed_herm_matvec(packed, i, rcol, led)
+        q_tilde = _packed_unpack(packed, i) @ rcol      # Hermitian matvec
         t = vdot_c(rcol, q_tilde, led)
         gamma = real_pivot(packed[base + i], "inverse covering gamma")
-        delta = real_pivot(gamma - t, f"inverse covering (recursion index {i + 1})")
-        led.tick(cadd=1)
+        delta = real_pivot(gamma - t, "inverse covering", i + 1)
         if abs(delta) < SINGULAR_RTOL * max(abs(gamma), 1e-300):
             raise SingularMatrixError(f"inverse covering: singular pivot at index {i + 1}")
         omega = 1.0 / delta
-        led.tick(cdiv=1)
         packed[base + i] = omega
         q_col = (-omega) * q_tilde
-        led.tick(cmul=i)
         packed[base : base + i] = q_col
-        flat = _packed_triu_flat(i)
         r0, c0 = _triu_indices(i)
-        packed[flat] -= q_tilde[r0] * np.conj(q_col)[c0]
-        led.tick(cmul=i * (i + 1) // 2, cadd=i * (i + 1) // 2)
+        packed[_packed_triu_flat(i)] -= q_tilde[r0] * np.conj(q_col)[c0]
         dflat = _packed_diag_indices(i)
         packed[dflat] = packed[dflat].real
+        # the matvec (i**2 products), the pivot, the column, the triangle (base)
+        led.tick(cmul=i * i + i + base, cadd=i * (i - 1) + 1 + base, cdiv=1)
 
 
 def _packed_sym_swap(packed, l, last):
@@ -322,20 +307,25 @@ def _packed_sym_swap(packed, l, last):
 
 
 class _Dense:
-    """Dense Q (and R, where kept) in detection order by symmetric swaps."""
+    """Dense Q (and R, where kept) in detection order by symmetric swaps.
 
-    def __init__(self, q, r=None):
+    ``rows`` (the x domain's transposed channel copy) has its rows swapped.
+    """
+
+    def __init__(self, q, r=None, rows=None):
         self.q = q
+        self.qdiag = q.diagonal().real      # a view: follows Q's updates
         self.mats = (q,) if r is None else (q, r)
+        self.rows = rows
 
     def diag(self, m, p):
-        return self.q.diagonal()[:m].real
+        return self.qdiag[:m].tolist()
 
-    def swap(self, l, last, *vecs):
+    def swap(self, l, last):
         for a in self.mats:
             _sym_swap(a, l, last, last + 1)
-        for v in vecs:
-            v[[l, last]] = v[[last, l]]
+        if self.rows is not None:
+            self.rows[[l, last]] = self.rows[[last, l]]
 
     def active(self, m, p):
         """Addresses of the m active streams, the m-1 kept ones and the detected
@@ -353,11 +343,10 @@ class _Dense:
 class _DenseIndexed(_Dense):
     """Dense Q in antenna order, addressed through the order permutation."""
 
-    def diag(self, m, p):
-        return self.q.diagonal()[p[:m]].real
+    swap = None     # nothing moves
 
-    def swap(self, l, last, *vecs):
-        pass
+    def diag(self, m, p):
+        return self.qdiag[p[:m]].tolist()
 
     def active(self, m, p):
         act, last = p[:m], p[m - 1]
@@ -370,7 +359,8 @@ class _DenseIndexed(_Dense):
         led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
         self.q[rest[iu0], rest[iu1]] -= u[iu0] * np.conj(w)[iu1]
         s0, s1 = _triu_strict_indices(k)
-        self.q[rest[s1], rest[s0]] = np.conj(self.q[rest[s0], rest[s1]])
+        above, below = rest[s0], rest[s1]
+        self.q[below, above] = np.conj(self.q[above, below])
         self.q[rest, rest] = self.q[rest, rest].real
 
     def block(self, m, p):
@@ -384,14 +374,13 @@ class _Packed:
         self.upper = upper
         self.dim = dim
         self.dflat = _packed_diag_indices(dim)
+        self.ureal = upper.real
 
     def diag(self, m, p):
-        return self.upper[self.dflat[:m]].real
+        return self.ureal[self.dflat[:m]].tolist()
 
-    def swap(self, l, last, *vecs):
+    def swap(self, l, last):
         _packed_sym_swap(self.upper, l, last)
-        for v in vecs:
-            v[[l, last]] = v[[last, l]]
 
     def active(self, m, p):
         base = (m - 1) * m // 2
@@ -412,18 +401,19 @@ class _Packed:
 class _PackedIndexed(_Packed):
     """Packed Q in antenna order; entries below the diagonal read conjugated."""
 
+    swap = None     # nothing moves
+
+    def __init__(self, upper, dim):
+        super().__init__(upper, dim)
+        self.sqflat = _packed_square_flat(dim)
+        self.lower = _strict_lower_mask(dim)
+
     def diag(self, m, p):
-        return self.upper[self.dflat[p[:m]]].real
+        return self.ureal[self.dflat[p[:m]]].tolist()
 
-    def swap(self, l, last, *vecs):
-        pass
-
-    @staticmethod
-    def _flat(i, j):
+    def _flat(self, i, j):
         """Packed index of entries (i, j) and whether each is stored conjugated."""
-        lo = np.minimum(i, j)
-        hi = np.maximum(i, j)
-        return hi * (hi + 1) // 2 + lo, i > j
+        return self.sqflat[i, j], self.lower[i, j]
 
     def active(self, m, p):
         rest, last = p[: m - 1], p[m - 1]
@@ -451,26 +441,31 @@ class _PackedIndexed(_Packed):
 # deflation, initializers and the one recursion
 
 
-def _deflate_own(q, col, rest, led):
-    """Shrink Q from its own column ``col`` (omega last); returns 1/omega, q_bar."""
-    m = col.shape[0]
-    omega = real_pivot(col[m - 1], "deflation omega")
+def _deflate_own(q, col, rest, led, cmul=0, cadd=0):
+    """Shrink Q from its own column ``col`` (omega last); returns 1/omega, q_bar.
+
+    The caller's own step (``cmul``, ``cadd``) is charged in the same tick.
+    """
+    k = col.shape[0] - 1
+    omega = real_pivot(col[k], "deflation omega")
     if omega <= SINGULAR_RTOL:
-        raise SingularMatrixError(f"deflation at recursion {m}: omega={omega:g}")
+        raise SingularMatrixError(f"deflation at recursion {k + 1}: omega={omega:g}")
     om_inv = 1.0 / omega
-    led.tick(cdiv=1)
-    q_bar = col[: m - 1]
-    v = om_inv * q_bar
-    led.tick(cmul=m - 1)
-    q.sub(rest, v, q_bar, led)
+    q_bar = col[:k]
+    led.tick(cmul=cmul + k, cadd=cadd, cdiv=1)
+    q.sub(rest, om_inv * q_bar, q_bar, led)
     return om_inv, q_bar
 
 
-def _deflate(q, col, rest, last, led, r_border, triangle_only):
-    """From Q's own column, or from R's border when ``r_border`` is given."""
+def _deflate(q, col, rest, last, led, r_border, triangle_only, cmul, cadd):
+    """From Q's own column, or from R's border when ``r_border`` is given.
+
+    The caller's cancellation (``cmul``, ``cadd``) is charged with it.
+    """
     if r_border is None:
-        _deflate_own(q, col, rest, led)
+        _deflate_own(q, col, rest, led, cmul, cadd)
     else:
+        led.tick(cmul=cmul, cadd=cadd)
         _deflate_sm_inplace(q.q[rest, rest], r_border[rest, last],
                             real_pivot(r_border[last, last], "deflation gamma"),
                             led, triangle_only=triangle_only)
@@ -490,17 +485,18 @@ def _init_x(border):
         h = ch.h.copy()
         x = rx.x.copy()
         r = init_gram(ch.h, alpha, led) if border else None
-        q = _Dense(init_q_sherman_morrison(ch.h, alpha, led, triangle_only=not border), r)
+        # h.T's rows are the channel's columns
+        q = _Dense(init_q_sherman_morrison(ch.h, alpha, led, triangle_only=not border), r,
+                   rows=h.T)
 
         def estimate(col, act, last):
             return vdot_c(col, conj_matvec(h[:, act], x, led), led)
 
         def cancel(col, rest, last, s_use):
             np.subtract(x, s_use * h[:, last], out=x)
-            led.tick(cmul=n_rx, cadd=n_rx)
-            _deflate(q, col, rest, last, led, r, triangle_only=False)
+            _deflate(q, col, rest, last, led, r, triangle_only=False, cmul=n_rx, cadd=n_rx)
 
-        return q, (h.T,), estimate, cancel   # h.T's rows are the channel's columns
+        return q, (), estimate, cancel
 
     return init
 
@@ -523,8 +519,8 @@ def _init_z(variant, border):
         def cancel(col, rest, last, s_use):
             z[rest] -= s_use * r[rest, last]
             k = col.shape[0] - 1
-            led.tick(cmul=k, cadd=k)
-            _deflate(q, col, rest, last, led, r if border else None, triangle_only=True)
+            _deflate(q, col, rest, last, led, r if border else None, triangle_only=True,
+                     cmul=k, cadd=k)
 
         return q, (z,), estimate, cancel
 
@@ -560,11 +556,10 @@ def _init_single_buffer(storage):
             return est
 
         def cancel(col, rest, last, s_use):
-            om_inv, q_bar = _deflate_own(q, col, rest, led)
+            k = col.shape[0]        # the coefficient, then d's k - 1 entries
+            om_inv, q_bar = _deflate_own(q, col, rest, led, k, k)
             coeff = (s_use + d[last]) * om_inv
-            led.tick(cadd=1, cmul=1)
             d[rest] -= coeff * q_bar
-            led.tick(cmul=q_bar.shape[0], cadd=q_bar.shape[0])
 
         return q, (z, d), estimate, cancel
 
@@ -591,10 +586,14 @@ def _sic(ch, rx, c, init, cancel_soft, collect_q, collect_aux=False):
     qs = [] if collect_q else None
     aux = {"p": [], "z": [], "d": []} if collect_aux else None
     for m in range(m_tx, 0, -1):
+        j = m - 1                       # the order position filled at this step
         l, qmin, gap = _argmin_gap(diag(m, p))
-        if m > 1 and l != m - 1:
-            p[[l, m - 1]] = p[[m - 1, l]]
-            swap(l, m - 1, *vecs)
+        if l != j:
+            p[l], p[j] = p[j], p[l]
+            if swap is not None:        # swapped storage keeps Q in p's order
+                swap(l, j)
+                for v in vecs:
+                    v[l], v[j] = v[j], v[l]
         trace.append(OrderingTrace(m, l, qmin, gap))
         if qs is not None:
             qs.append(block(m, p))
@@ -604,7 +603,7 @@ def _sic(ch, rx, c, init, cancel_soft, collect_q, collect_aux=False):
         act, rest, last, col = active(m, p)
         est = estimate(col, act, last)
         s = quantize(est, c)
-        ant = p[m - 1]
+        ant = p[j]
         soft[ant] = est
         hard[ant] = s
         if m == 1:

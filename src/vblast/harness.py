@@ -67,6 +67,7 @@ class SweepConfig:
                 raise ContractViolationError(f"need N >= M, got N={n} for M={m}")
         for name in self.algorithms:
             get_detector(name)
+        constellation(self.constellation)
 
     def dims(self) -> list[tuple[int, int]]:
         if self.n_list is None:

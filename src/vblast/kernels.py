@@ -18,6 +18,12 @@ it.  Where a dense numpy call is faster than gathering a triangle, the
 kernels compute the full square and overwrite the strict lower triangle with
 the conjugate of the upper one; the extra products are not charged.
 
+Charges are made once per kernel call or step: a kernel, a growth or
+deflation step, or a detector's estimate or cancel step sums the charges of
+its scalar and vector sub-expressions into one ``FlopLedger.tick``, while the
+kernels it calls charge their own.  The totals are those of charging every
+sub-expression separately.
+
 The Gauss-Jordan routine at the bottom is the independent oracle used by the
 test-suite: it is deliberately plain, uses partial pivoting, and never
 touches a ledger.
@@ -171,10 +177,12 @@ def _square_tables(size: int):
     return lower, flat
 
 
+@lru_cache(maxsize=None)      # a view per k: no memory beyond the table's
 def _strict_lower_mask(k: int) -> np.ndarray:
     return _square_tables(1 << (k - 1).bit_length())[0][:k, :k]
 
 
+@lru_cache(maxsize=None)      # a view per k, as above
 def _packed_square_flat(k: int) -> np.ndarray:
     """Packed flat index of every entry of a k x k block (upper mirror below)."""
     return _square_tables(1 << (k - 1).bit_length())[1][:k, :k]
@@ -214,21 +222,36 @@ def as_cvec(v, name: str = "vector") -> np.ndarray:
     return v
 
 
-def real_pivot(x, context: str) -> float:
-    """Assert a scalar pivot is (numerically) real and return its real part."""
+def _label(context: str, step) -> str:
+    return f"{context} (recursion index {step})" if step else context
+
+
+def real_pivot(x, context: str, step: int | None = None) -> float:
+    """Assert a scalar pivot is (numerically) real and return its real part.
+
+    Errors name ``context`` and, when given, the recursion index ``step``.
+    """
     x = complex(x)
-    if abs(x.imag) > PIVOT_IMAG_RTOL * max(abs(x.real), 1e-300):
+    re, im = x.real, x.imag
+    if im and abs(im) > PIVOT_IMAG_RTOL * max(abs(re), 1e-300):
         raise ContractViolationError(
-            f"{context}: pivot {x} has a non-negligible imaginary part"
+            f"{_label(context, step)}: pivot {x} has a non-negligible imaginary part"
         )
-    if not math.isfinite(x.real):
-        raise ContractViolationError(f"{context}: pivot is not finite")
-    return x.real
+    if not math.isfinite(re):
+        raise ContractViolationError(f"{_label(context, step)}: pivot is not finite")
+    return re
 
 
-def _check_pivot(delta: float, scale: float, context: str) -> None:
+def _check_pivot(delta: float, scale: float, context: str, step=None, singular=None) -> None:
+    """Raise SingularMatrixError when ``|delta|`` is negligible against ``scale``.
+
+    The message names ``context`` and ``step``, or is ``singular.format(step)``.
+    """
     if abs(delta) < SINGULAR_RTOL * max(abs(scale), 1e-300):
-        raise SingularMatrixError(f"singular pivot in {context}: |{delta:g}|")
+        raise SingularMatrixError(
+            singular.format(step) if singular
+            else f"singular pivot in {_label(context, step)}: |{delta:g}|"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +306,7 @@ def rank1_update_herm(
     else:
         np.add(a, prods, out=a)
     np.copyto(a, a.T.conj(), where=_strict_lower_mask(k))
-    np.fill_diagonal(a.imag, 0.0)
+    a.imag.flat[:: k + 1] = 0.0
 
 
 def rank1_update_full(
@@ -304,7 +327,7 @@ def rank1_update_full(
         a -= np.outer(u, np.conj(w))
     else:
         a += np.outer(u, np.conj(w))
-    np.fill_diagonal(a.imag, 0.0)
+    a.imag.flat[:: k + 1] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -337,54 +360,47 @@ def herm_rank1_update(
     return out
 
 
-def _block_step_i(q_prev, r_bar, gamma, led, step=None):
-    """Partitioned-inverse growth step, three-division form.
+def _block_step_i(q, r_bar, gamma, led, label, step=None, singular=None):
+    """Partitioned-inverse growth step, three-division form, in place.
 
+    ``q`` holds the inverse of the leading block and becomes the grown
+    inverse's leading block; returns the new column and corner entry.
     Division accounting is deliberate: one for the Schur denominator, one
     for 1/gamma and one more for 1/gamma**2.
     """
     k = r_bar.shape[0]
-    label = f"block_inv_step_i (recursion index {step})" if step else "block_inv_step_i"
-    g = matvec(q_prev, r_bar, led)
+    g = matvec(q, r_bar, led)
     t = vdot_c(r_bar, g, led)
-    delta = real_pivot(gamma - t, label)
-    led.tick(cadd=1)
-    _check_pivot(delta, gamma, label)
+    delta = real_pivot(gamma - t, label, step)
+    _check_pivot(delta, gamma, label, step, singular)
     beta = 1.0 / delta
-    led.tick(cdiv=1)
     u = beta * g
-    led.tick(cmul=k)
-    q_bar = q_prev.copy()
-    rank1_update_herm(q_bar, u, g, led)
-    g2 = matvec(q_bar, r_bar, led)
+    rank1_update_herm(q, u, g, led)
+    g2 = matvec(q, r_bar, led)
     gamma_inv = 1.0 / gamma
-    led.tick(cdiv=1)
     q_col = (-gamma_inv) * g2
-    led.tick(cmul=k)
     gamma_inv2 = gamma_inv / gamma
-    led.tick(cdiv=1)
     t2 = vdot_c(r_bar, g2, led)
-    omega = real_pivot(gamma_inv + gamma_inv2 * t2, label)
-    led.tick(cmul=1, cadd=1)
-    return q_bar, q_col, omega
+    omega = real_pivot(gamma_inv + gamma_inv2 * t2, label, step)
+    led.tick(cmul=2 * k + 1, cadd=2, cdiv=3)
+    return q_col, omega
 
 
-def _block_step_v(q_prev, r_bar, gamma, led, step=None):
-    """Partitioned-inverse growth step, single-division form."""
-    label = f"block_inv_step_v (recursion index {step})" if step else "block_inv_step_v"
+def _block_step_v(q, r_bar, gamma, led, label, step=None, singular=None):
+    """Partitioned-inverse growth step, single-division form, in place.
+
+    As :func:`_block_step_i`; also returns ``q_tilde = Q r_bar``.
+    """
     k = r_bar.shape[0]
-    q_tilde = matvec(q_prev, r_bar, led)
+    q_tilde = matvec(q, r_bar, led)
     t = vdot_c(r_bar, q_tilde, led)
-    delta = real_pivot(gamma - t, label)
-    led.tick(cadd=1)
-    _check_pivot(delta, gamma, label)
+    delta = real_pivot(gamma - t, label, step)
+    _check_pivot(delta, gamma, label, step, singular)
     omega = 1.0 / delta
-    led.tick(cdiv=1)
     q_col = (-omega) * q_tilde
-    led.tick(cmul=k)
-    q_bar = q_prev.copy()
-    rank1_update_herm(q_bar, q_tilde, q_col, led, subtract=True)
-    return q_bar, q_col, omega, q_tilde
+    led.tick(cmul=k, cadd=1, cdiv=1)
+    rank1_update_herm(q, q_tilde, q_col, led, subtract=True)
+    return q_col, omega, q_tilde
 
 
 def _validate_block_args(q_prev, r_bar, gamma, name):
@@ -408,7 +424,9 @@ def block_inv_step_i(q_prev, r_bar, gamma, ledger: FlopLedger, step: int | None 
     inverts the grown matrix.
     """
     q_prev, r_bar, gamma = _validate_block_args(q_prev, r_bar, gamma, "block_inv_step_i")
-    return _block_step_i(q_prev, r_bar, gamma, ledger, step=step)
+    q_bar = q_prev.copy()
+    q_col, omega = _block_step_i(q_bar, r_bar, gamma, ledger, "block_inv_step_i", step)
+    return q_bar, q_col, omega
 
 
 def block_inv_step_v(q_prev, r_bar, gamma, ledger: FlopLedger, step: int | None = None):
@@ -419,7 +437,9 @@ def block_inv_step_v(q_prev, r_bar, gamma, ledger: FlopLedger, step: int | None 
     Also returns q_tilde, which callers may reuse.
     """
     q_prev, r_bar, gamma = _validate_block_args(q_prev, r_bar, gamma, "block_inv_step_v")
-    return _block_step_v(q_prev, r_bar, gamma, ledger, step=step)
+    q_bar = q_prev.copy()
+    q_col, omega, q_tilde = _block_step_v(q_bar, r_bar, gamma, ledger, "block_inv_step_v", step)
+    return q_bar, q_col, omega, q_tilde
 
 
 def sm_rank1_inverse_update(
@@ -446,12 +466,10 @@ def _sm_update_inplace(q, h, led, triangle_only=True):
     u = matvec(q, h, led)
     t = vdot_c(h, u, led)
     delta = real_pivot(1.0 + t, "sm_rank1_inverse_update")
-    led.tick(cadd=1)
     _check_pivot(delta, max(1.0, abs(t)), "sm_rank1_inverse_update")
     beta = 1.0 / delta
-    led.tick(cdiv=1)
     v = beta * u
-    led.tick(cmul=m)
+    led.tick(cmul=m, cadd=1, cdiv=1)
     if triangle_only:
         rank1_update_herm(q, v, u, led, subtract=True)
     else:
@@ -511,12 +529,10 @@ def _deflate_sm_inplace(q_block, r_bar, gamma, led, triangle_only=True):
     u = matvec(q_block, r_bar, led)
     t = vdot_c(r_bar, u, led)
     delta = real_pivot(gamma + t, "deflate_q_sm")
-    led.tick(cadd=1)
     _check_pivot(delta, gamma, "deflate_q_sm")
     beta = 1.0 / delta
-    led.tick(cdiv=1)
     v = beta * u
-    led.tick(cmul=k)
+    led.tick(cmul=k, cadd=1, cdiv=1)
     if triangle_only:
         rank1_update_herm(q_block, v, u, led, subtract=True)
     else:
@@ -576,21 +592,33 @@ def init_q_recursive(r: np.ndarray, ledger: FlopLedger, variant: str = "v") -> n
         raise ContractViolationError("init_q_recursive needs a square matrix")
     if variant not in ("i", "v"):
         raise ContractViolationError(f"unknown variant {variant!r}")
-    step_fn = _block_step_i if variant == "i" else _block_step_v
-    q = np.zeros((m, m), dtype=np.complex128)
-    g0 = real_pivot(r[0, 0], "init_q_recursive leading entry")
+    q = r.copy()
+    g0 = real_pivot(q[0, 0], "init_q_recursive leading entry")
     _check_pivot(g0, g0 if g0 else 1.0, "init_q_recursive leading entry")
     q[0, 0] = 1.0 / g0
     ledger.tick(cdiv=1)
+    _grow_inverse(q, m, ledger, variant, "init_q_recursive", f"block_inv_step_{variant}")
+    return q
+
+
+def _grow_inverse(q, m, led, variant, gamma_label, label, singular=None):
+    """Overwrite the leading m x m block of ``q`` with its inverse, in place.
+
+    ``q[0, 0]`` must already be inverted, and the upper triangle must hold the
+    Hermitian matrix.  Step i grows the inverse by border i with the
+    ``variant`` step: it reads only the inverted leading block, the column
+    above the diagonal and the diagonal entry, then overwrites them, so one
+    buffer holds both matrices.  Errors name ``gamma_label`` (a non-real
+    diagonal) or ``label`` with the recursion index; ``singular``, a format
+    string taking the index, replaces the singular-pivot message.
+    """
+    step_fn = _block_step_i if variant == "i" else _block_step_v
     for i in range(1, m):
-        out = step_fn(q[:i, :i], r[:i, i], real_pivot(r[i, i], "init_q_recursive"),
-                      ledger, step=i + 1)
-        q_bar, q_col, omega = out[0], out[1], out[2]
-        q[:i, :i] = q_bar
+        gamma = real_pivot(q[i, i], gamma_label)
+        q_col, omega = step_fn(q[:i, :i], q[:i, i], gamma, led, label, i + 1, singular)[:2]
+        q[i, i] = omega
         q[:i, i] = q_col
         q[i, :i] = np.conj(q_col)
-        q[i, i] = omega
-    return q
 
 
 # ---------------------------------------------------------------------------

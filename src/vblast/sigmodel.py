@@ -184,7 +184,7 @@ def transmit(
 
 def quantize(est: complex, c: Constellation) -> complex:
     """Nearest constellation point; ties break to the lowest point index."""
-    return complex(c.points[int(np.argmin(np.abs(c.points - est)))])
+    return complex(c.points[np.abs(c.points - est).argmin()])
 
 
 def demap(symbols, c: Constellation) -> np.ndarray:

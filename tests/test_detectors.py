@@ -6,6 +6,7 @@ import pytest
 from vblast.detectors import (
     ALGORITHMS,
     DETECTOR_NAMES,
+    _argmin_gap,
     _cover_gram_rows,
     _cover_inverse,
     _sym_swap,
@@ -298,6 +299,51 @@ def test_argmin_choice_identical_across_detectors():
             assert got == want
         compared += 1
     assert compared > 20
+
+
+def argmin_gap_numpy(diag):
+    """The numpy ordering ``_argmin_gap`` replaced: np.argmin plus np.partition."""
+    l = int(np.argmin(diag))
+    if diag.shape[0] < 2:
+        return l, float(diag[l]), float("inf")
+    two = np.partition(diag, 1)[:2]
+    with np.errstate(invalid="ignore"):     # inf - inf
+        return l, float(two[0]), float(two[1] - two[0])
+
+
+def same_order_result(got, want):
+    """Equal index and equal floats, NaN matching NaN.
+
+    Floats compare with ``==``, so a zero matches a zero of either sign:
+    np.partition's vectorized selection orders tied +0.0 and -0.0 as its
+    SIMD network happens to, which depends on the CPU.
+    """
+    return got[0] == want[0] and all(
+        a == b or (a != a and b != b) for a, b in zip(got[1:], want[1:]))
+
+
+def test_argmin_gap_matches_numpy_reference():
+    rng = make_rng(29)
+    cases = []
+    for k in range(1, 71):
+        cases.append(rng.random(k))                                 # random
+        cases.append(np.round(rng.random(k) * 4) / 4)               # exact ties
+        cases.append(rng.choice([0.0, -0.0, 0.5, -1.0], size=k))    # signed zeros
+        with_nan = rng.random(k)
+        with_nan[rng.integers(0, k, size=1 + k // 8)] = np.nan
+        cases.append(with_nan)                                      # NaN entries
+    cases += [np.array([np.nan]), np.array([np.nan, np.nan]), np.array([2.0, np.nan]),
+              np.array([np.inf, -np.inf, 1.0]), np.array([np.inf, np.inf]),
+              np.array([0.0, -0.0]), np.array([-0.0, 0.0, -0.0])]
+    for diag in cases:
+        got = _argmin_gap(diag.tolist())
+        assert same_order_result(got, argmin_gap_numpy(diag)), (diag, got)
+        assert isinstance(got[0], int)
+    # exact ties: the first index wins and the gap is zero
+    assert _argmin_gap([0.5, 0.25, 0.25, 1.0]) == (1, 0.25, 0.0)
+    # a NaN takes the index, but the value and gap come from the numbers
+    l, q_min, gap = _argmin_gap([3.0, np.nan, 1.0, 2.0])
+    assert (l, q_min, gap) == (1, 1.0, 1.0)
 
 
 def test_memory_claim_at_16():

@@ -213,6 +213,26 @@ def test_cli_mem_and_ber(tmp_path):
     assert header == ",".join(BER_HEADER)
 
 
+def test_cli_ber_constellation_qam16(tmp_path):
+    out = tmp_path / "b.csv"
+    assert main(["ber", "--constellation", "qam16", "--m", "4", "--trials", "3",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    bits = lines[0].split(",").index("bits")
+    assert len(lines) > 1
+    assert all(int(line.split(",")[bits]) == 3 * 4 * 4 for line in lines[1:])
+
+
+@pytest.mark.parametrize("command", ["equiv", "flops", "mem", "ber"])
+def test_cli_rejects_unknown_constellation(tmp_path, capsys, command):
+    out = tmp_path / "x.csv"
+    code = main([command, "--constellation", "bpsk", "--m", "2", "--trials", "1",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: unknown constellation 'bpsk'")
+    assert not out.exists()
+
+
 def test_cli_rejects_zero_trials(tmp_path):
     code = main(["equiv", "--m", "2", "--trials", "0", "--out", str(tmp_path / "x.csv")])
     assert code == 2

@@ -232,6 +232,45 @@ def test_block_step_singular_pivot_names_index():
         block_inv_step_i(q, r_bar, 1.0, FlopLedger(), step=5)
 
 
+def assemble_from_public_steps(r, variant, led):
+    """The inverse of r grown out of place by block_inv_step_i/v, step by step."""
+    step_fn = block_inv_step_i if variant == "i" else block_inv_step_v
+    q = np.array([[1.0 / r[0, 0].real]], complex)
+    led.tick(cdiv=1)
+    for i in range(1, r.shape[0]):
+        q_bar, q_col, omega = step_fn(q, r[:i, i], r[i, i].real, led, step=i + 1)[:3]
+        grown = np.empty((i + 1, i + 1), complex)
+        grown[:i, :i] = q_bar
+        grown[:i, i] = q_col
+        grown[i, :i] = np.conj(q_col)
+        grown[i, i] = omega
+        q = grown
+    return q
+
+
+@pytest.mark.parametrize("variant", ["i", "v"])
+@pytest.mark.parametrize("m", [1, 2, 5, 17])
+def test_init_q_recursive_grows_in_place_like_public_steps(variant, m):
+    for seed in range(3):
+        r = init_gram(random_complex(make_rng(83, 10 * m + seed), m + seed, m), 0.1, FlopLedger())
+        led_in, led_oop = FlopLedger(), FlopLedger()
+        q = init_q_recursive(r, led_in, variant=variant)
+        assert np.array_equal(q, assemble_from_public_steps(r, variant, led_oop))   # bitwise
+        assert led_in == led_oop
+
+
+@pytest.mark.parametrize("variant", ["i", "v"])
+@pytest.mark.parametrize("m", [2, 5, 17])
+def test_init_q_recursive_singular_border_names_index(variant, m):
+    # powers of two keep the Schur pivot of the duplicated last border exactly 0
+    r = np.diag(2.0 ** np.arange(m)).astype(complex)
+    r[m - 1, :] = r[m - 2, :]
+    r[:, m - 1] = r[:, m - 2]
+    with pytest.raises(SingularMatrixError,
+                       match=rf"^singular pivot in block_inv_step_{variant} \(recursion index {m}\)"):
+        init_q_recursive(r, FlopLedger(), variant=variant)
+
+
 def test_init_chain_division_counts():
     rng = make_rng(11)
     r = seeded_spd(rng, 8)
