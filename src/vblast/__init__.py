@@ -33,6 +33,7 @@ from .sigmodel import (
 from .detectors import (
     ALGORITHMS,
     DETECTOR_NAMES,
+    BatchResult,
     DetectionResult,
     MemLedger,
     OrderingTrace,

@@ -8,7 +8,8 @@ Subcommands
            models, plus a ratios file with the headline speedups.
 ``mem``    peak working-set words per algorithm; asserts the single-buffer
            algorithm stays within 0.55x of ``mem_saving`` at M = N >= 16.
-``ber``    Monte-Carlo bit error rates per algorithm.
+``ber``    Monte-Carlo bit error rates per algorithm; a detector failing
+           numerically on a trial ends the run with ``FAIL:`` and exit 1.
 
 ``VBLAST_WORKERS`` bounds the trial worker pool; it changes speed only,
 never output bytes.
@@ -21,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .detectors import ALGORITHMS, DETECTOR_NAMES
-from .errors import ContractViolationError
+from .errors import ContractViolationError, SingularMatrixError
 from .harness import (
     BER_HEADER,
     EQUIV_HEADER,
@@ -132,6 +133,9 @@ def main(argv=None) -> int:
     except ContractViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SingularMatrixError as exc:     # a detector failed numerically on a trial
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return 1
     if failures:
         print(f"FAIL: {failures[0]}", file=sys.stderr)
         if len(failures) > 1:

@@ -1,9 +1,9 @@
 """Ordered MMSE-SIC detection routines.
 
 Ten routines share one contract: consume ``(ChannelRealization, RxFrame,
-Constellation)``, return a :class:`DetectionResult`.  They are mathematically
-equivalent and differ only in recursion schedule, flop count and working
-memory.
+Constellation)``, return a :class:`DetectionResult`; each also runs a batch
+of trials (below).  They are mathematically equivalent and differ only in
+recursion schedule, flop count and working memory.
 
 ``oracle`` is the brute-force reference: it re-inverts the regularized Gram
 matrix at every step with the unledgered Gauss-Jordan routine, in a loop of
@@ -40,6 +40,18 @@ The ``d`` convention: every ``d``-domain form estimates ``q^H z - d_m`` and
 updates ``d -= (s + d_m) / omega * q_bar``, swapped or indexed alike.  The
 published update is written in the '+' form, with ``d_paper = -d``.
 
+Trial batches: every routine also takes sequences ``(chs, rxs)`` of trials
+with the same (M, N) and returns a :class:`BatchResult`, whose ``trials``
+are the per-trial :class:`DetectionResult` objects in order.  The recursive
+routines run a batch together: each state array gains a leading trial axis,
+each step is one set of numpy calls for all trials, and each trial keeps its
+own ordering.  A trial's outputs, trace, ledger and memory ledger are bit
+for bit those of a call on it alone, whatever batch it runs in (a batch of
+one runs as its single trial).  The batch's ``ledger`` and
+``mem.peak_words`` are sums over its trials.  If any trial fails, the batch
+raises the error of the first trial to fail, exactly as a call on that trial
+alone raises it; the oracle runs a batch trial by trial.
+
 Memory accounting counts named, detector-owned working buffers of at least M
 complex words (matrix buffers, copies of mutated inputs, and the M-length
 state/scratch vectors).  Shorter per-step scratch and host-language
@@ -50,14 +62,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractViolationError, SingularMatrixError
 from .kernels import (
     FlopLedger,
-    HermPacked,
     SINGULAR_RTOL,
+    _arange,
+    _packed_coords,
     _packed_diag_indices,
     _packed_square_flat,
     _packed_triu_flat,
@@ -73,8 +88,14 @@ from .kernels import (
     rank1_update_herm,
     real_pivot,
     vdot_c,
+    _check_pivot,
     _deflate_sm_inplace,
+    _column,
+    _dot,
     _grow_inverse,
+    _lead,
+    _mv,
+    _pack_upper,
     _packed_unpack,
 )
 from .sigmodel import ChannelRealization, RxFrame, quantize
@@ -100,6 +121,20 @@ class MemLedger:
     def free(self, name: str) -> None:
         self._live.pop(name, None)
 
+    def copy(self) -> "MemLedger":
+        out = MemLedger()
+        out.peak_words = self.peak_words
+        out._live = dict(self._live)
+        out._registry = dict(self._registry)
+        return out
+
+    def merge(self, other: "MemLedger") -> "MemLedger":
+        """Add another run's buffers as if both were live at once (a batch's trials)."""
+        self.peak_words += other.peak_words
+        for name, words in other._registry.items():
+            self._registry[name] = self._registry.get(name, 0) + words
+        return self
+
     @property
     def buffers(self) -> list[tuple[str, int]]:
         return list(self._registry.items())
@@ -108,8 +143,7 @@ class MemLedger:
         return f"MemLedger(peak_words={self.peak_words}, buffers={self.buffers})"
 
 
-@dataclass(frozen=True)
-class OrderingTrace:
+class OrderingTrace(NamedTuple):
     """Ordering decision at one recursion step."""
 
     m: int
@@ -130,16 +164,56 @@ class DetectionResult:
     aux: dict | None = None    # extra per-step state, detector-specific
 
 
-def _prep(ch: ChannelRealization, rx: RxFrame):
-    if rx.x.shape[0] != ch.n:
+@dataclass
+class BatchResult:
+    """One detector over a batch of trials with the same (M, N).
+
+    ``trials`` holds each trial's :class:`DetectionResult`, in order, equal
+    to what a call on that trial alone returns; ``ledger`` and
+    ``mem.peak_words`` are the sums over the trials.
+    """
+
+    trials: list[DetectionResult]
+    ledger: FlopLedger
+    mem: MemLedger
+
+    @classmethod
+    def of(cls, trials: list[DetectionResult]) -> "BatchResult":
+        led, mem = FlopLedger(), MemLedger()
+        for res in trials:
+            led.merge(res.ledger)
+            mem.merge(res.mem)
+        return cls(trials, led, mem)
+
+
+def _prep(chs, rxs):
+    """Validate trials that run together; return M, N and alpha (one per trial)."""
+    if len(chs) != len(rxs) or not len(chs):
         raise ContractViolationError(
-            f"received vector has length {rx.x.shape[0]} for an N={ch.n} channel"
-        )
-    if not np.all(np.isfinite(rx.x)):
-        raise ContractViolationError("received vector contains NaN or Inf")
-    if not (rx.alpha > 0):
-        raise ContractViolationError(f"detectors need alpha > 0, got {rx.alpha}")
-    return ch.m, ch.n, float(rx.alpha)
+            f"a batch needs one received frame per channel, got {len(rxs)} for {len(chs)}")
+    m, n = chs[0].m, chs[0].n
+    for ch, rx in zip(chs, rxs):
+        if (ch.m, ch.n) != (m, n):
+            raise ContractViolationError(
+                f"a batch needs one (M, N), got ({ch.m}, {ch.n}) after ({m}, {n})")
+        if rx.x.shape[0] != ch.n:
+            raise ContractViolationError(
+                f"received vector has length {rx.x.shape[0]} for an N={ch.n} channel"
+            )
+        if not np.all(np.isfinite(rx.x)):
+            raise ContractViolationError("received vector contains NaN or Inf")
+        if not (rx.alpha > 0):
+            raise ContractViolationError(f"detectors need alpha > 0, got {rx.alpha}")
+    if len(rxs) == 1:
+        return m, n, float(rxs[0].alpha)
+    return m, n, np.array([[float(rx.alpha)] for rx in rxs])
+
+
+def _flagged(bad, value):
+    """``value`` of the first trial ``bad`` flags, or None (``bad``: one flag or one per trial)."""
+    if isinstance(bad, np.ndarray):
+        return value.flat[bad.argmax()].item() if bad.any() else None
+    return value if bad else None
 
 
 def _argmin_gap(d: list[float]):
@@ -160,23 +234,82 @@ def _argmin_gap(d: list[float]):
     return l, q_min, min(d[:l] + d[l + 1 :]) - q_min
 
 
-def _sym_swap(a: np.ndarray, i: int, j: int, m: int) -> None:
-    """Swap rows and columns i, j of the leading m x m block."""
-    row = a[i, :m].copy()
-    a[i, :m] = a[j, :m]
-    a[j, :m] = row
-    col = a[:m, i].copy()
-    a[:m, i] = a[:m, j]
-    a[:m, j] = col
+def _order(dg: np.ndarray, m: int):
+    """:func:`_argmin_gap` of each trial's diagonal: the index to swap (an int
+    for one trial, an array for a batch) and each trial's trace record."""
+    if dg.ndim == 1:
+        l, q_min, gap = _argmin_gap(dg.tolist())
+        return l, (OrderingTrace(m, l, q_min, gap),)
+    if not ((dg > 0) & (dg < math.inf)).all():     # NaN, infinities or zeros: as one trial
+        recs = [OrderingTrace(m, *_argmin_gap(row)) for row in dg.tolist()]
+        return np.array([r.l for r in recs]), recs
+    ts = _arange(len(dg))
+    l = dg.argmin(axis=1)
+    q_min = dg[ts, l]
+    others = dg.copy()
+    others[ts, l] = math.inf
+    gaps = (others.min(axis=1) - q_min).tolist()
+    return l, [OrderingTrace(m, *rec) for rec in zip(l.tolist(), q_min.tolist(), gaps)]
+
+
+def _sym_swap(a: np.ndarray, i, j: int, m: int) -> None:
+    """Swap rows and columns i, j of the leading m x m block of each square.
+
+    ``i`` is one index, or an array of one index per trial (``a``'s leading axis).
+    """
+    if not isinstance(i, int):
+        ts = _arange(len(i))
+        row = a[ts, i, :m]
+        a[ts, i, :m] = a[ts, j, :m]
+        a[ts, j, :m] = row
+        col = a[ts, :m, i]
+        a[ts, :m, i] = a[ts, :m, j]
+        a[ts, :m, j] = col
+        return
+    row = a[..., i, :m].copy()
+    a[..., i, :m] = a[..., j, :m]
+    a[..., j, :m] = row
+    col = a[..., :m, i].copy()
+    a[..., :m, i] = a[..., :m, j]
+    a[..., :m, j] = col
+
+
+def _swap_entries(vecs, l, j: int) -> None:
+    """Exchange entries l and j of each vector (rows, for a matrix's rows);
+    ``l`` as in :func:`_sym_swap`, with the trials along the first axis."""
+    if isinstance(l, int):
+        for v in vecs:
+            if v.ndim == 1:
+                v[l], v[j] = v[j], v[l]
+            else:
+                v[[l, j]] = v[[j, l]]
+    else:
+        ts = _arange(len(l))
+        for v in vecs:
+            v[ts, l], v[ts, j] = v[ts, j], v[ts, l]
+
+
+def _batchable(detect):
+    """Let a one-trial detector also take sequences of trials, run one by one."""
+
+    def run(ch, rx, c, **kw):
+        if isinstance(ch, ChannelRealization):
+            return detect(ch, rx, c, **kw)
+        _prep(ch, rx)
+        return BatchResult.of([detect(a, b, c, **kw) for a, b in zip(ch, rx)])
+
+    run.__name__, run.__qualname__, run.__doc__ = detect.__name__, detect.__qualname__, detect.__doc__
+    return run
 
 
 # ---------------------------------------------------------------------------
 # brute-force oracle
 
 
+@_batchable
 def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
     """Re-invert the regularized Gram matrix at every step (flop-exempt)."""
-    m_tx, n_rx, alpha = _prep(ch, rx)
+    m_tx, n_rx, alpha = _prep((ch,), (rx,))
     led = FlopLedger()          # stays zero: the oracle is not instrumented
     mem = MemLedger()
     mem.alloc("h_copy", m_tx * n_rx)
@@ -217,6 +350,8 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
 
 # ---------------------------------------------------------------------------
 # in-place covering and packed-storage helpers
+#
+# Each takes a leading trial axis, as the kernels do.
 
 
 def _cover_gram_rows(a, alpha, led):
@@ -227,15 +362,15 @@ def _cover_gram_rows(a, alpha, led):
     covered in place.  The diagonal term is computed separately, which keeps
     per-row scratch below M words.
     """
-    m, n = a.shape
+    m, n = a.shape[-2:]
     tri = m * (m + 1) // 2
     led.tick(cmul=n * tri, cadd=(n - 1) * tri + m)      # + m: alpha on the diagonal
+    lead = _lead(a, 2)
     for i in range(m):
-        tail = a[i + 1 : m, :].conj() @ a[i, :] if i < m - 1 else None
-        diag = np.vdot(a[i, :], a[i, :]).real
-        a[i, i] = diag + alpha
+        tail = _mv(np.conj(a[..., i + 1 : m, :]), a[..., i, :]) if i < m - 1 else None
+        a[(*lead, i, i)] = _dot(a[..., i, :], a[..., i, :]).real + alpha
         if tail is not None:
-            a[i, i + 1 : m] = tail
+            a[..., i, i + 1 : m] = tail
 
 
 def _cover_inverse(a, m, led):
@@ -245,10 +380,11 @@ def _cover_inverse(a, m, led):
     run on the same buffer: step i reads only column i of the old content
     plus the already-inverted leading block.
     """
-    g0 = real_pivot(a[0, 0], "inverse covering leading entry")
-    if abs(g0) < SINGULAR_RTOL:
+    lead = _lead(a, 2)
+    g0 = real_pivot(a[(*lead, 0, 0)], "inverse covering leading entry")
+    if _flagged(abs(g0) < SINGULAR_RTOL, g0) is not None:
         raise SingularMatrixError("inverse covering: leading entry is singular")
-    a[0, 0] = 1.0 / g0
+    a[(*lead, 0, 0)] = 1.0 / g0
     led.tick(cdiv=1)
     _grow_inverse(a, m, led, "v", "inverse covering gamma", "inverse covering",
                   singular="inverse covering: singular pivot at index {}")
@@ -256,34 +392,51 @@ def _cover_inverse(a, m, led):
 
 def _cover_inverse_packed(packed, m, led):
     """Packed-storage version of the in-place inverse covering."""
-    g0 = real_pivot(packed[0], "inverse covering leading entry")
-    if abs(g0) < SINGULAR_RTOL:
+    lead = _lead(packed, 1)
+    g0 = real_pivot(packed[(*lead, 0)], "inverse covering leading entry")
+    if _flagged(abs(g0) < SINGULAR_RTOL, g0) is not None:
         raise SingularMatrixError("inverse covering: leading entry is singular")
-    packed[0] = 1.0 / g0
+    packed[(*lead, 0)] = 1.0 / g0
     led.tick(cdiv=1)
     for i in range(1, m):
         base = i * (i + 1) // 2
-        rcol = packed[base : base + i].copy()
-        q_tilde = _packed_unpack(packed, i) @ rcol      # Hermitian matvec
+        rcol = packed[..., base : base + i].copy()
+        q_tilde = _mv(_packed_unpack(packed, i), rcol)      # Hermitian matvec
         t = vdot_c(rcol, q_tilde, led)
-        gamma = real_pivot(packed[base + i], "inverse covering gamma")
-        delta = real_pivot(gamma - t, "inverse covering", i + 1)
-        if abs(delta) < SINGULAR_RTOL * max(abs(gamma), 1e-300):
-            raise SingularMatrixError(f"inverse covering: singular pivot at index {i + 1}")
+        gamma = real_pivot(packed[(*lead, base + i)], "inverse covering gamma")
+        delta = real_pivot(gamma - t, "inverse covering", i + 1, SingularMatrixError)
+        _check_pivot(delta, gamma, "inverse covering", i + 1,
+                     singular="inverse covering: singular pivot at index {}")
         omega = 1.0 / delta
-        packed[base + i] = omega
+        packed[(*lead, base + i)] = omega
         q_col = (-omega) * q_tilde
-        packed[base : base + i] = q_col
+        packed[..., base : base + i] = q_col
         r0, c0 = _triu_indices(i)
-        packed[_packed_triu_flat(i)] -= q_tilde[r0] * np.conj(q_col)[c0]
+        packed[(*lead, _packed_triu_flat(i))] -= q_tilde[(*lead, r0)] * np.conj(q_col)[(*lead, c0)]
         dflat = _packed_diag_indices(i)
-        packed[dflat] = packed[dflat].real
+        packed[(*lead, dflat)] = packed[(*lead, dflat)].real
         # the matvec (i**2 products), the pivot, the column, the triangle (base)
         led.tick(cmul=i * i + i + base, cadd=i * (i - 1) + 1 + base, cdiv=1)
 
 
 def _packed_sym_swap(packed, l, last):
-    """Symmetric row/column swap l <-> last inside packed upper storage."""
+    """Symmetric row/column swap l <-> last inside packed upper storage.
+
+    ``l`` is one index, or an array of one index per trial (``packed``'s rows);
+    then each trial's leading block is gathered through its permutation.
+    """
+    if not isinstance(l, int):
+        k = last + 1
+        ts = _arange(len(l))
+        perm = np.tile(_arange(k), (len(l), 1))
+        perm[ts, l] = last
+        perm[:, last] = l
+        rows, cols = _packed_coords(k)
+        i, j = perm[:, rows], perm[:, cols]
+        moved = packed[ts[:, None], _packed_square_flat(k)[i, j]]
+        np.conjugate(moved, out=moved, where=i > j)     # read from the lower triangle
+        packed[:, : rows.size] = moved
+        return
     lbase = l * (l + 1) // 2
     mbase = last * (last + 1) // 2
     if l > 0:
@@ -304,6 +457,23 @@ def _packed_sym_swap(packed, l, last):
 
 # ---------------------------------------------------------------------------
 # Q storage for the recursive detectors
+#
+# A single trial's arrays are unbatched; a batch's carry a leading trial
+# axis, and the code below indexes with ``...`` so that both run the same
+# lines.  ``active(m, p)`` returns the detected stream's column of the active
+# block (omega last) and the index expressions of the active, kept and
+# detected streams into the state vectors.
+
+
+@lru_cache(maxsize=None)
+def _index_tables(dim: int, n_trials: int | None):
+    """For swapped storage: the index of the leading k entries of a state
+    vector, and of its entry k, for every k (of each of ``n_trials`` trials,
+    or unbatched for None)."""
+    if n_trials is None:
+        return [slice(0, k) for k in range(dim + 1)], list(range(dim))
+    ts = _arange(n_trials)[:, None]
+    return [(slice(None), slice(0, k)) for k in range(dim + 1)], [(ts, k) for k in range(dim)]
 
 
 class _Dense:
@@ -314,30 +484,31 @@ class _Dense:
 
     def __init__(self, q, r=None, rows=None):
         self.q = q
-        self.qdiag = q.diagonal().real      # a view: follows Q's updates
+        self.qdiag = q.diagonal(axis1=-2, axis2=-1).real    # a view: follows Q's updates
         self.mats = (q,) if r is None else (q, r)
         self.rows = rows
+        self.lead = _lead(q, 2)
+        self.spans, self.ats = _index_tables(q.shape[-1], len(q) if self.lead else None)
 
     def diag(self, m, p):
-        return self.qdiag[:m].tolist()
+        return self.qdiag[..., :m]
 
     def swap(self, l, last):
         for a in self.mats:
             _sym_swap(a, l, last, last + 1)
         if self.rows is not None:
-            self.rows[[l, last]] = self.rows[[last, l]]
+            _swap_entries((self.rows,), l, last)
 
     def active(self, m, p):
-        """Addresses of the m active streams, the m-1 kept ones and the detected
-        one, and the detected stream's column of the active block (omega last)."""
-        return slice(0, m), slice(0, m - 1), m - 1, self.q[:m, m - 1]
+        return self.q[..., :m, m - 1], self.spans[m], self.spans[m - 1], self.ats[m - 1]
 
     def sub(self, rest, u, w, led):
         """Hermitian ``Q[rest, rest] -= u w^H``."""
-        rank1_update_herm(self.q[rest, rest], u, w, led, subtract=True)
+        k = u.shape[-1]
+        rank1_update_herm(self.q[..., :k, :k], u, w, led, subtract=True)
 
     def block(self, m, p):
-        return self.q[:m, :m].copy()
+        return self.q[..., :m, :m].copy()
 
 
 class _DenseIndexed(_Dense):
@@ -346,25 +517,33 @@ class _DenseIndexed(_Dense):
     swap = None     # nothing moves
 
     def diag(self, m, p):
-        return self.qdiag[p[:m]].tolist()
+        return self.qdiag[(*self.lead, p[..., :m])]
 
     def active(self, m, p):
-        act, last = p[:m], p[m - 1]
-        return act, p[: m - 1], last, self.q[act, last]
+        if not self.lead:
+            return self.q[p[:m], p[m - 1]], p[:m], p[: m - 1], p[m - 1]
+        lead, last = self.lead, p[:, m - 1 : m]
+        return (self.q[(*lead, p[:, :m], last)], (*lead, p[:, :m]), (*lead, p[:, : m - 1]),
+                (*lead, last))
 
     def sub(self, rest, u, w, led):
         """Upper triangle in index order, mirrored; diagonal imaginary parts zeroed."""
-        k = rest.shape[0]
+        lead = self.lead
+        if lead:
+            rest = rest[-1]
+        k = rest.shape[-1]
         iu0, iu1 = _triu_indices(k)
         led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
-        self.q[rest[iu0], rest[iu1]] -= u[iu0] * np.conj(w)[iu1]
+        self.q[(*lead, rest[(*lead, iu0)], rest[(*lead, iu1)])] -= (
+            u[(*lead, iu0)] * np.conj(w)[(*lead, iu1)])
         s0, s1 = _triu_strict_indices(k)
-        above, below = rest[s0], rest[s1]
-        self.q[below, above] = np.conj(self.q[above, below])
-        self.q[rest, rest] = self.q[rest, rest].real
+        above, below = rest[(*lead, s0)], rest[(*lead, s1)]
+        self.q[(*lead, below, above)] = np.conj(self.q[(*lead, above, below)])
+        self.q[(*lead, rest, rest)] = self.q[(*lead, rest, rest)].real
 
     def block(self, m, p):
-        return self.q[np.ix_(p[:m], p[:m])]
+        act = p[..., :m]
+        return self.q[(*_lead(p, 1, 2), act[..., :, None], act[..., None, :])]
 
 
 class _Packed:
@@ -375,24 +554,26 @@ class _Packed:
         self.dim = dim
         self.dflat = _packed_diag_indices(dim)
         self.ureal = upper.real
+        self.lead = _lead(upper, 1)
+        self.spans, self.ats = _index_tables(dim, len(upper) if self.lead else None)
 
     def diag(self, m, p):
-        return self.ureal[self.dflat[:m]].tolist()
+        return self.ureal[(*self.lead, self.dflat[:m])]
 
     def swap(self, l, last):
         _packed_sym_swap(self.upper, l, last)
 
     def active(self, m, p):
         base = (m - 1) * m // 2
-        return slice(0, m), slice(0, m - 1), m - 1, self.upper[base : base + m]
+        return self.upper[..., base : base + m], self.spans[m], self.spans[m - 1], self.ats[m - 1]
 
     def sub(self, rest, u, w, led):
-        k = u.shape[0]
+        k, lead = u.shape[-1], self.lead
         r0, c0 = _triu_indices(k)
-        self.upper[_packed_triu_flat(k)] -= u[r0] * np.conj(w)[c0]
+        self.upper[(*lead, _packed_triu_flat(k))] -= u[(*lead, r0)] * np.conj(w)[(*lead, c0)]
         led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
-        dflat = self.dflat[rest]
-        self.upper[dflat] = self.upper[dflat].real
+        dflat = self.dflat[:k]
+        self.upper[(*lead, dflat)] = self.upper[(*lead, dflat)].real
 
     def block(self, m, p):
         return _packed_unpack(self.upper, m)
@@ -409,32 +590,42 @@ class _PackedIndexed(_Packed):
         self.lower = _strict_lower_mask(dim)
 
     def diag(self, m, p):
-        return self.ureal[self.dflat[p[:m]]].tolist()
+        return self.ureal[(*self.lead, self.dflat[p[..., :m]])]
 
     def _flat(self, i, j):
         """Packed index of entries (i, j) and whether each is stored conjugated."""
         return self.sqflat[i, j], self.lower[i, j]
 
     def active(self, m, p):
-        rest, last = p[: m - 1], p[m - 1]
+        lead, rest = self.lead, p[..., : m - 1]
+        last = p[:, m - 1 : m] if lead else p[m - 1]
         flat, lower = self._flat(rest, last)
-        raw = self.upper[flat]
-        q_bar = np.where(lower, np.conj(raw), raw)
-        omega = real_pivot(self.upper[self.dflat[last]], "deflation omega")
-        return p[:m], rest, last, np.concatenate([q_bar, [omega]])
+        raw = self.upper[(*lead, flat)]
+        col = np.empty(p[..., :m].shape, np.complex128)
+        col[..., :-1] = np.where(lower, np.conj(raw), raw)
+        col[..., -1:] = real_pivot(self.upper[(*lead, self.dflat[last])], "deflation omega",
+                                   None, SingularMatrixError)
+        if not lead:
+            return col, p[:m], rest, last
+        return col, (*lead, p[:, :m]), (*lead, rest), (*lead, last)
 
     def sub(self, rest, u, w, led):
-        k = rest.shape[0]
+        lead = self.lead
+        if lead:
+            rest = rest[-1]
+        k = rest.shape[-1]
         iu0, iu1 = _triu_indices(k)
-        flat, lower = self._flat(rest[iu0], rest[iu1])
-        vals = u[iu0] * np.conj(w)[iu1]
+        flat, lower = self._flat(rest[(*lead, iu0)], rest[(*lead, iu1)])
+        vals = u[(*lead, iu0)] * np.conj(w)[(*lead, iu1)]
         led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
-        self.upper[flat] -= np.where(lower, np.conj(vals), vals)
+        self.upper[(*lead, flat)] -= np.where(lower, np.conj(vals), vals)
         dflat = self.dflat[rest]
-        self.upper[dflat] = self.upper[dflat].real
+        self.upper[(*lead, dflat)] = self.upper[(*lead, dflat)].real
 
     def block(self, m, p):
-        return _packed_unpack(self.upper, self.dim)[np.ix_(p[:m], p[:m])]
+        act = p[..., :m]
+        return _packed_unpack(self.upper, self.dim)[
+            (*_lead(p, 1, 2), act[..., :, None], act[..., None, :])]
 
 
 # ---------------------------------------------------------------------------
@@ -446,18 +637,19 @@ def _deflate_own(q, col, rest, led, cmul=0, cadd=0):
 
     The caller's own step (``cmul``, ``cadd``) is charged in the same tick.
     """
-    k = col.shape[0] - 1
-    omega = real_pivot(col[k], "deflation omega")
-    if omega <= SINGULAR_RTOL:
-        raise SingularMatrixError(f"deflation at recursion {k + 1}: omega={omega:g}")
+    k = col.shape[-1] - 1
+    omega = real_pivot(_column(col, k), "deflation omega", None, SingularMatrixError)
+    small = _flagged(omega <= SINGULAR_RTOL, omega)
+    if small is not None:
+        raise SingularMatrixError(f"deflation at recursion {k + 1}: omega={small:g}")
     om_inv = 1.0 / omega
-    q_bar = col[:k]
+    q_bar = col[..., :k]
     led.tick(cmul=cmul + k, cadd=cadd, cdiv=1)
     q.sub(rest, om_inv * q_bar, q_bar, led)
     return om_inv, q_bar
 
 
-def _deflate(q, col, rest, last, led, r_border, triangle_only, cmul, cadd):
+def _deflate(q, col, rest, led, r_border, triangle_only, cmul, cadd):
     """From Q's own column, or from R's border when ``r_border`` is given.
 
     The caller's cancellation (``cmul``, ``cadd``) is charged with it.
@@ -465,36 +657,36 @@ def _deflate(q, col, rest, last, led, r_border, triangle_only, cmul, cadd):
     if r_border is None:
         _deflate_own(q, col, rest, led, cmul, cadd)
     else:
+        k = col.shape[-1] - 1
         led.tick(cmul=cmul, cadd=cadd)
-        _deflate_sm_inplace(q.q[rest, rest], r_border[rest, last],
-                            real_pivot(r_border[last, last], "deflation gamma"),
+        _deflate_sm_inplace(q.q[..., :k, :k], r_border[..., :k, k],
+                            real_pivot(_column(r_border[..., k, :], k), "deflation gamma"),
                             led, triangle_only=triangle_only)
 
 
 def _init_x(border):
     """Sherman-Morrison Q, domain x; ``border`` keeps R to deflate from (full)."""
 
-    def init(ch, rx, alpha, led, mem):
-        m_tx, n_rx = ch.m, ch.n
+    def init(h, x, alpha, led, mem):
+        n_rx, m_tx = h.shape[-2:]
         mem.alloc("h_copy", m_tx * n_rx)
         mem.alloc("x", n_rx)
         if border:
             mem.alloc("gram", m_tx * m_tx)
         mem.alloc("inv", m_tx * m_tx)
         mem.alloc("workvec", m_tx)
-        h = ch.h.copy()
-        x = rx.x.copy()
-        r = init_gram(ch.h, alpha, led) if border else None
-        # h.T's rows are the channel's columns
-        q = _Dense(init_q_sherman_morrison(ch.h, alpha, led, triangle_only=not border), r,
-                   rows=h.T)
+        h, x = h.copy(), x.copy()       # swapped and cancelled in place
+        r = init_gram(h, alpha, led) if border else None
+        # the rows of the transpose are the channel's columns
+        q = _Dense(init_q_sherman_morrison(h, alpha, led, triangle_only=not border), r,
+                   rows=h.swapaxes(-1, -2))
 
         def estimate(col, act, last):
-            return vdot_c(col, conj_matvec(h[:, act], x, led), led)
+            return vdot_c(col, conj_matvec(h[..., : col.shape[-1]], x, led), led)
 
         def cancel(col, rest, last, s_use):
-            np.subtract(x, s_use * h[:, last], out=x)
-            _deflate(q, col, rest, last, led, r, triangle_only=False, cmul=n_rx, cadd=n_rx)
+            np.subtract(x, s_use * h[..., col.shape[-1] - 1], out=x)
+            _deflate(q, col, rest, led, r, triangle_only=False, cmul=n_rx, cadd=n_rx)
 
         return q, (), estimate, cancel
 
@@ -504,22 +696,22 @@ def _init_x(border):
 def _init_z(variant, border):
     """Q grown from R by the ``variant`` step, domain z; ``border``: deflate from R (tri)."""
 
-    def init(ch, rx, alpha, led, mem):
-        m_tx = ch.m
+    def init(h, x, alpha, led, mem):
+        m_tx = h.shape[-1]
         mem.alloc("z", m_tx)
         mem.alloc("gram", m_tx * m_tx)
         mem.alloc("inv", m_tx * m_tx)
-        z = conj_matvec(ch.h, rx.x, led)
-        r = init_gram(ch.h, alpha, led)
+        z = conj_matvec(h, x, led)
+        r = init_gram(h, alpha, led)
         q = _Dense(init_q_recursive(r, led, variant=variant), r)
 
         def estimate(col, act, last):
             return vdot_c(col, z[act], led)
 
         def cancel(col, rest, last, s_use):
-            z[rest] -= s_use * r[rest, last]
-            k = col.shape[0] - 1
-            _deflate(q, col, rest, last, led, r if border else None, triangle_only=True,
+            k = col.shape[-1] - 1
+            z[rest] -= s_use * r[..., :k, k]
+            _deflate(q, col, rest, led, r if border else None, triangle_only=True,
                      cmul=k, cadd=k)
 
         return q, (z,), estimate, cancel
@@ -530,17 +722,19 @@ def _init_z(variant, border):
 def _init_single_buffer(storage):
     """One buffer holds H^H, then R, then Q (packed: R is packed, the buffer freed)."""
 
-    def init(ch, rx, alpha, led, mem):
-        m_tx, n_rx = ch.m, ch.n
+    def init(h, x, alpha, led, mem):
+        n_rx, m_tx = h.shape[-2:]
         mem.alloc("ht", m_tx * n_rx)
         mem.alloc("z", m_tx)
         mem.alloc("d", m_tx)
-        a = ch.h.conj().T.copy()
-        z = matvec(a, rx.x, led)
-        d = np.zeros(m_tx, np.complex128)
+        a = np.conj(h).swapaxes(-1, -2).copy()
+        z = matvec(a, x, led)
+        d = np.zeros(z.shape, np.complex128)
         _cover_gram_rows(a, alpha, led)
         if issubclass(storage, _Packed):
-            upper = HermPacked.pack(a[:, :m_tx]).upper
+            if not np.isfinite(a[..., :m_tx]).all():       # packing checks its input
+                raise ContractViolationError("matrix contains NaN or Inf")
+            upper = _pack_upper(a[..., :m_tx])
             mem.alloc("q_packed", m_tx * (m_tx + 1) // 2)
             mem.free("ht")
             del a
@@ -548,7 +742,7 @@ def _init_single_buffer(storage):
             q = storage(upper, m_tx)
         else:
             _cover_inverse(a, m_tx, led)
-            q = storage(a[:, :m_tx])
+            q = storage(a[..., :m_tx])
 
         def estimate(col, act, last):
             est = vdot_c(col, z[act], led) - d[last]
@@ -556,7 +750,7 @@ def _init_single_buffer(storage):
             return est
 
         def cancel(col, rest, last, s_use):
-            k = col.shape[0]        # the coefficient, then d's k - 1 entries
+            k = col.shape[-1]       # the coefficient, then d's k - 1 entries
             om_inv, q_bar = _deflate_own(q, col, rest, led, k, k)
             coeff = (s_use + d[last]) * om_inv
             d[rest] -= coeff * q_bar
@@ -566,50 +760,81 @@ def _init_single_buffer(storage):
     return init
 
 
-def _sic(ch, rx, c, init, cancel_soft, collect_q, collect_aux=False):
+def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
     """Ordered SIC: order by Q's smallest diagonal, estimate, cancel, deflate.
 
-    ``init`` allocates and initializes the detector's state and returns its
-    Q storage, the vectors kept in Q's order, and its estimate and cancel
-    steps.  ``collect_aux`` records ``p``, ``z`` and ``d`` of the active
-    streams at every step (single-buffer swapped storage only).
+    ``chs`` and ``rxs`` are one trial, which returns a
+    :class:`DetectionResult`, or sequences of trials with the same (M, N),
+    which return a :class:`BatchResult`.  A batch runs its trials together:
+    every state array gains a leading trial axis and each step is one set of
+    numpy calls for all of them, while each trial keeps its own ordering.
+    A batch of one runs as its single trial.
+
+    ``init`` allocates and initializes the detector's state (charging one
+    trial's ledger and memory) and returns its Q storage, the vectors kept
+    in Q's order, and its estimate and cancel steps.  ``collect_aux``
+    records ``p``, ``z`` and ``d`` of the active streams at every step
+    (single-buffer swapped storage only).
     """
-    m_tx, _, alpha = _prep(ch, rx)
+    batch = not isinstance(chs, ChannelRealization)
+    if batch and len(chs) == 1 == len(rxs):
+        return BatchResult.of([_sic(chs[0], rxs[0], c, init, cancel_soft, collect_q,
+                                    collect_aux)])
+    m_tx, _, alpha = _prep(chs, rxs) if batch else _prep((chs,), (rxs,))
+    n_trials = len(chs) if batch else 1
     led = FlopLedger()
     mem = MemLedger()
-    q, vecs, estimate, cancel = init(ch, rx, alpha, led, mem)
+    if batch:
+        h = np.stack([ch.h for ch in chs])
+        x = np.stack([rx.x for rx in rxs])
+        p = np.tile(np.arange(m_tx), (n_trials, 1))
+    else:
+        h, x, p = chs.h, rxs.x, np.arange(m_tx)
+    q, vecs, estimate, cancel = init(h, x, alpha, led, mem)
     diag, swap, active, block = q.diag, q.swap, q.active, q.block
-    p = np.arange(m_tx)
-    soft = np.zeros(m_tx, np.complex128)
-    hard = np.zeros(m_tx, np.complex128)
-    trace: list[OrderingTrace] = []
-    qs = [] if collect_q else None
-    aux = {"p": [], "z": [], "d": []} if collect_aux else None
+    lead = _lead(p, 1)
+    soft = np.zeros(p.shape, np.complex128)     # in detection order
+    hard = np.zeros(p.shape, np.complex128)
+    traces: list[list[OrderingTrace]] = [[] for _ in range(n_trials)]
+    qs = [[] for _ in range(n_trials)] if collect_q else None
+    aux = [{"p": [], "z": [], "d": []} for _ in range(n_trials)] if collect_aux else None
     for m in range(m_tx, 0, -1):
         j = m - 1                       # the order position filled at this step
-        l, qmin, gap = _argmin_gap(diag(m, p))
-        if l != j:
-            p[l], p[j] = p[j], p[l]
-            if swap is not None:        # swapped storage keeps Q in p's order
+        l, recs = _order(diag(m, p), m)
+        if (l != j).any() if batch else l != j:
+            if swap is None:
+                _swap_entries((p,), l, j)
+            else:                       # swapped storage keeps Q in p's order
+                _swap_entries((p, *vecs), l, j)
                 swap(l, j)
-                for v in vecs:
-                    v[l], v[j] = v[j], v[l]
-        trace.append(OrderingTrace(m, l, qmin, gap))
+        for trace, rec in zip(traces, recs):
+            trace.append(rec)
         if qs is not None:
-            qs.append(block(m, p))
+            for steps, blk in zip(qs, block(m, p).reshape(-1, m, m)):
+                steps.append(blk)
         if aux is not None:
-            for key, v in zip(aux, (p, *vecs)):
-                aux[key].append(v[:m].copy())
-        act, rest, last, col = active(m, p)
+            for key, v in zip(("p", "z", "d"), (p, *vecs)):
+                for rec, row in zip(aux, v[..., :m].reshape(-1, m)):
+                    rec[key].append(row.copy())
+        col, act, rest, last = active(m, p)
         est = estimate(col, act, last)
         s = quantize(est, c)
-        ant = p[j]
-        soft[ant] = est
-        hard[ant] = s
+        soft[(*lead, j)] = est
+        hard[(*lead, j)] = s
         if m == 1:
             break
         cancel(col, rest, last, est if cancel_soft else s)
-    return DetectionResult(hard, p, soft, led, mem, trace, qs, aux)
+    s_hat, soft_ant = np.empty_like(hard), np.empty_like(soft)
+    s_hat[(*lead, p)] = hard
+    soft_ant[(*lead, p)] = soft
+    if not batch:
+        return DetectionResult(s_hat, p, soft_ant, led, mem, traces[0], qs and qs[0],
+                               aux and aux[0])
+    return BatchResult.of([
+        DetectionResult(s_hat[t], p[t], soft_ant[t], led.copy(), mem.copy(), traces[t],
+                        qs and qs[t], aux and aux[t])
+        for t in range(n_trials)
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,12 @@ MEM_RATIO_BOUND = 0.55   # single-buffer peak vs. mem_saving peak at M = N >= 16
 # regularizer handed to the detectors when a sweep runs noiseless frames
 NOISELESS_ALPHA = 1e-6
 
+# A sweep runs the trials of one (M, N) through each detector in batches of
+# at most BATCH_TRIALS, and of at most BATCH_WORDS complex words of M*M*N
+# per batch, which bounds a batch's memory at large M.
+BATCH_TRIALS = 64
+BATCH_WORDS = 1 << 20
+
 
 @dataclass
 class SweepConfig:
@@ -135,17 +141,67 @@ def _trial_frame(m, n, snr_db, seed, trial, cname):
 
 
 # ---------------------------------------------------------------------------
+# trial batches
+
+
+def _batches(cfg, names):
+    """The sweep's work as batches: per (M, N), its (SNR, trial) points in
+    sweep order, cut into runs of at most :func:`_batch_size` trials.
+
+    Each point is ``(group, snr_db, trial)``, ``group`` being the indices
+    of its (M, N) and SNR in the configuration.  The cut depends on the
+    configuration only, never on the worker count.
+    """
+    out = []
+    for d, (m, n) in enumerate(cfg.dims()):
+        points = [((d, i), snr, t) for i, snr in enumerate(cfg.snr_db_list)
+                  for t in range(cfg.trials)]
+        size = _batch_size(m, n)
+        for k in range(0, len(points), size):
+            out.append((m, n, points[k : k + size], cfg.seed, cfg.cancel_soft, names,
+                        cfg.constellation))
+    return out
+
+
+def _batch_size(m, n):
+    """Trials per batch: BATCH_TRIALS, fewer for large channels (BATCH_WORDS)."""
+    return max(1, min(BATCH_TRIALS, BATCH_WORDS // (m * m * n)))
+
+
+def _outcome(name, ch, rx, c, **kw):
+    """One detector on one trial: its result, or the error it raises."""
+    try:
+        return ALGORITHMS[name](ch, rx, c, **kw)
+    except (SingularMatrixError, ContractViolationError) as exc:
+        return exc
+
+
+def _run_batch(name, chs, rxs, c, **kw):
+    """One detector over a batch: each trial's result, or the error it raises.
+
+    When the batch raises, its trials re-run one at a time, so each gets
+    exactly the result or the error of a call on it alone.
+    """
+    try:
+        return ALGORITHMS[name](chs, rxs, c, **kw).trials
+    except (SingularMatrixError, ContractViolationError):
+        return [_outcome(name, ch, rx, c, **kw) for ch, rx in zip(chs, rxs)]
+
+
+def _frames(m, n, points, seed, cname):
+    """Constellation, channels, frames and received vectors of a batch's points."""
+    trials = [_trial_frame(m, n, snr, seed, t, cname) for _, snr, t in points]
+    return (trials[0][0], [t[1] for t in trials], [t[2] for t in trials],
+            [t[3] for t in trials])
+
+
+# ---------------------------------------------------------------------------
 # equivalence
 
 
-def equiv_trial(args):
-    """Run the oracle plus the requested detectors on one trial.
-
-    Returns per-detector comparison rows plus the trial's gate status.
-    A kernel singularity is recorded as a failed row, never raised.
-    """
-    m, n, snr_db, seed, trial, cancel_soft, names, cname = args
-    c, ch, frame, rx = _trial_frame(m, n, snr_db, seed, trial, cname)
+def _equiv_rows(m, n, snr_db, trial, names, oracle, results):
+    """Comparison rows of one trial: the oracle's result (or error) against
+    each detector's result (or error) in ``results``."""
 
     def row(name, **kw):
         base = {
@@ -157,19 +213,16 @@ def equiv_trial(args):
         base.update(kw)
         return base
 
-    try:
-        oracle = ALGORITHMS["oracle"](ch, rx, c, cancel_soft=cancel_soft, collect_q=True)
-    except (SingularMatrixError, ContractViolationError) as exc:
-        return [row(name, error=f"oracle: {exc}") for name in names]
+    if isinstance(oracle, Exception):
+        return [row(name, error=f"oracle: {oracle}") for name in names]
     gaps = [t.q_gap for t in oracle.trace if t.m >= 2]
     min_gap = min(gaps) if gaps else float("inf")
     gated = min_gap > GATE_GAP
     rows = []
     for name in names:
-        try:
-            res = ALGORITHMS[name](ch, rx, c, cancel_soft=cancel_soft, collect_q=True)
-        except (SingularMatrixError, ContractViolationError) as exc:
-            rows.append(row(name, min_q_gap=min_gap, gated=gated, error=str(exc)))
+        res = results[name]
+        if isinstance(res, Exception):
+            rows.append(row(name, min_q_gap=min_gap, gated=gated, error=str(res)))
             continue
         hard_match = bool(
             np.array_equal(res.s_hat, oracle.s_hat) and np.array_equal(res.order, oracle.order)
@@ -188,16 +241,39 @@ def equiv_trial(args):
     return rows
 
 
+def _equiv_batch(args):
+    """Rows of each point of a batch: the oracle per trial, each detector
+    over the trials whose oracle ran, as one batch."""
+    m, n, points, seed, cancel_soft, names, cname = args
+    c, chs, frames, rxs = _frames(m, n, points, seed, cname)
+    kw = dict(cancel_soft=cancel_soft, collect_q=True)
+    oracles = [_outcome("oracle", ch, rx, c, **kw) for ch, rx in zip(chs, rxs)]
+    live = [i for i, o in enumerate(oracles) if not isinstance(o, Exception)]
+    results = [{} for _ in points]
+    if live:
+        for name in names:
+            runs = _run_batch(name, [chs[i] for i in live], [rxs[i] for i in live], c, **kw)
+            for i, res in zip(live, runs):
+                results[i][name] = res
+    return [_equiv_rows(m, n, snr, t, names, oracle, res)
+            for (_, snr, t), oracle, res in zip(points, oracles, results)]
+
+
+def equiv_trial(args):
+    """Run the oracle plus the requested detectors on one trial.
+
+    Returns per-detector comparison rows, each with the trial's gate status.
+    A kernel singularity is recorded as a failed row, never raised.
+    """
+    m, n, snr_db, seed, trial, cancel_soft, names, cname = args
+    return _equiv_batch((m, n, [(None, snr_db, trial)], seed, cancel_soft, names, cname))[0]
+
+
 def run_equiv(cfg: SweepConfig):
     """Equivalence sweep; returns (csv_rows, failures)."""
     names = _recursive_names(cfg, "equiv")
-    args = []
-    for m, n in cfg.dims():
-        for snr in cfg.snr_db_list:
-            for trial in range(cfg.trials):
-                args.append((m, n, snr, cfg.seed, trial, cfg.cancel_soft, names, cfg.constellation))
-    results = _map_ordered(equiv_trial, args)
-    flat = [row for rows in results for row in rows]
+    results = _map_ordered(_equiv_batch, _batches(cfg, names))
+    flat = [row for batch in results for rows in batch for row in rows]
     flat.sort(key=lambda r: (r["m"], r["snr_db"], r["algorithm"], r["trial"]))
     failures = [
         f"equiv: {r['algorithm']} diverged from oracle at "
@@ -313,44 +389,70 @@ def run_mem(cfg: SweepConfig):
 # bit error rate
 
 
+def _ber_batch(args):
+    """Per point of a batch: each detector's bit errors (or the error that
+    trial raised) and the smallest ordering gap of its runs."""
+    m, n, points, seed, cancel_soft, names, cname = args
+    c, chs, frames, rxs = _frames(m, n, points, seed, cname)
+    errors = [{} for _ in points]
+    gaps = [float("inf")] * len(points)
+    for name in names:
+        for i, res in enumerate(_run_batch(name, chs, rxs, c, cancel_soft=cancel_soft)):
+            if isinstance(res, Exception):
+                errors[i][name] = res
+                continue
+            got = demap(res.s_hat, c)
+            errors[i][name] = int(np.count_nonzero(got != frames[i].bits))
+            gaps[i] = min([gaps[i]] + [t.q_gap for t in res.trace if t.m >= 2])
+    return list(zip(errors, gaps))
+
+
+def _raise_first(m, n, snr_db, trial, names, errors):
+    """Raise the first detector error of a trial, naming where it happened."""
+    for name in names:
+        exc = errors[name]
+        if isinstance(exc, ContractViolationError):
+            raise exc
+        if isinstance(exc, SingularMatrixError):
+            raise SingularMatrixError(
+                f"ber: {name} at M={m} N={n} snr={snr_db} trial={trial}: {exc}") from exc
+
+
 def ber_trial(args):
     """Bit errors per algorithm for one trial, plus the trial's gate flag."""
     m, n, snr_db, seed, trial, cancel_soft, names, cname = args
-    c, ch, frame, rx = _trial_frame(m, n, snr_db, seed, trial, cname)
-    errors = {}
-    min_gap = float("inf")
-    for name in names:
-        res = ALGORITHMS[name](ch, rx, c, cancel_soft=cancel_soft)
-        got = demap(res.s_hat, c)
-        errors[name] = int(np.count_nonzero(got != frame.bits))
-        gaps = [t.q_gap for t in res.trace if t.m >= 2]
-        if gaps:
-            min_gap = min(min_gap, min(gaps))
-    return errors, min_gap > GATE_GAP, m * c.bits_per_symbol
+    (errors, min_gap), = _ber_batch((m, n, [(None, snr_db, trial)], seed, cancel_soft, names,
+                                     cname))
+    _raise_first(m, n, snr_db, trial, names, errors)
+    return errors, min_gap > GATE_GAP, m * constellation(cname).bits_per_symbol
 
 
 BER_HEADER = ["M", "N", "snr_db", "algorithm", "bit_errors", "bits", "ber"]
 
 
 def run_ber(cfg: SweepConfig):
-    """BER sweep; returns csv rows aggregated over trials."""
+    """BER sweep; returns csv rows aggregated over trials.
+
+    A detector that fails on a trial raises that trial's first failure, in
+    sweep order, as a ``SingularMatrixError`` naming the detector and trial
+    (a ``ContractViolationError`` is raised as it is).
+    """
     names = _recursive_names(cfg, "ber")
-    rows = []
-    for m, n in cfg.dims():
-        for snr in cfg.snr_db_list:
-            args = [
-                (m, n, snr, cfg.seed, t, cfg.cancel_soft, names, cfg.constellation)
-                for t in range(cfg.trials)
-            ]
-            results = _map_ordered(ber_trial, args)
-            totals = {name: 0 for name in names}
-            total_bits = 0
-            for errors, _gated, bits in results:
-                total_bits += bits
-                for name in names:
-                    totals[name] += errors[name]
+    batches = _batches(cfg, names)
+    bits = constellation(cfg.constellation).bits_per_symbol
+    totals = {}
+    for (m, n, points, *_), results in zip(batches, _map_ordered(_ber_batch, batches)):
+        for (group, snr, trial), (errors, _gap) in zip(points, results):
+            _raise_first(m, n, snr, trial, names, errors)
+            point = totals.setdefault(group, dict.fromkeys(names, 0))
             for name in names:
-                rows.append((m, n, snr, name, totals[name], total_bits,
-                             totals[name] / total_bits))
+                point[name] += errors[name]
+    rows = []
+    for d, (m, n) in enumerate(cfg.dims()):
+        for i, snr in enumerate(cfg.snr_db_list):
+            total_bits = cfg.trials * m * bits
+            for name in names:
+                errs = totals[(d, i)][name]
+                rows.append((m, n, snr, name, errs, total_bits, errs / total_bits))
     rows.sort(key=lambda r: (r[0], r[2], r[3]))
     return rows

@@ -24,6 +24,15 @@ its scalar and vector sub-expressions into one ``FlopLedger.tick``, while the
 kernels it calls charge their own.  The totals are those of charging every
 sub-expression separately.
 
+The kernels the detectors run take an optional leading trial axis: a stack
+of T matrices ``(T, k, k)`` and of T vectors ``(T, k)``, one per trial, all
+worked in the same numpy calls.  The ledger then stands for each trial, not
+for their sum: a call charges one trial's work, because the count depends
+only on the shapes.  A value that is one number per trial (a dot product, a
+pivot) is then an array of shape ``(T, 1)``, which broadcasts against the
+trials' vectors; unbatched, it is a Python number.  Each trial's arithmetic
+is that of the unbatched call, rounding included.
+
 The Gauss-Jordan routine at the bottom is the independent oracle used by the
 test-suite: it is deliberately plain, uses partial pivoting, and never
 touches a ledger.
@@ -117,10 +126,7 @@ class HermPacked:
         m = a.shape[0]
         if a.shape[1] != m:
             raise ContractViolationError("can only pack a square matrix")
-        rows, cols = _triu_indices(m)
-        upper = np.empty(m * (m + 1) // 2, dtype=np.complex128)
-        upper[cols * (cols + 1) // 2 + rows] = a[rows, cols]
-        return cls(m, upper)
+        return cls(m, _pack_upper(a))
 
     def unpack(self, m: int | None = None) -> np.ndarray:
         """Materialize the leading ``m`` x ``m`` Hermitian block."""
@@ -141,11 +147,18 @@ def _packed_unpack(upper: np.ndarray, m: int) -> np.ndarray:
     """Dense leading ``m`` x ``m`` Hermitian block of packed upper storage.
 
     Entries below the diagonal are read from their upper mirror and
-    conjugated, so the result is exactly Hermitian.
+    conjugated, so the result is exactly Hermitian.  ``upper`` may be a
+    stack of packed vectors, one per trial; each block is C-contiguous, so
+    a matrix-vector product on it runs through BLAS, trial by trial.
     """
-    out = upper[_packed_square_flat(m)]
+    out = upper[(*_lead(upper, 1, 2), _packed_square_flat(m))]
     np.conjugate(out, out=out, where=_strict_lower_mask(m))
     return out
+
+
+@lru_cache(maxsize=None)
+def _arange(k: int) -> np.ndarray:
+    return np.arange(k)
 
 
 @lru_cache(maxsize=None)
@@ -200,13 +213,47 @@ def _packed_triu_flat(k: int):
     return cols * (cols + 1) // 2 + rows
 
 
+@lru_cache(maxsize=None)
+def _packed_coords(k: int):
+    """Row and column of every packed entry, in flat order."""
+    cols = np.repeat(np.arange(k), np.arange(1, k + 1))
+    rows = np.arange(k * (k + 1) // 2) - cols * (cols + 1) // 2
+    return rows, cols
+
+
+def _lead(a: np.ndarray, core: int, depth: int = 1) -> tuple:
+    """Index of ``a``'s trial axis for fancy indexing of its ``core`` trailing axes.
+
+    ``()`` for one trial, else the trial numbers as one column with ``depth``
+    unit axes.  Indexing as ``a[(*lead, idx)]`` keeps one trial's gather on
+    numpy's fast path (``a[..., idx]`` is two to three times slower), and a
+    batch's gather comes out C-contiguous, so BLAS reads each trial's rows
+    with unit stride, as it reads one trial's.
+    """
+    if a.ndim == core:
+        return ()
+    return (_arange(len(a)).reshape((-1,) + (1,) * depth),)
+
+
+def _column(v: np.ndarray, j: int):
+    """Entry ``j`` of the last axis per trial: a scalar for one trial, a ``(T, 1)`` column."""
+    return v[j] if v.ndim == 1 else v[:, j : j + 1]
+
+
+def _pack_upper(a: np.ndarray) -> np.ndarray:
+    """Packed upper triangle of each trailing square of ``a``."""
+    rows, cols = _packed_coords(a.shape[-1])
+    return a[(*_lead(a, 2), rows, cols)]
+
+
 # ---------------------------------------------------------------------------
 # validation helpers
 
 
-def as_cmat(a, name: str = "matrix") -> np.ndarray:
+def as_cmat(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """A complex matrix with finite entries (``stack``: or a 3-D stack of them)."""
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2:
+    if a.ndim != 2 and not (stack and a.ndim == 3):
         raise ContractViolationError(f"{name} must be 2-D, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ContractViolationError(f"{name} contains NaN or Inf")
@@ -226,28 +273,47 @@ def _label(context: str, step) -> str:
     return f"{context} (recursion index {step})" if step else context
 
 
-def real_pivot(x, context: str, step: int | None = None) -> float:
-    """Assert a scalar pivot is (numerically) real and return its real part.
+def real_pivot(x, context: str, step: int | None = None, error=ContractViolationError) -> float:
+    """Assert a pivot is (numerically) real and return its real part.
 
-    Errors name ``context`` and, when given, the recursion index ``step``.
+    Errors are of type ``error`` and name ``context`` and, when given, the
+    recursion index ``step``: a value read from the caller's arguments is
+    misuse (the default), a pivot the recursion computed is a numerical
+    failure (``SingularMatrixError``).  ``x`` may hold one pivot per trial;
+    the check then raises the first failing trial's error.
     """
+    if isinstance(x, np.ndarray):
+        if x.size > 1:
+            re, im = x.real, x.imag
+            bad = (im != 0) & (np.abs(im) > PIVOT_IMAG_RTOL * np.maximum(np.abs(re), 1e-300))
+            bad |= ~np.isfinite(re)
+            if bad.any():
+                real_pivot(x.flat[bad.argmax()], context, step, error)
+            return re.copy()
+        x = x.item()
     x = complex(x)
     re, im = x.real, x.imag
     if im and abs(im) > PIVOT_IMAG_RTOL * max(abs(re), 1e-300):
-        raise ContractViolationError(
-            f"{_label(context, step)}: pivot {x} has a non-negligible imaginary part"
-        )
+        raise error(f"{_label(context, step)}: pivot {x} has a non-negligible imaginary part")
     if not math.isfinite(re):
-        raise ContractViolationError(f"{_label(context, step)}: pivot is not finite")
+        raise error(f"{_label(context, step)}: pivot is not finite")
     return re
 
 
-def _check_pivot(delta: float, scale: float, context: str, step=None, singular=None) -> None:
+def _check_pivot(delta, scale, context: str, step=None, singular=None, floor=1e-300) -> None:
     """Raise SingularMatrixError when ``|delta|`` is negligible against ``scale``.
 
-    The message names ``context`` and ``step``, or is ``singular.format(step)``.
+    ``scale`` counts as at least ``floor``.  The message names ``context``
+    and ``step``, or is ``singular.format(step)``.  ``delta`` may hold one
+    pivot per trial (and ``scale`` one scale per trial).
     """
-    if abs(delta) < SINGULAR_RTOL * max(abs(scale), 1e-300):
+    if isinstance(delta, np.ndarray):
+        small = np.abs(delta) < SINGULAR_RTOL * np.maximum(np.abs(scale), floor)
+        if not small.any():
+            return
+        i = small.argmax()
+        delta, scale = delta.flat[i].item(), np.broadcast_to(scale, small.shape).flat[i].item()
+    if abs(delta) < SINGULAR_RTOL * max(abs(scale), floor):
         raise SingularMatrixError(
             singular.format(step) if singular
             else f"singular pivot in {_label(context, step)}: |{delta:g}|"
@@ -258,25 +324,70 @@ def _check_pivot(delta: float, scale: float, context: str, step=None, singular=N
 # charged primitives
 
 
-def vdot_c(a: np.ndarray, b: np.ndarray, led: FlopLedger) -> complex:
-    """Conjugated dot product a^H b; charges k cmul and k-1 cadd."""
-    k = a.shape[0]
+def _dot(a: np.ndarray, b: np.ndarray):
+    """Uncharged a^H b: a complex for one pair of vectors, else ``(T, 1)``."""
+    return complex(np.vdot(a, b)) if a.ndim == 1 else np.vecdot(a, b)[..., None]
+
+
+def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Uncharged A @ v, per trial for a stack."""
+    return a @ v if a.ndim == 2 else np.matvec(a, v)
+
+
+def vdot_c(a: np.ndarray, b: np.ndarray, led: FlopLedger):
+    """Conjugated dot product a^H b; charges k cmul and k-1 cadd.
+
+    With a trial axis, one product per trial, of shape ``(T, 1)``.
+    """
+    k = a.shape[-1]
     led.tick(cmul=k, cadd=k - 1)
-    return complex(np.vdot(a, b))
+    if a.ndim == 1:
+        return complex(np.vdot(a, b))
+    return np.vecdot(a, b)[..., None]
 
 
 def matvec(a: np.ndarray, v: np.ndarray, led: FlopLedger) -> np.ndarray:
-    """Plain A @ v; charges rows*cols cmul and rows*(cols-1) cadd."""
-    rows, cols = a.shape
+    """Plain A @ v (per trial); charges rows*cols cmul and rows*(cols-1) cadd."""
+    rows, cols = a.shape[-2:]
     led.tick(cmul=rows * cols, cadd=rows * (cols - 1))
-    return a @ v
+    return a @ v if a.ndim == 2 else np.matvec(a, v)
 
 
 def conj_matvec(a: np.ndarray, v: np.ndarray, led: FlopLedger) -> np.ndarray:
-    """A^H @ v; same charge as matvec on the transposed shape."""
-    rows, cols = a.shape
+    """A^H @ v (per trial); same charge as matvec on the transposed shape."""
+    rows, cols = a.shape[-2:]
     led.tick(cmul=rows * cols, cadd=cols * (rows - 1))
-    return a.conj().T @ v
+    if a.ndim == 2:
+        return a.conj().T @ v
+    return np.matvec(np.conj(a).mT, v)
+
+
+def _outer(u: np.ndarray, v: np.ndarray, fused: bool = True) -> np.ndarray:
+    """``u v^T``, per trial for a batch, rounded as for one trial.
+
+    One trial takes ``np.outer`` (``fused``) or ``np.multiply.outer``.
+    numpy multiplies complex arrays with fused multiply-adds, except that
+    ``np.multiply.outer`` of two one-element vectors rounds as plain scalar
+    arithmetic; a batch's 1 x 1 products keep that rounding when not
+    ``fused``, so a trial's bits never depend on whether it runs in a batch.
+    """
+    if u.ndim == 1:
+        return np.outer(u, v) if fused else np.multiply.outer(u, v)
+    if not fused and u.shape[-1] == 1:
+        re = u.real * v.real - u.imag * v.imag
+        im = u.real * v.imag + u.imag * v.real
+        return np.stack((re, im), axis=-1).view(np.complex128)
+    return u[..., :, None] * v[..., None, :]
+
+
+def _zero_diag_imag(a: np.ndarray) -> None:
+    """Zero the imaginary parts of the diagonal of each trailing square."""
+    k = a.shape[-1]
+    if a.ndim == 2:                 # one square: a flat stride over its diagonal
+        a.imag.flat[:: k + 1] = 0.0
+    else:
+        d = _arange(k)
+        a.imag[..., d, d] = 0.0
 
 
 def rank1_update_herm(
@@ -286,7 +397,7 @@ def rank1_update_herm(
     led: FlopLedger,
     subtract: bool = False,
 ) -> None:
-    """In place ``a +/-= u w^H`` for a Hermitian result.
+    """In place ``a +/-= u w^H`` for a Hermitian result (per trial).
 
     Charged as the upper triangle (k*(k+1)/2 products); the strict lower
     triangle is then overwritten by the conjugate of the upper one, so it is
@@ -298,15 +409,19 @@ def rank1_update_herm(
     with ``u`` a real multiple of ``w``, where any diagonal imaginary part is
     rounding noise.
     """
-    k = u.shape[0]
+    k = u.shape[-1]
     led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
-    prods = np.multiply.outer(u, np.conj(w))
+    one = a.ndim == 2
+    prods = np.multiply.outer(u, np.conj(w)) if one else _outer(u, np.conj(w), fused=False)
     if subtract:
         np.subtract(a, prods, out=a)
     else:
         np.add(a, prods, out=a)
-    np.copyto(a, a.T.conj(), where=_strict_lower_mask(k))
-    a.imag.flat[:: k + 1] = 0.0
+    np.copyto(a, a.mT.conj(), where=_strict_lower_mask(k))
+    if one:
+        a.imag.flat[:: k + 1] = 0.0
+    else:
+        _zero_diag_imag(a)
 
 
 def rank1_update_full(
@@ -321,13 +436,14 @@ def rank1_update_full(
     Hermitian-result semantics as in :func:`rank1_update_herm`: the diagonal
     is forced real.
     """
-    k = u.shape[0]
+    k = u.shape[-1]
     led.tick(cmul=k * k, cadd=k * k)
+    prods = _outer(u, np.conj(w), fused=True)
     if subtract:
-        a -= np.outer(u, np.conj(w))
+        np.subtract(a, prods, out=a)
     else:
-        a += np.outer(u, np.conj(w))
-    a.imag.flat[:: k + 1] = 0.0
+        np.add(a, prods, out=a)
+    _zero_diag_imag(a)
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +484,10 @@ def _block_step_i(q, r_bar, gamma, led, label, step=None, singular=None):
     Division accounting is deliberate: one for the Schur denominator, one
     for 1/gamma and one more for 1/gamma**2.
     """
-    k = r_bar.shape[0]
+    k = r_bar.shape[-1]
     g = matvec(q, r_bar, led)
     t = vdot_c(r_bar, g, led)
-    delta = real_pivot(gamma - t, label, step)
+    delta = real_pivot(gamma - t, label, step, SingularMatrixError)
     _check_pivot(delta, gamma, label, step, singular)
     beta = 1.0 / delta
     u = beta * g
@@ -381,7 +497,7 @@ def _block_step_i(q, r_bar, gamma, led, label, step=None, singular=None):
     q_col = (-gamma_inv) * g2
     gamma_inv2 = gamma_inv / gamma
     t2 = vdot_c(r_bar, g2, led)
-    omega = real_pivot(gamma_inv + gamma_inv2 * t2, label, step)
+    omega = real_pivot(gamma_inv + gamma_inv2 * t2, label, step, SingularMatrixError)
     led.tick(cmul=2 * k + 1, cadd=2, cdiv=3)
     return q_col, omega
 
@@ -391,10 +507,10 @@ def _block_step_v(q, r_bar, gamma, led, label, step=None, singular=None):
 
     As :func:`_block_step_i`; also returns ``q_tilde = Q r_bar``.
     """
-    k = r_bar.shape[0]
+    k = r_bar.shape[-1]
     q_tilde = matvec(q, r_bar, led)
     t = vdot_c(r_bar, q_tilde, led)
-    delta = real_pivot(gamma - t, label, step)
+    delta = real_pivot(gamma - t, label, step, SingularMatrixError)
     _check_pivot(delta, gamma, label, step, singular)
     omega = 1.0 / delta
     q_col = (-omega) * q_tilde
@@ -462,11 +578,13 @@ def sm_rank1_inverse_update(
 
 
 def _sm_update_inplace(q, h, led, triangle_only=True):
-    m = q.shape[0]
+    m = q.shape[-1]
     u = matvec(q, h, led)
     t = vdot_c(h, u, led)
-    delta = real_pivot(1.0 + t, "sm_rank1_inverse_update")
-    _check_pivot(delta, max(1.0, abs(t)), "sm_rank1_inverse_update")
+    delta = real_pivot(1.0 + t, "sm_rank1_inverse_update", error=SingularMatrixError)
+    # |t| as Python's abs rounds it
+    _check_pivot(delta, abs(t) if isinstance(t, complex) else np.hypot(t.real, t.imag),
+                 "sm_rank1_inverse_update", floor=1.0)
     beta = 1.0 / delta
     v = beta * u
     led.tick(cmul=m, cadd=1, cdiv=1)
@@ -525,10 +643,10 @@ def deflate_q_sm(
 
 
 def _deflate_sm_inplace(q_block, r_bar, gamma, led, triangle_only=True):
-    k = r_bar.shape[0]
+    k = r_bar.shape[-1]
     u = matvec(q_block, r_bar, led)
     t = vdot_c(r_bar, u, led)
-    delta = real_pivot(gamma + t, "deflate_q_sm")
+    delta = real_pivot(gamma + t, "deflate_q_sm", error=SingularMatrixError)
     _check_pivot(delta, gamma, "deflate_q_sm")
     beta = 1.0 / delta
     v = beta * u
@@ -549,14 +667,16 @@ def init_gram(h: np.ndarray, alpha: float, ledger: FlopLedger) -> np.ndarray:
     Charged as the row-by-row accumulation of Hermitian outer products on
     the upper triangle (N*M*(M+1)/2 products and adds); numpy forms the
     full product in one call and the strict lower triangle is mirrored.
+    ``h`` may be a stack of channels, with one ``alpha`` per trial.
     """
-    h = as_cmat(h, "h")
-    n, m = h.shape
+    h = as_cmat(h, "h", stack=True)
+    n, m = h.shape[-2:]
     alpha = real_pivot(alpha, "init_gram alpha")
     ledger.tick(cmul=n * m * (m + 1) // 2, cadd=n * m * (m + 1) // 2)
-    r = h.conj().T @ h
-    np.copyto(r, r.T.conj(), where=_strict_lower_mask(m))
-    np.fill_diagonal(r, r.diagonal().real + alpha)
+    r = h.conj().mT @ h
+    np.copyto(r, r.mT.conj(), where=_strict_lower_mask(m))
+    diag = (*_lead(r, 2), _arange(m), _arange(m))
+    r[diag] = r[diag].real + alpha
     return r
 
 
@@ -566,17 +686,20 @@ def init_q_sherman_morrison(
     ledger: FlopLedger,
     triangle_only: bool = True,
 ) -> np.ndarray:
-    """Build ``(H^H H + alpha I)^-1`` by rank-one corrections over rows."""
-    h = as_cmat(h, "h")
-    n, m = h.shape
+    """Build ``(H^H H + alpha I)^-1`` by rank-one corrections over rows.
+
+    ``h`` may be a stack of channels, with one ``alpha`` per trial.
+    """
+    h = as_cmat(h, "h", stack=True)
+    n, m = h.shape[-2:]
     alpha = real_pivot(alpha, "init_q_sherman_morrison alpha")
-    if alpha <= 0:
+    if np.any(alpha <= 0):
         raise ContractViolationError("init_q_sherman_morrison needs alpha > 0")
-    q = np.zeros((m, m), dtype=np.complex128)
-    np.fill_diagonal(q, 1.0 / alpha)
+    q = np.zeros(h.shape[:-2] + (m, m), dtype=np.complex128)
+    q[(*_lead(q, 2), _arange(m), _arange(m))] = 1.0 / alpha
     ledger.tick(cdiv=1)
     for row in range(n):
-        _sm_update_inplace(q, np.conj(h[row]), ledger, triangle_only)
+        _sm_update_inplace(q, np.conj(h[..., row, :]), ledger, triangle_only)
     return q
 
 
@@ -584,18 +707,20 @@ def init_q_recursive(r: np.ndarray, ledger: FlopLedger, variant: str = "v") -> n
     """Invert a Hermitian positive-definite matrix by growing its inverse.
 
     ``variant`` selects the border step: "i" is the three-division form,
-    "v" the single-division form.  Both produce the full inverse of ``r``.
+    "v" the single-division form.  Both produce the full inverse of ``r``,
+    or of each matrix of a stack.
     """
-    r = as_cmat(r, "r")
-    m = r.shape[0]
-    if r.shape[1] != m:
+    r = as_cmat(r, "r", stack=True)
+    m = r.shape[-1]
+    if r.shape[-2] != m:
         raise ContractViolationError("init_q_recursive needs a square matrix")
     if variant not in ("i", "v"):
         raise ContractViolationError(f"unknown variant {variant!r}")
     q = r.copy()
-    g0 = real_pivot(q[0, 0], "init_q_recursive leading entry")
-    _check_pivot(g0, g0 if g0 else 1.0, "init_q_recursive leading entry")
-    q[0, 0] = 1.0 / g0
+    lead = _lead(q, 2)
+    g0 = real_pivot(q[(*lead, 0, 0)], "init_q_recursive leading entry")
+    _check_pivot(g0, g0, "init_q_recursive leading entry")     # raises only for g0 == 0
+    q[(*lead, 0, 0)] = 1.0 / g0
     ledger.tick(cdiv=1)
     _grow_inverse(q, m, ledger, variant, "init_q_recursive", f"block_inv_step_{variant}")
     return q
@@ -610,15 +735,18 @@ def _grow_inverse(q, m, led, variant, gamma_label, label, singular=None):
     above the diagonal and the diagonal entry, then overwrites them, so one
     buffer holds both matrices.  Errors name ``gamma_label`` (a non-real
     diagonal) or ``label`` with the recursion index; ``singular``, a format
-    string taking the index, replaces the singular-pivot message.
+    string taking the index, replaces the singular-pivot message.  ``q`` may
+    be a stack, one matrix per trial.
     """
     step_fn = _block_step_i if variant == "i" else _block_step_v
+    lead = _lead(q, 2)
     for i in range(1, m):
-        gamma = real_pivot(q[i, i], gamma_label)
-        q_col, omega = step_fn(q[:i, :i], q[:i, i], gamma, led, label, i + 1, singular)[:2]
-        q[i, i] = omega
-        q[:i, i] = q_col
-        q[i, :i] = np.conj(q_col)
+        gamma = real_pivot(q[(*lead, i, i)], gamma_label)
+        q_col, omega = step_fn(q[..., :i, :i], q[..., :i, i], gamma, led, label, i + 1,
+                               singular)[:2]
+        q[(*lead, i, i)] = omega
+        q[..., :i, i] = q_col
+        q[..., i, :i] = np.conj(q_col)
 
 
 # ---------------------------------------------------------------------------

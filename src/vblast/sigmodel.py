@@ -182,9 +182,15 @@ def transmit(
     return RxFrame(x, float(sigma_n2), float(alpha))
 
 
-def quantize(est: complex, c: Constellation) -> complex:
-    """Nearest constellation point; ties break to the lowest point index."""
-    return complex(c.points[np.abs(c.points - est).argmin()])
+def quantize(est, c: Constellation):
+    """Nearest constellation point; ties break to the lowest point index.
+
+    ``est`` is one estimate, or an array of them (one per trial): then the
+    result is the array of their points, of the same shape.
+    """
+    if not isinstance(est, np.ndarray):
+        return complex(c.points[np.abs(c.points - est).argmin()])
+    return c.points[np.abs(c.points - est[..., None]).argmin(axis=-1)]
 
 
 def demap(symbols, c: Constellation) -> np.ndarray:

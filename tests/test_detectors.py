@@ -6,19 +6,22 @@ import pytest
 from vblast.detectors import (
     ALGORITHMS,
     DETECTOR_NAMES,
+    BatchResult,
+    OrderingTrace,
     _argmin_gap,
     _cover_gram_rows,
     _cover_inverse,
     _sym_swap,
     detect_mem_saving,
     detect_oracle,
+    detect_original,
     detect_proposed_2,
     detect_proposed_2_noperm,
     detect_proposed_2_tri,
     detect_proposed_2_tri_noperm,
     detect_speed_adv,
 )
-from vblast.errors import ContractViolationError
+from vblast.errors import ContractViolationError, SingularMatrixError
 from vblast.kernels import FlopLedger, init_q_recursive
 from vblast.sigmodel import (
     ChannelRealization,
@@ -411,3 +414,125 @@ def test_qam16_supported_by_all_detectors():
             res = ALGORITHMS[name](ch, noisy, c16)
             assert np.array_equal(res.s_hat, oracle.s_hat), name
             assert np.abs(res.soft - oracle.soft).max() <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# trial batches
+
+
+def batch_trials(m, n, cname, count, seed):
+    """``count`` trials of one (M, N), their SNRs cycling over 0-40 dB and noiseless."""
+    c = constellation(cname)
+    chs, rxs = [], []
+    for t in range(count):
+        ch = draw_channel(m, n, seed, stream=4 * t)
+        frame = random_frame(m, c, seed, stream=4 * t + 1)
+        sigma = sigma_n2_for_snr_db([0.0, 10.0, 20.0, 40.0, np.inf][t % 5], c.symbol_energy)
+        rxs.append(transmit(frame, ch, sigma, seed, stream=4 * t + 2,
+                            alpha=1e-6 if sigma == 0 else None))
+        chs.append(ch)
+    return c, chs, rxs
+
+
+def _bits(a):
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def assert_bitwise_equal(got, want):
+    """Same outputs bit for bit (signed zeros included), same ledgers."""
+    for field in ("s_hat", "order", "soft"):
+        assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
+    assert [(t.m, t.l, float(t.q_min).hex(), float(t.q_gap).hex()) for t in got.trace] == \
+        [(t.m, t.l, float(t.q_min).hex(), float(t.q_gap).hex()) for t in want.trace]
+    assert (got.q_steps is None) == (want.q_steps is None)
+    if want.q_steps is not None:
+        assert [_bits(q) for q in got.q_steps] == [_bits(q) for q in want.q_steps]
+    assert (got.aux is None) == (want.aux is None)
+    if want.aux is not None:
+        for key in want.aux:
+            assert [_bits(v) for v in got.aux[key]] == [_bits(v) for v in want.aux[key]]
+    assert got.ledger == want.ledger
+    assert (got.mem.peak_words, got.mem.buffers) == (want.mem.peak_words, want.mem.buffers)
+
+
+def outcome(name, ch, rx, c, kw):
+    """A detector's result on one trial, or the error it raises."""
+    try:
+        return ALGORITHMS[name](ch, rx, c, **kw)
+    except (SingularMatrixError, ContractViolationError) as exc:
+        return exc
+
+
+# (constellation, cancel_soft, collect_q): each N takes one half, and each
+# half holds both values of every factor
+BATCH_MODES = [(cname, soft, cq) for cname in ("qpsk", "qam16")
+               for soft in (False, True) for cq in (False, True)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 17])
+@pytest.mark.parametrize("name", DETECTOR_NAMES)
+def test_batch_trials_bitwise_equal_single_calls(name, m):
+    """Every trial of batches of 1, 2 and 7 equals its own call, bit for bit."""
+    for n, parity in ((m, 0), (m + 2, 1)):
+        modes = [md for i, md in enumerate(BATCH_MODES) if (i + i // 2 + i // 4) % 2 == parity]
+        for cname, soft, cq in modes:
+            kw = {"cancel_soft": soft, "collect_q": cq}
+            if name == "proposed_2":
+                kw["collect_aux"] = cq
+            c, chs, rxs = batch_trials(m, n, cname, 10, seed=1000 * m + n)
+            singles = [outcome(name, ch, rx, c, kw) for ch, rx in zip(chs, rxs)]
+            for lo, hi in ((0, 1), (1, 3), (3, 10)):
+                failed = {(type(e), str(e)) for e in singles[lo:hi] if isinstance(e, Exception)}
+                if failed:      # the batch stops at the first of its trials to fail
+                    with pytest.raises((SingularMatrixError, ContractViolationError)) as info:
+                        ALGORITHMS[name](chs[lo:hi], rxs[lo:hi], c, **kw)
+                    assert (type(info.value), str(info.value)) in failed
+                    continue
+                batch = ALGORITHMS[name](chs[lo:hi], rxs[lo:hi], c, **kw)
+                assert isinstance(batch, BatchResult) and len(batch.trials) == hi - lo
+                for got, want in zip(batch.trials, singles[lo:hi]):
+                    assert_bitwise_equal(got, want)
+                led = singles[lo].ledger
+                assert batch.ledger.as_tuple() == tuple((hi - lo) * x for x in led.as_tuple())
+                assert batch.mem.peak_words == (hi - lo) * singles[lo].mem.peak_words
+
+
+def test_batch_needs_one_shape():
+    c, chs, rxs = batch_trials(3, 3, "qpsk", 2, seed=5)
+    _, more, more_rx = batch_trials(3, 4, "qpsk", 1, seed=5)
+    for name in ALL_NAMES:
+        with pytest.raises(ContractViolationError, match="one \\(M, N\\)"):
+            ALGORITHMS[name](chs + more, rxs + more_rx, c)
+        with pytest.raises(ContractViolationError):
+            ALGORITHMS[name](chs, rxs[:1], c)
+
+
+def test_oracle_takes_a_batch_trial_by_trial():
+    c, chs, rxs = batch_trials(4, 5, "qam16", 3, seed=9)
+    batch = detect_oracle(chs, rxs, c, collect_q=True)
+    for got, ch, rx in zip(batch.trials, chs, rxs):
+        assert_bitwise_equal(got, detect_oracle(ch, rx, c, collect_q=True))
+
+
+def test_ordering_trace_is_an_immutable_record():
+    rec = OrderingTrace(4, 1, 0.5, 0.25)
+    assert (rec.m, rec.l, rec.q_min, rec.q_gap) == (4, 1, 0.5, 0.25)
+    assert OrderingTrace._fields == ("m", "l", "q_min", "q_gap")
+    with pytest.raises(AttributeError):
+        rec.l = 2
+    import vblast
+    assert vblast.OrderingTrace is OrderingTrace
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_original_non_real_pivot_is_a_numerical_failure(m):
+    """At 80 dB the Sherman-Morrison-initialized ``original`` computes a
+    deflation pivot with a non-negligible imaginary part: a numerical
+    failure of the recursion, not misuse of the API."""
+    seed = 77 + m
+    ch = draw_channel(m, m, seed)
+    frame = random_frame(m, QPSK, seed, stream=1)
+    rx = transmit(frame, ch, sigma_n2_for_snr_db(80.0), seed, stream=2)
+    with pytest.raises(SingularMatrixError,
+                       match=r"^deflate_q_sm: pivot \(.*\) has a non-negligible imaginary part$"):
+        detect_original(ch, rx, QPSK)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from vblast.cli import main
-from vblast.detectors import ALGORITHMS
-from vblast.errors import ContractViolationError
+from vblast.detectors import ALGORITHMS, DETECTOR_NAMES
+from vblast.errors import ContractViolationError, SingularMatrixError
 from vblast.harness import (
+    BATCH_TRIALS,
     BER_HEADER,
     EQUIV_HEADER,
     FLOPS_HEADER,
@@ -18,8 +19,18 @@ from vblast.harness import (
     run_equiv,
     run_flops,
     run_mem,
+    _run_batch,
     worker_count,
     write_csv,
+)
+from vblast.sigmodel import (
+    ChannelRealization,
+    RxFrame,
+    constellation,
+    draw_channel,
+    random_frame,
+    sigma_n2_for_snr_db,
+    transmit,
 )
 
 
@@ -69,11 +80,15 @@ def test_equiv_csv_deterministic(tmp_path):
 
 
 def test_equiv_bytes_identical_with_worker_pool(tmp_path, monkeypatch):
-    cfg = SweepConfig(m_list=[2], snr_db_list=[10.0], trials=12, seed=5)
-    rows_serial, _ = run_equiv(cfg)
-    monkeypatch.setenv("VBLAST_WORKERS", "3")
-    rows_pooled, _ = run_equiv(cfg)
-    assert rows_serial == rows_pooled
+    # the second configuration's trials span two batches per (M, N)
+    assert 3 * 25 > BATCH_TRIALS
+    for cfg in (SweepConfig(m_list=[2], snr_db_list=[10.0], trials=12, seed=5),
+                SweepConfig(m_list=[2, 3], snr_db_list=[0.0, 10.0, 20.0], trials=25, seed=6)):
+        monkeypatch.delenv("VBLAST_WORKERS", raising=False)
+        rows_serial, _ = run_equiv(cfg)
+        monkeypatch.setenv("VBLAST_WORKERS", "3")
+        rows_pooled, _ = run_equiv(cfg)
+        assert rows_serial == rows_pooled
 
 
 def test_flops_rows_and_ratios():
@@ -309,3 +324,53 @@ def test_singularity_recorded_not_raised(monkeypatch):
     assert len(rows) == 6                     # a row per detector per trial
     assert any("injected singular pivot" in f for f in failures)
     assert all("proposed_2" not in f for f in failures)
+
+
+def test_cli_ber_numerical_failure_is_reported(tmp_path, capsys):
+    """A detector failing on a trial ends ``ber`` with FAIL and exit 1, no traceback."""
+    code = main(["ber", "--m", "8", "--snr-db", "160", "--trials", "5", "--seed", "1",
+                 "--algo", "mem_saving,speed_adv,proposed_2", "--out", str(tmp_path / "b.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("FAIL: ber: ")
+    assert "at M=8 N=8 snr=160.0 trial=" in err
+    assert "Traceback" not in err
+
+
+def test_batch_with_one_failing_trial():
+    """A trial that fails (a channel scaled by 1e8 at 80 dB) makes its batch
+    raise exactly its own error; run one by one, the other trials' outputs
+    equal their own calls."""
+    c = constellation("qpsk")
+
+    def trial(seed, t, snr_db, scale=1.0):
+        ch = draw_channel(16, 16, seed, stream=4 * t)
+        frame = random_frame(16, c, seed, stream=4 * t + 1)
+        rx = transmit(frame, ch, sigma_n2_for_snr_db(snr_db), seed, stream=4 * t + 2)
+        return (ChannelRealization(ch.h * scale, 16, 16),
+                RxFrame(rx.x * scale, rx.sigma_n2 * scale**2, rx.alpha * scale**2))
+
+    trials = [trial(11, 0, 20.0), trial(1684, 1, 80.0, scale=1e8), trial(12, 0, 20.0)]
+    chs, rxs = [t[0] for t in trials], [t[1] for t in trials]
+    raised = 0
+    for name in DETECTOR_NAMES:
+        singles = []
+        for ch, rx in zip(chs, rxs):
+            try:
+                singles.append(ALGORITHMS[name](ch, rx, c))
+            except (SingularMatrixError, ContractViolationError) as exc:
+                singles.append(exc)
+        assert not isinstance(singles[0], Exception) and not isinstance(singles[2], Exception)
+        got = _run_batch(name, chs, rxs, c)
+        if isinstance(singles[1], Exception):
+            raised += 1
+            with pytest.raises(type(singles[1])) as info:
+                ALGORITHMS[name](chs, rxs, c)
+            assert str(info.value) == str(singles[1])
+            assert (type(got[1]), str(got[1])) == (type(singles[1]), str(singles[1]))
+        for i in (0, 2):
+            for field in ("s_hat", "order", "soft"):
+                assert getattr(got[i], field).tobytes() == getattr(singles[i], field).tobytes()
+            assert got[i].trace == singles[i].trace
+            assert got[i].ledger == singles[i].ledger
+    assert raised >= 7

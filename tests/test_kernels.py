@@ -502,3 +502,17 @@ def test_packed_rejects_complex_diagonal():
     bad[1, 1] = 1 + 1e-6j
     with pytest.raises(ContractViolationError):
         HermPacked.pack(bad)
+
+
+def test_caller_supplied_pivots_keep_contract_errors():
+    """A non-real value passed by the caller is misuse; a pivot the recursion
+    computes is not (see test_original_non_real_pivot_is_a_numerical_failure)."""
+    led = FlopLedger()
+    with pytest.raises(ContractViolationError, match="alpha"):
+        herm_rank1_update(np.eye(2), np.ones(2), 1 + 1j, True, led)
+    with pytest.raises(ContractViolationError, match="gamma"):
+        block_inv_step_v(np.eye(2), np.ones(2), 3 + 1j, led)
+    with pytest.raises(ContractViolationError, match="gamma"):
+        deflate_q_sm(np.eye(3, dtype=complex), np.ones(2), 2 + 1j, led)
+    with pytest.raises(ContractViolationError, match="alpha"):
+        init_gram(np.eye(2), 0.1 + 1j, led)
