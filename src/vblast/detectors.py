@@ -45,9 +45,11 @@ with the same (M, N) and returns a :class:`BatchResult`, whose ``trials``
 are the per-trial :class:`DetectionResult` objects in order.  The recursive
 routines run a batch together: each state array gains a leading trial axis,
 each step is one set of numpy calls for all trials, and each trial keeps its
-own ordering.  A trial's outputs, trace, ledger and memory ledger are bit
-for bit those of a call on it alone, whatever batch it runs in (a batch of
-one runs as its single trial).  The batch's ``ledger`` and
+own ordering.  :func:`_sic` tells one trial from a batch once per call and
+hands the matching step operations to the initializer and the Q storage, so
+no step asks again.  A trial's outputs, trace, ledger and memory ledger are
+bit for bit those of a call on it alone, whatever batch it runs in (a batch
+of one runs as its single trial).  The batch's ``ledger`` and
 ``mem.peak_words`` are sums over its trials.  If any trial fails, the batch
 raises the error of the first trial to fail, exactly as a call on that trial
 alone raises it; the oracle runs a batch trial by trial.
@@ -90,9 +92,9 @@ from .kernels import (
     vdot_c,
     _check_pivot,
     _deflate_sm_inplace,
-    _column,
     _dot,
     _grow_inverse,
+    _invert_leading,
     _lead,
     _mv,
     _pack_upper,
@@ -187,7 +189,7 @@ class BatchResult:
 
 
 def _prep(chs, rxs):
-    """Validate trials that run together; return M, N and alpha (one per trial)."""
+    """Validate trials that run together; return their M and N."""
     if len(chs) != len(rxs) or not len(chs):
         raise ContractViolationError(
             f"a batch needs one received frame per channel, got {len(rxs)} for {len(chs)}")
@@ -204,16 +206,7 @@ def _prep(chs, rxs):
             raise ContractViolationError("received vector contains NaN or Inf")
         if not (rx.alpha > 0):
             raise ContractViolationError(f"detectors need alpha > 0, got {rx.alpha}")
-    if len(rxs) == 1:
-        return m, n, float(rxs[0].alpha)
-    return m, n, np.array([[float(rx.alpha)] for rx in rxs])
-
-
-def _flagged(bad, value):
-    """``value`` of the first trial ``bad`` flags, or None (``bad``: one flag or one per trial)."""
-    if isinstance(bad, np.ndarray):
-        return value.flat[bad.argmax()].item() if bad.any() else None
-    return value if bad else None
+    return m, n
 
 
 def _argmin_gap(d: list[float]):
@@ -232,61 +225,6 @@ def _argmin_gap(d: list[float]):
     q_min = min(d)
     l = d.index(q_min)
     return l, q_min, min(d[:l] + d[l + 1 :]) - q_min
-
-
-def _order(dg: np.ndarray, m: int):
-    """:func:`_argmin_gap` of each trial's diagonal: the index to swap (an int
-    for one trial, an array for a batch) and each trial's trace record."""
-    if dg.ndim == 1:
-        l, q_min, gap = _argmin_gap(dg.tolist())
-        return l, (OrderingTrace(m, l, q_min, gap),)
-    if not ((dg > 0) & (dg < math.inf)).all():     # NaN, infinities or zeros: as one trial
-        recs = [OrderingTrace(m, *_argmin_gap(row)) for row in dg.tolist()]
-        return np.array([r.l for r in recs]), recs
-    ts = _arange(len(dg))
-    l = dg.argmin(axis=1)
-    q_min = dg[ts, l]
-    others = dg.copy()
-    others[ts, l] = math.inf
-    gaps = (others.min(axis=1) - q_min).tolist()
-    return l, [OrderingTrace(m, *rec) for rec in zip(l.tolist(), q_min.tolist(), gaps)]
-
-
-def _sym_swap(a: np.ndarray, i, j: int, m: int) -> None:
-    """Swap rows and columns i, j of the leading m x m block of each square.
-
-    ``i`` is one index, or an array of one index per trial (``a``'s leading axis).
-    """
-    if not isinstance(i, int):
-        ts = _arange(len(i))
-        row = a[ts, i, :m]
-        a[ts, i, :m] = a[ts, j, :m]
-        a[ts, j, :m] = row
-        col = a[ts, :m, i]
-        a[ts, :m, i] = a[ts, :m, j]
-        a[ts, :m, j] = col
-        return
-    row = a[..., i, :m].copy()
-    a[..., i, :m] = a[..., j, :m]
-    a[..., j, :m] = row
-    col = a[..., :m, i].copy()
-    a[..., :m, i] = a[..., :m, j]
-    a[..., :m, j] = col
-
-
-def _swap_entries(vecs, l, j: int) -> None:
-    """Exchange entries l and j of each vector (rows, for a matrix's rows);
-    ``l`` as in :func:`_sym_swap`, with the trials along the first axis."""
-    if isinstance(l, int):
-        for v in vecs:
-            if v.ndim == 1:
-                v[l], v[j] = v[j], v[l]
-            else:
-                v[[l, j]] = v[[j, l]]
-    else:
-        ts = _arange(len(l))
-        for v in vecs:
-            v[ts, l], v[ts, j] = v[ts, j], v[ts, l]
 
 
 def _batchable(detect):
@@ -309,7 +247,7 @@ def _batchable(detect):
 @_batchable
 def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
     """Re-invert the regularized Gram matrix at every step (flop-exempt)."""
-    m_tx, n_rx, alpha = _prep((ch,), (rx,))
+    m_tx, n_rx = _prep((ch,), (rx,))
     led = FlopLedger()          # stays zero: the oracle is not instrumented
     mem = MemLedger()
     mem.alloc("h_copy", m_tx * n_rx)
@@ -326,13 +264,14 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
     qs: list[np.ndarray] | None = [] if collect_q else None
     for m in range(m_tx, 0, -1):
         hm = h[:, :m]
-        r = hm.conj().T @ hm + alpha * np.eye(m)
+        r = hm.conj().T @ hm + float(rx.alpha) * np.eye(m)
         q = gauss_jordan_inverse(r)
         l, qmin, gap = _argmin_gap(q.diagonal().real.tolist())
         if m > 1 and l != m - 1:
             p[[l, m - 1]] = p[[m - 1, l]]
             h[:, [l, m - 1]] = h[:, [m - 1, l]]
-            _sym_swap(q, l, m - 1, m)
+            q[[l, m - 1]] = q[[m - 1, l]]
+            q[:, [l, m - 1]] = q[:, [m - 1, l]]
         trace.append(OrderingTrace(m, l, qmin, gap))
         if qs is not None:
             qs.append(q.copy())
@@ -380,24 +319,18 @@ def _cover_inverse(a, m, led):
     run on the same buffer: step i reads only column i of the old content
     plus the already-inverted leading block.
     """
-    lead = _lead(a, 2)
-    g0 = real_pivot(a[(*lead, 0, 0)], "inverse covering leading entry")
-    if _flagged(abs(g0) < SINGULAR_RTOL, g0) is not None:
-        raise SingularMatrixError("inverse covering: leading entry is singular")
-    a[(*lead, 0, 0)] = 1.0 / g0
-    led.tick(cdiv=1)
+    _invert_leading(a, (*_lead(a, 2), 0, 0), led, "inverse covering leading entry", 1.0,
+                    "inverse covering: leading entry is singular")
     _grow_inverse(a, m, led, "v", "inverse covering gamma", "inverse covering",
                   singular="inverse covering: singular pivot at index {}")
 
 
-def _cover_inverse_packed(packed, m, led):
-    """Packed-storage version of the in-place inverse covering."""
-    lead = _lead(packed, 1)
-    g0 = real_pivot(packed[(*lead, 0)], "inverse covering leading entry")
-    if _flagged(abs(g0) < SINGULAR_RTOL, g0) is not None:
-        raise SingularMatrixError("inverse covering: leading entry is singular")
-    packed[(*lead, 0)] = 1.0 / g0
-    led.tick(cdiv=1)
+def _cover_inverse_packed(q, m, led):
+    """Packed-storage version of the in-place inverse covering, on Q's packed
+    storage ``q`` before it first moves (so in index order)."""
+    packed, lead = q.upper, q.lead
+    _invert_leading(packed, (*lead, 0), led, "inverse covering leading entry", 1.0,
+                    "inverse covering: leading entry is singular")
     for i in range(1, m):
         base = i * (i + 1) // 2
         rcol = packed[..., base : base + i].copy()
@@ -411,23 +344,132 @@ def _cover_inverse_packed(packed, m, led):
         packed[(*lead, base + i)] = omega
         q_col = (-omega) * q_tilde
         packed[..., base : base + i] = q_col
-        r0, c0 = _triu_indices(i)
-        packed[(*lead, _packed_triu_flat(i))] -= q_tilde[(*lead, r0)] * np.conj(q_col)[(*lead, c0)]
-        dflat = _packed_diag_indices(i)
-        packed[(*lead, dflat)] = packed[(*lead, dflat)].real
-        # the matvec (i**2 products), the pivot, the column, the triangle (base)
-        led.tick(cmul=i * i + i + base, cadd=i * (i - 1) + 1 + base, cdiv=1)
+        # the matvec (i**2 products), the pivot and the column, then the triangle
+        led.tick(cmul=i * i + i, cadd=i * (i - 1) + 1, cdiv=1)
+        _Packed.sub(q, None, q_tilde, q_col, led)
 
 
-def _packed_sym_swap(packed, l, last):
-    """Symmetric row/column swap l <-> last inside packed upper storage.
+# ---------------------------------------------------------------------------
+# the trial shape and the Q storage of the recursive detectors
+#
+# ``_sic`` builds a ``_OneTrial`` or, for a batch, a ``_Trials`` and hands it
+# to the initializer and the Q storage.  Both offer the same step operations,
+# each running its shape's numpy calls, so no step tests the shape.  ``lead``
+# indexes the trial axis: ``()``, or the trial numbers as a column (``lead2``:
+# with two unit axes); ``spans[k]`` and ``ats[k]`` index the leading k entries
+# and entry k of each trial's state vector.  The storages index with ``...``,
+# ``lead`` and these tables, so that one trial and a batch run the same lines.
+# ``active(m, p)`` returns the detected stream's column of the active block
+# (omega last) and the index expressions of the active, kept and detected
+# streams into the state vectors.
 
-    ``l`` is one index, or an array of one index per trial (``packed``'s rows);
-    then each trial's leading block is gathered through its permutation.
-    """
-    if not isinstance(l, int):
+
+@lru_cache(maxsize=None)      # one read-only instance per shape: tables built once
+class _OneTrial:
+    """One trial's step operations: unbatched arrays, an int per index, a float per pivot."""
+
+    lead = lead2 = ()
+
+    def __init__(self, dim):
+        self.spans, self.ats = [slice(0, k) for k in range(dim + 1)], list(range(dim))
+
+    def order(self, dg, m):
+        """:func:`_argmin_gap` of the diagonal: the index to swap into place
+        ``m - 1`` (None if it is there already) and the trace record."""
+        l, q_min, gap = _argmin_gap(dg.tolist())
+        return (None if l == m - 1 else l), (OrderingTrace(m, l, q_min, gap),)
+
+    def swap_entries(self, vecs, l, j):
+        for v in vecs:
+            v[l], v[j] = v[j], v[l]
+
+    def swap_rows(self, mats, l, j):
+        for a in mats:
+            a[[l, j]] = a[[j, l]]
+
+    def sym_swap(self, a, i, j, m):
+        """Swap rows and columns i, j of the leading m x m block of a square."""
+        row = a[i, :m].copy()
+        a[i, :m] = a[j, :m]
+        a[j, :m] = row
+        col = a[:m, i].copy()
+        a[:m, i] = a[:m, j]
+        a[:m, j] = col
+
+    def packed_sym_swap(self, packed, l, last):
+        """Symmetric row/column swap l <-> last inside packed upper storage."""
+        lbase = l * (l + 1) // 2
+        mbase = last * (last + 1) // 2
+        if l > 0:
+            tmp = packed[lbase : lbase + l].copy()
+            packed[lbase : lbase + l] = packed[mbase : mbase + l]
+            packed[mbase : mbase + l] = tmp
+        mids = np.arange(l + 1, last)
+        if mids.size:
+            row_idx = mids * (mids + 1) // 2 + l
+            col_idx = mbase + mids
+            tmp = packed[row_idx].copy()
+            packed[row_idx] = np.conj(packed[col_idx])
+            packed[col_idx] = np.conj(tmp)
+        dl, dm = lbase + l, mbase + last
+        packed[dl], packed[dm] = packed[dm], packed[dl]
+        packed[mbase + l] = np.conj(packed[mbase + l])
+
+    def omega(self, col, k):
+        """Q's corner, entry k of its column: real and positive, or SingularMatrixError."""
+        omega = real_pivot(col[k], "deflation omega", None, SingularMatrixError)
+        if omega <= SINGULAR_RTOL:
+            raise SingularMatrixError(f"deflation at recursion {k + 1}: omega={omega:g}")
+        return omega
+
+
+@lru_cache(maxsize=None)
+class _Trials:
+    """A batch's step operations: a leading trial axis on every array, one
+    index per trial and a ``(T, 1)`` column per pivot.  Each is
+    :class:`_OneTrial`'s on every trial and raises the first failing trial's error."""
+
+    def __init__(self, n_trials, dim):
+        self.ts = ts = _arange(n_trials)
+        self.lead, self.lead2 = (ts[:, None],), (ts[:, None, None],)
+        self.spans = [(slice(None), slice(0, k)) for k in range(dim + 1)]
+        self.ats = [(*self.lead, k) for k in range(dim)]
+
+    def order(self, dg, m):
+        """Each trial's index to swap (None if no trial moves) and records."""
+        if not ((dg > 0) & (dg < math.inf)).all():     # NaN, infinities or zeros: as one trial
+            recs = [OrderingTrace(m, *_argmin_gap(row)) for row in dg.tolist()]
+            l = np.array([r.l for r in recs])
+        else:
+            ts = self.ts
+            l = dg.argmin(axis=1)
+            q_min = dg[ts, l]
+            others = dg.copy()
+            others[ts, l] = math.inf
+            gaps = (others.min(axis=1) - q_min).tolist()
+            recs = [OrderingTrace(m, *rec) for rec in zip(l.tolist(), q_min.tolist(), gaps)]
+        return (l if (l != m - 1).any() else None), recs
+
+    def swap_entries(self, vecs, l, j):
+        ts = self.ts
+        for v in vecs:
+            v[ts, l], v[ts, j] = v[ts, j], v[ts, l]
+
+    swap_rows = swap_entries
+
+    def sym_swap(self, a, i, j, m):
+        ts = self.ts
+        row = a[ts, i, :m]
+        a[ts, i, :m] = a[ts, j, :m]
+        a[ts, j, :m] = row
+        col = a[ts, :m, i]
+        a[ts, :m, i] = a[ts, :m, j]
+        a[ts, :m, j] = col
+
+    def packed_sym_swap(self, packed, l, last):
+        """Each trial's leading block gathered through its permutation."""
         k = last + 1
-        ts = _arange(len(l))
+        ts = self.ts
         perm = np.tile(_arange(k), (len(l), 1))
         perm[ts, l] = last
         perm[:, last] = l
@@ -436,44 +478,14 @@ def _packed_sym_swap(packed, l, last):
         moved = packed[ts[:, None], _packed_square_flat(k)[i, j]]
         np.conjugate(moved, out=moved, where=i > j)     # read from the lower triangle
         packed[:, : rows.size] = moved
-        return
-    lbase = l * (l + 1) // 2
-    mbase = last * (last + 1) // 2
-    if l > 0:
-        tmp = packed[lbase : lbase + l].copy()
-        packed[lbase : lbase + l] = packed[mbase : mbase + l]
-        packed[mbase : mbase + l] = tmp
-    mids = np.arange(l + 1, last)
-    if mids.size:
-        row_idx = mids * (mids + 1) // 2 + l
-        col_idx = mbase + mids
-        tmp = packed[row_idx].copy()
-        packed[row_idx] = np.conj(packed[col_idx])
-        packed[col_idx] = np.conj(tmp)
-    dl, dm = lbase + l, mbase + last
-    packed[dl], packed[dm] = packed[dm], packed[dl]
-    packed[mbase + l] = np.conj(packed[mbase + l])
 
-
-# ---------------------------------------------------------------------------
-# Q storage for the recursive detectors
-#
-# A single trial's arrays are unbatched; a batch's carry a leading trial
-# axis, and the code below indexes with ``...`` so that both run the same
-# lines.  ``active(m, p)`` returns the detected stream's column of the active
-# block (omega last) and the index expressions of the active, kept and
-# detected streams into the state vectors.
-
-
-@lru_cache(maxsize=None)
-def _index_tables(dim: int, n_trials: int | None):
-    """For swapped storage: the index of the leading k entries of a state
-    vector, and of its entry k, for every k (of each of ``n_trials`` trials,
-    or unbatched for None)."""
-    if n_trials is None:
-        return [slice(0, k) for k in range(dim + 1)], list(range(dim))
-    ts = _arange(n_trials)[:, None]
-    return [(slice(None), slice(0, k)) for k in range(dim + 1)], [(ts, k) for k in range(dim)]
+    def omega(self, col, k):
+        omega = real_pivot(col[:, k : k + 1], "deflation omega", None, SingularMatrixError)
+        small = omega <= SINGULAR_RTOL
+        if small.any():
+            raise SingularMatrixError(
+                f"deflation at recursion {k + 1}: omega={omega.flat[small.argmax()].item():g}")
+        return omega
 
 
 class _Dense:
@@ -482,22 +494,22 @@ class _Dense:
     ``rows`` (the x domain's transposed channel copy) has its rows swapped.
     """
 
-    def __init__(self, q, r=None, rows=None):
+    def __init__(self, trials, q, r=None, rows=None):
+        self.trials = trials
+        self.lead, self.spans, self.ats = trials.lead, trials.spans, trials.ats
         self.q = q
         self.qdiag = q.diagonal(axis1=-2, axis2=-1).real    # a view: follows Q's updates
         self.mats = (q,) if r is None else (q, r)
         self.rows = rows
-        self.lead = _lead(q, 2)
-        self.spans, self.ats = _index_tables(q.shape[-1], len(q) if self.lead else None)
 
     def diag(self, m, p):
         return self.qdiag[..., :m]
 
     def swap(self, l, last):
         for a in self.mats:
-            _sym_swap(a, l, last, last + 1)
+            self.trials.sym_swap(a, l, last, last + 1)
         if self.rows is not None:
-            _swap_entries((self.rows,), l, last)
+            self.trials.swap_rows((self.rows,), l, last)
 
     def active(self, m, p):
         return self.q[..., :m, m - 1], self.spans[m], self.spans[m - 1], self.ats[m - 1]
@@ -520,17 +532,13 @@ class _DenseIndexed(_Dense):
         return self.qdiag[(*self.lead, p[..., :m])]
 
     def active(self, m, p):
-        if not self.lead:
-            return self.q[p[:m], p[m - 1]], p[:m], p[: m - 1], p[m - 1]
-        lead, last = self.lead, p[:, m - 1 : m]
-        return (self.q[(*lead, p[:, :m], last)], (*lead, p[:, :m]), (*lead, p[:, : m - 1]),
+        lead, act, last = self.lead, p[self.spans[m]], p[self.ats[m - 1]]
+        return (self.q[(*lead, act, last)], (*lead, act), (*lead, p[self.spans[m - 1]]),
                 (*lead, last))
 
     def sub(self, rest, u, w, led):
         """Upper triangle in index order, mirrored; diagonal imaginary parts zeroed."""
-        lead = self.lead
-        if lead:
-            rest = rest[-1]
+        lead, rest = self.lead, rest[-1]
         k = rest.shape[-1]
         iu0, iu1 = _triu_indices(k)
         led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
@@ -543,25 +551,25 @@ class _DenseIndexed(_Dense):
 
     def block(self, m, p):
         act = p[..., :m]
-        return self.q[(*_lead(p, 1, 2), act[..., :, None], act[..., None, :])]
+        return self.q[(*self.trials.lead2, act[..., :, None], act[..., None, :])]
 
 
 class _Packed:
     """Packed upper triangle of Q, kept in detection order by swaps."""
 
-    def __init__(self, upper, dim):
+    def __init__(self, trials, upper, dim):
+        self.trials = trials
+        self.lead, self.spans, self.ats = trials.lead, trials.spans, trials.ats
         self.upper = upper
         self.dim = dim
         self.dflat = _packed_diag_indices(dim)
         self.ureal = upper.real
-        self.lead = _lead(upper, 1)
-        self.spans, self.ats = _index_tables(dim, len(upper) if self.lead else None)
 
     def diag(self, m, p):
         return self.ureal[(*self.lead, self.dflat[:m])]
 
     def swap(self, l, last):
-        _packed_sym_swap(self.upper, l, last)
+        self.trials.packed_sym_swap(self.upper, l, last)
 
     def active(self, m, p):
         base = (m - 1) * m // 2
@@ -584,8 +592,8 @@ class _PackedIndexed(_Packed):
 
     swap = None     # nothing moves
 
-    def __init__(self, upper, dim):
-        super().__init__(upper, dim)
+    def __init__(self, trials, upper, dim):
+        super().__init__(trials, upper, dim)
         self.sqflat = _packed_square_flat(dim)
         self.lower = _strict_lower_mask(dim)
 
@@ -597,22 +605,17 @@ class _PackedIndexed(_Packed):
         return self.sqflat[i, j], self.lower[i, j]
 
     def active(self, m, p):
-        lead, rest = self.lead, p[..., : m - 1]
-        last = p[:, m - 1 : m] if lead else p[m - 1]
+        lead, rest, last = self.lead, p[self.spans[m - 1]], p[self.ats[m - 1]]
         flat, lower = self._flat(rest, last)
         raw = self.upper[(*lead, flat)]
         col = np.empty(p[..., :m].shape, np.complex128)
         col[..., :-1] = np.where(lower, np.conj(raw), raw)
         col[..., -1:] = real_pivot(self.upper[(*lead, self.dflat[last])], "deflation omega",
                                    None, SingularMatrixError)
-        if not lead:
-            return col, p[:m], rest, last
-        return col, (*lead, p[:, :m]), (*lead, rest), (*lead, last)
+        return col, (*lead, p[self.spans[m]]), (*lead, rest), (*lead, last)
 
     def sub(self, rest, u, w, led):
-        lead = self.lead
-        if lead:
-            rest = rest[-1]
+        lead, rest = self.lead, rest[-1]
         k = rest.shape[-1]
         iu0, iu1 = _triu_indices(k)
         flat, lower = self._flat(rest[(*lead, iu0)], rest[(*lead, iu1)])
@@ -625,7 +628,7 @@ class _PackedIndexed(_Packed):
     def block(self, m, p):
         act = p[..., :m]
         return _packed_unpack(self.upper, self.dim)[
-            (*_lead(p, 1, 2), act[..., :, None], act[..., None, :])]
+            (*self.trials.lead2, act[..., :, None], act[..., None, :])]
 
 
 # ---------------------------------------------------------------------------
@@ -638,11 +641,7 @@ def _deflate_own(q, col, rest, led, cmul=0, cadd=0):
     The caller's own step (``cmul``, ``cadd``) is charged in the same tick.
     """
     k = col.shape[-1] - 1
-    omega = real_pivot(_column(col, k), "deflation omega", None, SingularMatrixError)
-    small = _flagged(omega <= SINGULAR_RTOL, omega)
-    if small is not None:
-        raise SingularMatrixError(f"deflation at recursion {k + 1}: omega={small:g}")
-    om_inv = 1.0 / omega
+    om_inv = 1.0 / q.trials.omega(col, k)
     q_bar = col[..., :k]
     led.tick(cmul=cmul + k, cadd=cadd, cdiv=1)
     q.sub(rest, om_inv * q_bar, q_bar, led)
@@ -660,14 +659,14 @@ def _deflate(q, col, rest, led, r_border, triangle_only, cmul, cadd):
         k = col.shape[-1] - 1
         led.tick(cmul=cmul, cadd=cadd)
         _deflate_sm_inplace(q.q[..., :k, :k], r_border[..., :k, k],
-                            real_pivot(_column(r_border[..., k, :], k), "deflation gamma"),
+                            real_pivot(r_border[(*q.lead, k, k)], "deflation gamma"),
                             led, triangle_only=triangle_only)
 
 
 def _init_x(border):
     """Sherman-Morrison Q, domain x; ``border`` keeps R to deflate from (full)."""
 
-    def init(h, x, alpha, led, mem):
+    def init(trials, h, x, alpha, led, mem):
         n_rx, m_tx = h.shape[-2:]
         mem.alloc("h_copy", m_tx * n_rx)
         mem.alloc("x", n_rx)
@@ -678,7 +677,7 @@ def _init_x(border):
         h, x = h.copy(), x.copy()       # swapped and cancelled in place
         r = init_gram(h, alpha, led) if border else None
         # the rows of the transpose are the channel's columns
-        q = _Dense(init_q_sherman_morrison(h, alpha, led, triangle_only=not border), r,
+        q = _Dense(trials, init_q_sherman_morrison(h, alpha, led, triangle_only=not border), r,
                    rows=h.swapaxes(-1, -2))
 
         def estimate(col, act, last):
@@ -696,14 +695,14 @@ def _init_x(border):
 def _init_z(variant, border):
     """Q grown from R by the ``variant`` step, domain z; ``border``: deflate from R (tri)."""
 
-    def init(h, x, alpha, led, mem):
+    def init(trials, h, x, alpha, led, mem):
         m_tx = h.shape[-1]
         mem.alloc("z", m_tx)
         mem.alloc("gram", m_tx * m_tx)
         mem.alloc("inv", m_tx * m_tx)
         z = conj_matvec(h, x, led)
         r = init_gram(h, alpha, led)
-        q = _Dense(init_q_recursive(r, led, variant=variant), r)
+        q = _Dense(trials, init_q_recursive(r, led, variant=variant), r)
 
         def estimate(col, act, last):
             return vdot_c(col, z[act], led)
@@ -722,7 +721,7 @@ def _init_z(variant, border):
 def _init_single_buffer(storage):
     """One buffer holds H^H, then R, then Q (packed: R is packed, the buffer freed)."""
 
-    def init(h, x, alpha, led, mem):
+    def init(trials, h, x, alpha, led, mem):
         n_rx, m_tx = h.shape[-2:]
         mem.alloc("ht", m_tx * n_rx)
         mem.alloc("z", m_tx)
@@ -738,11 +737,11 @@ def _init_single_buffer(storage):
             mem.alloc("q_packed", m_tx * (m_tx + 1) // 2)
             mem.free("ht")
             del a
-            _cover_inverse_packed(upper, m_tx, led)
-            q = storage(upper, m_tx)
+            q = storage(trials, upper, m_tx)
+            _cover_inverse_packed(q, m_tx, led)
         else:
             _cover_inverse(a, m_tx, led)
-            q = storage(a[..., :m_tx])
+            q = storage(trials, a[..., :m_tx])
 
         def estimate(col, act, last):
             est = vdot_c(col, z[act], led) - d[last]
@@ -768,7 +767,8 @@ def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
     which return a :class:`BatchResult`.  A batch runs its trials together:
     every state array gains a leading trial axis and each step is one set of
     numpy calls for all of them, while each trial keeps its own ordering.
-    A batch of one runs as its single trial.
+    A batch of one runs as its single trial.  The trial shape is decided
+    here, once, and goes to the initializer and the Q storage.
 
     ``init`` allocates and initializes the detector's state (charging one
     trial's ledger and memory) and returns its Q storage, the vectors kept
@@ -780,19 +780,24 @@ def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
     if batch and len(chs) == 1 == len(rxs):
         return BatchResult.of([_sic(chs[0], rxs[0], c, init, cancel_soft, collect_q,
                                     collect_aux)])
-    m_tx, _, alpha = _prep(chs, rxs) if batch else _prep((chs,), (rxs,))
-    n_trials = len(chs) if batch else 1
-    led = FlopLedger()
-    mem = MemLedger()
     if batch:
+        m_tx, _ = _prep(chs, rxs)
+        n_trials = len(chs)
+        trials = _Trials(n_trials, m_tx)
         h = np.stack([ch.h for ch in chs])
         x = np.stack([rx.x for rx in rxs])
+        alpha = np.array([[float(rx.alpha)] for rx in rxs])
         p = np.tile(np.arange(m_tx), (n_trials, 1))
     else:
-        h, x, p = chs.h, rxs.x, np.arange(m_tx)
-    q, vecs, estimate, cancel = init(h, x, alpha, led, mem)
+        m_tx, _ = _prep((chs,), (rxs,))
+        n_trials, trials = 1, _OneTrial(m_tx)
+        h, x, alpha, p = chs.h, rxs.x, float(rxs.alpha), np.arange(m_tx)
+    led = FlopLedger()
+    mem = MemLedger()
+    q, vecs, estimate, cancel = init(trials, h, x, alpha, led, mem)
     diag, swap, active, block = q.diag, q.swap, q.active, q.block
-    lead = _lead(p, 1)
+    order, swap_entries, lead = trials.order, trials.swap_entries, trials.lead
+    moved = (p,) if swap is None else (p, *vecs)    # swapped storage keeps vecs in p's order
     soft = np.zeros(p.shape, np.complex128)     # in detection order
     hard = np.zeros(p.shape, np.complex128)
     traces: list[list[OrderingTrace]] = [[] for _ in range(n_trials)]
@@ -800,12 +805,10 @@ def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
     aux = [{"p": [], "z": [], "d": []} for _ in range(n_trials)] if collect_aux else None
     for m in range(m_tx, 0, -1):
         j = m - 1                       # the order position filled at this step
-        l, recs = _order(diag(m, p), m)
-        if (l != j).any() if batch else l != j:
-            if swap is None:
-                _swap_entries((p,), l, j)
-            else:                       # swapped storage keeps Q in p's order
-                _swap_entries((p, *vecs), l, j)
+        l, recs = order(diag(m, p), m)
+        if l is not None:
+            swap_entries(moved, l, j)
+            if swap is not None:
                 swap(l, j)
         for trace, rec in zip(traces, recs):
             trace.append(rec)

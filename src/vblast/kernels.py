@@ -31,7 +31,9 @@ for their sum: a call charges one trial's work, because the count depends
 only on the shapes.  A value that is one number per trial (a dot product, a
 pivot) is then an array of shape ``(T, 1)``, which broadcasts against the
 trials' vectors; unbatched, it is a Python number.  Each trial's arithmetic
-is that of the unbatched call, rounding included.
+is that of the unbatched call, rounding included.  A kernel reads the shape
+from its arguments; the detectors decide it once per call, in
+``detectors._sic``, and run their own steps in its shape's variant.
 
 The Gauss-Jordan routine at the bottom is the independent oracle used by the
 test-suite: it is deliberately plain, uses partial pivoting, and never
@@ -138,11 +140,6 @@ class HermPacked:
         return self.upper[_packed_diag_indices(m)].real
 
 
-def packed_index(i: int, j: int) -> int:
-    """Flat index of entry (i, j), i <= j, in packed upper storage."""
-    return j * (j + 1) // 2 + i
-
-
 def _packed_unpack(upper: np.ndarray, m: int) -> np.ndarray:
     """Dense leading ``m`` x ``m`` Hermitian block of packed upper storage.
 
@@ -233,11 +230,6 @@ def _lead(a: np.ndarray, core: int, depth: int = 1) -> tuple:
     if a.ndim == core:
         return ()
     return (_arange(len(a)).reshape((-1,) + (1,) * depth),)
-
-
-def _column(v: np.ndarray, j: int):
-    """Entry ``j`` of the last axis per trial: a scalar for one trial, a ``(T, 1)`` column."""
-    return v[j] if v.ndim == 1 else v[:, j : j + 1]
 
 
 def _pack_upper(a: np.ndarray) -> np.ndarray:
@@ -350,16 +342,14 @@ def matvec(a: np.ndarray, v: np.ndarray, led: FlopLedger) -> np.ndarray:
     """Plain A @ v (per trial); charges rows*cols cmul and rows*(cols-1) cadd."""
     rows, cols = a.shape[-2:]
     led.tick(cmul=rows * cols, cadd=rows * (cols - 1))
-    return a @ v if a.ndim == 2 else np.matvec(a, v)
+    return _mv(a, v)
 
 
 def conj_matvec(a: np.ndarray, v: np.ndarray, led: FlopLedger) -> np.ndarray:
     """A^H @ v (per trial); same charge as matvec on the transposed shape."""
     rows, cols = a.shape[-2:]
     led.tick(cmul=rows * cols, cadd=cols * (rows - 1))
-    if a.ndim == 2:
-        return a.conj().T @ v
-    return np.matvec(np.conj(a).mT, v)
+    return _mv(np.conj(a).mT, v)
 
 
 def _outer(u: np.ndarray, v: np.ndarray, fused: bool = True) -> np.ndarray:
@@ -411,17 +401,13 @@ def rank1_update_herm(
     """
     k = u.shape[-1]
     led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
-    one = a.ndim == 2
-    prods = np.multiply.outer(u, np.conj(w)) if one else _outer(u, np.conj(w), fused=False)
+    prods = _outer(u, np.conj(w), fused=False)
     if subtract:
         np.subtract(a, prods, out=a)
     else:
         np.add(a, prods, out=a)
     np.copyto(a, a.mT.conj(), where=_strict_lower_mask(k))
-    if one:
-        a.imag.flat[:: k + 1] = 0.0
-    else:
-        _zero_diag_imag(a)
+    _zero_diag_imag(a)
 
 
 def rank1_update_full(
@@ -717,13 +703,21 @@ def init_q_recursive(r: np.ndarray, ledger: FlopLedger, variant: str = "v") -> n
     if variant not in ("i", "v"):
         raise ContractViolationError(f"unknown variant {variant!r}")
     q = r.copy()
-    lead = _lead(q, 2)
-    g0 = real_pivot(q[(*lead, 0, 0)], "init_q_recursive leading entry")
-    _check_pivot(g0, g0, "init_q_recursive leading entry")     # raises only for g0 == 0
-    q[(*lead, 0, 0)] = 1.0 / g0
-    ledger.tick(cdiv=1)
+    _invert_leading(q, (*_lead(q, 2), 0, 0), ledger, "init_q_recursive leading entry")
     _grow_inverse(q, m, ledger, variant, "init_q_recursive", f"block_inv_step_{variant}")
     return q
+
+
+def _invert_leading(a, at, led, label, scale=None, singular=None):
+    """Overwrite the leading diagonal entry ``a[at]`` (one per trial) by its inverse.
+
+    It is singular below SINGULAR_RTOL times ``scale`` (by default its own
+    size: only a zero is); errors name ``label`` or read ``singular``.
+    """
+    g0 = real_pivot(a[at], label)
+    _check_pivot(g0, g0 if scale is None else scale, label, singular=singular)
+    a[at] = 1.0 / g0
+    led.tick(cdiv=1)
 
 
 def _grow_inverse(q, m, led, variant, gamma_label, label, singular=None):

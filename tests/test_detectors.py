@@ -11,7 +11,8 @@ from vblast.detectors import (
     _argmin_gap,
     _cover_gram_rows,
     _cover_inverse,
-    _sym_swap,
+    _OneTrial,
+    _Trials,
     detect_mem_saving,
     detect_oracle,
     detect_original,
@@ -22,7 +23,7 @@ from vblast.detectors import (
     detect_speed_adv,
 )
 from vblast.errors import ContractViolationError, SingularMatrixError
-from vblast.kernels import FlopLedger, init_q_recursive
+from vblast.kernels import FlopLedger, _pack_upper, _packed_unpack, init_q_recursive
 from vblast.sigmodel import (
     ChannelRealization,
     RxFrame,
@@ -219,14 +220,39 @@ def test_sym_swap_is_permutation_similarity(i, j, m):
     rng = make_rng(71, i * 10 + j)
     buf = rng.standard_normal((m + 2, m + 3)) + 1j * rng.standard_normal((m + 2, m + 3))
     before = buf.copy()
-    _sym_swap(buf, i, j, m)
-    perm = np.arange(m)
-    perm[[i, j]] = [j, i]
-    p = np.eye(m)[perm]
-    assert np.array_equal(buf[:m, :m], p @ before[:m, :m] @ p.T)
-    outside = np.ones(buf.shape, bool)
-    outside[:m, :m] = False
-    assert np.array_equal(buf[outside], before[outside])
+    _OneTrial(m).sym_swap(buf, i, j, m)
+    # the batch form on a stack of three, with a different i for each trial
+    stack = rng.standard_normal((3, m + 2, m + 3)) + 1j * rng.standard_normal((3, m + 2, m + 3))
+    stack_before, trial_i = stack.copy(), (i + np.arange(3)) % m
+    _Trials(3, m).sym_swap(stack, trial_i, j, m)
+    for buf, before, i in [(buf, before, i), *zip(stack, stack_before, trial_i.tolist())]:
+        perm = np.arange(m)
+        perm[[i, j]] = [j, i]
+        p = np.eye(m)[perm]
+        assert np.array_equal(buf[:m, :m], p @ before[:m, :m] @ p.T)
+        outside = np.ones(buf.shape, bool)
+        outside[:m, :m] = False
+        assert np.array_equal(buf[outside], before[outside])
+
+
+@pytest.mark.parametrize("l, last, dim", [(0, 1, 2), (0, 4, 5), (2, 6, 8), (3, 4, 6), (4, 5, 6)])
+def test_packed_sym_swap_matches_dense_swap(l, last, dim):
+    """Both forms of the packed symmetric swap equal the dense swap of the
+    unpacked matrix, bit for bit (a batch's trials may also keep their order)."""
+    rng = make_rng(73, 10 * l + last)
+    a = rng.standard_normal((4, dim, dim)) + 1j * rng.standard_normal((4, dim, dim))
+    a = a + np.conj(a).swapaxes(-1, -2)
+    packed = _pack_upper(a)
+    trial_l = np.array([l, (l + 1) % (last + 1), last])
+    want = [_packed_unpack(packed[t], dim) for t in range(4)]
+    for square, lt in zip(want, [l, *trial_l.tolist()]):
+        _OneTrial(dim).sym_swap(square, lt, last, last + 1)
+    one = packed[0].copy()
+    _OneTrial(dim).packed_sym_swap(one, l, last)
+    stack = packed[1:].copy()
+    _Trials(3, dim).packed_sym_swap(stack, trial_l, last)
+    for got, square in zip([one, *stack], want):
+        assert got.tobytes() == _pack_upper(square).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -536,3 +562,49 @@ def test_original_non_real_pivot_is_a_numerical_failure(m):
     with pytest.raises(SingularMatrixError,
                        match=r"^deflate_q_sm: pivot \(.*\) has a non-negligible imaginary part$"):
         detect_original(ch, rx, QPSK)
+
+
+# the kernels each detector reaches by its module-global name in
+# ``vblast.detectors``, where benchmark spans wrap them
+KERNEL_NAMES = ("rank1_update_herm", "matvec", "conj_matvec", "vdot_c", "init_gram",
+                "init_q_recursive", "init_q_sherman_morrison", "quantize")
+_X_DOMAIN = {"init_q_sherman_morrison", "conj_matvec", "vdot_c", "quantize"}
+_Z_DOMAIN = {"conj_matvec", "init_gram", "init_q_recursive", "vdot_c", "quantize"}
+_SINGLE_BUFFER = {"matvec", "vdot_c", "quantize"}
+KERNELS_REACHED = {
+    "original": _X_DOMAIN | {"init_gram"},
+    "mem_saving": _X_DOMAIN | {"rank1_update_herm"},
+    "fastest_known": _Z_DOMAIN,
+    "speed_adv": _Z_DOMAIN | {"rank1_update_herm"},
+    "proposed_1": _Z_DOMAIN | {"rank1_update_herm"},
+    "proposed_2": _SINGLE_BUFFER | {"rank1_update_herm"},
+    "proposed_2_noperm": _SINGLE_BUFFER,
+    "proposed_2_tri": _SINGLE_BUFFER,
+    "proposed_2_tri_noperm": _SINGLE_BUFFER,
+}
+
+
+def test_detectors_call_kernels_by_name(monkeypatch):
+    """Wrapping a kernel's name in ``vblast.detectors`` sees every call the
+    detectors make to it, single or batched, in the same number."""
+    import vblast.detectors as det
+
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in KERNEL_NAMES:
+        monkeypatch.setattr(det, name, counted(name, getattr(det, name)))
+    c, chs, rxs = batch_trials(5, 6, "qpsk", 3, seed=21)
+    for name in DETECTOR_NAMES:
+        calls.clear()
+        ALGORITHMS[name](chs[0], rxs[0], c)
+        single = dict(calls)
+        calls.clear()
+        ALGORITHMS[name](chs, rxs, c)
+        assert set(single) == KERNELS_REACHED[name], name
+        assert calls == single, name
