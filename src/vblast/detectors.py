@@ -27,9 +27,11 @@ proposed_2_tri_noperm  single buffer (V)    d (VI)  packed, indexed  own column
 Sherman-Morrison builds Q from ``I/alpha`` by rank-one corrections over the
 receive rows; the partitioned and single-division steps grow Q from the Gram
 matrix R; the single buffer holds ``H^H`` and is covered in place by R, then
-by Q.  Domain ``x`` estimates from ``H_m^H x`` and cancels from ``x``; ``z``
-estimates from ``z = H^H x`` and cancels with R's column; ``d`` cancels
-through the deficiency vector ``d`` and never reads R again.  Swapped
+by Q through ``init_q_recursive``'s growth (``kernels._grow_inverse``; the
+packed form runs the same steps and errors in a loop of its own).  Domain
+``x`` estimates from ``H_m^H x`` and cancels from ``x``; ``z`` estimates from
+``z = H^H x`` and cancels with R's column; ``d`` cancels through the
+deficiency vector ``d`` and never reads R again.  Swapped
 storage keeps Q and the domain's vectors in detection order by symmetric
 swaps; indexed storage leaves them in antenna order and addresses them
 through the order permutation; packed storage keeps Q's upper triangle.
@@ -312,34 +314,18 @@ def _cover_gram_rows(a, alpha, led):
             a[..., i, i + 1 : m] = tail
 
 
-def _cover_inverse(a, m, led):
-    """Overwrite the square block (holding the Gram matrix) with its inverse.
-
-    The single-division growth steps of ``init_q_recursive(variant="v")``,
-    run on the same buffer: step i reads only column i of the old content
-    plus the already-inverted leading block.
-    """
-    _invert_leading(a, (*_lead(a, 2), 0, 0), led, "inverse covering leading entry", 1.0,
-                    "inverse covering: leading entry is singular")
-    _grow_inverse(a, m, led, "v", "inverse covering gamma", "inverse covering",
-                  singular="inverse covering: singular pivot at index {}")
-
-
 def _cover_inverse_packed(q, m, led):
-    """Packed-storage version of the in-place inverse covering, on Q's packed
-    storage ``q`` before it first moves (so in index order)."""
+    """``kernels._grow_inverse(..., "v", scale=1.0)`` with its errors, on Q's
+    packed storage ``q`` before it first moves (so in index order)."""
     packed, lead = q.upper, q.lead
-    _invert_leading(packed, (*lead, 0), led, "inverse covering leading entry", 1.0,
-                    "inverse covering: leading entry is singular")
+    _invert_leading(packed, (*lead, 0), led, 1.0)
     for i in range(1, m):
         base = i * (i + 1) // 2
         rcol = packed[..., base : base + i].copy()
         q_tilde = _mv(_packed_unpack(packed, i), rcol)      # Hermitian matvec
         t = vdot_c(rcol, q_tilde, led)
-        gamma = real_pivot(packed[(*lead, base + i)], "inverse covering gamma")
-        delta = real_pivot(gamma - t, "inverse covering", i + 1, SingularMatrixError)
-        _check_pivot(delta, gamma, "inverse covering", i + 1,
-                     singular="inverse covering: singular pivot at index {}")
+        gamma = real_pivot(packed[(*lead, base + i)], "init_q_recursive")
+        delta = _check_pivot(gamma - t, gamma, "block_inv_step_v", i + 1)
         omega = 1.0 / delta
         packed[(*lead, base + i)] = omega
         q_col = (-omega) * q_tilde
@@ -658,8 +644,7 @@ def _deflate(q, col, rest, led, r_border, triangle_only, cmul, cadd):
     else:
         k = col.shape[-1] - 1
         led.tick(cmul=cmul, cadd=cadd)
-        _deflate_sm_inplace(q.q[..., :k, :k], r_border[..., :k, k],
-                            real_pivot(r_border[(*q.lead, k, k)], "deflation gamma"),
+        _deflate_sm_inplace(q.q[..., :k, :k], r_border[..., :k, k], r_border[(*q.lead, k, k)],
                             led, triangle_only=triangle_only)
 
 
@@ -740,7 +725,7 @@ def _init_single_buffer(storage):
             q = storage(trials, upper, m_tx)
             _cover_inverse_packed(q, m_tx, led)
         else:
-            _cover_inverse(a, m_tx, led)
+            _grow_inverse(a[..., :m_tx], led, "v", scale=1.0)
             q = storage(trials, a[..., :m_tx])
 
         def estimate(col, act, last):

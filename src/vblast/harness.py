@@ -12,6 +12,7 @@ digits; rows are sorted by (M, snr_db, algorithm).
 from __future__ import annotations
 
 import csv
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -82,8 +83,6 @@ class SweepConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
@@ -111,13 +110,29 @@ def worker_count() -> int:
     return min(workers, os.cpu_count() or 1)
 
 
+# one BLAS thread per worker process, so that the workers share the cores
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
 def _map_ordered(fn, args_list):
+    """``[fn(a) for a in args_list]`` over ``worker_count()`` spawned processes, which
+    read ``_WORKER_ENV`` as they import numpy (the parent's is loaded already) and
+    import the main module: a script running a pooled sweep needs a ``__main__`` guard."""
     workers = worker_count()
     if workers == 1 or len(args_list) < 2:
         return [fn(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(args_list) // (workers * 8))
-        return list(pool.map(fn, args_list, chunksize=chunk))
+    chunk = max(1, len(args_list) // (workers * 8))
+    saved = {key: os.environ.get(key) for key in _WORKER_ENV}
+    os.environ.update(_WORKER_ENV)
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(fn, args_list, chunksize=chunk))
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                del os.environ[key]
+            else:
+                os.environ[key] = value
 
 
 def _recursive_names(cfg, command):
@@ -298,10 +313,15 @@ EQUIV_HEADER = ["M", "N", "snr_db", "trial", "algorithm", "hard_match", "min_q_g
 # flops
 
 
+def _detector_run(name, m, n, seed, snr_db, cname):
+    """One detector on trial 0 of the given point."""
+    c, ch, frame, rx = _trial_frame(m, n, snr_db, seed, 0, cname)
+    return get_detector(name)(ch, rx, c)
+
+
 def detector_ledger(name, m, n, seed=1, snr_db=20.0, cname="qpsk") -> FlopLedger:
     """Ledger of one detector run; counts depend only on (M, N)."""
-    c, ch, frame, rx = _trial_frame(m, n, snr_db, seed, 0, cname)
-    return get_detector(name)(ch, rx, c).ledger
+    return _detector_run(name, m, n, seed, snr_db, cname).ledger
 
 
 def inversion_step_ledger(m, n, variant, seed=1) -> FlopLedger:
@@ -360,8 +380,7 @@ MEM_HEADER = ["M", "N", "algorithm", "peak_words", "buffers"]
 
 
 def detector_mem(name, m, n, seed=1, snr_db=20.0, cname="qpsk"):
-    c, ch, frame, rx = _trial_frame(m, n, snr_db, seed, 0, cname)
-    return get_detector(name)(ch, rx, c).mem
+    return _detector_run(name, m, n, seed, snr_db, cname).mem
 
 
 def run_mem(cfg: SweepConfig):
@@ -389,28 +408,28 @@ def run_mem(cfg: SweepConfig):
 # bit error rate
 
 
+def _bit_errors(res, frame, c):
+    """A run's bit errors against the frame sent, or the error the run raised."""
+    if isinstance(res, Exception):
+        return res
+    return int(np.count_nonzero(demap(res.s_hat, c) != frame.bits))
+
+
 def _ber_batch(args):
-    """Per point of a batch: each detector's bit errors (or the error that
-    trial raised) and the smallest ordering gap of its runs."""
+    """Per point of a batch: each detector's bit errors, or the error that trial raised."""
     m, n, points, seed, cancel_soft, names, cname = args
     c, chs, frames, rxs = _frames(m, n, points, seed, cname)
     errors = [{} for _ in points]
-    gaps = [float("inf")] * len(points)
     for name in names:
         for i, res in enumerate(_run_batch(name, chs, rxs, c, cancel_soft=cancel_soft)):
-            if isinstance(res, Exception):
-                errors[i][name] = res
-                continue
-            got = demap(res.s_hat, c)
-            errors[i][name] = int(np.count_nonzero(got != frames[i].bits))
-            gaps[i] = min([gaps[i]] + [t.q_gap for t in res.trace if t.m >= 2])
-    return list(zip(errors, gaps))
+            errors[i][name] = _bit_errors(res, frames[i], c)
+    return errors
 
 
-def _raise_first(m, n, snr_db, trial, names, errors):
+def _raise_first(m, n, snr_db, trial, names, outcomes):
     """Raise the first detector error of a trial, naming where it happened."""
     for name in names:
-        exc = errors[name]
+        exc = outcomes[name]
         if isinstance(exc, ContractViolationError):
             raise exc
         if isinstance(exc, SingularMatrixError):
@@ -421,10 +440,12 @@ def _raise_first(m, n, snr_db, trial, names, errors):
 def ber_trial(args):
     """Bit errors per algorithm for one trial, plus the trial's gate flag."""
     m, n, snr_db, seed, trial, cancel_soft, names, cname = args
-    (errors, min_gap), = _ber_batch((m, n, [(None, snr_db, trial)], seed, cancel_soft, names,
-                                     cname))
-    _raise_first(m, n, snr_db, trial, names, errors)
-    return errors, min_gap > GATE_GAP, m * constellation(cname).bits_per_symbol
+    c, ch, frame, rx = _trial_frame(m, n, snr_db, seed, trial, cname)
+    runs = {name: _outcome(name, ch, rx, c, cancel_soft=cancel_soft) for name in names}
+    _raise_first(m, n, snr_db, trial, names, runs)
+    gaps = [t.q_gap for res in runs.values() for t in res.trace if t.m >= 2]
+    errors = {name: _bit_errors(res, frame, c) for name, res in runs.items()}
+    return errors, min([float("inf")] + gaps) > GATE_GAP, m * c.bits_per_symbol
 
 
 BER_HEADER = ["M", "N", "snr_db", "algorithm", "bit_errors", "bits", "ber"]
@@ -442,7 +463,7 @@ def run_ber(cfg: SweepConfig):
     bits = constellation(cfg.constellation).bits_per_symbol
     totals = {}
     for (m, n, points, *_), results in zip(batches, _map_ordered(_ber_batch, batches)):
-        for (group, snr, trial), (errors, _gap) in zip(points, results):
+        for (group, snr, trial), errors in zip(points, results):
             _raise_first(m, n, snr, trial, names, errors)
             point = totals.setdefault(group, dict.fromkeys(names, 0))
             for name in names:

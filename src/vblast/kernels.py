@@ -35,6 +35,11 @@ is that of the unbatched call, rounding included.  A kernel reads the shape
 from its arguments; the detectors decide it once per call, in
 ``detectors._sic``, and run their own steps in its shape's variant.
 
+One in-place growth, :func:`_grow_inverse`, inverts a Hermitian matrix
+border by border, on a copy (:func:`init_q_recursive`) or on the
+single-buffer detectors' own buffer.  Each recursion step names itself in
+its errors, whoever calls it.
+
 The Gauss-Jordan routine at the bottom is the independent oracle used by the
 test-suite: it is deliberately plain, uses partial pivoting, and never
 touches a ledger.
@@ -292,24 +297,21 @@ def real_pivot(x, context: str, step: int | None = None, error=ContractViolation
     return re
 
 
-def _check_pivot(delta, scale, context: str, step=None, singular=None, floor=1e-300) -> None:
-    """Raise SingularMatrixError when ``|delta|`` is negligible against ``scale``.
+def _check_pivot(x, scale, context: str, step=None):
+    """Real part of the pivot ``x`` a step computed, else SingularMatrixError.
 
-    ``scale`` counts as at least ``floor``.  The message names ``context``
-    and ``step``, or is ``singular.format(step)``.  ``delta`` may hold one
-    pivot per trial (and ``scale`` one scale per trial).
-    """
+    Not real (see :func:`real_pivot`) or negligible against ``scale`` fails,
+    naming ``context`` and ``step``; ``x`` and ``scale`` may hold one per trial."""
+    delta = real_pivot(x, context, step, SingularMatrixError)
     if isinstance(delta, np.ndarray):
-        small = np.abs(delta) < SINGULAR_RTOL * np.maximum(np.abs(scale), floor)
+        small = np.abs(delta) < SINGULAR_RTOL * np.maximum(np.abs(scale), 1e-300)
         if not small.any():
-            return
-        i = small.argmax()
+            return delta
+        i = small.argmax()          # the first failing trial, which raises below
         delta, scale = delta.flat[i].item(), np.broadcast_to(scale, small.shape).flat[i].item()
-    if abs(delta) < SINGULAR_RTOL * max(abs(scale), floor):
-        raise SingularMatrixError(
-            singular.format(step) if singular
-            else f"singular pivot in {_label(context, step)}: |{delta:g}|"
-        )
+    if abs(delta) < SINGULAR_RTOL * max(abs(scale), 1e-300):
+        raise SingularMatrixError(f"singular pivot in {_label(context, step)}: |{delta:g}|")
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +335,7 @@ def vdot_c(a: np.ndarray, b: np.ndarray, led: FlopLedger):
     """
     k = a.shape[-1]
     led.tick(cmul=k, cadd=k - 1)
-    if a.ndim == 1:
-        return complex(np.vdot(a, b))
-    return np.vecdot(a, b)[..., None]
+    return _dot(a, b)
 
 
 def matvec(a: np.ndarray, v: np.ndarray, led: FlopLedger) -> np.ndarray:
@@ -462,19 +462,18 @@ def herm_rank1_update(
     return out
 
 
-def _block_step_i(q, r_bar, gamma, led, label, step=None, singular=None):
+def _block_step_i(q, r_bar, gamma, led, step=None):
     """Partitioned-inverse growth step, three-division form, in place.
 
     ``q`` holds the inverse of the leading block and becomes the grown
     inverse's leading block; returns the new column and corner entry.
     Division accounting is deliberate: one for the Schur denominator, one
-    for 1/gamma and one more for 1/gamma**2.
+    for 1/gamma and one more for 1/gamma**2.  Errors name ``block_inv_step_i``.
     """
     k = r_bar.shape[-1]
     g = matvec(q, r_bar, led)
     t = vdot_c(r_bar, g, led)
-    delta = real_pivot(gamma - t, label, step, SingularMatrixError)
-    _check_pivot(delta, gamma, label, step, singular)
+    delta = _check_pivot(gamma - t, gamma, "block_inv_step_i", step)
     beta = 1.0 / delta
     u = beta * g
     rank1_update_herm(q, u, g, led)
@@ -483,12 +482,12 @@ def _block_step_i(q, r_bar, gamma, led, label, step=None, singular=None):
     q_col = (-gamma_inv) * g2
     gamma_inv2 = gamma_inv / gamma
     t2 = vdot_c(r_bar, g2, led)
-    omega = real_pivot(gamma_inv + gamma_inv2 * t2, label, step, SingularMatrixError)
+    omega = real_pivot(gamma_inv + gamma_inv2 * t2, "block_inv_step_i", step, SingularMatrixError)
     led.tick(cmul=2 * k + 1, cadd=2, cdiv=3)
     return q_col, omega
 
 
-def _block_step_v(q, r_bar, gamma, led, label, step=None, singular=None):
+def _block_step_v(q, r_bar, gamma, led, step=None):
     """Partitioned-inverse growth step, single-division form, in place.
 
     As :func:`_block_step_i`; also returns ``q_tilde = Q r_bar``.
@@ -496,8 +495,7 @@ def _block_step_v(q, r_bar, gamma, led, label, step=None, singular=None):
     k = r_bar.shape[-1]
     q_tilde = matvec(q, r_bar, led)
     t = vdot_c(r_bar, q_tilde, led)
-    delta = real_pivot(gamma - t, label, step, SingularMatrixError)
-    _check_pivot(delta, gamma, label, step, singular)
+    delta = _check_pivot(gamma - t, gamma, "block_inv_step_v", step)
     omega = 1.0 / delta
     q_col = (-omega) * q_tilde
     led.tick(cmul=k, cadd=1, cdiv=1)
@@ -527,7 +525,7 @@ def block_inv_step_i(q_prev, r_bar, gamma, ledger: FlopLedger, step: int | None 
     """
     q_prev, r_bar, gamma = _validate_block_args(q_prev, r_bar, gamma, "block_inv_step_i")
     q_bar = q_prev.copy()
-    q_col, omega = _block_step_i(q_bar, r_bar, gamma, ledger, "block_inv_step_i", step)
+    q_col, omega = _block_step_i(q_bar, r_bar, gamma, ledger, step)
     return q_bar, q_col, omega
 
 
@@ -540,7 +538,7 @@ def block_inv_step_v(q_prev, r_bar, gamma, ledger: FlopLedger, step: int | None 
     """
     q_prev, r_bar, gamma = _validate_block_args(q_prev, r_bar, gamma, "block_inv_step_v")
     q_bar = q_prev.copy()
-    q_col, omega, q_tilde = _block_step_v(q_bar, r_bar, gamma, ledger, "block_inv_step_v", step)
+    q_col, omega, q_tilde = _block_step_v(q_bar, r_bar, gamma, ledger, step)
     return q_bar, q_col, omega, q_tilde
 
 
@@ -567,10 +565,9 @@ def _sm_update_inplace(q, h, led, triangle_only=True):
     m = q.shape[-1]
     u = matvec(q, h, led)
     t = vdot_c(h, u, led)
-    delta = real_pivot(1.0 + t, "sm_rank1_inverse_update", error=SingularMatrixError)
-    # |t| as Python's abs rounds it
-    _check_pivot(delta, abs(t) if isinstance(t, complex) else np.hypot(t.real, t.imag),
-                 "sm_rank1_inverse_update", floor=1.0)
+    # max(|t|, 1), |t| as Python's abs rounds it
+    mag = max(abs(t), 1.0) if isinstance(t, complex) else np.maximum(np.hypot(t.real, t.imag), 1.0)
+    delta = _check_pivot(1.0 + t, mag, "sm_rank1_inverse_update")
     beta = 1.0 / delta
     v = beta * u
     led.tick(cmul=m, cadd=1, cdiv=1)
@@ -622,18 +619,18 @@ def deflate_q_sm(
         raise ContractViolationError(
             f"deflate_q_sm: q_m is {q_m.shape}, r_bar has length {r_bar.shape[0]}"
         )
-    gamma = real_pivot(gamma, "deflate_q_sm gamma")
     out = q_m[: m - 1, : m - 1].copy()
     _deflate_sm_inplace(out, r_bar, gamma, ledger, triangle_only)
     return out
 
 
 def _deflate_sm_inplace(q_block, r_bar, gamma, led, triangle_only=True):
+    """Shrink ``q_block`` in place from the border; a non-real ``gamma`` is misuse."""
+    gamma = real_pivot(gamma, "deflate_q_sm gamma")
     k = r_bar.shape[-1]
     u = matvec(q_block, r_bar, led)
     t = vdot_c(r_bar, u, led)
-    delta = real_pivot(gamma + t, "deflate_q_sm", error=SingularMatrixError)
-    _check_pivot(delta, gamma, "deflate_q_sm")
+    delta = _check_pivot(gamma + t, gamma, "deflate_q_sm")
     beta = 1.0 / delta
     v = beta * u
     led.tick(cmul=k, cadd=1, cdiv=1)
@@ -703,41 +700,36 @@ def init_q_recursive(r: np.ndarray, ledger: FlopLedger, variant: str = "v") -> n
     if variant not in ("i", "v"):
         raise ContractViolationError(f"unknown variant {variant!r}")
     q = r.copy()
-    _invert_leading(q, (*_lead(q, 2), 0, 0), ledger, "init_q_recursive leading entry")
-    _grow_inverse(q, m, ledger, variant, "init_q_recursive", f"block_inv_step_{variant}")
+    _grow_inverse(q, ledger, variant)
     return q
 
 
-def _invert_leading(a, at, led, label, scale=None, singular=None):
+def _invert_leading(a, at, led, scale=None):
     """Overwrite the leading diagonal entry ``a[at]`` (one per trial) by its inverse.
 
     It is singular below SINGULAR_RTOL times ``scale`` (by default its own
-    size: only a zero is); errors name ``label`` or read ``singular``.
+    size: only a zero is).  Errors name ``init_q_recursive leading entry``.
     """
-    g0 = real_pivot(a[at], label)
-    _check_pivot(g0, g0 if scale is None else scale, label, singular=singular)
+    g0 = real_pivot(a[at], "init_q_recursive leading entry")
+    _check_pivot(g0, g0 if scale is None else scale, "init_q_recursive leading entry")
     a[at] = 1.0 / g0
     led.tick(cdiv=1)
 
 
-def _grow_inverse(q, m, led, variant, gamma_label, label, singular=None):
-    """Overwrite the leading m x m block of ``q`` with its inverse, in place.
+def _grow_inverse(q, led, variant, scale=None):
+    """:func:`init_q_recursive` in place: ``q``'s upper triangle, Hermitian, becomes its inverse.
 
-    ``q[0, 0]`` must already be inverted, and the upper triangle must hold the
-    Hermitian matrix.  Step i grows the inverse by border i with the
-    ``variant`` step: it reads only the inverted leading block, the column
-    above the diagonal and the diagonal entry, then overwrites them, so one
-    buffer holds both matrices.  Errors name ``gamma_label`` (a non-real
-    diagonal) or ``label`` with the recursion index; ``singular``, a format
-    string taking the index, replaces the singular-pivot message.  ``q`` may
-    be a stack, one matrix per trial.
+    The leading entry is inverted (see :func:`_invert_leading` for ``scale``), then
+    step i grows the inverse by border i with the ``variant`` step: it reads only the
+    inverted leading block, the column above the diagonal and the diagonal entry, then
+    overwrites them, so one buffer holds both matrices.  ``q`` may be a stack.
     """
+    lead, m = _lead(q, 2), q.shape[-1]
+    _invert_leading(q, (*lead, 0, 0), led, scale)
     step_fn = _block_step_i if variant == "i" else _block_step_v
-    lead = _lead(q, 2)
     for i in range(1, m):
-        gamma = real_pivot(q[(*lead, i, i)], gamma_label)
-        q_col, omega = step_fn(q[..., :i, :i], q[..., :i, i], gamma, led, label, i + 1,
-                               singular)[:2]
+        gamma = real_pivot(q[(*lead, i, i)], "init_q_recursive")
+        q_col, omega = step_fn(q[..., :i, :i], q[..., :i, i], gamma, led, i + 1)[:2]
         q[(*lead, i, i)] = omega
         q[..., :i, i] = q_col
         q[..., i, :i] = np.conj(q_col)

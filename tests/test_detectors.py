@@ -10,7 +10,6 @@ from vblast.detectors import (
     OrderingTrace,
     _argmin_gap,
     _cover_gram_rows,
-    _cover_inverse,
     _OneTrial,
     _Trials,
     detect_mem_saving,
@@ -23,7 +22,13 @@ from vblast.detectors import (
     detect_speed_adv,
 )
 from vblast.errors import ContractViolationError, SingularMatrixError
-from vblast.kernels import FlopLedger, _pack_upper, _packed_unpack, init_q_recursive
+from vblast.kernels import (
+    FlopLedger,
+    _grow_inverse,
+    _pack_upper,
+    _packed_unpack,
+    init_q_recursive,
+)
 from vblast.sigmodel import (
     ChannelRealization,
     RxFrame,
@@ -197,7 +202,7 @@ def test_covering_schedules_match_out_of_place():
         r_full = r_oop.copy()
         r_full[cu, ru] = np.conj(r_oop[ru, cu])
         q_oop = init_q_recursive(r_full, led_oop, variant="v")
-        _cover_inverse(buf, m, led_in)
+        _grow_inverse(buf[:, :m], led_in, "v", scale=1.0)   # the single-buffer covering
         assert np.array_equal(buf[:m, :m], q_oop)           # bitwise
     # ledgers of the aliased and fresh-target inverse paths agree
     rng = make_rng(313, 0)
@@ -206,7 +211,7 @@ def test_covering_schedules_match_out_of_place():
     led_a = FlopLedger()
     _cover_gram_rows(buf, 0.1, led_a)
     pre = led_a.copy()
-    _cover_inverse(buf, 8, led_a)
+    _grow_inverse(buf[:, :8], led_a, "v", scale=1.0)
     led_b = FlopLedger()
     r = oop_gram_rows(h.conj().T.copy(), 0.1)
     ru, cu = np.triu_indices(8)

@@ -1,5 +1,7 @@
 """Harness and CLI behavior: determinism, schemas, gates, exit codes."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from vblast.harness import (
     run_equiv,
     run_flops,
     run_mem,
+    _map_ordered,
     _run_batch,
     worker_count,
     write_csv,
@@ -59,6 +62,13 @@ def test_equiv_small_grid_passes():
     assert len(rows) == 100 * 9
     # rows sorted by (M, snr, algorithm, trial); columns per schema
     assert len(rows[0]) == len(EQUIV_HEADER)
+    # equiv_trial, which the benchmark replays, gives the sweep's rows for its
+    # point (trials 0 and 57 ran in the sweep's first batch, 99 in its second)
+    for trial in (0, 57, 99):
+        got = [(r["m"], r["n"], r["snr_db"], r["trial"], r["algorithm"], int(r["hard_match"]),
+                r["min_q_gap"], r["max_soft_err"])
+               for r in equiv_trial((2, 2, 20.0, 1, trial, False, DETECTOR_NAMES, "qpsk"))]
+        assert sorted(got, key=lambda r: r[4]) == [r for r in rows if r[3] == trial]
 
 
 def test_equiv_degenerate_single_stream():
@@ -222,6 +232,9 @@ def test_cli_flops_ratio_file_carries_headline_values(tmp_path):
 
 def test_cli_mem_and_ber(tmp_path):
     assert main(["mem", "--m", "16", "--out", str(tmp_path / "m.csv")]) == 0
+    assert main(["mem", "--m", "2", "--algo", "all", "--out", str(tmp_path / "a.csv")]) == 0
+    algos = [row.split(",")[2] for row in (tmp_path / "a.csv").read_text().splitlines()[1:]]
+    assert algos == sorted(DETECTOR_NAMES)      # 'all': the nine recursive detectors
     assert main(["ber", "--m", "2", "--algo", "proposed_2", "--trials", "10",
                  "--snr-db", "15", "--out", str(tmp_path / "b.csv")]) == 0
     header = (tmp_path / "b.csv").read_text().splitlines()[0]
@@ -292,6 +305,17 @@ def test_worker_count_default_and_clamp(monkeypatch):
     assert worker_count() == 1
 
 
+def test_pool_workers_run_with_one_blas_thread(monkeypatch):
+    """Pooled workers see one BLAS thread; the parent's environment is as it was."""
+    monkeypatch.setenv("VBLAST_WORKERS", "2")
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    assert _map_ordered(os.getenv, ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"]) == ["1", "1"]
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+    assert "OMP_NUM_THREADS" not in os.environ
+
+
 def test_cli_rejects_junk_worker_count(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("VBLAST_WORKERS", "many")
     code = main(["equiv", "--m", "2", "--trials", "2", "--out", str(tmp_path / "x.csv")])
@@ -310,13 +334,14 @@ def test_float_formatting_12_digits(tmp_path):
     assert p.read_text().splitlines()[1] == "0.123456789012"
 
 
-def test_singularity_recorded_not_raised(monkeypatch):
+def test_singularity_recorded_not_raised(monkeypatch, tmp_path, capsys):
     import vblast.detectors as det
     from vblast.errors import SingularMatrixError
 
     def boom(*a, **kw):
         raise SingularMatrixError("injected singular pivot")
 
+    monkeypatch.delenv("VBLAST_WORKERS", raising=False)     # the patch reaches no worker
     monkeypatch.setitem(det.ALGORITHMS, "speed_adv", boom)
     cfg = SweepConfig(algorithms=["speed_adv", "proposed_2"], m_list=[2],
                       snr_db_list=[15.0], trials=3, seed=1)
@@ -324,6 +349,20 @@ def test_singularity_recorded_not_raised(monkeypatch):
     assert len(rows) == 6                     # a row per detector per trial
     assert any("injected singular pivot" in f for f in failures)
     assert all("proposed_2" not in f for f in failures)
+    # the CLI reports the first gate failure and counts the rest
+    code = main(["equiv", "--m", "2", "--snr-db", "15", "--trials", "3", "--seed", "1",
+                 "--algo", "speed_adv,proposed_2", "--out", str(tmp_path / "e.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "FAIL: equiv: speed_adv diverged from oracle at M=2 N=2 snr=15.0 trial=0 "
+        "(injected singular pivot)",
+        "(2 further failures)",
+    ]
+    # an oracle failure fails every detector's row of the trial
+    monkeypatch.setitem(det.ALGORITHMS, "oracle", boom)
+    rows = equiv_trial((2, 2, 15.0, 1, 0, False, ["speed_adv", "proposed_2"], "qpsk"))
+    assert [(r["algorithm"], r["ok"], r["error"]) for r in rows] == [
+        (name, False, "oracle: injected singular pivot") for name in ("speed_adv", "proposed_2")]
 
 
 def test_cli_ber_numerical_failure_is_reported(tmp_path, capsys):

@@ -18,6 +18,8 @@ from vblast.kernels import (
     init_q_sherman_morrison,
     rank1_update_herm,
     sm_rank1_inverse_update,
+    _grow_inverse,
+    _pack_upper,
 )
 from vblast.sigmodel import make_rng
 
@@ -266,9 +268,22 @@ def test_init_q_recursive_singular_border_names_index(variant, m):
     r = np.diag(2.0 ** np.arange(m)).astype(complex)
     r[m - 1, :] = r[m - 2, :]
     r[:, m - 1] = r[:, m - 2]
-    with pytest.raises(SingularMatrixError,
-                       match=rf"^singular pivot in block_inv_step_{variant} \(recursion index {m}\)"):
+    text = rf"^singular pivot in block_inv_step_{variant} \(recursion index {m}\): \|0\|$"
+    with pytest.raises(SingularMatrixError, match=text):
         init_q_recursive(r, FlopLedger(), variant=variant)
+    # as the middle trial of a batch of three, the same error; the single-buffer
+    # detectors' dense and packed coverings raise it too
+    from vblast.detectors import _cover_inverse_packed, _Packed, _Trials
+
+    stack = np.stack([np.diag(2.0 ** np.arange(m)), r, np.eye(m)]).astype(complex)
+    runs = [lambda: init_q_recursive(stack, FlopLedger(), variant=variant)]
+    if variant == "v":
+        runs += [lambda: _grow_inverse(stack.copy(), FlopLedger(), "v", scale=1.0),
+                 lambda: _cover_inverse_packed(_Packed(_Trials(3, m), _pack_upper(stack), m), m,
+                                               FlopLedger())]
+    for run in runs:
+        with pytest.raises(SingularMatrixError, match=text):
+            run()
 
 
 def test_init_chain_division_counts():
@@ -442,7 +457,7 @@ def test_gj_partial_pivoting_handles_zero_leading_entry():
 
 @pytest.mark.parametrize("alpha", [1e-3, 1e-1, 1.0])
 def test_inverse_pair_property_all_paths(alpha):
-    from vblast.detectors import _cover_gram_rows, _cover_inverse
+    from vblast.detectors import _cover_gram_rows
 
     sizes = [(1, 1), (2, 4), (5, 5), (8, 12), (16, 16), (24, 32), (32, 32)]
     for idx, (m, n) in enumerate(sizes):
@@ -454,7 +469,7 @@ def test_inverse_pair_property_all_paths(alpha):
         assert np.abs(r - r_exact).max() <= 1e-12 * np.abs(r_exact).max()
         buf = h.conj().T.copy()
         _cover_gram_rows(buf, alpha, FlopLedger())
-        _cover_inverse(buf, m, FlopLedger())
+        _grow_inverse(buf[:, :m], FlopLedger(), "v", scale=1.0)
         for q in (
             init_q_sherman_morrison(h, alpha, FlopLedger()),
             init_q_recursive(r, FlopLedger(), variant="i"),
