@@ -7,10 +7,12 @@ recursion schedule, flop count and working memory.
 
 ``oracle`` is the brute-force reference: it re-inverts the regularized Gram
 matrix at every step with the unledgered Gauss-Jordan routine, in a loop of
-its own.  The nine recursive routines all run one recursion, :func:`_sic`:
-pick the stream with the smallest diagonal entry of ``Q = (H^H H + alpha
-I)^-1``, estimate it, cancel it, deflate ``Q``.  Each ``detect_*`` wrapper
-only chooses the initializer, the estimation domain and the Q storage:
+its own: no Q storage, recursion step or ledgered kernel of the routines
+under test.  The nine recursive routines all run one recursion,
+:func:`_sic`: pick the stream with the smallest diagonal entry of
+``Q = (H^H H + alpha I)^-1``, estimate it, cancel it, deflate ``Q``.  Each
+``detect_*`` wrapper only chooses the initializer, the estimation domain and
+the Q storage:
 
 detector               Q initialized by     domain  Q storage        deflation
 ---------------------  -------------------  ------  ---------------  --------------
@@ -54,7 +56,9 @@ bit for bit those of a call on it alone, whatever batch it runs in (a batch
 of one runs as its single trial).  The batch's ``ledger`` and
 ``mem.peak_words`` are sums over its trials.  If any trial fails, the batch
 raises the error of the first trial to fail, exactly as a call on that trial
-alone raises it; the oracle runs a batch trial by trial.
+alone raises it.  The oracle batches in its own loop, through the same lines
+for one trial and a batch: one Gauss-Jordan call inverts a stack of Gram
+matrices, and each trial keeps its own pivoting, ordering and swaps.
 
 Memory accounting counts named, detector-owned working buffers of at least M
 complex words (matrix buffers, copies of mutated inputs, and the M-length
@@ -229,27 +233,28 @@ def _argmin_gap(d: list[float]):
     return l, q_min, min(d[:l] + d[l + 1 :]) - q_min
 
 
-def _batchable(detect):
-    """Let a one-trial detector also take sequences of trials, run one by one."""
-
-    def run(ch, rx, c, **kw):
-        if isinstance(ch, ChannelRealization):
-            return detect(ch, rx, c, **kw)
-        _prep(ch, rx)
-        return BatchResult.of([detect(a, b, c, **kw) for a, b in zip(ch, rx)])
-
-    run.__name__, run.__qualname__, run.__doc__ = detect.__name__, detect.__qualname__, detect.__doc__
-    return run
-
-
 # ---------------------------------------------------------------------------
 # brute-force oracle
 
 
-@_batchable
 def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
-    """Re-invert the regularized Gram matrix at every step (flop-exempt)."""
-    m_tx, n_rx = _prep((ch,), (rx,))
+    """Re-invert the regularized Gram matrix at every step (flop-exempt).
+
+    A batch runs through the same lines with a leading trial axis (a batch
+    of one runs as its single trial): one Gauss-Jordan call inverts every
+    trial's Gram matrix, and each trial keeps its own pivoting, ordering and
+    swaps, so it equals its call alone bit for bit.
+    """
+    batch = not isinstance(ch, ChannelRealization)
+    chs, rxs = (ch, rx) if batch else ((ch,), (rx,))
+    m_tx, n_rx = _prep(chs, rxs)
+    n_trials = len(chs)
+    if n_trials == 1:
+        h, x, alpha = chs[0].h.copy(), rxs[0].x.copy(), float(rxs[0].alpha)
+    else:
+        h, x = np.stack([t.h for t in chs]), np.stack([t.x for t in rxs])
+        alpha = np.array([float(t.alpha) for t in rxs])[:, None, None]
+    lead = _lead(h, 2)
     led = FlopLedger()          # stays zero: the oracle is not instrumented
     mem = MemLedger()
     mem.alloc("h_copy", m_tx * n_rx)
@@ -257,36 +262,47 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
     mem.alloc("gram", m_tx * m_tx)
     mem.alloc("inv", m_tx * m_tx)
     mem.alloc("gj_workspace", 2 * m_tx * m_tx)
-    h = ch.h.copy()
-    x = rx.x.copy()
-    p = np.arange(m_tx)
-    soft = np.zeros(m_tx, np.complex128)
-    hard = np.zeros(m_tx, np.complex128)
-    trace: list[OrderingTrace] = []
-    qs: list[np.ndarray] | None = [] if collect_q else None
+    p = np.tile(np.arange(m_tx), h.shape[:-2] + (1,))
+    soft = np.zeros(p.shape, np.complex128)     # in detection order
+    hard = np.zeros(p.shape, np.complex128)
+    traces: list[list[OrderingTrace]] = [[] for _ in range(n_trials)]
+    qs = [[] for _ in range(n_trials)] if collect_q else None
     for m in range(m_tx, 0, -1):
-        hm = h[:, :m]
-        r = hm.conj().T @ hm + float(rx.alpha) * np.eye(m)
+        j = m - 1
+        hm = h[..., :m]
+        r = hm.conj().mT @ hm + alpha * np.eye(m)
         q = gauss_jordan_inverse(r)
-        l, qmin, gap = _argmin_gap(q.diagonal().real.tolist())
-        if m > 1 and l != m - 1:
-            p[[l, m - 1]] = p[[m - 1, l]]
-            h[:, [l, m - 1]] = h[:, [m - 1, l]]
-            q[[l, m - 1]] = q[[m - 1, l]]
-            q[:, [l, m - 1]] = q[:, [m - 1, l]]
-        trace.append(OrderingTrace(m, l, qmin, gap))
+        picks = [_argmin_gap(d) for d in q.diagonal(0, -2, -1).real.reshape(-1, m).tolist()]
+        if any(pick[0] != j for pick in picks):
+            sw = np.array([(pick[0], j) for pick in picks]).reshape(p.shape[:-1] + (2,))
+            back = sw[..., ::-1]
+            p[(*lead, sw)] = p[(*lead, back)]
+            h[(*lead, slice(None), sw)] = h[(*lead, slice(None), back)]
+            q[(*lead, sw)] = q[(*lead, back)]
+            q[(*lead, slice(None), sw)] = q[(*lead, slice(None), back)]
+        for trace, pick in zip(traces, picks):
+            trace.append(OrderingTrace(m, *pick))
         if qs is not None:
-            qs.append(q.copy())
-        w = h[:, :m].conj().T @ x
-        est = complex(np.vdot(q[:, m - 1], w))
+            for steps, blk in zip(qs, q.copy().reshape(-1, m, m)):
+                steps.append(blk)
+        w = np.matvec(h[..., :m].conj().mT, x)
+        with np.errstate(all="ignore"):     # as np.vdot, which checks no flags
+            est = np.vecdot(q[..., j], w)
         s = quantize(est, c)
-        ant = p[m - 1]
-        soft[ant] = est
-        hard[ant] = s
+        soft[..., j] = est
+        hard[..., j] = s
         if m == 1:
             break
-        x = x - (est if cancel_soft else s) * h[:, m - 1]
-    return DetectionResult(hard, p, soft, led, mem, trace, qs)
+        x = x - np.asarray(est if cancel_soft else s)[..., None] * h[..., j]
+    s_hat, soft_ant = np.empty_like(hard), np.empty_like(soft)
+    s_hat[(*lead, p)] = hard
+    soft_ant[(*lead, p)] = soft
+    trials = [
+        DetectionResult(*(a.reshape(-1, m_tx)[t] for a in (s_hat, p, soft_ant)), led.copy(),
+                        mem.copy(), traces[t], qs and qs[t])
+        for t in range(n_trials)
+    ]
+    return BatchResult.of(trials) if batch else trials[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ digits; rows are sorted by (M, snr_db, algorithm).
 from __future__ import annotations
 
 import csv
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -72,6 +73,10 @@ class SweepConfig:
         for m, n in self.dims():
             if n < m:
                 raise ContractViolationError(f"need N >= M, got N={n} for M={m}")
+        for snr_db in self.snr_db_list:
+            if not snr_db > -math.inf:          # NaN or -inf: no noise variance
+                raise ContractViolationError(
+                    f"SNR must be a number of dB or inf (noiseless), got {snr_db}")
         for name in self.algorithms:
             get_detector(name)
         constellation(self.constellation)
@@ -214,64 +219,89 @@ def _frames(m, n, points, seed, cname):
 # equivalence
 
 
-def _equiv_rows(m, n, snr_db, trial, names, oracle, results):
-    """Comparison rows of one trial: the oracle's result (or error) against
-    each detector's result (or error) in ``results``."""
+def _row(m, n, point, name, **kw):
+    """One comparison row of a batch point; the defaults are a failed row's."""
+    _, snr_db, trial = point
+    base = {
+        "m": m, "n": n, "snr_db": snr_db, "trial": trial, "algorithm": name,
+        "hard_match": False, "min_q_gap": float("nan"),
+        "max_soft_err": float("inf"), "max_cov_err": float("inf"),
+        "gated": True, "ok": False, "error": "",
+    }
+    base.update(kw)
+    return base
 
-    def row(name, **kw):
-        base = {
-            "m": m, "n": n, "snr_db": snr_db, "trial": trial, "algorithm": name,
-            "hard_match": False, "min_q_gap": float("nan"),
-            "max_soft_err": float("inf"), "max_cov_err": float("inf"),
-            "gated": True, "ok": False, "error": "",
-        }
-        base.update(kw)
-        return base
 
-    if isinstance(oracle, Exception):
-        return [row(name, error=f"oracle: {oracle}") for name in names]
-    gaps = [t.q_gap for t in oracle.trace if t.m >= 2]
-    min_gap = min(gaps) if gaps else float("inf")
-    gated = min_gap > GATE_GAP
-    rows = []
-    for name in names:
-        res = results[name]
-        if isinstance(res, Exception):
-            rows.append(row(name, min_q_gap=min_gap, gated=gated, error=str(res)))
+def _flat_steps(results):
+    """The results' ``q_steps``, each result's steps flattened into one row."""
+    steps = zip(*(res.q_steps for res in results))
+    return np.concatenate([np.array(q).reshape(len(results), -1) for q in steps], axis=1)
+
+
+def _equiv_rows(m, n, points, names, oracles, runs):
+    """Comparison rows of each point of a batch: its oracle result (or error)
+    against each detector's result (or error) in ``runs[name]``, which holds
+    one outcome per point whose oracle ran, in order.
+
+    Each comparison runs over the batch's trials at once: per detector, the
+    hard decisions, the soft estimates and every step's Q, whose error is
+    relative to the oracle's largest entry at that step.
+    """
+    rows = [[_row(m, n, pt, name, error=f"oracle: {o}") for name in names]
+            if isinstance(o, Exception) else [None] * len(names)
+            for pt, o in zip(points, oracles)]
+    live = [i for i, o in enumerate(oracles) if not isinstance(o, Exception)]
+    if not live:
+        return rows
+    ors = [oracles[i] for i in live]
+    min_gap = [min([t.q_gap for t in o.trace if t.m >= 2], default=float("inf")) for o in ors]
+    gated = np.array(min_gap) > GATE_GAP
+    s_or, p_or, soft_or = (np.array([getattr(o, f) for o in ors])
+                           for f in ("s_hat", "order", "soft"))
+    q_or = _flat_steps(ors)
+    starts = np.cumsum([0] + [q.size for q in ors[0].q_steps[:-1]])   # each step's first entry
+    scale = np.maximum.reduceat(np.abs(q_or), starts, axis=1)
+    for j, name in enumerate(names):
+        done = []
+        for k, res in enumerate(runs[name]):
+            if isinstance(res, Exception):
+                rows[live[k]][j] = _row(m, n, points[live[k]], name, min_q_gap=min_gap[k],
+                                        gated=bool(gated[k]), error=str(res))
+            else:
+                done.append(k)
+        if not done:
             continue
-        hard_match = bool(
-            np.array_equal(res.s_hat, oracle.s_hat) and np.array_equal(res.order, oracle.order)
-        )
-        soft_err = float(np.max(np.abs(res.soft - oracle.soft)))
-        cov_err = 0.0
-        for q_det, q_or in zip(res.q_steps, oracle.q_steps):
-            scale = float(np.abs(q_or).max())
-            err = float(np.abs(q_det - q_or).max()) / scale if scale else 0.0
-            cov_err = max(cov_err, err)
-        ok = (not gated) or (hard_match and soft_err <= SOFT_TOL and cov_err <= COV_RTOL)
-        rows.append(
-            row(name, hard_match=hard_match, min_q_gap=min_gap,
-                max_soft_err=soft_err, max_cov_err=cov_err, gated=gated, ok=ok)
-        )
+        got = [runs[name][k] for k in done]
+        hard = ((np.array([r.s_hat for r in got]) == s_or[done]).all(axis=-1)
+                & (np.array([r.order for r in got]) == p_or[done]).all(axis=-1))
+        soft = np.abs(np.array([r.soft for r in got]) - soft_or[done]).max(axis=-1)
+        err = np.maximum.reduceat(np.abs(_flat_steps(got) - q_or[done]), starts, axis=1)
+        sc = scale[done]
+        with np.errstate(all="ignore"):     # as a Python float division: no warning
+            err = np.where(sc != 0, err / sc, 0.0)
+        cov = np.fmax.reduce(err, axis=1, initial=0.0)      # a NaN step error is passed over
+        ok = ~gated[done] | (hard & (soft <= SOFT_TOL) & (cov <= COV_RTOL))
+        for k, h, se, ce, good in zip(done, hard.tolist(), soft.tolist(), cov.tolist(),
+                                      ok.tolist()):
+            rows[live[k]][j] = _row(m, n, points[live[k]], name, hard_match=h,
+                                    min_q_gap=min_gap[k], max_soft_err=se, max_cov_err=ce,
+                                    gated=bool(gated[k]), ok=good)
     return rows
 
 
 def _equiv_batch(args):
-    """Rows of each point of a batch: the oracle per trial, each detector
+    """Rows of each point of a batch: the oracle over the batch, each detector
     over the trials whose oracle ran, as one batch."""
     m, n, points, seed, cancel_soft, names, cname = args
     c, chs, frames, rxs = _frames(m, n, points, seed, cname)
     kw = dict(cancel_soft=cancel_soft, collect_q=True)
-    oracles = [_outcome("oracle", ch, rx, c, **kw) for ch, rx in zip(chs, rxs)]
+    oracles = _run_batch("oracle", chs, rxs, c, **kw)
     live = [i for i, o in enumerate(oracles) if not isinstance(o, Exception)]
-    results = [{} for _ in points]
+    runs = {}
     if live:
         for name in names:
-            runs = _run_batch(name, [chs[i] for i in live], [rxs[i] for i in live], c, **kw)
-            for i, res in zip(live, runs):
-                results[i][name] = res
-    return [_equiv_rows(m, n, snr, t, names, oracle, res)
-            for (_, snr, t), oracle, res in zip(points, oracles, results)]
+            runs[name] = _run_batch(name, [chs[i] for i in live], [rxs[i] for i in live], c, **kw)
+    return _equiv_rows(m, n, points, names, oracles, runs)
 
 
 def equiv_trial(args):

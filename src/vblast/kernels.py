@@ -42,7 +42,8 @@ its errors, whoever calls it.
 
 The Gauss-Jordan routine at the bottom is the independent oracle used by the
 test-suite: it is deliberately plain, uses partial pivoting, and never
-touches a ledger.
+touches a ledger.  It also inverts a stack of matrices, each with its own
+pivot rows, bit for bit as one by one.
 """
 
 from __future__ import annotations
@@ -739,27 +740,45 @@ def _grow_inverse(q, led, variant, scale=None):
 # independent oracle
 
 
+def _any(flags) -> bool:
+    """Whether a flag is set: one numpy bool (one matrix) or an array of them (a stack)."""
+    return bool(flags.any() if isinstance(flags, np.ndarray) else flags)
+
+
 def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
     """Invert a square complex matrix by Gauss-Jordan with partial pivoting.
 
     Test oracle: unoptimized on purpose and never charged to a ledger.
+    ``a`` may be a stack of matrices ``(T, n, n)``.  Each keeps its own
+    pivoting (its own pivot rows, swapped through the stack index) and comes
+    out bit for bit as its own call; if one fails, the stack raises the error
+    of the first to fail, as a call on that matrix alone raises it.
     """
-    a = as_cmat(a, "a")
-    n = a.shape[0]
-    if a.shape[1] != n:
+    a = as_cmat(a, "a", stack=True)
+    n = a.shape[-1]
+    if a.shape[-2] != n:
         raise ContractViolationError(f"cannot invert non-square matrix {a.shape}")
-    scale = np.abs(a).max()
-    if scale == 0.0:
+    lead = _lead(a, 2, 0)
+    scale = np.abs(a).max(axis=(-2, -1))
+    if _any(scale == 0.0):
         raise SingularMatrixError("gauss_jordan_inverse: zero matrix")
-    aug = np.hstack([a.astype(np.complex128), np.eye(n, dtype=np.complex128)])
+    tol = SINGULAR_RTOL * scale
+    aug = np.empty(a.shape[:-1] + (2 * n,), np.complex128)
+    aug[..., :n] = a
+    aug[..., n:] = np.eye(n)
     for col in range(n):
-        piv = col + int(np.argmax(np.abs(aug[col:, col])))
-        if np.abs(aug[piv, col]) < SINGULAR_RTOL * scale:
+        piv = col + np.abs(aug[..., col:, col]).argmax(axis=-1)
+        pivot = aug[(*lead, piv, col)]
+        small = np.abs(pivot) < tol
+        if _any(small):
+            piv = np.ravel(piv)[np.argmax(small)]
             raise SingularMatrixError(f"gauss_jordan_inverse: pivot {piv} below tolerance")
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col] /= aug[col, col]
-        factors = aug[:, col].copy()
-        factors[col] = 0.0
-        aug -= np.outer(factors, aug[col])
-    return aug[:, n:]
+        if _any(piv != col):
+            top = aug[(*lead, piv)].copy()
+            aug[(*lead, piv)] = aug[..., col, :]
+            aug[..., col, :] = top
+        aug[..., col, :] /= pivot[..., None]
+        factors = aug[..., :, col].copy()
+        factors[..., col] = 0.0
+        aug -= factors[..., :, None] * aug[..., None, col, :]
+    return aug[..., n:]

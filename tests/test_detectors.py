@@ -501,7 +501,7 @@ BATCH_MODES = [(cname, soft, cq) for cname in ("qpsk", "qam16")
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 8, 17])
-@pytest.mark.parametrize("name", DETECTOR_NAMES)
+@pytest.mark.parametrize("name", ALL_NAMES)
 def test_batch_trials_bitwise_equal_single_calls(name, m):
     """Every trial of batches of 1, 2 and 7 equals its own call, bit for bit."""
     for n, parity in ((m, 0), (m + 2, 1)):
@@ -538,11 +538,20 @@ def test_batch_needs_one_shape():
             ALGORITHMS[name](chs, rxs[:1], c)
 
 
-def test_oracle_takes_a_batch_trial_by_trial():
-    c, chs, rxs = batch_trials(4, 5, "qam16", 3, seed=9)
-    batch = detect_oracle(chs, rxs, c, collect_q=True)
-    for got, ch, rx in zip(batch.trials, chs, rxs):
-        assert_bitwise_equal(got, detect_oracle(ch, rx, c, collect_q=True))
+def test_oracle_batch_raises_its_failing_trials_error():
+    """A rank-deficient channel with a vanishing regularizer fails the oracle's
+    Gauss-Jordan step; as the middle of three trials it fails the batch with
+    the error its own call raises."""
+    c, chs, rxs = batch_trials(4, 4, "qpsk", 3, seed=13)
+    h = chs[1].h.copy()
+    h[:, 2] = h[:, 0]
+    chs[1] = ChannelRealization(h, 4, 4)
+    rxs[1] = RxFrame(rxs[1].x, rxs[1].sigma_n2, 1e-300)
+    with pytest.raises(SingularMatrixError) as alone:
+        detect_oracle(chs[1], rxs[1], c)
+    with pytest.raises(SingularMatrixError) as batch:
+        detect_oracle(chs, rxs, c, collect_q=True)
+    assert str(batch.value) == str(alone.value)
 
 
 def test_ordering_trace_is_an_immutable_record():

@@ -274,6 +274,19 @@ def test_cli_rejects_fewer_receive_than_transmit_antennas(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("snr", ["nan", "-inf"])
+@pytest.mark.parametrize("command", ["equiv", "ber"])
+def test_cli_rejects_snr_without_noise_variance(tmp_path, capsys, command, snr):
+    """A NaN or -inf SNR is misuse, not a detector diverging: error and exit 2."""
+    out = tmp_path / "x.csv"
+    code = main([command, "--m", "2", "--trials", "2", f"--snr-db=20,{snr}", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: SNR must be a number of dB or inf (noiseless), got {snr}\n")
+    assert not out.exists()
+    assert main([command, "--m", "2", "--trials", "2", "--snr-db=20,inf", "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("command", ["ber", "equiv", "flops"])
 def test_cli_rejects_oracle_only(tmp_path, capsys, command):
     out = tmp_path / "b.csv"
@@ -413,3 +426,42 @@ def test_batch_with_one_failing_trial():
             assert got[i].trace == singles[i].trace
             assert got[i].ledger == singles[i].ledger
     assert raised >= 7
+
+
+def test_equiv_batch_mixed_outcomes_match_per_point(monkeypatch):
+    """In one batch, one trial's oracle raises and another trial's detector
+    raises; each point's rows equal those ``equiv_trial`` gives it alone."""
+    import vblast.detectors as det
+    from vblast.harness import _equiv_batch
+
+    m, seed, names = 3, 5, ["speed_adv", "proposed_2"]
+    points = [((0, 0), 15.0, t) for t in range(4)]
+    bad = {"oracle": draw_channel(m, m, seed, stream=4 * 1).h,
+           "speed_adv": draw_channel(m, m, seed, stream=4 * 2).h}
+
+    def failing(name):
+        run = det.ALGORITHMS[name]
+
+        def wrapped(ch, rx, c, **kw):
+            if any(np.array_equal(one.h, bad[name])
+                   for one in ([ch] if isinstance(ch, ChannelRealization) else ch)):
+                raise SingularMatrixError(f"injected {name} failure")
+            return run(ch, rx, c, **kw)
+        return wrapped
+
+    monkeypatch.delenv("VBLAST_WORKERS", raising=False)
+    for name in bad:
+        monkeypatch.setitem(det.ALGORITHMS, name, failing(name))
+    got = _equiv_batch((m, m, points, seed, False, names, "qpsk"))
+    want = [equiv_trial((m, m, snr, seed, t, False, names, "qpsk")) for _, snr, t in points]
+
+    def as_text(rows):          # repr, so that NaN fields compare equal
+        return [[{k: repr(v) for k, v in row.items()} for row in point] for point in rows]
+
+    assert as_text(got) == as_text(want)
+    errors = {(r["trial"], r["algorithm"]): r["error"]
+              for point in got for r in point if r["error"]}
+    assert errors == {(1, "speed_adv"): "oracle: injected oracle failure",
+                      (1, "proposed_2"): "oracle: injected oracle failure",
+                      (2, "speed_adv"): "injected speed_adv failure"}
+    assert sum(not r["ok"] for point in got for r in point) == 3

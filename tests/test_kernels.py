@@ -451,6 +451,34 @@ def test_gj_partial_pivoting_handles_zero_leading_entry():
     assert np.allclose(gauss_jordan_inverse(a), a)
 
 
+@pytest.mark.parametrize("count", [1, 3, 7])
+def test_gj_stack_equals_each_matrix_call(count):
+    """Each matrix of a stack is inverted bit for bit as by its own call.
+    Non-Hermitian matrices make partial pivoting swap rows, each matrix its own."""
+    rng = make_rng(61, count)
+    swapped = 0
+    for n in range(1, 17):
+        a = random_complex(rng, count, n, n)
+        stack = gauss_jordan_inverse(a)
+        assert stack.shape == (count, n, n)
+        for t in range(count):
+            assert stack[t].tobytes() == gauss_jordan_inverse(a[t]).tobytes(), (n, t)
+            swapped += int(np.abs(a[t, :, 0]).argmax() != 0)
+    assert swapped >= count
+
+
+@pytest.mark.parametrize("bad", [np.zeros((3, 3)), np.ones((3, 3))], ids=["zero", "singular"])
+def test_gj_stack_raises_its_failing_matrix_error(bad):
+    bad = bad.astype(complex)
+    rng = make_rng(62)
+    stack = np.stack([seeded_spd(rng, 3), bad, seeded_spd(rng, 3)])
+    with pytest.raises(SingularMatrixError) as alone:
+        gauss_jordan_inverse(bad)
+    with pytest.raises(SingularMatrixError) as info:
+        gauss_jordan_inverse(stack)
+    assert str(info.value) == str(alone.value)
+
+
 # ---------------------------------------------------------------------------
 # initializer-path invariants
 
