@@ -78,7 +78,6 @@ import numpy as np
 from .errors import ContractViolationError, SingularMatrixError
 from .kernels import (
     FlopLedger,
-    SINGULAR_RTOL,
     _arange,
     _packed_coords,
     _packed_diag_indices,
@@ -96,6 +95,7 @@ from .kernels import (
     rank1_update_herm,
     real_pivot,
     vdot_c,
+    _check_omega,
     _check_pivot,
     _deflate_sm_inplace,
     _dot,
@@ -355,20 +355,22 @@ def _cover_inverse_packed(q, m, led):
 # the trial shape and the Q storage of the recursive detectors
 #
 # ``_sic`` builds a ``_OneTrial`` or, for a batch, a ``_Trials`` and hands it
-# to the initializer and the Q storage.  Both offer the same step operations,
-# each running its shape's numpy calls, so no step tests the shape.  ``lead``
-# indexes the trial axis: ``()``, or the trial numbers as a column (``lead2``:
-# with two unit axes); ``spans[k]`` and ``ats[k]`` index the leading k entries
-# and entry k of each trial's state vector.  The storages index with ``...``,
-# ``lead`` and these tables, so that one trial and a batch run the same lines.
-# ``active(m, p)`` returns the detected stream's column of the active block
-# (omega last) and the index expressions of the active, kept and detected
-# streams into the state vectors.
+# to the initializer and the Q storage.  The two keep only what is faster
+# written per shape: the ordering, the swaps of vectors, rows and dense
+# squares, and the index tables.  ``lead`` indexes the trial axis: ``()``, or
+# the trial numbers as a column (``lead2``: with two unit axes); ``spans[k]``
+# and ``ats[k]`` index the leading k entries and entry k of each trial's state
+# vector.  Everything else (the packed swap, the deflation's omega check in
+# ``kernels._check_omega``, the storages) is written once and indexes with
+# ``...``, ``lead`` and these tables, so that one trial and a batch run the
+# same lines.  ``active(m, p)`` returns the detected stream's column of the
+# active block (omega last) and the index expressions of the active, kept and
+# detected streams into the state vectors.
 
 
 @lru_cache(maxsize=None)      # one read-only instance per shape: tables built once
 class _OneTrial:
-    """One trial's step operations: unbatched arrays, an int per index, a float per pivot."""
+    """One trial's step operations: unbatched arrays and an int per index."""
 
     lead = lead2 = ()
 
@@ -398,38 +400,11 @@ class _OneTrial:
         a[:m, i] = a[:m, j]
         a[:m, j] = col
 
-    def packed_sym_swap(self, packed, l, last):
-        """Symmetric row/column swap l <-> last inside packed upper storage."""
-        lbase = l * (l + 1) // 2
-        mbase = last * (last + 1) // 2
-        if l > 0:
-            tmp = packed[lbase : lbase + l].copy()
-            packed[lbase : lbase + l] = packed[mbase : mbase + l]
-            packed[mbase : mbase + l] = tmp
-        mids = np.arange(l + 1, last)
-        if mids.size:
-            row_idx = mids * (mids + 1) // 2 + l
-            col_idx = mbase + mids
-            tmp = packed[row_idx].copy()
-            packed[row_idx] = np.conj(packed[col_idx])
-            packed[col_idx] = np.conj(tmp)
-        dl, dm = lbase + l, mbase + last
-        packed[dl], packed[dm] = packed[dm], packed[dl]
-        packed[mbase + l] = np.conj(packed[mbase + l])
-
-    def omega(self, col, k):
-        """Q's corner, entry k of its column: real and positive, or SingularMatrixError."""
-        omega = real_pivot(col[k], "deflation omega", None, SingularMatrixError)
-        if omega <= SINGULAR_RTOL:
-            raise SingularMatrixError(f"deflation at recursion {k + 1}: omega={omega:g}")
-        return omega
-
 
 @lru_cache(maxsize=None)
 class _Trials:
-    """A batch's step operations: a leading trial axis on every array, one
-    index per trial and a ``(T, 1)`` column per pivot.  Each is
-    :class:`_OneTrial`'s on every trial and raises the first failing trial's error."""
+    """A batch's step operations: a leading trial axis on every array and one
+    index per trial.  Each is :class:`_OneTrial`'s on every trial."""
 
     def __init__(self, n_trials, dim):
         self.ts = ts = _arange(n_trials)
@@ -467,27 +442,6 @@ class _Trials:
         col = a[ts, :m, i]
         a[ts, :m, i] = a[ts, :m, j]
         a[ts, :m, j] = col
-
-    def packed_sym_swap(self, packed, l, last):
-        """Each trial's leading block gathered through its permutation."""
-        k = last + 1
-        ts = self.ts
-        perm = np.tile(_arange(k), (len(l), 1))
-        perm[ts, l] = last
-        perm[:, last] = l
-        rows, cols = _packed_coords(k)
-        i, j = perm[:, rows], perm[:, cols]
-        moved = packed[ts[:, None], _packed_square_flat(k)[i, j]]
-        np.conjugate(moved, out=moved, where=i > j)     # read from the lower triangle
-        packed[:, : rows.size] = moved
-
-    def omega(self, col, k):
-        omega = real_pivot(col[:, k : k + 1], "deflation omega", None, SingularMatrixError)
-        small = omega <= SINGULAR_RTOL
-        if small.any():
-            raise SingularMatrixError(
-                f"deflation at recursion {k + 1}: omega={omega.flat[small.argmax()].item():g}")
-        return omega
 
 
 class _Dense:
@@ -571,7 +525,17 @@ class _Packed:
         return self.ureal[(*self.lead, self.dflat[:m])]
 
     def swap(self, l, last):
-        self.trials.packed_sym_swap(self.upper, l, last)
+        """Swap rows and columns l, last: the leading block gathered through the
+        permutation (one per trial), entries read from below the diagonal conjugated."""
+        k, upper = last + 1, self.upper
+        ar, l = _arange(k), np.asarray(l)
+        perm = np.where(ar == l[..., None], last, ar)
+        perm[..., last] = l
+        rows, cols = _packed_coords(k)
+        i, j = perm[..., rows], perm[..., cols]
+        moved = upper[(*self.lead, _packed_square_flat(k)[i, j])]
+        np.conjugate(moved, out=moved, where=i > j)
+        upper[..., : rows.size] = moved
 
     def active(self, m, p):
         base = (m - 1) * m // 2
@@ -643,7 +607,7 @@ def _deflate_own(q, col, rest, led, cmul=0, cadd=0):
     The caller's own step (``cmul``, ``cadd``) is charged in the same tick.
     """
     k = col.shape[-1] - 1
-    om_inv = 1.0 / q.trials.omega(col, k)
+    om_inv = 1.0 / _check_omega(col[q.ats[k]], k + 1)
     q_bar = col[..., :k]
     led.tick(cmul=cmul + k, cadd=cadd, cdiv=1)
     q.sub(rest, om_inv * q_bar, q_bar, led)
@@ -732,8 +696,6 @@ def _init_single_buffer(storage):
         d = np.zeros(z.shape, np.complex128)
         _cover_gram_rows(a, alpha, led)
         if issubclass(storage, _Packed):
-            if not np.isfinite(a[..., :m_tx]).all():       # packing checks its input
-                raise ContractViolationError("matrix contains NaN or Inf")
             upper = _pack_upper(a[..., :m_tx])
             mem.alloc("q_packed", m_tx * (m_tx + 1) // 2)
             mem.free("ht")

@@ -279,8 +279,9 @@ def _equiv_rows(m, n, points, names, oracles, runs):
         sc = scale[done]
         with np.errstate(all="ignore"):     # as a Python float division: no warning
             err = np.where(sc != 0, err / sc, 0.0)
-        cov = np.fmax.reduce(err, axis=1, initial=0.0)      # a NaN step error is passed over
-        ok = ~gated[done] | (hard & (soft <= SOFT_TOL) & (cov <= COV_RTOL))
+        cov = np.maximum.reduce(err, axis=1, initial=0.0)
+        # a NaN step error is no near-tie in the ordering: it fails the row, gated or not
+        ok = (~gated[done] | (hard & (soft <= SOFT_TOL) & (cov <= COV_RTOL))) & ~np.isnan(cov)
         for k, h, se, ce, good in zip(done, hard.tolist(), soft.tolist(), cov.tolist(),
                                       ok.tolist()):
             rows[live[k]][j] = _row(m, n, points[live[k]], name, hard_match=h,
@@ -465,17 +466,6 @@ def _raise_first(m, n, snr_db, trial, names, outcomes):
         if isinstance(exc, SingularMatrixError):
             raise SingularMatrixError(
                 f"ber: {name} at M={m} N={n} snr={snr_db} trial={trial}: {exc}") from exc
-
-
-def ber_trial(args):
-    """Bit errors per algorithm for one trial, plus the trial's gate flag."""
-    m, n, snr_db, seed, trial, cancel_soft, names, cname = args
-    c, ch, frame, rx = _trial_frame(m, n, snr_db, seed, trial, cname)
-    runs = {name: _outcome(name, ch, rx, c, cancel_soft=cancel_soft) for name in names}
-    _raise_first(m, n, snr_db, trial, names, runs)
-    gaps = [t.q_gap for res in runs.values() for t in res.trace if t.m >= 2]
-    errors = {name: _bit_errors(res, frame, c) for name, res in runs.items()}
-    return errors, min([float("inf")] + gaps) > GATE_GAP, m * c.bits_per_symbol
 
 
 BER_HEADER = ["M", "N", "snr_db", "algorithm", "bit_errors", "bits", "ber"]

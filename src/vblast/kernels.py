@@ -40,6 +40,14 @@ border by border, on a copy (:func:`init_q_recursive`) or on the
 single-buffer detectors' own buffer.  Each recursion step names itself in
 its errors, whoever calls it.
 
+The pivot rule lives in three checks, so changing it is an edit of these
+alone: :func:`_check_pivot` for every Schur pivot a step divides by
+(negligible against the scale its caller passes), :func:`_invert_leading`
+for a growth's leading entry, and :func:`_check_omega` for the corner entry
+a deflation from Q's own column divides by (at most ``SINGULAR_RTOL``: an
+absolute threshold).  Each takes one value or one per trial, and a batch
+raises its first failing trial's error.
+
 The Gauss-Jordan routine at the bottom is the independent oracle used by the
 test-suite: it is deliberately plain, uses partial pivoting, and never
 touches a ledger.  It also inverts a stack of matrices, each with its own
@@ -178,19 +186,23 @@ def _triu_strict_indices(k: int):
 
 @lru_cache(maxsize=None)
 def _square_tables(size: int):
-    """Strict-lower mask and packed flat index of every entry of a square.
+    """Strict-lower mask and packed flat index of every entry of a square,
+    and the row and column of every packed entry in flat order.
 
-    Neither depends on the block size, so a k x k block reads the leading
-    corner of the tables for the next power of two; caching one table per
-    power of two instead of per k keeps them small.
+    None depends on the block size, so a k x k block reads the leading
+    corner (or prefix) of the tables for the next power of two; caching one
+    table per power of two instead of per k keeps them small.
     """
     rows, cols = np.indices((size, size))
     lower = rows > cols
     hi = np.maximum(rows, cols)
     flat = hi * (hi + 1) // 2 + np.minimum(rows, cols)
-    lower.flags.writeable = False
-    flat.flags.writeable = False
-    return lower, flat
+    pcols = np.repeat(np.arange(size), np.arange(1, size + 1))
+    prows = np.arange(pcols.size) - pcols * (pcols + 1) // 2
+    tables = lower, flat, prows, pcols
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 @lru_cache(maxsize=None)      # a view per k: no memory beyond the table's
@@ -216,12 +228,12 @@ def _packed_triu_flat(k: int):
     return cols * (cols + 1) // 2 + rows
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)      # views, as above
 def _packed_coords(k: int):
     """Row and column of every packed entry, in flat order."""
-    cols = np.repeat(np.arange(k), np.arange(1, k + 1))
-    rows = np.arange(k * (k + 1) // 2) - cols * (cols + 1) // 2
-    return rows, cols
+    n = k * (k + 1) // 2
+    rows, cols = _square_tables(1 << (k - 1).bit_length())[2:]
+    return rows[:n], cols[:n]
 
 
 def _lead(a: np.ndarray, core: int, depth: int = 1) -> tuple:
@@ -313,6 +325,22 @@ def _check_pivot(x, scale, context: str, step=None):
     if abs(delta) < SINGULAR_RTOL * max(abs(scale), 1e-300):
         raise SingularMatrixError(f"singular pivot in {_label(context, step)}: |{delta:g}|")
     return delta
+
+
+def _check_omega(x, step):
+    """Real part of the corner entry ``x`` a deflation divides by, else SingularMatrixError.
+
+    Not real (see :func:`real_pivot`) or not above SINGULAR_RTOL fails, naming
+    the recursion index ``step``; ``x`` may hold one per trial."""
+    omega = real_pivot(x, "deflation omega", None, SingularMatrixError)
+    if isinstance(omega, np.ndarray):
+        small = omega <= SINGULAR_RTOL
+        if not small.any():
+            return omega
+        omega = omega.flat[small.argmax()].item()   # the first failing trial, which raises below
+    if omega <= SINGULAR_RTOL:
+        raise SingularMatrixError(f"deflation at recursion {step}: omega={omega:g}")
+    return omega
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +616,7 @@ def deflate_q(q_m: np.ndarray, ledger: FlopLedger) -> np.ndarray:
     m = q_m.shape[0]
     if q_m.shape[1] != m or m < 2:
         raise ContractViolationError(f"deflate_q needs a square matrix of dim >= 2, got {q_m.shape}")
-    omega = real_pivot(q_m[m - 1, m - 1], "deflate_q omega")
-    if omega <= SINGULAR_RTOL:
-        raise SingularMatrixError(f"deflate_q: omega={omega:g} is not positive")
+    omega = _check_omega(real_pivot(q_m[m - 1, m - 1], "deflate_q omega"), m)
     out = q_m[: m - 1, : m - 1].copy()
     q_bar = q_m[: m - 1, m - 1]
     om_inv = 1.0 / omega

@@ -11,6 +11,7 @@ from vblast.detectors import (
     _argmin_gap,
     _cover_gram_rows,
     _OneTrial,
+    _Packed,
     _Trials,
     detect_mem_saving,
     detect_oracle,
@@ -242,8 +243,9 @@ def test_sym_swap_is_permutation_similarity(i, j, m):
 
 @pytest.mark.parametrize("l, last, dim", [(0, 1, 2), (0, 4, 5), (2, 6, 8), (3, 4, 6), (4, 5, 6)])
 def test_packed_sym_swap_matches_dense_swap(l, last, dim):
-    """Both forms of the packed symmetric swap equal the dense swap of the
-    unpacked matrix, bit for bit (a batch's trials may also keep their order)."""
+    """The packed storage's swap, on one trial and on a batch, equals the
+    dense swap of the unpacked matrix, bit for bit (a batch's trials may also
+    keep their order)."""
     rng = make_rng(73, 10 * l + last)
     a = rng.standard_normal((4, dim, dim)) + 1j * rng.standard_normal((4, dim, dim))
     a = a + np.conj(a).swapaxes(-1, -2)
@@ -253,11 +255,26 @@ def test_packed_sym_swap_matches_dense_swap(l, last, dim):
     for square, lt in zip(want, [l, *trial_l.tolist()]):
         _OneTrial(dim).sym_swap(square, lt, last, last + 1)
     one = packed[0].copy()
-    _OneTrial(dim).packed_sym_swap(one, l, last)
+    _Packed(_OneTrial(dim), one, dim).swap(l, last)
     stack = packed[1:].copy()
-    _Trials(3, dim).packed_sym_swap(stack, trial_l, last)
+    _Packed(_Trials(3, dim), stack, dim).swap(trial_l, last)
     for got, square in zip([one, *stack], want):
         assert got.tobytes() == _pack_upper(square).tobytes()
+
+
+def test_packed_pair_raises_dense_covering_errors_on_overflow():
+    """A finite channel whose Gram matrix overflows fails the packed pair with
+    the dense single buffer's exact error."""
+    ch, frame, rx = seeded_trial(8, 9, 20.0, 5)
+    h = ch.h.copy()
+    h[:, 3] *= 1e160
+    ch = ChannelRealization(h, 8, 9)
+    with pytest.raises(ContractViolationError) as dense:
+        detect_proposed_2(ch, rx, QPSK)
+    for detect in (detect_proposed_2_tri, detect_proposed_2_tri_noperm):
+        with pytest.raises(ContractViolationError) as packed:
+            detect(ch, rx, QPSK)
+        assert str(packed.value) == str(dense.value)
 
 
 # ---------------------------------------------------------------------------

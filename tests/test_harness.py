@@ -15,12 +15,13 @@ from vblast.harness import (
     FLOPS_HEADER,
     MEM_HEADER,
     SweepConfig,
-    ber_trial,
     equiv_trial,
     run_ber,
     run_equiv,
     run_flops,
     run_mem,
+    _batches,
+    _ber_batch,
     _map_ordered,
     _run_batch,
     worker_count,
@@ -69,6 +70,28 @@ def test_equiv_small_grid_passes():
                 r["min_q_gap"], r["max_soft_err"])
                for r in equiv_trial((2, 2, 20.0, 1, trial, False, DETECTOR_NAMES, "qpsk"))]
         assert sorted(got, key=lambda r: r[4]) == [r for r in rows if r[3] == trial]
+
+
+def test_equiv_row_fails_on_nan_q_steps(monkeypatch):
+    """A detector whose every Q step is NaN fails its row instead of passing
+    with a zero Q error."""
+    import vblast.detectors as det
+
+    speed_adv = det.ALGORITHMS["speed_adv"]
+
+    def nan_steps(*args, **kw):
+        out = speed_adv(*args, **kw)
+        for res in getattr(out, "trials", [out]):
+            res.q_steps = [q * np.nan for q in res.q_steps]
+        return out
+
+    monkeypatch.setitem(det.ALGORITHMS, "speed_adv", nan_steps)
+    rows = equiv_trial((4, 4, 20.0, 1, 0, False, ["speed_adv", "proposed_2"], "qpsk"))
+    bad, good = rows
+    assert bad["algorithm"] == "speed_adv" and bad["gated"] and bad["hard_match"]
+    assert np.isnan(bad["max_cov_err"])
+    assert not bad["ok"]
+    assert good["ok"] and good["max_cov_err"] <= 1e-9
 
 
 def test_equiv_degenerate_single_stream():
@@ -187,12 +210,16 @@ def test_ber_noiseless_is_zero():
 
 
 def test_ber_identical_across_algorithms_on_gated_trials():
+    """The batches ``vblast ber`` runs count the same bit errors for every
+    detector on each trial the equivalence sweep gates."""
     names = ["speed_adv", "proposed_2", "mem_saving"]
+    cfg = SweepConfig(algorithms=names, m_list=[4], snr_db_list=[8.0], trials=40, seed=9)
+    errors = [e for args in _batches(cfg, names) for e in _ber_batch(args)]
+    assert len(errors) == 40
     checked = 0
-    for trial in range(40):
-        errors, gated, _bits = ber_trial((4, 4, 8.0, 9, trial, False, names, "qpsk"))
-        if gated:
-            assert len(set(errors.values())) == 1
+    for trial, errs in enumerate(errors):
+        if equiv_trial((4, 4, 8.0, 9, trial, False, names, "qpsk"))[0]["gated"]:
+            assert len(set(errs.values())) == 1
             checked += 1
     assert checked > 30
 

@@ -18,6 +18,7 @@ from vblast.kernels import (
     init_q_sherman_morrison,
     rank1_update_herm,
     sm_rank1_inverse_update,
+    _check_omega,
     _grow_inverse,
     _pack_upper,
 )
@@ -418,8 +419,21 @@ def test_deflate_sm_charges_more():
 def test_deflate_nonpositive_omega():
     q = np.eye(2, dtype=complex)
     q[1, 1] = 0.0
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError, match=r"^deflation at recursion 2: omega=0$"):
         deflate_q(q, FlopLedger())
+
+
+def test_check_omega_one_trial_and_batch_raise_alike():
+    """A batch raises its first failing trial's error, as that trial's float does."""
+    assert _check_omega(0.5, 3) == 0.5
+    with pytest.raises(SingularMatrixError) as one:
+        _check_omega(-0.25, 3)
+    assert str(one.value) == "deflation at recursion 3: omega=-0.25"
+    ok = _check_omega(np.array([[0.5], [2.0]], complex), 3)
+    assert ok.tolist() == [[0.5], [2.0]]
+    with pytest.raises(SingularMatrixError) as batch:
+        _check_omega(np.array([[0.5], [-0.25], [0.0]], complex), 3)
+    assert str(batch.value) == str(one.value)
 
 
 # ---------------------------------------------------------------------------
