@@ -35,8 +35,10 @@ packed form runs the same steps and errors in a loop of its own).  Domain
 ``z = H^H x`` and cancels with R's column; ``d`` cancels through the
 deficiency vector ``d`` and never reads R again.  Swapped
 storage keeps Q and the domain's vectors in detection order by symmetric
-swaps; indexed storage leaves them in antenna order and addresses them
-through the order permutation; packed storage keeps Q's upper triangle.
+swaps; packed storage keeps Q's upper triangle.  Indexed storage keeps only
+Q's upper triangle, in antenna order, in the dense square or the packed
+vector alike, and addresses it through the order permutation: an entry below
+the diagonal is read from its upper mirror, conjugated.
 Q is deflated from its own column, or from R's border by a
 Sherman-Morrison step on the full square or the upper triangle.
 
@@ -75,7 +77,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractViolationError, SingularMatrixError
+from .errors import ContractViolationError
 from .kernels import (
     FlopLedger,
     _arange,
@@ -83,9 +85,7 @@ from .kernels import (
     _packed_diag_indices,
     _packed_square_flat,
     _packed_triu_flat,
-    _strict_lower_mask,
     _triu_indices,
-    _triu_strict_indices,
     conj_matvec,
     gauss_jordan_inverse,
     init_gram,
@@ -332,7 +332,7 @@ def _cover_gram_rows(a, alpha, led):
 
 def _cover_inverse_packed(q, m, led):
     """``kernels._grow_inverse(..., "v", scale=1.0)`` with its errors, on Q's
-    packed storage ``q`` before it first moves (so in index order)."""
+    swapped packed storage ``q`` before it first moves (so in index order)."""
     packed, lead = q.upper, q.lead
     _invert_leading(packed, (*lead, 0), led, 1.0)
     for i in range(1, m):
@@ -366,6 +366,9 @@ def _cover_inverse_packed(q, m, led):
 # same lines.  ``active(m, p)`` returns the detected stream's column of the
 # active block (omega last) and the index expressions of the active, kept and
 # detected streams into the state vectors.
+#
+# Swapped storage is ``_Dense`` or ``_Packed``; indexed storage, dense or
+# packed alike, is ``_Indexed``, which reads and writes only Q's upper triangle.
 
 
 @lru_cache(maxsize=None)      # one read-only instance per shape: tables built once
@@ -479,37 +482,6 @@ class _Dense:
         return self.q[..., :m, :m].copy()
 
 
-class _DenseIndexed(_Dense):
-    """Dense Q in antenna order, addressed through the order permutation."""
-
-    swap = None     # nothing moves
-
-    def diag(self, m, p):
-        return self.qdiag[(*self.lead, p[..., :m])]
-
-    def active(self, m, p):
-        lead, act, last = self.lead, p[self.spans[m]], p[self.ats[m - 1]]
-        return (self.q[(*lead, act, last)], (*lead, act), (*lead, p[self.spans[m - 1]]),
-                (*lead, last))
-
-    def sub(self, rest, u, w, led):
-        """Upper triangle in index order, mirrored; diagonal imaginary parts zeroed."""
-        lead, rest = self.lead, rest[-1]
-        k = rest.shape[-1]
-        iu0, iu1 = _triu_indices(k)
-        led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
-        self.q[(*lead, rest[(*lead, iu0)], rest[(*lead, iu1)])] -= (
-            u[(*lead, iu0)] * np.conj(w)[(*lead, iu1)])
-        s0, s1 = _triu_strict_indices(k)
-        above, below = rest[(*lead, s0)], rest[(*lead, s1)]
-        self.q[(*lead, below, above)] = np.conj(self.q[(*lead, above, below)])
-        self.q[(*lead, rest, rest)] = self.q[(*lead, rest, rest)].real
-
-    def block(self, m, p):
-        act = p[..., :m]
-        return self.q[(*self.trials.lead2, act[..., :, None], act[..., None, :])]
-
-
 class _Packed:
     """Packed upper triangle of Q, kept in detection order by swaps."""
 
@@ -517,7 +489,6 @@ class _Packed:
         self.trials = trials
         self.lead, self.spans, self.ats = trials.lead, trials.spans, trials.ats
         self.upper = upper
-        self.dim = dim
         self.dflat = _packed_diag_indices(dim)
         self.ureal = upper.real
 
@@ -553,48 +524,63 @@ class _Packed:
         return _packed_unpack(self.upper, m)
 
 
-class _PackedIndexed(_Packed):
-    """Packed Q in antenna order; entries below the diagonal read conjugated."""
+@lru_cache(maxsize=None)
+def _dense_upper_flat(m, n):
+    """Flat index of entry (min(i, j), max(i, j)) of a row-major (m, n) buffer, for
+    every (i, j) of its leading square."""
+    i, j = np.indices((m, m))
+    at = np.minimum(i, j) * n + np.maximum(i, j)
+    at.flags.writeable = False
+    return at
+
+
+class _Indexed:
+    """Q's upper triangle in antenna order, addressed through the order permutation.
+
+    ``flat`` holds each trial's buffer as one vector and ``at[i, j]`` is the
+    flat index of entry (i, j), or of (j, i) below the diagonal, which is
+    read and written conjugated.
+    """
 
     swap = None     # nothing moves
 
-    def __init__(self, trials, upper, dim):
-        super().__init__(trials, upper, dim)
-        self.sqflat = _packed_square_flat(dim)
-        self.lower = _strict_lower_mask(dim)
+    def __init__(self, trials, flat, at):
+        self.trials = trials
+        self.lead, self.spans, self.ats = trials.lead, trials.spans, trials.ats
+        self.flat, self.at = flat, at
+        self.freal = flat.real
+        self.dflat = at.diagonal()
+
+    def _gather(self, lead, i, j):
+        out = self.flat[(*lead, self.at[i, j])]
+        np.conjugate(out, out=out, where=i > j)
+        return out
 
     def diag(self, m, p):
-        return self.ureal[(*self.lead, self.dflat[p[..., :m]])]
-
-    def _flat(self, i, j):
-        """Packed index of entries (i, j) and whether each is stored conjugated."""
-        return self.sqflat[i, j], self.lower[i, j]
+        return self.freal[(*self.lead, self.dflat[p[..., :m]])]
 
     def active(self, m, p):
-        lead, rest, last = self.lead, p[self.spans[m - 1]], p[self.ats[m - 1]]
-        flat, lower = self._flat(rest, last)
-        raw = self.upper[(*lead, flat)]
-        col = np.empty(p[..., :m].shape, np.complex128)
-        col[..., :-1] = np.where(lower, np.conj(raw), raw)
-        col[..., -1:] = real_pivot(self.upper[(*lead, self.dflat[last])], "deflation omega",
-                                   None, SingularMatrixError)
-        return col, (*lead, p[self.spans[m]]), (*lead, rest), (*lead, last)
+        lead, act, last = self.lead, p[self.spans[m]], p[self.ats[m - 1]]
+        return (self._gather(lead, act, last), (*lead, act), (*lead, p[self.spans[m - 1]]),
+                (*lead, last))
 
     def sub(self, rest, u, w, led):
+        """Hermitian ``Q[rest, rest] -= u w^H`` on the upper triangle in rest's
+        order; diagonal imaginary parts zeroed."""
         lead, rest = self.lead, rest[-1]
         k = rest.shape[-1]
         iu0, iu1 = _triu_indices(k)
-        flat, lower = self._flat(rest[(*lead, iu0)], rest[(*lead, iu1)])
+        i, j = rest[(*lead, iu0)], rest[(*lead, iu1)]
         vals = u[(*lead, iu0)] * np.conj(w)[(*lead, iu1)]
+        np.conjugate(vals, out=vals, where=i > j)
         led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
-        self.upper[(*lead, flat)] -= np.where(lower, np.conj(vals), vals)
+        self.flat[(*lead, self.at[i, j])] -= vals
         dflat = self.dflat[rest]
-        self.upper[(*lead, dflat)] = self.upper[(*lead, dflat)].real
+        self.flat[(*lead, dflat)] = self.flat[(*lead, dflat)].real
 
     def block(self, m, p):
         act = p[..., :m]
-        return _packed_unpack(self.upper, self.dim)[
-            (*self.trials.lead2, act[..., :, None], act[..., None, :])]
+        return self._gather(self.trials.lead2, act[..., :, None], act[..., None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +669,7 @@ def _init_z(variant, border):
     return init
 
 
-def _init_single_buffer(storage):
+def _init_single_buffer(packed=False, indexed=False):
     """One buffer holds H^H, then R, then Q (packed: R is packed, the buffer freed)."""
 
     def init(trials, h, x, alpha, led, mem):
@@ -695,16 +681,18 @@ def _init_single_buffer(storage):
         z = matvec(a, x, led)
         d = np.zeros(z.shape, np.complex128)
         _cover_gram_rows(a, alpha, led)
-        if issubclass(storage, _Packed):
-            upper = _pack_upper(a[..., :m_tx])
+        if packed:
+            q = _Packed(trials, _pack_upper(a[..., :m_tx]), m_tx)
             mem.alloc("q_packed", m_tx * (m_tx + 1) // 2)
             mem.free("ht")
             del a
-            q = storage(trials, upper, m_tx)
             _cover_inverse_packed(q, m_tx, led)
+            if indexed:
+                q = _Indexed(trials, q.upper, _packed_square_flat(m_tx))
         else:
             _grow_inverse(a[..., :m_tx], led, "v", scale=1.0)
-            q = storage(trials, a[..., :m_tx])
+            q = (_Indexed(trials, a.reshape(a.shape[:-2] + (-1,)), _dense_upper_flat(m_tx, n_rx))
+                 if indexed else _Dense(trials, a[..., :m_tx]))
 
         def estimate(col, act, last):
             est = vdot_c(col, z[act], led) - d[last]
@@ -835,23 +823,23 @@ def detect_mem_saving(ch, rx, c, *, cancel_soft=False, collect_q=False):
 def detect_proposed_2(ch, rx, c, *, cancel_soft=False, collect_q=False,
                       collect_aux=False):
     """One matrix buffer covered in place, cancellation through d."""
-    return _sic(ch, rx, c, _init_single_buffer(_Dense), cancel_soft, collect_q,
+    return _sic(ch, rx, c, _init_single_buffer(), cancel_soft, collect_q,
                 collect_aux)
 
 
 def detect_proposed_2_noperm(ch, rx, c, *, cancel_soft=False, collect_q=False):
     """``proposed_2`` addressed through the permutation, no physical swaps."""
-    return _sic(ch, rx, c, _init_single_buffer(_DenseIndexed), cancel_soft, collect_q)
+    return _sic(ch, rx, c, _init_single_buffer(indexed=True), cancel_soft, collect_q)
 
 
 def detect_proposed_2_tri(ch, rx, c, *, cancel_soft=False, collect_q=False):
     """``proposed_2`` with only the upper triangle of the inverse stored."""
-    return _sic(ch, rx, c, _init_single_buffer(_Packed), cancel_soft, collect_q)
+    return _sic(ch, rx, c, _init_single_buffer(packed=True), cancel_soft, collect_q)
 
 
 def detect_proposed_2_tri_noperm(ch, rx, c, *, cancel_soft=False, collect_q=False):
     """Packed storage addressed through the permutation, conjugate-aware."""
-    return _sic(ch, rx, c, _init_single_buffer(_PackedIndexed), cancel_soft, collect_q)
+    return _sic(ch, rx, c, _init_single_buffer(packed=True, indexed=True), cancel_soft, collect_q)
 
 
 ALGORITHMS = {

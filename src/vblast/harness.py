@@ -77,8 +77,10 @@ class SweepConfig:
             if not snr_db > -math.inf:          # NaN or -inf: no noise variance
                 raise ContractViolationError(
                     f"SNR must be a number of dB or inf (noiseless), got {snr_db}")
-        for name in self.algorithms:
+        for at, name in enumerate(self.algorithms):
             get_detector(name)
+            if name in self.algorithms[:at]:
+                raise ContractViolationError(f"algorithm {name!r} is listed twice")
         constellation(self.constellation)
 
     def dims(self) -> list[tuple[int, int]]:
@@ -95,12 +97,17 @@ def _fmt(value) -> str:
 
 def write_csv(path, header, rows) -> None:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+    except OSError as exc:      # a directory, a path under a file, no permission
+        culprit = "" if exc.filename in (None, str(path)) else f"{exc.filename}: "
+        raise ContractViolationError(
+            f"cannot write {path}: {culprit}{exc.strerror or exc}") from None
 
 
 def worker_count() -> int:

@@ -179,12 +179,6 @@ def _triu_indices(k: int):
 
 
 @lru_cache(maxsize=None)
-def _triu_strict_indices(k: int):
-    rows, cols = np.triu_indices(k, k=1)
-    return rows, cols
-
-
-@lru_cache(maxsize=None)
 def _square_tables(size: int):
     """Strict-lower mask and packed flat index of every entry of a square,
     and the row and column of every packed entry in flat order.

@@ -28,6 +28,7 @@ from vblast.kernels import (
     _grow_inverse,
     _pack_upper,
     _packed_unpack,
+    _strict_lower_mask,
     init_q_recursive,
 )
 from vblast.sigmodel import (
@@ -316,6 +317,29 @@ def test_unpermuted_variants_reproduce_permuted_outputs():
         assert np.abs(tri.soft - tri_idx.soft).max() <= 1e-12
         assert np.array_equal(tri.soft, tri_idx.soft)
         assert all(np.array_equal(qa, qb) for qa, qb in zip(tri.q_steps, tri_idx.q_steps))
+
+
+def test_indexed_dense_storage_reads_only_the_upper_triangle(monkeypatch):
+    """With its buffer's strict lower triangle spoiled by NaN once Q is grown, the
+    index-addressed dense form returns the same bytes, for one trial and a batch."""
+    import vblast.detectors as det
+
+    c, chs, rxs = batch_trials(6, 8, "qpsk", 3, seed=31)
+    runs = [(chs[0], rxs[0]), (chs, rxs)]
+    want = [detect_proposed_2_noperm(ch, rx, c, collect_q=True) for ch, rx in runs]
+    grow = det._grow_inverse
+
+    def grow_then_spoil(q, *args, **kwargs):
+        grow(q, *args, **kwargs)
+        q[..., _strict_lower_mask(q.shape[-1])] = np.nan
+
+    monkeypatch.setattr(det, "_grow_inverse", grow_then_spoil)
+    for (ch, rx), before in zip(runs, want):
+        after = detect_proposed_2_noperm(ch, rx, c, collect_q=True)
+        for a, b in zip(getattr(before, "trials", [before]), getattr(after, "trials", [after])):
+            assert _bits(a.s_hat) == _bits(b.s_hat)
+            assert _bits(a.soft) == _bits(b.soft)
+            assert [_bits(q) for q in a.q_steps] == [_bits(q) for q in b.q_steps]
 
 
 def test_sign_resolution_trivial_cases():

@@ -314,6 +314,26 @@ def test_cli_rejects_snr_without_noise_variance(tmp_path, capsys, command, snr):
     assert main([command, "--m", "2", "--trials", "2", "--snr-db=20,inf", "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("command", ["equiv", "flops", "mem", "ber"])
+def test_cli_rejects_an_algorithm_named_twice(tmp_path, capsys, command):
+    """A repeated name would count its trials twice in ``ber`` and repeat rows elsewhere."""
+    out = tmp_path / "x.csv"
+    code = main([command, "--algo", "speed_adv,proposed_2,speed_adv", "--m", "2",
+                 "--trials", "2", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: algorithm 'speed_adv' is listed twice\n"
+    assert not out.exists()
+
+
+def test_cli_types_an_output_path_it_cannot_write(tmp_path, capsys):
+    """A directory, or a path under a file, is misuse: ``error:`` and exit 2."""
+    (tmp_path / "afile").write_text("")
+    for out, reason in [(tmp_path, "Is a directory"),
+                        (tmp_path / "afile" / "x.csv", f"{tmp_path / 'afile'}: File exists")]:
+        assert main(["flops", "--m", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+
+
 @pytest.mark.parametrize("command", ["ber", "equiv", "flops"])
 def test_cli_rejects_oracle_only(tmp_path, capsys, command):
     out = tmp_path / "b.csv"
