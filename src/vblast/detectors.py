@@ -93,9 +93,7 @@ from .kernels import (
     init_q_sherman_morrison,
     matvec,
     rank1_update_herm,
-    real_pivot,
     vdot_c,
-    _check_omega,
     _check_pivot,
     _deflate_sm_inplace,
     _dot,
@@ -237,6 +235,7 @@ def _argmin_gap(d: list[float]):
 # brute-force oracle
 
 
+@np.errstate(all="ignore")      # numerical trouble ends in a typed error, not a warning
 def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
     """Re-invert the regularized Gram matrix at every step (flop-exempt).
 
@@ -286,8 +285,7 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
             for steps, blk in zip(qs, q.copy().reshape(-1, m, m)):
                 steps.append(blk)
         w = np.matvec(h[..., :m].conj().mT, x)
-        with np.errstate(all="ignore"):     # as np.vdot, which checks no flags
-            est = np.vecdot(q[..., j], w)
+        est = np.vecdot(q[..., j], w)
         s = quantize(est, c)
         soft[..., j] = est
         hard[..., j] = s
@@ -331,16 +329,16 @@ def _cover_gram_rows(a, alpha, led):
 
 
 def _cover_inverse_packed(q, m, led):
-    """``kernels._grow_inverse(..., "v", scale=1.0)`` with its errors, on Q's
-    swapped packed storage ``q`` before it first moves (so in index order)."""
+    """``kernels._grow_inverse(..., "v")`` with its errors, on Q's swapped
+    packed storage ``q`` before it first moves (so in index order)."""
     packed, lead = q.upper, q.lead
-    _invert_leading(packed, (*lead, 0), led, 1.0)
+    _invert_leading(packed, (*lead, 0), led)
     for i in range(1, m):
         base = i * (i + 1) // 2
         rcol = packed[..., base : base + i].copy()
         q_tilde = _mv(_packed_unpack(packed, i), rcol)      # Hermitian matvec
         t = vdot_c(rcol, q_tilde, led)
-        gamma = real_pivot(packed[(*lead, base + i)], "init_q_recursive")
+        gamma = _check_pivot(packed[(*lead, base + i)], None, "init_q_recursive", i + 1)
         delta = _check_pivot(gamma - t, gamma, "block_inv_step_v", i + 1)
         omega = 1.0 / delta
         packed[(*lead, base + i)] = omega
@@ -360,8 +358,8 @@ def _cover_inverse_packed(q, m, led):
 # squares, and the index tables.  ``lead`` indexes the trial axis: ``()``, or
 # the trial numbers as a column (``lead2``: with two unit axes); ``spans[k]``
 # and ``ats[k]`` index the leading k entries and entry k of each trial's state
-# vector.  Everything else (the packed swap, the deflation's omega check in
-# ``kernels._check_omega``, the storages) is written once and indexes with
+# vector.  Everything else (the packed swap, the deflation's omega check by
+# ``kernels._check_pivot``, the storages) is written once and indexes with
 # ``...``, ``lead`` and these tables, so that one trial and a batch run the
 # same lines.  ``active(m, p)`` returns the detected stream's column of the
 # active block (omega last) and the index expressions of the active, kept and
@@ -593,7 +591,7 @@ def _deflate_own(q, col, rest, led, cmul=0, cadd=0):
     The caller's own step (``cmul``, ``cadd``) is charged in the same tick.
     """
     k = col.shape[-1] - 1
-    om_inv = 1.0 / _check_omega(col[q.ats[k]], k + 1)
+    om_inv = 1.0 / _check_pivot(col[q.ats[k]], None, "deflation omega", k + 1)
     q_bar = col[..., :k]
     led.tick(cmul=cmul + k, cadd=cadd, cdiv=1)
     q.sub(rest, om_inv * q_bar, q_bar, led)
@@ -690,7 +688,7 @@ def _init_single_buffer(packed=False, indexed=False):
             if indexed:
                 q = _Indexed(trials, q.upper, _packed_square_flat(m_tx))
         else:
-            _grow_inverse(a[..., :m_tx], led, "v", scale=1.0)
+            _grow_inverse(a[..., :m_tx], led, "v")
             q = (_Indexed(trials, a.reshape(a.shape[:-2] + (-1,)), _dense_upper_flat(m_tx, n_rx))
                  if indexed else _Dense(trials, a[..., :m_tx]))
 
@@ -710,6 +708,7 @@ def _init_single_buffer(packed=False, indexed=False):
     return init
 
 
+@np.errstate(all="ignore")      # numerical trouble ends in a typed error, not a warning
 def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
     """Ordered SIC: order by Q's smallest diagonal, estimate, cancel, deflate.
 

@@ -40,13 +40,16 @@ border by border, on a copy (:func:`init_q_recursive`) or on the
 single-buffer detectors' own buffer.  Each recursion step names itself in
 its errors, whoever calls it.
 
-The pivot rule lives in three checks, so changing it is an edit of these
-alone: :func:`_check_pivot` for every Schur pivot a step divides by
-(negligible against the scale its caller passes), :func:`_invert_leading`
-for a growth's leading entry, and :func:`_check_omega` for the corner entry
-a deflation from Q's own column divides by (at most ``SINGULAR_RTOL``: an
-absolute threshold).  Each takes one value or one per trial, and a batch
-raises its first failing trial's error.
+One rule, :func:`_check_pivot`, judges every pivot the recursion computes:
+it fails when not finite or not above ``SINGULAR_RTOL`` times the size of
+the value it comes from, gamma for a Schur pivot ``gamma - r^H Q r``.  A
+growth's leading entry and gamma, a deflation's omega and a three-division
+step's corner are no differences, so their scale is their own: only a
+non-positive one fails.  So scaling (H, x, alpha) by (2^k, 2^k, 4^k) changes
+no outcome.  A computed pivot with a non-negligible imaginary part
+(``PIVOT_IMAG_RTOL``) fails too, a placeholder for an accuracy guard.  The
+rule takes one value or one per trial; a batch raises its first failing
+trial's error.
 
 The Gauss-Jordan routine at the bottom is the independent oracle used by the
 test-suite: it is deliberately plain, uses partial pivoting, and never
@@ -64,12 +67,12 @@ import numpy as np
 
 from .errors import ContractViolationError, SingularMatrixError
 
-# Relative tolerance below which a pivot counts as singular.  alpha > 0 makes
-# every matrix we invert positive definite, so a tiny pivot means misuse.
+# Relative tolerance at or below which a computed pivot counts as singular:
+# alpha > 0 makes every matrix we invert positive definite.
 SINGULAR_RTOL = 1e-14
 
 # Pivots such as gamma - r^H Q r are mathematically real for Hermitian
-# inputs; imaginary parts beyond this relative level are treated as misuse.
+# inputs; imaginary parts beyond this relative level fail them.
 PIVOT_IMAG_RTOL = 1e-10
 
 
@@ -307,34 +310,18 @@ def real_pivot(x, context: str, step: int | None = None, error=ContractViolation
 def _check_pivot(x, scale, context: str, step=None):
     """Real part of the pivot ``x`` a step computed, else SingularMatrixError.
 
-    Not real (see :func:`real_pivot`) or negligible against ``scale`` fails,
+    Not real or not finite (see :func:`real_pivot`), or not above SINGULAR_RTOL
+    times ``|scale|`` (``None``: its own size, so only a non-positive ``x``) fails,
     naming ``context`` and ``step``; ``x`` and ``scale`` may hold one per trial."""
     delta = real_pivot(x, context, step, SingularMatrixError)
-    if isinstance(delta, np.ndarray):
-        small = np.abs(delta) < SINGULAR_RTOL * np.maximum(np.abs(scale), 1e-300)
+    small = delta <= (0.0 if scale is None else SINGULAR_RTOL * abs(scale))
+    if isinstance(small, np.ndarray):
         if not small.any():
             return delta
-        i = small.argmax()          # the first failing trial, which raises below
-        delta, scale = delta.flat[i].item(), np.broadcast_to(scale, small.shape).flat[i].item()
-    if abs(delta) < SINGULAR_RTOL * max(abs(scale), 1e-300):
-        raise SingularMatrixError(f"singular pivot in {_label(context, step)}: |{delta:g}|")
-    return delta
-
-
-def _check_omega(x, step):
-    """Real part of the corner entry ``x`` a deflation divides by, else SingularMatrixError.
-
-    Not real (see :func:`real_pivot`) or not above SINGULAR_RTOL fails, naming
-    the recursion index ``step``; ``x`` may hold one per trial."""
-    omega = real_pivot(x, "deflation omega", None, SingularMatrixError)
-    if isinstance(omega, np.ndarray):
-        small = omega <= SINGULAR_RTOL
-        if not small.any():
-            return omega
-        omega = omega.flat[small.argmax()].item()   # the first failing trial, which raises below
-    if omega <= SINGULAR_RTOL:
-        raise SingularMatrixError(f"deflation at recursion {step}: omega={omega:g}")
-    return omega
+        delta = delta.flat[small.argmax()].item()     # the first failing trial's error
+    elif not small:
+        return delta
+    raise SingularMatrixError(f"singular pivot in {_label(context, step)}: |{delta:g}|")
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +492,7 @@ def _block_step_i(q, r_bar, gamma, led, step=None):
     q_col = (-gamma_inv) * g2
     gamma_inv2 = gamma_inv / gamma
     t2 = vdot_c(r_bar, g2, led)
-    omega = real_pivot(gamma_inv + gamma_inv2 * t2, "block_inv_step_i", step, SingularMatrixError)
+    omega = _check_pivot(gamma_inv + gamma_inv2 * t2, None, "block_inv_step_i", step)
     led.tick(cmul=2 * k + 1, cadd=2, cdiv=3)
     return q_col, omega
 
@@ -610,7 +597,7 @@ def deflate_q(q_m: np.ndarray, ledger: FlopLedger) -> np.ndarray:
     m = q_m.shape[0]
     if q_m.shape[1] != m or m < 2:
         raise ContractViolationError(f"deflate_q needs a square matrix of dim >= 2, got {q_m.shape}")
-    omega = _check_omega(real_pivot(q_m[m - 1, m - 1], "deflate_q omega"), m)
+    omega = _check_pivot(real_pivot(q_m[-1, -1], "deflate_q omega"), None, "deflation omega", m)
     out = q_m[: m - 1, : m - 1].copy()
     q_bar = q_m[: m - 1, m - 1]
     om_inv = 1.0 / omega
@@ -671,7 +658,8 @@ def init_gram(h: np.ndarray, alpha: float, ledger: FlopLedger) -> np.ndarray:
     Charged as the row-by-row accumulation of Hermitian outer products on
     the upper triangle (N*M*(M+1)/2 products and adds); numpy forms the
     full product in one call and the strict lower triangle is mirrored.
-    ``h`` may be a stack of channels, with one ``alpha`` per trial.
+    ``h`` may be a stack of channels, with one ``alpha`` per trial.  Overflow
+    is a numerical failure; a finite diagonal bounds |r_ij| <= sqrt(r_ii r_jj).
     """
     h = as_cmat(h, "h", stack=True)
     n, m = h.shape[-2:]
@@ -680,7 +668,9 @@ def init_gram(h: np.ndarray, alpha: float, ledger: FlopLedger) -> np.ndarray:
     r = h.conj().mT @ h
     np.copyto(r, r.mT.conj(), where=_strict_lower_mask(m))
     diag = (*_lead(r, 2), _arange(m), _arange(m))
-    r[diag] = r[diag].real + alpha
+    r[diag] = d = r[diag].real + alpha
+    if not np.isfinite(d).all():
+        raise SingularMatrixError("init_gram: H^H H + alpha I is not finite")
     return r
 
 
@@ -712,7 +702,7 @@ def init_q_recursive(r: np.ndarray, ledger: FlopLedger, variant: str = "v") -> n
 
     ``variant`` selects the border step: "i" is the three-division form,
     "v" the single-division form.  Both produce the full inverse of ``r``,
-    or of each matrix of a stack.
+    or of each matrix of a stack.  A non-real diagonal entry is misuse.
     """
     r = as_cmat(r, "r", stack=True)
     m = r.shape[-1]
@@ -720,36 +710,35 @@ def init_q_recursive(r: np.ndarray, ledger: FlopLedger, variant: str = "v") -> n
         raise ContractViolationError("init_q_recursive needs a square matrix")
     if variant not in ("i", "v"):
         raise ContractViolationError(f"unknown variant {variant!r}")
+    real_pivot(r.diagonal(0, -2, -1), "init_q_recursive")
     q = r.copy()
     _grow_inverse(q, ledger, variant)
     return q
 
 
-def _invert_leading(a, at, led, scale=None):
+def _invert_leading(a, at, led):
     """Overwrite the leading diagonal entry ``a[at]`` (one per trial) by its inverse.
 
-    It is singular below SINGULAR_RTOL times ``scale`` (by default its own
-    size: only a zero is).  Errors name ``init_q_recursive leading entry``.
+    It is a pivot of its own scale, so only a non-positive or non-finite one
+    fails.  Errors name ``init_q_recursive leading entry``.
     """
-    g0 = real_pivot(a[at], "init_q_recursive leading entry")
-    _check_pivot(g0, g0 if scale is None else scale, "init_q_recursive leading entry")
-    a[at] = 1.0 / g0
+    a[at] = 1.0 / _check_pivot(a[at], None, "init_q_recursive leading entry")
     led.tick(cdiv=1)
 
 
-def _grow_inverse(q, led, variant, scale=None):
+def _grow_inverse(q, led, variant):
     """:func:`init_q_recursive` in place: ``q``'s upper triangle, Hermitian, becomes its inverse.
 
-    The leading entry is inverted (see :func:`_invert_leading` for ``scale``), then
-    step i grows the inverse by border i with the ``variant`` step: it reads only the
-    inverted leading block, the column above the diagonal and the diagonal entry, then
-    overwrites them, so one buffer holds both matrices.  ``q`` may be a stack.
+    The leading entry is inverted (:func:`_invert_leading`), then step i grows the
+    inverse by border i with the ``variant`` step: it reads only the inverted leading
+    block, the column above the diagonal and the diagonal entry gamma (a pivot of its
+    own scale), then overwrites them, so one buffer holds both matrices.  ``q`` may be a stack.
     """
     lead, m = _lead(q, 2), q.shape[-1]
-    _invert_leading(q, (*lead, 0, 0), led, scale)
+    _invert_leading(q, (*lead, 0, 0), led)
     step_fn = _block_step_i if variant == "i" else _block_step_v
     for i in range(1, m):
-        gamma = real_pivot(q[(*lead, i, i)], "init_q_recursive")
+        gamma = _check_pivot(q[(*lead, i, i)], None, "init_q_recursive", i + 1)
         q_col, omega = step_fn(q[..., :i, :i], q[..., :i, i], gamma, led, i + 1)[:2]
         q[(*lead, i, i)] = omega
         q[..., :i, i] = q_col

@@ -204,7 +204,7 @@ def test_covering_schedules_match_out_of_place():
         r_full = r_oop.copy()
         r_full[cu, ru] = np.conj(r_oop[ru, cu])
         q_oop = init_q_recursive(r_full, led_oop, variant="v")
-        _grow_inverse(buf[:, :m], led_in, "v", scale=1.0)   # the single-buffer covering
+        _grow_inverse(buf[:, :m], led_in, "v")   # the single-buffer covering
         assert np.array_equal(buf[:m, :m], q_oop)           # bitwise
     # ledgers of the aliased and fresh-target inverse paths agree
     rng = make_rng(313, 0)
@@ -213,7 +213,7 @@ def test_covering_schedules_match_out_of_place():
     led_a = FlopLedger()
     _cover_gram_rows(buf, 0.1, led_a)
     pre = led_a.copy()
-    _grow_inverse(buf[:, :8], led_a, "v", scale=1.0)
+    _grow_inverse(buf[:, :8], led_a, "v")
     led_b = FlopLedger()
     r = oop_gram_rows(h.conj().T.copy(), 0.1)
     ru, cu = np.triu_indices(8)
@@ -270,10 +270,10 @@ def test_packed_pair_raises_dense_covering_errors_on_overflow():
     h = ch.h.copy()
     h[:, 3] *= 1e160
     ch = ChannelRealization(h, 8, 9)
-    with pytest.raises(ContractViolationError) as dense:
+    with pytest.raises(SingularMatrixError) as dense:
         detect_proposed_2(ch, rx, QPSK)
     for detect in (detect_proposed_2_tri, detect_proposed_2_tri_noperm):
-        with pytest.raises(ContractViolationError) as packed:
+        with pytest.raises(SingularMatrixError) as packed:
             detect(ch, rx, QPSK)
         assert str(packed.value) == str(dense.value)
 

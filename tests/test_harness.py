@@ -1,6 +1,7 @@
 """Harness and CLI behavior: determinism, schemas, gates, exit codes."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -24,12 +25,12 @@ from vblast.harness import (
     _ber_batch,
     _map_ordered,
     _run_batch,
+    _trial_frame,
     worker_count,
     write_csv,
 )
 from vblast.sigmodel import (
     ChannelRealization,
-    RxFrame,
     constellation,
     draw_channel,
     random_frame,
@@ -437,19 +438,20 @@ def test_cli_ber_numerical_failure_is_reported(tmp_path, capsys):
 
 
 def test_batch_with_one_failing_trial():
-    """A trial that fails (a channel scaled by 1e8 at 80 dB) makes its batch
-    raise exactly its own error; run one by one, the other trials' outputs
-    equal their own calls."""
+    """A trial that fails (one column scaled by 1e160, so that its Gram matrix
+    overflows) makes its batch raise exactly its own error; run one by one,
+    the other trials' outputs equal their own calls."""
     c = constellation("qpsk")
 
-    def trial(seed, t, snr_db, scale=1.0):
+    def trial(seed, t, snr_db, column_scale=1.0):
         ch = draw_channel(16, 16, seed, stream=4 * t)
         frame = random_frame(16, c, seed, stream=4 * t + 1)
         rx = transmit(frame, ch, sigma_n2_for_snr_db(snr_db), seed, stream=4 * t + 2)
-        return (ChannelRealization(ch.h * scale, 16, 16),
-                RxFrame(rx.x * scale, rx.sigma_n2 * scale**2, rx.alpha * scale**2))
+        h = ch.h.copy()
+        h[:, 2] *= column_scale
+        return ChannelRealization(h, 16, 16), rx
 
-    trials = [trial(11, 0, 20.0), trial(1684, 1, 80.0, scale=1e8), trial(12, 0, 20.0)]
+    trials = [trial(11, 0, 20.0), trial(1684, 1, 20.0, column_scale=1e160), trial(12, 0, 20.0)]
     chs, rxs = [t[0] for t in trials], [t[1] for t in trials]
     raised = 0
     for name in DETECTOR_NAMES:
@@ -472,7 +474,33 @@ def test_batch_with_one_failing_trial():
                 assert getattr(got[i], field).tobytes() == getattr(singles[i], field).tobytes()
             assert got[i].trace == singles[i].trace
             assert got[i].ledger == singles[i].ledger
-    assert raised >= 7
+    assert raised == 9
+
+
+def test_overflow_batch_types_every_trial_without_warnings():
+    """A batch whose middle trial's Gram matrix overflows gives every trial
+    its own call's outcome, with no floating-point warning escaping any
+    routine, and all nine detectors type the overflow as numerical."""
+    frames = [_trial_frame(8, 9, 20.0, 4, t, "qpsk") for t in range(3)]
+    c, chs, rxs = frames[0][0], [f[1] for f in frames], [f[3] for f in frames]
+    h = chs[1].h.copy()
+    h[:, 2] *= 1e160
+    chs[1] = ChannelRealization(h, 8, 9)
+    for name in ALGORITHMS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _run_batch(name, chs, rxs, c)
+            for ch, rx, res in zip(chs, rxs, got):
+                try:
+                    want = ALGORITHMS[name](ch, rx, c)
+                except (SingularMatrixError, ContractViolationError) as exc:
+                    assert (type(res), str(res)) == (type(exc), str(exc)), name
+                    continue
+                for field in ("s_hat", "order", "soft"):
+                    assert getattr(res, field).tobytes() == getattr(want, field).tobytes()
+                assert res.trace == want.trace
+        if name in DETECTOR_NAMES:
+            assert isinstance(got[1], SingularMatrixError), (name, got[1])
 
 
 def test_equiv_batch_mixed_outcomes_match_per_point(monkeypatch):

@@ -18,7 +18,7 @@ from vblast.kernels import (
     init_q_sherman_morrison,
     rank1_update_herm,
     sm_rank1_inverse_update,
-    _check_omega,
+    _check_pivot,
     _grow_inverse,
     _pack_upper,
 )
@@ -279,7 +279,7 @@ def test_init_q_recursive_singular_border_names_index(variant, m):
     stack = np.stack([np.diag(2.0 ** np.arange(m)), r, np.eye(m)]).astype(complex)
     runs = [lambda: init_q_recursive(stack, FlopLedger(), variant=variant)]
     if variant == "v":
-        runs += [lambda: _grow_inverse(stack.copy(), FlopLedger(), "v", scale=1.0),
+        runs += [lambda: _grow_inverse(stack.copy(), FlopLedger(), "v"),
                  lambda: _cover_inverse_packed(_Packed(_Trials(3, m), _pack_upper(stack), m), m,
                                                FlopLedger())]
     for run in runs:
@@ -419,20 +419,23 @@ def test_deflate_sm_charges_more():
 def test_deflate_nonpositive_omega():
     q = np.eye(2, dtype=complex)
     q[1, 1] = 0.0
-    with pytest.raises(SingularMatrixError, match=r"^deflation at recursion 2: omega=0$"):
+    with pytest.raises(SingularMatrixError,
+                       match=r"^singular pivot in deflation omega \(recursion index 2\): \|0\|$"):
         deflate_q(q, FlopLedger())
 
 
 def test_check_omega_one_trial_and_batch_raise_alike():
-    """A batch raises its first failing trial's error, as that trial's float does."""
-    assert _check_omega(0.5, 3) == 0.5
+    """A deflation's omega is a pivot of its own scale: a batch raises its
+    first failing trial's error, as that trial's float does."""
+    assert _check_pivot(0.5, 0.5, "deflation omega", 3) == 0.5
     with pytest.raises(SingularMatrixError) as one:
-        _check_omega(-0.25, 3)
-    assert str(one.value) == "deflation at recursion 3: omega=-0.25"
-    ok = _check_omega(np.array([[0.5], [2.0]], complex), 3)
-    assert ok.tolist() == [[0.5], [2.0]]
+        _check_pivot(-0.25, -0.25, "deflation omega", 3)
+    assert str(one.value) == "singular pivot in deflation omega (recursion index 3): |-0.25|"
+    ok = np.array([[0.5], [2.0]], complex)
+    assert _check_pivot(ok, ok, "deflation omega", 3).tolist() == [[0.5], [2.0]]
+    bad = np.array([[0.5], [-0.25], [0.0]], complex)
     with pytest.raises(SingularMatrixError) as batch:
-        _check_omega(np.array([[0.5], [-0.25], [0.0]], complex), 3)
+        _check_pivot(bad, bad, "deflation omega", 3)
     assert str(batch.value) == str(one.value)
 
 
@@ -511,7 +514,7 @@ def test_inverse_pair_property_all_paths(alpha):
         assert np.abs(r - r_exact).max() <= 1e-12 * np.abs(r_exact).max()
         buf = h.conj().T.copy()
         _cover_gram_rows(buf, alpha, FlopLedger())
-        _grow_inverse(buf[:, :m], FlopLedger(), "v", scale=1.0)
+        _grow_inverse(buf[:, :m], FlopLedger(), "v")
         for q in (
             init_q_sherman_morrison(h, alpha, FlopLedger()),
             init_q_recursive(r, FlopLedger(), variant="i"),
