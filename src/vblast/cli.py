@@ -18,6 +18,7 @@ never output bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from .harness import (
     MEM_HEADER,
     RATIOS_HEADER,
     SweepConfig,
+    cannot_write,
     run_ber,
     run_equiv,
     run_flops,
@@ -100,36 +102,48 @@ def _config(args) -> SweepConfig:
         trials=args.trials,
         seed=args.seed,
         cancel_soft=args.cancel_soft,
-        out_path=args.out,
         constellation=args.constellation,
     )
 
 
-def _run(command: str, cfg: SweepConfig) -> list[str]:
-    """Run one subcommand, write its CSV and return its gate failures."""
+def _run(command: str, cfg: SweepConfig, out: Path) -> list[str]:
+    """Try the output paths, run one subcommand, write its CSVs; return its gate failures."""
+    paths = [out, out.parent / f"{out.stem}.ratios.csv"] if command == "flops" else [out]
+    made = [p for p in (*out.parents[::-1], *paths) if not p.exists()]
     failures: list[str] = []
-    if command == "equiv":
-        rows, failures = run_equiv(cfg)
-        write_csv(cfg.out_path, EQUIV_HEADER, rows)
-    elif command == "flops":
-        rows, ratio_rows = run_flops(cfg)
-        write_csv(cfg.out_path, FLOPS_HEADER, rows)
-        ratios_path = Path(cfg.out_path).with_suffix(".ratios.csv")
-        write_csv(ratios_path, RATIOS_HEADER, ratio_rows)
-        print(f"wrote {cfg.out_path} and {ratios_path}")
-    elif command == "mem":
-        rows, failures = run_mem(cfg)
-        write_csv(cfg.out_path, MEM_HEADER, rows)
-    elif command == "ber":
-        rows = run_ber(cfg)
-        write_csv(cfg.out_path, BER_HEADER, rows)
+    try:
+        for path in paths:
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                open(path, "a").close()     # an existing file keeps its bytes
+            except OSError as exc:
+                raise cannot_write(path, exc) from None
+        if command == "equiv":
+            rows, failures = run_equiv(cfg)
+            write_csv(out, EQUIV_HEADER, rows)
+        elif command == "flops":
+            rows, ratio_rows = run_flops(cfg)
+            write_csv(out, FLOPS_HEADER, rows)
+            write_csv(paths[1], RATIOS_HEADER, ratio_rows)
+            print(f"wrote {out} and {paths[1]}")
+        elif command == "mem":
+            rows, failures = run_mem(cfg)
+            write_csv(out, MEM_HEADER, rows)
+        elif command == "ber":
+            rows = run_ber(cfg)
+            write_csv(out, BER_HEADER, rows)
+    except BaseException:       # a run without results leaves no new file or directory
+        for path in reversed(made):
+            with contextlib.suppress(OSError):
+                path.rmdir() if path.is_dir() else path.unlink()
+        raise
     return failures
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        failures = _run(args.command, _config(args))
+        failures = _run(args.command, _config(args), args.out)
     except ContractViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

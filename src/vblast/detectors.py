@@ -77,7 +77,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, SingularMatrixError
 from .kernels import (
     FlopLedger,
     _arange,
@@ -93,9 +93,9 @@ from .kernels import (
     init_q_sherman_morrison,
     matvec,
     rank1_update_herm,
+    real_pivot,
     vdot_c,
     _check_pivot,
-    _deflate_sm_inplace,
     _dot,
     _grow_inverse,
     _invert_leading,
@@ -103,6 +103,7 @@ from .kernels import (
     _mv,
     _pack_upper,
     _packed_unpack,
+    _sm_update_inplace,
 )
 from .sigmodel import ChannelRealization, RxFrame, quantize
 
@@ -270,6 +271,8 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
         j = m - 1
         hm = h[..., :m]
         r = hm.conj().mT @ hm + alpha * np.eye(m)
+        if not np.isfinite(r).all():
+            raise SingularMatrixError("Gram matrix H^H H + alpha I is not finite")
         q = gauss_jordan_inverse(r)
         picks = [_argmin_gap(d) for d in q.diagonal(0, -2, -1).real.reshape(-1, m).tolist()]
         if any(pick[0] != j for pick in picks):
@@ -608,8 +611,9 @@ def _deflate(q, col, rest, led, r_border, triangle_only, cmul, cadd):
     else:
         k = col.shape[-1] - 1
         led.tick(cmul=cmul, cadd=cadd)
-        _deflate_sm_inplace(q.q[..., :k, :k], r_border[..., :k, k], r_border[(*q.lead, k, k)],
-                            led, triangle_only=triangle_only)
+        gamma = real_pivot(r_border[(*q.lead, k, k)], "deflate_q_sm gamma")
+        _sm_update_inplace(q.q[..., :k, :k], r_border[..., :k, k], gamma, led, "deflate_q_sm",
+                           triangle_only)
 
 
 def _init_x(border):

@@ -60,7 +60,6 @@ class SweepConfig:
     trials: int = 100
     seed: int = 1
     cancel_soft: bool = False
-    out_path: str | Path | None = None
     constellation: str = "qpsk"
 
     def __post_init__(self):
@@ -104,10 +103,14 @@ def write_csv(path, header, rows) -> None:
             writer.writerow(header)
             for row in rows:
                 writer.writerow([_fmt(v) for v in row])
-    except OSError as exc:      # a directory, a path under a file, no permission
-        culprit = "" if exc.filename in (None, str(path)) else f"{exc.filename}: "
-        raise ContractViolationError(
-            f"cannot write {path}: {culprit}{exc.strerror or exc}") from None
+    except OSError as exc:
+        raise cannot_write(path, exc) from None
+
+
+def cannot_write(path: Path, exc: OSError) -> ContractViolationError:
+    """The misuse error for an output path: a directory, a path under a file, no permission."""
+    culprit = "" if exc.filename in (None, str(path)) else f"{exc.filename}: "
+    return ContractViolationError(f"cannot write {path}: {culprit}{exc.strerror or exc}")
 
 
 def worker_count() -> int:
@@ -386,13 +389,8 @@ def run_flops(cfg: SweepConfig):
         for name in names:
             led = detector_ledger(name, m, n, seed=cfg.seed, cname=cfg.constellation)
             ledgers[name] = led
-            model_name = MODEL_FOR_ALGORITHM.get(name)
-            if model_name is not None:
-                rep = compare(led, TABLE_MODELS[model_name], m, n)
-                predicted, gap = rep.predicted, rep.relative_gap
-            else:
-                predicted, gap = float("nan"), float("nan")
-            rows.append((m, n, name, led.cmul, led.cadd, led.cdiv, predicted, gap))
+            rep = compare(led, TABLE_MODELS[MODEL_FOR_ALGORITHM[name]], m, n)
+            rows.append((m, n, name, led.cmul, led.cadd, led.cdiv, rep.predicted, rep.relative_gap))
         pairs = [
             ("speed_adv/proposed_2", "speed_adv", "proposed_2"),
             ("mem_saving/proposed_2", "mem_saving", "proposed_2"),

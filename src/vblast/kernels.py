@@ -42,7 +42,8 @@ its errors, whoever calls it.
 
 One rule, :func:`_check_pivot`, judges every pivot the recursion computes:
 it fails when not finite or not above ``SINGULAR_RTOL`` times the size of
-the value it comes from, gamma for a Schur pivot ``gamma - r^H Q r``.  A
+the value it comes from.  A Schur or Sherman-Morrison pivot ``c -/+ r^H Q r``
+is judged against c (R's border entry gamma, or 1 for a row added to Q).  A
 growth's leading entry and gamma, a deflation's omega and a three-division
 step's corner are no differences, so their scale is their own: only a
 non-positive one fails.  So scaling (H, x, alpha) by (2^k, 2^k, 4^k) changes
@@ -567,24 +568,20 @@ def sm_rank1_inverse_update(
             f"sm_rank1_inverse_update: q is {q.shape}, h has length {h.shape[0]}"
         )
     out = q.copy()
-    _sm_update_inplace(out, h, ledger, triangle_only)
+    _sm_update_inplace(out, h, 1.0, ledger, "sm_rank1_inverse_update", triangle_only)
     return out
 
 
-def _sm_update_inplace(q, h, led, triangle_only=True):
+def _sm_update_inplace(q, r, c, led, context, triangle_only=True):
+    """Q -= (Q r)(Q r)^H / (c + r^H Q r) in place, the pivot judged against c."""
     m = q.shape[-1]
-    u = matvec(q, h, led)
-    t = vdot_c(h, u, led)
-    # max(|t|, 1), |t| as Python's abs rounds it
-    mag = max(abs(t), 1.0) if isinstance(t, complex) else np.maximum(np.hypot(t.real, t.imag), 1.0)
-    delta = _check_pivot(1.0 + t, mag, "sm_rank1_inverse_update")
+    u = matvec(q, r, led)
+    t = vdot_c(r, u, led)
+    delta = _check_pivot(c + t, c, context)
     beta = 1.0 / delta
     v = beta * u
     led.tick(cmul=m, cadd=1, cdiv=1)
-    if triangle_only:
-        rank1_update_herm(q, v, u, led, subtract=True)
-    else:
-        rank1_update_full(q, v, u, led, subtract=True)
+    (rank1_update_herm if triangle_only else rank1_update_full)(q, v, u, led, subtract=True)
 
 
 def deflate_q(q_m: np.ndarray, ledger: FlopLedger) -> np.ndarray:
@@ -627,25 +624,10 @@ def deflate_q_sm(
         raise ContractViolationError(
             f"deflate_q_sm: q_m is {q_m.shape}, r_bar has length {r_bar.shape[0]}"
         )
-    out = q_m[: m - 1, : m - 1].copy()
-    _deflate_sm_inplace(out, r_bar, gamma, ledger, triangle_only)
-    return out
-
-
-def _deflate_sm_inplace(q_block, r_bar, gamma, led, triangle_only=True):
-    """Shrink ``q_block`` in place from the border; a non-real ``gamma`` is misuse."""
     gamma = real_pivot(gamma, "deflate_q_sm gamma")
-    k = r_bar.shape[-1]
-    u = matvec(q_block, r_bar, led)
-    t = vdot_c(r_bar, u, led)
-    delta = _check_pivot(gamma + t, gamma, "deflate_q_sm")
-    beta = 1.0 / delta
-    v = beta * u
-    led.tick(cmul=k, cadd=1, cdiv=1)
-    if triangle_only:
-        rank1_update_herm(q_block, v, u, led, subtract=True)
-    else:
-        rank1_update_full(q_block, v, u, led, subtract=True)
+    out = q_m[: m - 1, : m - 1].copy()
+    _sm_update_inplace(out, r_bar, gamma, ledger, "deflate_q_sm", triangle_only)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +675,8 @@ def init_q_sherman_morrison(
     q[(*_lead(q, 2), _arange(m), _arange(m))] = 1.0 / alpha
     ledger.tick(cdiv=1)
     for row in range(n):
-        _sm_update_inplace(q, np.conj(h[..., row, :]), ledger, triangle_only)
+        _sm_update_inplace(q, np.conj(h[..., row, :]), 1.0, ledger, "sm_rank1_inverse_update",
+                           triangle_only)
     return q
 
 

@@ -112,6 +112,19 @@ def test_alpha_must_be_positive(name):
         ALGORITHMS[name](ch, bad, QPSK)
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_received_vector_with_nan_is_misuse(name):
+    """A NaN in x is misuse, in one trial and as the middle trial of a batch of three."""
+    c, chs, rxs = batch_trials(3, 4, "qpsk", 3, seed=7)
+    x = rxs[1].x.copy()
+    x[2] = np.nan
+    rxs[1] = RxFrame(x, rxs[1].sigma_n2, rxs[1].alpha)
+    for ch, rx in ((chs[1], rxs[1]), (chs, rxs)):
+        with pytest.raises(ContractViolationError) as info:
+            ALGORITHMS[name](ch, rx, c)
+        assert str(info.value) == "received vector contains NaN or Inf"
+
+
 def test_dimension_mismatch_rejected():
     ch, frame, rx = seeded_trial(2, 3, 10.0, 3)
     bad = RxFrame(rx.x[:2], rx.sigma_n2, rx.alpha)

@@ -2,6 +2,7 @@
 
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,10 +330,47 @@ def test_cli_rejects_an_algorithm_named_twice(tmp_path, capsys, command):
 def test_cli_types_an_output_path_it_cannot_write(tmp_path, capsys):
     """A directory, or a path under a file, is misuse: ``error:`` and exit 2."""
     (tmp_path / "afile").write_text("")
-    for out, reason in [(tmp_path, "Is a directory"),
+    for out, reason in [(tmp_path, "Is a directory"), (Path("/"), "Is a directory"),
                         (tmp_path / "afile" / "x.csv", f"{tmp_path / 'afile'}: File exists")]:
         assert main(["flops", "--m", "2", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+
+
+def test_cli_tries_the_output_path_before_the_sweep(tmp_path, capsys, monkeypatch):
+    """An unwritable ``--out`` (or ``flops``' ratios path) ends the run with
+    ``error:`` and exit 2 before any sweep runs, and leaves no new file."""
+    def never(*args, **kw):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("vblast.cli.run_ber", never)
+    monkeypatch.setattr("vblast.cli.run_flops", never)
+    code = main(["ber", "--m", "16", "--snr-db", "0,10,20", "--trials", "200",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
+    out = tmp_path / "new" / "f.csv"
+    (tmp_path / "new" / "f.ratios.csv").mkdir(parents=True)
+    assert main(["flops", "--m", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out.with_suffix('.ratios.csv')}: Is a directory\n")
+    assert not out.exists()
+
+
+def test_cli_failing_run_leaves_no_new_file(tmp_path, capsys, monkeypatch):
+    """A run that ends in ``FAIL:`` removes the file and directories the path
+    check made, and keeps an existing file's bytes."""
+    def failing(cfg):
+        assert out.exists()             # made by the check, before the sweep
+        raise SingularMatrixError("injected singular pivot")
+
+    monkeypatch.setattr("vblast.cli.run_ber", failing)
+    for out, made in [(tmp_path / "a" / "b" / "x.csv", []), (tmp_path / "old.csv", ["old.csv"])]:
+        if made:
+            out.write_text("kept\n")
+        assert main(["ber", "--m", "2", "--trials", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "FAIL: injected singular pivot\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == made
+    assert out.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("command", ["ber", "equiv", "flops"])
@@ -480,7 +518,8 @@ def test_batch_with_one_failing_trial():
 def test_overflow_batch_types_every_trial_without_warnings():
     """A batch whose middle trial's Gram matrix overflows gives every trial
     its own call's outcome, with no floating-point warning escaping any
-    routine, and all nine detectors type the overflow as numerical."""
+    routine, and all ten routines, the oracle too, type the overflow as
+    numerical."""
     frames = [_trial_frame(8, 9, 20.0, 4, t, "qpsk") for t in range(3)]
     c, chs, rxs = frames[0][0], [f[1] for f in frames], [f[3] for f in frames]
     h = chs[1].h.copy()
@@ -499,8 +538,7 @@ def test_overflow_batch_types_every_trial_without_warnings():
                 for field in ("s_hat", "order", "soft"):
                     assert getattr(res, field).tobytes() == getattr(want, field).tobytes()
                 assert res.trace == want.trace
-        if name in DETECTOR_NAMES:
-            assert isinstance(got[1], SingularMatrixError), (name, got[1])
+        assert isinstance(got[1], SingularMatrixError), (name, got[1])
 
 
 def test_equiv_batch_mixed_outcomes_match_per_point(monkeypatch):

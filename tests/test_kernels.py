@@ -348,6 +348,14 @@ def test_sm_triangle_mode_dominant_charge():
     assert abs(led.cmul - target) / target < 0.05
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0])
+def test_sm_init_needs_positive_alpha(alpha):
+    h = random_complex(make_rng(3), 3, 2)
+    with pytest.raises(ContractViolationError) as info:
+        init_q_sherman_morrison(h, alpha, FlopLedger())
+    assert str(info.value) == "init_q_sherman_morrison needs alpha > 0"
+
+
 def test_sm_denominator_underflow():
     with pytest.raises(SingularMatrixError):
         sm_rank1_inverse_update(-np.eye(1, dtype=complex), np.array([1.0], complex), FlopLedger())
