@@ -84,7 +84,6 @@ from .kernels import (
     _packed_coords,
     _packed_diag_indices,
     _packed_square_flat,
-    _packed_triu_flat,
     _triu_indices,
     conj_matvec,
     gauss_jordan_inverse,
@@ -194,11 +193,16 @@ class BatchResult:
 
 
 def _prep(chs, rxs):
-    """Validate trials that run together; return their M and N."""
+    """Validate trials that run together; return their M and N.
+
+    A batch raises the error of its first trial to fail; the received vectors
+    are checked for NaN or Inf in one call, trial by trial only if one has any.
+    """
     if len(chs) != len(rxs) or not len(chs):
         raise ContractViolationError(
             f"a batch needs one received frame per channel, got {len(rxs)} for {len(chs)}")
     m, n = chs[0].m, chs[0].n
+    finite = np.isfinite(np.concatenate([rx.x for rx in rxs], axis=None)).all()
     for ch, rx in zip(chs, rxs):
         if (ch.m, ch.n) != (m, n):
             raise ContractViolationError(
@@ -207,7 +211,7 @@ def _prep(chs, rxs):
             raise ContractViolationError(
                 f"received vector has length {rx.x.shape[0]} for an N={ch.n} channel"
             )
-        if not np.all(np.isfinite(rx.x)):
+        if not finite and not np.all(np.isfinite(rx.x)):
             raise ContractViolationError("received vector contains NaN or Inf")
         if not (rx.alpha > 0):
             raise ContractViolationError(f"detectors need alpha > 0, got {rx.alpha}")
@@ -514,9 +518,11 @@ class _Packed:
         return self.upper[..., base : base + m], self.spans[m], self.spans[m - 1], self.ats[m - 1]
 
     def sub(self, rest, u, w, led):
+        """Hermitian ``Q[:k, :k] -= u w^H`` on the leading block's triangle, the
+        packed vector's first k*(k+1)/2 entries; diagonal imaginary parts zeroed."""
         k, lead = u.shape[-1], self.lead
-        r0, c0 = _triu_indices(k)
-        self.upper[(*lead, _packed_triu_flat(k))] -= u[(*lead, r0)] * np.conj(w)[(*lead, c0)]
+        rows, cols = _packed_coords(k)
+        self.upper[..., : rows.size] -= u[(*lead, rows)] * np.conj(w)[(*lead, cols)]
         led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
         dflat = self.dflat[:k]
         self.upper[(*lead, dflat)] = self.upper[(*lead, dflat)].real

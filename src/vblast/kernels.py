@@ -49,8 +49,10 @@ step's corner are no differences, so their scale is their own: only a
 non-positive one fails.  So scaling (H, x, alpha) by (2^k, 2^k, 4^k) changes
 no outcome.  A computed pivot with a non-negligible imaginary part
 (``PIVOT_IMAG_RTOL``) fails too, a placeholder for an accuracy guard.  The
-rule takes one value or one per trial; a batch raises its first failing
-trial's error.
+rule takes one value or one per trial.  A batch's pivots are judged as
+Python numbers: one pass over them as a list finds that all pass, else each
+trial in turn goes through the one-trial rule, so a batch raises exactly the
+error its first failing trial raises alone.
 
 The Gauss-Jordan routine at the bottom is the independent oracle used by the
 test-suite: it is deliberately plain, uses partial pivoting, and never
@@ -220,12 +222,6 @@ def _packed_diag_indices(k: int):
     return j * (j + 1) // 2 + j
 
 
-@lru_cache(maxsize=None)
-def _packed_triu_flat(k: int):
-    rows, cols = _triu_indices(k)
-    return cols * (cols + 1) // 2 + rows
-
-
 @lru_cache(maxsize=None)      # views, as above
 def _packed_coords(k: int):
     """Row and column of every packed entry, in flat order."""
@@ -288,16 +284,17 @@ def real_pivot(x, context: str, step: int | None = None, error=ContractViolation
     recursion index ``step``: a value read from the caller's arguments is
     misuse (the default), a pivot the recursion computed is a numerical
     failure (``SingularMatrixError``).  ``x`` may hold one pivot per trial;
-    the check then raises the first failing trial's error.
+    each is then judged as a number, in trial order, so the first failing
+    trial's error is raised, and the real parts come back as a new array.
     """
     if isinstance(x, np.ndarray):
         if x.size > 1:
-            re, im = x.real, x.imag
-            bad = (im != 0) & (np.abs(im) > PIVOT_IMAG_RTOL * np.maximum(np.abs(re), 1e-300))
-            bad |= ~np.isfinite(re)
-            if bad.any():
-                real_pivot(x.flat[bad.argmax()], context, step, error)
-            return re.copy()
+            vals = x.ravel().tolist()
+            # a sufficient condition for passing, else the rule trial by trial
+            if not all(abs(v.imag) <= PIVOT_IMAG_RTOL * abs(v.real) < math.inf for v in vals):
+                for v in vals:
+                    real_pivot(v, context, step, error)
+            return x.real.copy()
         x = x.item()
     x = complex(x)
     re, im = x.real, x.imag
@@ -313,16 +310,24 @@ def _check_pivot(x, scale, context: str, step=None):
 
     Not real or not finite (see :func:`real_pivot`), or not above SINGULAR_RTOL
     times ``|scale|`` (``None``: its own size, so only a non-positive ``x``) fails,
-    naming ``context`` and ``step``; ``x`` and ``scale`` may hold one per trial."""
+    naming ``context`` and ``step``.  ``x`` may hold one pivot per trial, and
+    ``scale`` one per trial or one for all: each trial is then judged as a
+    number, in trial order, so the first failing trial's error is raised, and
+    the real parts come back as a new array."""
+    if isinstance(x, np.ndarray) and x.size > 1:
+        vals = x.ravel().tolist()
+        scales = scale.ravel().tolist() if isinstance(scale, np.ndarray) else [scale] * len(vals)
+        floors = [0.0 if s is None else SINGULAR_RTOL * abs(s) for s in scales]
+        # a sufficient condition for passing, else the rule trial by trial
+        if not all(f < v.real < math.inf and abs(v.imag) <= PIVOT_IMAG_RTOL * v.real
+                   for v, f in zip(vals, floors)):
+            for v, s in zip(vals, scales):
+                _check_pivot(v, s, context, step)
+        return x.real.copy()
     delta = real_pivot(x, context, step, SingularMatrixError)
-    small = delta <= (0.0 if scale is None else SINGULAR_RTOL * abs(scale))
-    if isinstance(small, np.ndarray):
-        if not small.any():
-            return delta
-        delta = delta.flat[small.argmax()].item()     # the first failing trial's error
-    elif not small:
-        return delta
-    raise SingularMatrixError(f"singular pivot in {_label(context, step)}: |{delta:g}|")
+    if delta <= (0.0 if scale is None else SINGULAR_RTOL * abs(scale)):
+        raise SingularMatrixError(f"singular pivot in {_label(context, step)}: |{delta:g}|")
+    return delta
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,8 @@ def test_alpha_must_be_positive(name):
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_received_vector_with_nan_is_misuse(name):
-    """A NaN in x is misuse, in one trial and as the middle trial of a batch of three."""
+    """A NaN in x is misuse, in one trial and as the middle trial of a batch of
+    three, unless an earlier trial of the batch fails first."""
     c, chs, rxs = batch_trials(3, 4, "qpsk", 3, seed=7)
     x = rxs[1].x.copy()
     x[2] = np.nan
@@ -123,6 +124,10 @@ def test_received_vector_with_nan_is_misuse(name):
         with pytest.raises(ContractViolationError) as info:
             ALGORITHMS[name](ch, rx, c)
         assert str(info.value) == "received vector contains NaN or Inf"
+    # a batch raises its first failing trial's error, whichever check fails
+    rxs[0] = RxFrame(rxs[0].x, 0.0, 0.0)
+    with pytest.raises(ContractViolationError, match="^detectors need alpha > 0, got 0.0$"):
+        ALGORITHMS[name](chs, rxs, c)
 
 
 def test_dimension_mismatch_rejected():
@@ -274,6 +279,42 @@ def test_packed_sym_swap_matches_dense_swap(l, last, dim):
     _Packed(_Trials(3, dim), stack, dim).swap(trial_l, last)
     for got, square in zip([one, *stack], want):
         assert got.tobytes() == _pack_upper(square).tobytes()
+
+
+def packed_sub_reference(upper, u, w):
+    """``upper``'s leading k x k triangle minus ``u w^H``, column by column.
+
+    The products are numpy array products, as in the storage: numpy rounds
+    complex products of arrays alike whatever their layout, but not as Python
+    complex numbers."""
+    out = upper.copy()
+    for j in range(u.shape[-1]):
+        base = j * (j + 1) // 2
+        out[..., base : base + j + 1] -= u[..., : j + 1] * np.conj(w[..., j : j + 1])
+        out[..., base + j] = out[..., base + j].real
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 17, 64])
+def test_packed_sub_matches_triangular_loop(k):
+    """The packed storage's update of the leading k x k triangle, on one trial
+    and on a batch of three, equals a plain loop over its columns bit for bit:
+    real diagonal, entries past the k*(k+1)/2 prefix untouched."""
+    dim = k + 3
+    rng = make_rng(79, k)
+    size = dim * (dim + 1) // 2
+    for trials, lead in ((_OneTrial(dim), ()), (_Trials(3, dim), (3,))):
+        upper = rng.standard_normal(lead + (size,)) + 1j * rng.standard_normal(lead + (size,))
+        u, w = (rng.standard_normal(lead + (k,)) + 1j * rng.standard_normal(lead + (k,))
+                for _ in range(2))
+        before, want = upper.copy(), packed_sub_reference(upper, u, w)
+        led = FlopLedger()
+        _Packed(trials, upper, dim).sub(None, u, w, led)
+        assert upper.tobytes() == want.tobytes()
+        assert not upper[..., [j * (j + 3) // 2 for j in range(k)]].imag.any()
+        n = k * (k + 1) // 2
+        assert upper[..., n:].tobytes() == before[..., n:].tobytes()
+        assert led == FlopLedger(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
 
 
 def test_packed_pair_raises_dense_covering_errors_on_overflow():

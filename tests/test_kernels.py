@@ -17,6 +17,7 @@ from vblast.kernels import (
     init_q_recursive,
     init_q_sherman_morrison,
     rank1_update_herm,
+    real_pivot,
     sm_rank1_inverse_update,
     _check_pivot,
     _grow_inverse,
@@ -445,6 +446,20 @@ def test_check_omega_one_trial_and_batch_raise_alike():
     with pytest.raises(SingularMatrixError) as batch:
         _check_pivot(bad, bad, "deflation omega", 3)
     assert str(batch.value) == str(one.value)
+
+
+def test_batch_raises_first_failing_trials_error_whatever_the_check():
+    """Each trial is judged as a number, in trial order: a batch whose trial 0
+    fails one check and trial 1 another raises trial 0's error."""
+    two = np.array([[0], [1 + 1j]])
+    with pytest.raises(SingularMatrixError) as info:
+        _check_pivot(two, None, "deflation omega", 3)
+    assert str(info.value) == "singular pivot in deflation omega (recursion index 3): |0|"
+    for x, want in (([[np.nan], [1 + 1j]], "pivot is not finite"),
+                    ([[1 + 1j], [np.nan]], "pivot (1+1j) has a non-negligible imaginary part")):
+        with pytest.raises(ContractViolationError) as info:
+            real_pivot(np.array(x), "init_gram alpha", 3)
+        assert str(info.value) == f"init_gram alpha (recursion index 3): {want}"
 
 
 # ---------------------------------------------------------------------------
