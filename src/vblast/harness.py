@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -132,10 +130,14 @@ _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THR
 def _map_ordered(fn, args_list):
     """``[fn(a) for a in args_list]`` over ``worker_count()`` spawned processes, which
     read ``_WORKER_ENV`` as they import numpy (the parent's is loaded already) and
-    import the main module: a script running a pooled sweep needs a ``__main__`` guard."""
+    import the main module: a script running a pooled sweep needs a ``__main__`` guard.
+    The pool modules are imported here, so a one-process run never loads them."""
     workers = worker_count()
     if workers == 1 or len(args_list) < 2:
         return [fn(a) for a in args_list]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(args_list) // (workers * 8))
     saved = {key: os.environ.get(key) for key in _WORKER_ENV}
     os.environ.update(_WORKER_ENV)
@@ -444,21 +446,22 @@ def run_mem(cfg: SweepConfig):
 # bit error rate
 
 
-def _bit_errors(res, frame, c):
-    """A run's bit errors against the frame sent, or the error the run raised."""
-    if isinstance(res, Exception):
-        return res
-    return int(np.count_nonzero(demap(res.s_hat, c) != frame.bits))
-
-
 def _ber_batch(args):
-    """Per point of a batch: each detector's bit errors, or the error that trial raised."""
+    """Per point of a batch: each detector's bit errors, or the error that trial raised.
+
+    A detector's returning trials are demapped and counted at once, one row each."""
     m, n, points, seed, cancel_soft, names, cname = args
     c, chs, frames, rxs = _frames(m, n, points, seed, cname)
+    sent = np.array([frame.bits for frame in frames])
     errors = [{} for _ in points]
     for name in names:
-        for i, res in enumerate(_run_batch(name, chs, rxs, c, cancel_soft=cancel_soft)):
-            errors[i][name] = _bit_errors(res, frames[i], c)
+        runs = _run_batch(name, chs, rxs, c, cancel_soft=cancel_soft)
+        done = [i for i, res in enumerate(runs) if not isinstance(res, Exception)]
+        want = sent[done]
+        got = demap(np.array([runs[i].s_hat for i in done]), c).reshape(want.shape)
+        counts = iter(np.count_nonzero(got != want, axis=1).tolist())
+        for i, res in enumerate(runs):
+            errors[i][name] = res if isinstance(res, Exception) else next(counts)
     return errors
 
 

@@ -300,7 +300,7 @@ def real_pivot(x, context: str, step: int | None = None, error=ContractViolation
     re, im = x.real, x.imag
     if im and abs(im) > PIVOT_IMAG_RTOL * max(abs(re), 1e-300):
         raise error(f"{_label(context, step)}: pivot {x} has a non-negligible imaginary part")
-    if not math.isfinite(re):
+    if not math.isfinite(re) or math.isnan(im):
         raise error(f"{_label(context, step)}: pivot is not finite")
     return re
 

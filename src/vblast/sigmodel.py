@@ -42,13 +42,15 @@ class Constellation:
     labels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.points)):
+            raise ContractViolationError(f"constellation {self.name} has a non-finite point")
         energy = float(np.mean(np.abs(self.points) ** 2))
-        if abs(energy - self.symbol_energy) > 1e-12:
+        if not abs(energy - self.symbol_energy) <= 1e-12:     # a NaN energy fails too
             raise ContractViolationError(
                 f"constellation {self.name}: mean point energy {energy} "
                 f"!= declared {self.symbol_energy}"
             )
-        if len(np.unique(self.points)) != len(self.points):
+        if len(set(self.points.tolist())) != len(self.points):
             raise ContractViolationError(f"constellation {self.name} has duplicate points")
 
 

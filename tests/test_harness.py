@@ -1,6 +1,8 @@
 """Harness and CLI behavior: determinism, schemas, gates, exit codes."""
 
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -33,6 +35,7 @@ from vblast.harness import (
 from vblast.sigmodel import (
     ChannelRealization,
     constellation,
+    demap,
     draw_channel,
     random_frame,
     sigma_n2_for_snr_db,
@@ -224,6 +227,68 @@ def test_ber_identical_across_algorithms_on_gated_trials():
             assert len(set(errs.values())) == 1
             checked += 1
     assert checked > 30
+
+
+def test_ber_batch_counts_each_trial_and_keeps_each_error(monkeypatch):
+    """A batch's bit errors are each trial's own count against its frame; a
+    trial that raised keeps its error, and the other trials keep their counts."""
+    names = ["proposed_2", "speed_adv"]
+    cfg = SweepConfig(algorithms=names, m_list=[4], snr_db_list=[0.0], trials=5, seed=7,
+                      constellation="qam16")
+    (args,) = _batches(cfg, names)
+    trials = [_trial_frame(4, 4, 0.0, 7, t, "qam16") for t in range(5)]
+    counts = [{name: int(np.count_nonzero(demap(ALGORITHMS[name](ch, rx, c).s_hat, c)
+                                          != frame.bits)) for name in names}
+              for c, ch, frame, rx in trials]
+    assert _ber_batch(args) == counts
+    assert all(sum(errs.values()) > 0 for errs in counts)
+
+    bad = trials[2][1].h
+    speed_adv = ALGORITHMS["speed_adv"]
+
+    def flaky(chs, rxs, c, **kw):
+        if isinstance(chs, list) or np.array_equal(chs.h, bad):
+            raise SingularMatrixError("flaky")
+        return speed_adv(chs, rxs, c, **kw)
+
+    monkeypatch.setitem(ALGORITHMS, "speed_adv", flaky)
+    errors = _ber_batch(args)
+    assert isinstance(errors[2]["speed_adv"], SingularMatrixError)
+    errors[2]["speed_adv"] = counts[2]["speed_adv"]
+    assert errors == counts
+
+
+COLD_START = """
+import sys
+
+import vblast
+from vblast import harness
+
+c = vblast.constellation("qpsk")
+ch = vblast.draw_channel(2, 2, 1)
+rx = vblast.transmit(vblast.random_frame(2, c, 1, stream=1), ch, 0.1, 1, stream=2)
+vblast.detect_proposed_2(ch, rx, c)
+cfg = harness.SweepConfig(m_list=[2], snr_db_list=[10.0], trials=3)
+harness.run_ber(cfg)
+rows, _ = harness.run_equiv(cfg)
+harness.write_csv(sys.argv[1], harness.EQUIV_HEADER, rows)
+print(" ".join(m for m in ("numpy.ma", "multiprocessing", "concurrent.futures")
+               if m in sys.modules))
+"""
+
+
+def test_one_process_run_loads_no_pool_modules(tmp_path):
+    """A fresh interpreter running one detector, a BER and an equivalence sweep
+    in one process loads neither the worker-pool modules nor numpy.ma."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, VBLAST_WORKERS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "equiv.csv"
+    child = subprocess.run([sys.executable, "-c", COLD_START, str(out)], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == []
+    assert out.read_text().startswith(",".join(EQUIV_HEADER))
 
 
 def test_ber_monotone_in_snr():

@@ -462,6 +462,26 @@ def test_batch_raises_first_failing_trials_error_whatever_the_check():
         assert str(info.value) == f"init_gram alpha (recursion index 3): {want}"
 
 
+def test_nan_imaginary_part_is_not_finite():
+    """A pivot whose imaginary part is NaN fails as not finite, typed by the
+    caller's error, for one trial and in a batch; an infinite imaginary part
+    keeps its own text."""
+    nan_pivot = complex(2.0, np.nan)
+    with pytest.raises(ContractViolationError) as one:
+        real_pivot(nan_pivot, "init_gram alpha", 3)
+    assert str(one.value) == "init_gram alpha (recursion index 3): pivot is not finite"
+    with pytest.raises(ContractViolationError) as batch:
+        real_pivot(np.array([[1.0], [nan_pivot]]), "init_gram alpha", 3)
+    assert str(batch.value) == str(one.value)
+    for x in (nan_pivot, np.array([[0.5], [nan_pivot], [-1.0]])):
+        with pytest.raises(SingularMatrixError) as info:
+            _check_pivot(x, None, "deflation omega", 3)
+        assert str(info.value) == "deflation omega (recursion index 3): pivot is not finite"
+    with pytest.raises(ContractViolationError) as inf:
+        real_pivot(complex(2.0, np.inf), "init_gram alpha")
+    assert str(inf.value) == "init_gram alpha: pivot (2+infj) has a non-negligible imaginary part"
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Jordan oracle
 

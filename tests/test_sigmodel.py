@@ -6,6 +6,7 @@ import pytest
 from vblast.errors import ContractViolationError
 from vblast.sigmodel import (
     ChannelRealization,
+    Constellation,
     constellation,
     demap,
     draw_channel,
@@ -148,6 +149,21 @@ def test_constellation_energy_and_distinctness():
         c = constellation(name)
         assert abs(np.mean(np.abs(c.points) ** 2) - c.symbol_energy) <= 1e-12
         assert len(np.unique(c.points)) == len(c.points)
+
+
+def test_constellation_fails_closed():
+    """A non-finite point, a NaN declared energy or a repeated point is misuse
+    naming the constellation."""
+    labels = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
+    unit = np.array([1, -1, 1j, -1j], dtype=np.complex128)
+    for pts, energy in ((np.array([np.nan, 1, -1, 1j]), 1.0),
+                        (np.array([np.inf, 1, -1, 1j]), 1.0),
+                        (np.array([complex(1, np.nan), 1, -1, 1j]), 1.0),
+                        (unit, np.nan),
+                        (np.array([1, -1, 1j, 1j], dtype=np.complex128), 1.0)):
+        with pytest.raises(ContractViolationError, match="constellation bad"):
+            Constellation("bad", pts, energy, 2, labels)
+    assert Constellation("good", unit, 1.0, 2, labels).points is unit
 
 
 def test_snr_helper():
