@@ -48,19 +48,22 @@ published update is written in the '+' form, with ``d_paper = -d``.
 
 Trial batches: every routine also takes sequences ``(chs, rxs)`` of trials
 with the same (M, N) and returns a :class:`BatchResult`, whose ``trials``
-are the per-trial :class:`DetectionResult` objects in order.  The recursive
-routines run a batch together: each state array gains a leading trial axis,
-each step is one set of numpy calls for all trials, and each trial keeps its
-own ordering.  :func:`_sic` tells one trial from a batch once per call and
-hands the matching step operations to the initializer and the Q storage, so
-no step asks again.  A trial's outputs, trace, ledger and memory ledger are
-bit for bit those of a call on it alone, whatever batch it runs in (a batch
-of one runs as its single trial).  The batch's ``ledger`` and
-``mem.peak_words`` are sums over its trials.  If any trial fails, the batch
-raises the error of the first trial to fail, exactly as a call on that trial
-alone raises it.  The oracle batches in its own loop, through the same lines
-for one trial and a batch: one Gauss-Jordan call inverts a stack of Gram
-matrices, and each trial keeps its own pivoting, ordering and swaps.
+are the per-trial :class:`DetectionResult` objects in order.  All ten
+routines take their trials through :func:`_stack`, which validates and stacks
+them (a batch of one runs on its single trial's arrays), and return through
+:func:`_results`, which scatters the decisions back to antenna order and
+builds the results.  A batch runs together: each state array gains a leading
+trial axis, each step is one set of numpy calls for all trials, and each
+trial keeps its own ordering.  :func:`_sic` tells one trial from a batch once
+per call and hands the matching step operations to the initializer and the Q
+storage, so no step asks again.  A trial's outputs, trace, ledger and memory
+ledger are bit for bit those of a call on it alone, whatever batch it runs
+in.  The batch's ``ledger`` and ``mem.peak_words`` are sums over its trials.
+If any trial fails, the batch raises the error of the first trial to fail,
+exactly as a call on that trial alone raises it.  The oracle keeps its own
+arithmetic loop, the same lines for one trial and a batch: one Gauss-Jordan
+call inverts a stack of Gram matrices, and each trial keeps its own
+pivoting, ordering and swaps.
 
 Memory accounting counts named, detector-owned working buffers of at least M
 complex words (matrix buffers, copies of mutated inputs, and the M-length
@@ -84,7 +87,6 @@ from .kernels import (
     _packed_coords,
     _packed_diag_indices,
     _packed_square_flat,
-    _triu_indices,
     conj_matvec,
     gauss_jordan_inverse,
     init_gram,
@@ -92,7 +94,6 @@ from .kernels import (
     init_q_sherman_morrison,
     matvec,
     rank1_update_herm,
-    real_pivot,
     vdot_c,
     _check_pivot,
     _dot,
@@ -192,12 +193,17 @@ class BatchResult:
         return cls(trials, led, mem)
 
 
-def _prep(chs, rxs):
-    """Validate trials that run together; return their M and N.
-
-    A batch raises the error of its first trial to fail; the received vectors
-    are checked for NaN or Inf in one call, trial by trial only if one has any.
+def _stack(chs, rxs):
+    """Validate a call's trials, one or a sequence with the same (M, N), and
+    return ``(batch, h, x, alpha, p)``: one trial (a batch of one too) as its
+    own arrays, ``float(alpha)`` and ``arange(M)``; a batch stacked, with alpha
+    and ``p`` one row per trial.  A batch raises the error of its first trial
+    to fail; the received vectors are checked for NaN or Inf in one call,
+    trial by trial only if one has any.
     """
+    batch = not isinstance(chs, ChannelRealization)
+    if not batch:
+        chs, rxs = (chs,), (rxs,)
     if len(chs) != len(rxs) or not len(chs):
         raise ContractViolationError(
             f"a batch needs one received frame per channel, got {len(rxs)} for {len(chs)}")
@@ -215,7 +221,28 @@ def _prep(chs, rxs):
             raise ContractViolationError("received vector contains NaN or Inf")
         if not (rx.alpha > 0):
             raise ContractViolationError(f"detectors need alpha > 0, got {rx.alpha}")
-    return m, n
+    if len(chs) == 1:
+        return batch, chs[0].h, rxs[0].x, float(rxs[0].alpha), np.arange(m)
+    return (batch, np.stack([ch.h for ch in chs]), np.stack([rx.x for rx in rxs]),
+            np.array([[float(rx.alpha)] for rx in rxs]), np.tile(np.arange(m), (len(chs), 1)))
+
+
+def _results(batch, lead, p, hard, soft, led, mem, traces, qs, aux=None):
+    """Scatter the decisions, in detection order, back to antenna order and
+    return the call's :class:`DetectionResult`, or its :class:`BatchResult`
+    when it took a batch; trial t gets ``traces[t]``, ``qs[t]`` and ``aux[t]``."""
+    s_hat, soft_ant = np.empty_like(hard), np.empty_like(soft)
+    s_hat[(*lead, p)] = hard
+    soft_ant[(*lead, p)] = soft
+    if not lead:
+        res = DetectionResult(s_hat, p, soft_ant, led, mem, traces[0], qs and qs[0],
+                              aux and aux[0])
+        return BatchResult.of([res]) if batch else res
+    return BatchResult.of([
+        DetectionResult(s_hat[t], p[t], soft_ant[t], led.copy(), mem.copy(), traces[t],
+                        qs and qs[t], aux and aux[t])
+        for t in range(len(p))
+    ])
 
 
 def _argmin_gap(d: list[float]):
@@ -249,16 +276,10 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
     trial's Gram matrix, and each trial keeps its own pivoting, ordering and
     swaps, so it equals its call alone bit for bit.
     """
-    batch = not isinstance(ch, ChannelRealization)
-    chs, rxs = (ch, rx) if batch else ((ch,), (rx,))
-    m_tx, n_rx = _prep(chs, rxs)
-    n_trials = len(chs)
-    if n_trials == 1:
-        h, x, alpha = chs[0].h.copy(), rxs[0].x.copy(), float(rxs[0].alpha)
-    else:
-        h, x = np.stack([t.h for t in chs]), np.stack([t.x for t in rxs])
-        alpha = np.array([float(t.alpha) for t in rxs])[:, None, None]
+    batch, h, x, alpha, p = _stack(ch, rx)
+    n_rx, m_tx = h.shape[-2:]
     lead = _lead(h, 2)
+    h, alpha = (h, alpha[..., None]) if lead else (h.copy(), alpha)    # h is swapped in place
     led = FlopLedger()          # stays zero: the oracle is not instrumented
     mem = MemLedger()
     mem.alloc("h_copy", m_tx * n_rx)
@@ -266,9 +287,9 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
     mem.alloc("gram", m_tx * m_tx)
     mem.alloc("inv", m_tx * m_tx)
     mem.alloc("gj_workspace", 2 * m_tx * m_tx)
-    p = np.tile(np.arange(m_tx), h.shape[:-2] + (1,))
     soft = np.zeros(p.shape, np.complex128)     # in detection order
     hard = np.zeros(p.shape, np.complex128)
+    n_trials = p.size // m_tx
     traces: list[list[OrderingTrace]] = [[] for _ in range(n_trials)]
     qs = [[] for _ in range(n_trials)] if collect_q else None
     for m in range(m_tx, 0, -1):
@@ -299,15 +320,7 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
         if m == 1:
             break
         x = x - np.asarray(est if cancel_soft else s)[..., None] * h[..., j]
-    s_hat, soft_ant = np.empty_like(hard), np.empty_like(soft)
-    s_hat[(*lead, p)] = hard
-    soft_ant[(*lead, p)] = soft
-    trials = [
-        DetectionResult(*(a.reshape(-1, m_tx)[t] for a in (s_hat, p, soft_ant)), led.copy(),
-                        mem.copy(), traces[t], qs and qs[t])
-        for t in range(n_trials)
-    ]
-    return BatchResult.of(trials) if batch else trials[0]
+    return _results(batch, lead, p, hard, soft, led, mem, traces, qs)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +589,7 @@ class _Indexed:
         order; diagonal imaginary parts zeroed."""
         lead, rest = self.lead, rest[-1]
         k = rest.shape[-1]
-        iu0, iu1 = _triu_indices(k)
+        iu0, iu1 = _packed_coords(k)
         i, j = rest[(*lead, iu0)], rest[(*lead, iu1)]
         vals = u[(*lead, iu0)] * np.conj(w)[(*lead, iu1)]
         np.conjugate(vals, out=vals, where=i > j)
@@ -617,9 +630,9 @@ def _deflate(q, col, rest, led, r_border, triangle_only, cmul, cadd):
     else:
         k = col.shape[-1] - 1
         led.tick(cmul=cmul, cadd=cadd)
-        gamma = real_pivot(r_border[(*q.lead, k, k)], "deflate_q_sm gamma")
-        _sm_update_inplace(q.q[..., :k, :k], r_border[..., :k, k], gamma, led, "deflate_q_sm",
-                           triangle_only)
+        # gamma is R's own diagonal entry, real and finite since init_gram
+        _sm_update_inplace(q.q[..., :k, :k], r_border[..., :k, k], r_border[(*q.lead, k, k)],
+                           led, "deflate_q_sm", triangle_only)
 
 
 def _init_x(border):
@@ -736,22 +749,10 @@ def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
     records ``p``, ``z`` and ``d`` of the active streams at every step
     (single-buffer swapped storage only).
     """
-    batch = not isinstance(chs, ChannelRealization)
-    if batch and len(chs) == 1 == len(rxs):
-        return BatchResult.of([_sic(chs[0], rxs[0], c, init, cancel_soft, collect_q,
-                                    collect_aux)])
-    if batch:
-        m_tx, _ = _prep(chs, rxs)
-        n_trials = len(chs)
-        trials = _Trials(n_trials, m_tx)
-        h = np.stack([ch.h for ch in chs])
-        x = np.stack([rx.x for rx in rxs])
-        alpha = np.array([[float(rx.alpha)] for rx in rxs])
-        p = np.tile(np.arange(m_tx), (n_trials, 1))
-    else:
-        m_tx, _ = _prep((chs,), (rxs,))
-        n_trials, trials = 1, _OneTrial(m_tx)
-        h, x, alpha, p = chs.h, rxs.x, float(rxs.alpha), np.arange(m_tx)
+    batch, h, x, alpha, p = _stack(chs, rxs)
+    m_tx = p.shape[-1]
+    n_trials = p.size // m_tx
+    trials = _OneTrial(m_tx) if p.ndim == 1 else _Trials(n_trials, m_tx)
     led = FlopLedger()
     mem = MemLedger()
     q, vecs, estimate, cancel = init(trials, h, x, alpha, led, mem)
@@ -787,17 +788,7 @@ def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
         if m == 1:
             break
         cancel(col, rest, last, est if cancel_soft else s)
-    s_hat, soft_ant = np.empty_like(hard), np.empty_like(soft)
-    s_hat[(*lead, p)] = hard
-    soft_ant[(*lead, p)] = soft
-    if not batch:
-        return DetectionResult(s_hat, p, soft_ant, led, mem, traces[0], qs and qs[0],
-                               aux and aux[0])
-    return BatchResult.of([
-        DetectionResult(s_hat[t], p[t], soft_ant[t], led.copy(), mem.copy(), traces[t],
-                        qs and qs[t], aux and aux[t])
-        for t in range(n_trials)
-    ])
+    return _results(batch, lead, p, hard, soft, led, mem, traces, qs, aux)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Harness and CLI behavior: determinism, schemas, gates, exit codes."""
 
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -496,6 +497,67 @@ def test_float_formatting_12_digits(tmp_path):
     p = tmp_path / "f.csv"
     write_csv(p, ["v"], [(0.1234567890123456789,)])
     assert p.read_text().splitlines()[1] == "0.123456789012"
+
+
+def test_write_csv_under_a_regular_file_is_misuse(tmp_path):
+    (tmp_path / "f").write_text("")
+    target = tmp_path / "f" / "out.csv"
+    with pytest.raises(ContractViolationError) as info:
+        write_csv(target, ["v"], [(1,)])
+    assert str(info.value) == f"cannot write {target}: {target.parent}: File exists"
+
+
+def test_mem_gate_reports_its_ratio(monkeypatch):
+    """At M=N=16 proposed_2 peaks at 288 words against mem_saving's 544; a
+    gate below that ratio reports it."""
+    import vblast.harness as harness
+
+    monkeypatch.setattr(harness, "MEM_RATIO_BOUND", 0.5)
+    rows, failures = run_mem(SweepConfig(algorithms=["proposed_2", "mem_saving"], m_list=[16],
+                                         trials=1))
+    assert {r[2]: r[3] for r in rows} == {"proposed_2": 288, "mem_saving": 544}
+    assert failures == ["mem: proposed_2/mem_saving = 0.5294 > 0.5 at M=N=16"]
+
+
+def test_equiv_reports_a_soft_divergence(monkeypatch):
+    """A detector whose soft estimates are off by 1e-6 fails every row with
+    its soft, Q and gap figures."""
+    import vblast.detectors as det
+
+    speed_adv = det.ALGORITHMS["speed_adv"]
+
+    def perturbed(*args, **kw):
+        out = speed_adv(*args, **kw)
+        for res in getattr(out, "trials", [out]):
+            res.soft = res.soft + 1e-6
+        return out
+
+    monkeypatch.setenv("VBLAST_WORKERS", "1")       # the patch reaches no worker
+    monkeypatch.setitem(det.ALGORITHMS, "speed_adv", perturbed)
+    rows, failures = run_equiv(SweepConfig(algorithms=["speed_adv", "proposed_2"], m_list=[2],
+                                           snr_db_list=[20.0], trials=2, seed=1))
+    assert len(rows) == 4 and len(failures) == 2
+    for trial, text in enumerate(failures):
+        assert re.fullmatch(
+            rf"equiv: speed_adv diverged from oracle at M=2 N=2 snr=20.0 trial={trial} "
+            r"\(soft=1e-06, cov=\S+, gap=\S+\)", text), text
+
+
+def test_ber_reraises_a_contract_violation_unchanged(monkeypatch):
+    """A detector's misuse error ends ``run_ber`` as the error itself, not
+    wrapped in a numerical failure naming the trial."""
+    import vblast.detectors as det
+
+    err = ContractViolationError("injected misuse")
+
+    def misuse(*args, **kw):
+        raise err
+
+    monkeypatch.setenv("VBLAST_WORKERS", "1")
+    monkeypatch.setitem(det.ALGORITHMS, "proposed_1", misuse)
+    with pytest.raises(ContractViolationError) as info:
+        run_ber(SweepConfig(algorithms=["speed_adv", "proposed_1"], m_list=[2], trials=2))
+    assert info.value is err
 
 
 def test_singularity_recorded_not_raised(monkeypatch, tmp_path, capsys):

@@ -607,6 +607,56 @@ def test_packed_rejects_complex_diagonal():
         HermPacked.pack(bad)
 
 
+@pytest.mark.parametrize("k", [-60, 0, 60])
+def test_packed_diagonal_check_is_scale_free(k):
+    """A diagonal entry is judged against its own real part: a product
+    B B^H packs at any scale, rounding-level imaginary parts and all, and an
+    imaginary part of 1e-6 of its entry fails at any scale."""
+    b = 2.0**k * random_complex(make_rng(67), 6, 6)
+    a = b @ b.conj().T
+    assert np.abs(HermPacked.pack(a).unpack() - a).max() <= 1e-15 * np.abs(a).max()
+    noisy = a.copy()
+    noisy[np.diag_indices(6)] += 1e-14j * a.diagonal().real
+    HermPacked.pack(noisy)
+    bad = a.copy()
+    bad[3, 3] += 1e-6j * a[3, 3].real
+    with pytest.raises(ContractViolationError, match="^packed diagonal is not real$"):
+        HermPacked.pack(bad)
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda led: init_gram(np.zeros((1, 2, 2, 2)), 1.0, led),
+     "h must be 2-D, got shape (1, 2, 2, 2)"),
+    (lambda led: herm_rank1_update(np.eye(2), np.ones((2, 1)), 1.0, True, led),
+     "v must be 1-D and non-empty, got shape (2, 1)"),
+    (lambda led: herm_rank1_update(np.eye(2), np.array([1.0, np.nan]), 1.0, True, led),
+     "v contains NaN or Inf"),
+    (lambda led: block_inv_step_v(np.eye(2), np.ones(3), 1.0, led),
+     "block_inv_step_v: q_prev is (2, 2) but r_bar has length 3"),
+    (lambda led: sm_rank1_inverse_update(np.eye(2), np.ones(3), led),
+     "sm_rank1_inverse_update: q is (2, 2), h has length 3"),
+    (lambda led: deflate_q_sm(np.eye(3), np.ones(3), 1.0, led),
+     "deflate_q_sm: q_m is (3, 3), r_bar has length 3"),
+    (lambda led: deflate_q(np.eye(1), led),
+     "deflate_q needs a square matrix of dim >= 2, got (1, 1)"),
+    (lambda led: init_q_recursive(np.ones((2, 3)), led),
+     "init_q_recursive needs a square matrix"),
+    (lambda led: init_q_recursive(np.eye(2), led, variant="x"), "unknown variant 'x'"),
+    (lambda led: gauss_jordan_inverse(np.ones((2, 3))), "cannot invert non-square matrix (2, 3)"),
+    (lambda led: HermPacked(2, np.zeros(4, complex)),
+     "packed storage for dim 2 needs 3 entries, got (4,)"),
+    (lambda led: HermPacked.pack(np.ones((2, 3))), "can only pack a square matrix"),
+])
+def test_kernel_input_checks_name_the_misuse(call, text):
+    """Each shape or value check on a kernel's arguments raises misuse, with its text,
+    and charges nothing."""
+    led = FlopLedger()
+    with pytest.raises(ContractViolationError) as info:
+        call(led)
+    assert str(info.value) == text
+    assert led.as_tuple() == (0, 0, 0)
+
+
 def test_caller_supplied_pivots_keep_contract_errors():
     """A non-real value passed by the caller is misuse; a pivot the recursion
     computes is not (see test_original_non_real_pivot_is_a_numerical_failure)."""

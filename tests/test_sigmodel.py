@@ -170,3 +170,17 @@ def test_snr_helper():
     assert sigma_n2_for_snr_db(0.0) == pytest.approx(1.0)
     assert sigma_n2_for_snr_db(10.0) == pytest.approx(0.1)
     assert sigma_n2_for_snr_db(float("inf")) == 0.0
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: ChannelRealization(np.ones((1, 2)), 2, 1), "need N >= M >= 1, got N=1, M=2"),
+    (lambda: ChannelRealization(np.ones((3, 2)), 2, 2), "channel matrix shape (3, 2) != (2, 2)"),
+    (lambda: ChannelRealization(np.array([[np.nan]]), 1, 1), "channel matrix contains NaN or Inf"),
+    (lambda: random_frame(0, constellation("qpsk"), 1), "need at least one transmit symbol"),
+    (lambda: transmit(random_frame(3, constellation("qpsk"), 1), draw_channel(2, 2, 1), 0.1, 1),
+     "frame carries 3 symbols for an M=2 channel"),
+])
+def test_signal_model_input_checks_name_the_misuse(call, text):
+    with pytest.raises(ContractViolationError) as info:
+        call()
+    assert str(info.value) == text
