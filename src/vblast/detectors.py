@@ -76,6 +76,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -97,6 +98,7 @@ from .kernels import (
     vdot_c,
     _check_pivot,
     _dot,
+    _entry,
     _grow_inverse,
     _invert_leading,
     _lead,
@@ -213,6 +215,8 @@ def _stack(chs, rxs):
         if (ch.m, ch.n) != (m, n):
             raise ContractViolationError(
                 f"a batch needs one (M, N), got ({ch.m}, {ch.n}) after ({m}, {n})")
+        if rx.x.ndim != 1:
+            raise ContractViolationError(f"received vector must be 1-D, got shape {rx.x.shape}")
         if rx.x.shape[0] != ch.n:
             raise ContractViolationError(
                 f"received vector has length {rx.x.shape[0]} for an N={ch.n} channel"
@@ -343,7 +347,7 @@ def _cover_gram_rows(a, alpha, led):
     lead = _lead(a, 2)
     for i in range(m):
         tail = _mv(np.conj(a[..., i + 1 : m, :]), a[..., i, :]) if i < m - 1 else None
-        a[(*lead, i, i)] = _dot(a[..., i, :], a[..., i, :]).real + alpha
+        a[_entry(lead, i, i)] = _dot(a[..., i, :], a[..., i, :]).real + alpha
         if tail is not None:
             a[..., i, i + 1 : m] = tail
 
@@ -352,16 +356,17 @@ def _cover_inverse_packed(q, m, led):
     """``kernels._grow_inverse(..., "v")`` with its errors, on Q's swapped
     packed storage ``q`` before it first moves (so in index order)."""
     packed, lead = q.upper, q.lead
-    _invert_leading(packed, (*lead, 0), led)
+    _invert_leading(packed, _entry(lead, 0), led)
     for i in range(1, m):
         base = i * (i + 1) // 2
         rcol = packed[..., base : base + i].copy()
         q_tilde = _mv(_packed_unpack(packed, i), rcol)      # Hermitian matvec
         t = vdot_c(rcol, q_tilde, led)
-        gamma = _check_pivot(packed[(*lead, base + i)], None, "init_q_recursive", i + 1)
+        ii = _entry(lead, base + i)
+        gamma = _check_pivot(packed[ii], None, "init_q_recursive", i + 1)
         delta = _check_pivot(gamma - t, gamma, "block_inv_step_v", i + 1)
         omega = 1.0 / delta
-        packed[(*lead, base + i)] = omega
+        packed[ii] = omega
         q_col = (-omega) * q_tilde
         packed[..., base : base + i] = q_col
         # the matvec (i**2 products), the pivot and the column, then the triangle
@@ -381,7 +386,15 @@ def _cover_inverse_packed(q, m, led):
 # vector.  Everything else (the packed swap, the deflation's omega check by
 # ``kernels._check_pivot``, the storages) is written once and indexes with
 # ``...``, ``lead`` and these tables, so that one trial and a batch run the
-# same lines.  ``active(m, p)`` returns the detected stream's column of the
+# same lines.  A batch indexes a position that every trial shares (entry k,
+# the swap target m - 1, a diagonal or border entry) with basic slices: ``ats[k]``
+# and ``kernels._entry`` give a ``(T, 1)`` view, and one trial a plain int.  It
+# keeps ``lead`` where the position differs per trial (the swap source l, the
+# permuted addresses of indexed storage, the oracle's pivot rows) and for a
+# gather through an index table: ``u[:, rows]`` would lay the result out
+# otherwise, and the complex multiplies and BLAS calls after it would round
+# unlike one trial's.
+# ``active(m, p)`` returns the detected stream's column of the
 # active block (omega last) and the index expressions of the active, kept and
 # detected streams into the state vectors.
 #
@@ -431,38 +444,40 @@ class _Trials:
         self.ts = ts = _arange(n_trials)
         self.lead, self.lead2 = (ts[:, None],), (ts[:, None, None],)
         self.spans = [(slice(None), slice(0, k)) for k in range(dim + 1)]
-        self.ats = [(*self.lead, k) for k in range(dim)]
+        self.ats = [_entry(self.lead, k) for k in range(dim)]
 
     def order(self, dg, m):
         """Each trial's index to swap (None if no trial moves) and records."""
-        if not ((dg > 0) & (dg < math.inf)).all():     # NaN, infinities or zeros: as one trial
+        if m >= 2 and 0 < dg.min() and dg.max() < math.inf:
+            l = dg.argmin(axis=1)
+            two = np.partition(dg, 1, axis=1)
+            q_min = two[:, 0]
+            recs = list(map(OrderingTrace, repeat(m), l.tolist(), q_min.tolist(),
+                            (two[:, 1] - q_min).tolist()))
+        else:
+            # a zero, NaN or infinity: np.partition orders tied zeros of either
+            # sign as its SIMD network happens to, so each row runs as one trial
             recs = [OrderingTrace(m, *_argmin_gap(row)) for row in dg.tolist()]
             l = np.array([r.l for r in recs])
-        else:
-            ts = self.ts
-            l = dg.argmin(axis=1)
-            q_min = dg[ts, l]
-            others = dg.copy()
-            others[ts, l] = math.inf
-            gaps = (others.min(axis=1) - q_min).tolist()
-            recs = [OrderingTrace(m, *rec) for rec in zip(l.tolist(), q_min.tolist(), gaps)]
         return (l if (l != m - 1).any() else None), recs
 
     def swap_entries(self, vecs, l, j):
+        """Swap entries l (one per trial) and j (the same in every trial) of each
+        vector, or row of each matrix; a trial whose l is j keeps its own."""
         ts = self.ts
         for v in vecs:
-            v[ts, l], v[ts, j] = v[ts, j], v[ts, l]
+            v[:, j], v[ts, l] = v[ts, l], v[:, j].copy()
 
     swap_rows = swap_entries
 
     def sym_swap(self, a, i, j, m):
         ts = self.ts
         row = a[ts, i, :m]
-        a[ts, i, :m] = a[ts, j, :m]
-        a[ts, j, :m] = row
+        a[ts, i, :m] = a[:, j, :m]
+        a[:, j, :m] = row
         col = a[ts, :m, i]
-        a[ts, :m, i] = a[ts, :m, j]
-        a[ts, :m, j] = col
+        a[ts, :m, i] = a[:, :m, j]
+        a[:, :m, j] = col
 
 
 class _Dense:
@@ -537,8 +552,7 @@ class _Packed:
         rows, cols = _packed_coords(k)
         self.upper[..., : rows.size] -= u[(*lead, rows)] * np.conj(w)[(*lead, cols)]
         led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
-        dflat = self.dflat[:k]
-        self.upper[(*lead, dflat)] = self.upper[(*lead, dflat)].real
+        self.upper.imag[(*lead, self.dflat[:k])] = 0.0
 
     def block(self, m, p):
         return _packed_unpack(self.upper, m)
@@ -595,8 +609,7 @@ class _Indexed:
         np.conjugate(vals, out=vals, where=i > j)
         led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
         self.flat[(*lead, self.at[i, j])] -= vals
-        dflat = self.dflat[rest]
-        self.flat[(*lead, dflat)] = self.flat[(*lead, dflat)].real
+        self.flat.imag[(*lead, self.dflat[rest])] = 0.0
 
     def block(self, m, p):
         act = p[..., :m]
@@ -631,7 +644,7 @@ def _deflate(q, col, rest, led, r_border, triangle_only, cmul, cadd):
         k = col.shape[-1] - 1
         led.tick(cmul=cmul, cadd=cadd)
         # gamma is R's own diagonal entry, real and finite since init_gram
-        _sm_update_inplace(q.q[..., :k, :k], r_border[..., :k, k], r_border[(*q.lead, k, k)],
+        _sm_update_inplace(q.q[..., :k, :k], r_border[..., :k, k], r_border[_entry(q.lead, k, k)],
                            led, "deflate_q_sm", triangle_only)
 
 
@@ -757,11 +770,11 @@ def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
     mem = MemLedger()
     q, vecs, estimate, cancel = init(trials, h, x, alpha, led, mem)
     diag, swap, active, block = q.diag, q.swap, q.active, q.block
-    order, swap_entries, lead = trials.order, trials.swap_entries, trials.lead
+    order, swap_entries, lead, ats = trials.order, trials.swap_entries, trials.lead, trials.ats
     moved = (p,) if swap is None else (p, *vecs)    # swapped storage keeps vecs in p's order
     soft = np.zeros(p.shape, np.complex128)     # in detection order
     hard = np.zeros(p.shape, np.complex128)
-    traces: list[list[OrderingTrace]] = [[] for _ in range(n_trials)]
+    picks: list = []                # each step's records, one per trial
     qs = [[] for _ in range(n_trials)] if collect_q else None
     aux = [{"p": [], "z": [], "d": []} for _ in range(n_trials)] if collect_aux else None
     for m in range(m_tx, 0, -1):
@@ -771,8 +784,7 @@ def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
             swap_entries(moved, l, j)
             if swap is not None:
                 swap(l, j)
-        for trace, rec in zip(traces, recs):
-            trace.append(rec)
+        picks.append(recs)
         if qs is not None:
             for steps, blk in zip(qs, block(m, p).reshape(-1, m, m)):
                 steps.append(blk)
@@ -783,11 +795,12 @@ def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
         col, act, rest, last = active(m, p)
         est = estimate(col, act, last)
         s = quantize(est, c)
-        soft[(*lead, j)] = est
-        hard[(*lead, j)] = s
+        soft[ats[j]] = est
+        hard[ats[j]] = s
         if m == 1:
             break
         cancel(col, rest, last, est if cancel_soft else s)
+    traces = [list(trace) for trace in zip(*picks)]
     return _results(batch, lead, p, hard, soft, led, mem, traces, qs, aux)
 
 

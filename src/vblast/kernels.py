@@ -125,7 +125,8 @@ class HermPacked:
     """Upper triangle of a Hermitian matrix, packed column by column.
 
     Entry ``(i, j)`` with ``i <= j`` lives at flat index ``j*(j+1)//2 + i``.
-    Diagonal entries must be real to within 1e-12 of their own real part.
+    Entries must be finite, and diagonal entries real to within 1e-12 of their
+    own real part.
     """
 
     dim: int
@@ -138,6 +139,8 @@ class HermPacked:
                 f"packed storage for dim {self.dim} needs {n} entries, "
                 f"got {self.upper.shape}"
             )
+        if not np.isfinite(self.upper).all():
+            raise ContractViolationError("packed storage contains NaN or Inf")
         d = self.upper[_packed_diag_indices(self.dim)]
         if (np.abs(d.imag) > 1e-12 * np.abs(d.real)).any():
             raise ContractViolationError("packed diagonal is not real")
@@ -228,14 +231,29 @@ def _lead(a: np.ndarray, core: int, depth: int = 1) -> tuple:
     """Index of ``a``'s trial axis for fancy indexing of its ``core`` trailing axes.
 
     ``()`` for one trial, else the trial numbers as one column with ``depth``
-    unit axes.  Indexing as ``a[(*lead, idx)]`` keeps one trial's gather on
-    numpy's fast path (``a[..., idx]`` is two to three times slower), and a
-    batch's gather comes out C-contiguous, so BLAS reads each trial's rows
-    with unit stride, as it reads one trial's.
+    unit axes.  A batch keeps this column only where a position differs from
+    trial to trial (a per-trial swap source or permuted address) and for a
+    gather through an index table: ``a[(*lead, idx)]`` keeps one trial's
+    gather on numpy's fast path (``a[..., idx]`` is two to three times
+    slower), and a batch's gather comes out C-contiguous, so BLAS reads each
+    trial's rows with unit stride, as it reads one trial's, and the complex
+    multiplies that follow round as they do for one trial.  A position that
+    every trial shares is indexed with basic slices instead (:func:`_entry`).
     """
     if a.ndim == core:
         return ()
     return (_arange(len(a)).reshape((-1,) + (1,) * depth),)
+
+
+def _entry(lead: tuple, *idx: int) -> tuple:
+    """Index of the entry at ``idx`` of the trailing axes, the same in every trial.
+
+    The plain integers for one trial (``lead`` is ``()``); for a batch, basic
+    slices that give a ``(T, 1)`` view, the shape of a per-trial value.
+    """
+    if not lead:
+        return idx
+    return (slice(None), *idx[:-1], slice(idx[-1], idx[-1] + 1))
 
 
 def _pack_upper(a: np.ndarray) -> np.ndarray:
@@ -310,11 +328,16 @@ def _check_pivot(x, scale, context: str, step=None):
     the real parts come back as a new array."""
     if isinstance(x, np.ndarray) and x.size > 1:
         vals = x.ravel().tolist()
-        scales = scale.ravel().tolist() if isinstance(scale, np.ndarray) else [scale] * len(vals)
-        floors = [0.0 if s is None else SINGULAR_RTOL * abs(s) for s in scales]
         # a sufficient condition for passing, else the rule trial by trial
-        if not all(f < v.real < math.inf and abs(v.imag) <= PIVOT_IMAG_RTOL * v.real
-                   for v, f in zip(vals, floors)):
+        if scale is None:       # self-scaled: only a non-positive pivot fails
+            scales = [None] * len(vals)
+            passed = all(0.0 < v.real < math.inf and abs(v.imag) <= PIVOT_IMAG_RTOL * v.real
+                         for v in vals)
+        else:
+            scales = scale.ravel().tolist() if isinstance(scale, np.ndarray) else [scale] * len(vals)
+            passed = all(SINGULAR_RTOL * abs(s) < v.real < math.inf
+                         and abs(v.imag) <= PIVOT_IMAG_RTOL * v.real for v, s in zip(vals, scales))
+        if not passed:
             for v, s in zip(vals, scales):
                 _check_pivot(v, s, context, step)
         return x.real.copy()
@@ -717,12 +740,13 @@ def _grow_inverse(q, led, variant):
     own scale), then overwrites them, so one buffer holds both matrices.  ``q`` may be a stack.
     """
     lead, m = _lead(q, 2), q.shape[-1]
-    _invert_leading(q, (*lead, 0, 0), led)
+    _invert_leading(q, _entry(lead, 0, 0), led)
     step_fn = _block_step_i if variant == "i" else _block_step_v
     for i in range(1, m):
-        gamma = _check_pivot(q[(*lead, i, i)], None, "init_q_recursive", i + 1)
+        ii = _entry(lead, i, i)
+        gamma = _check_pivot(q[ii], None, "init_q_recursive", i + 1)
         q_col, omega = step_fn(q[..., :i, :i], q[..., :i, i], gamma, led, i + 1)[:2]
-        q[(*lead, i, i)] = omega
+        q[ii] = omega
         q[..., :i, i] = q_col
         q[..., i, :i] = np.conj(q_col)
 

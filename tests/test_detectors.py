@@ -130,6 +130,24 @@ def test_received_vector_with_nan_is_misuse(name):
         ALGORITHMS[name](chs, rxs, c)
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_received_vector_must_be_one_dimensional(name):
+    """A received vector that is not 1-D of length N is misuse, in one trial and
+    as the middle trial of a batch of three."""
+    c, chs, rxs = batch_trials(3, 4, "qpsk", 3, seed=7)
+    x = rxs[1].x
+    for bad, text in ((np.asarray(x[0]), "received vector must be 1-D, got shape ()"),
+                      (np.outer(x, x), "received vector must be 1-D, got shape (4, 4)"),
+                      (x[:, None], "received vector must be 1-D, got shape (4, 1)"),
+                      (x[:3], "received vector has length 3 for an N=4 channel")):
+        frames = list(rxs)
+        frames[1] = RxFrame(bad, rxs[1].sigma_n2, rxs[1].alpha)
+        for ch, rx in ((chs[1], frames[1]), (chs, frames)):
+            with pytest.raises(ContractViolationError) as info:
+                ALGORITHMS[name](ch, rx, c)
+            assert str(info.value) == text
+
+
 def test_dimension_mismatch_rejected():
     ch, frame, rx = seeded_trial(2, 3, 10.0, 3)
     bad = RxFrame(rx.x[:2], rx.sigma_n2, rx.alpha)

@@ -645,6 +645,12 @@ def test_packed_diagonal_check_is_scale_free(k):
     (lambda led: gauss_jordan_inverse(np.ones((2, 3))), "cannot invert non-square matrix (2, 3)"),
     (lambda led: HermPacked(2, np.zeros(4, complex)),
      "packed storage for dim 2 needs 3 entries, got (4,)"),
+    (lambda led: HermPacked(2, np.array([1, np.nan, 1], complex)),
+     "packed storage contains NaN or Inf"),
+    (lambda led: HermPacked(2, np.array([complex(1, np.nan), 0, 1])),
+     "packed storage contains NaN or Inf"),
+    (lambda led: HermPacked(2, np.array([np.inf, 0, 1], complex)),
+     "packed storage contains NaN or Inf"),
     (lambda led: HermPacked.pack(np.ones((2, 3))), "can only pack a square matrix"),
 ])
 def test_kernel_input_checks_name_the_misuse(call, text):
