@@ -11,6 +11,9 @@ Subcommands
 ``ber``    Monte-Carlo bit error rates per algorithm; a detector failing
            numerically on a trial ends the run with ``FAIL:`` and exit 1.
 
+Misuse, and a request too large for the machine's memory, end with one
+``error:`` line and exit 2; a run that fails leaves no new file behind.
+
 ``VBLAST_WORKERS`` bounds the trial worker pool; it changes speed only,
 never output bytes.
 """
@@ -106,6 +109,13 @@ def _config(args) -> SweepConfig:
     )
 
 
+def _request(args) -> str:
+    """The sweep a command line asks for, in words."""
+    n = ",".join(map(str, args.n)) if args.n else "M"
+    return (f"vblast {args.command} at M={','.join(map(str, args.m))}, N={n}, "
+            f"{args.trials} trials per point")
+
+
 def _run(command: str, cfg: SweepConfig, out: Path) -> list[str]:
     """Try the output paths, run one subcommand, write its CSVs; return its gate failures."""
     paths = [out, out.parent / f"{out.stem}.ratios.csv"] if command == "flops" else [out]
@@ -150,6 +160,10 @@ def main(argv=None) -> int:
     except SingularMatrixError as exc:     # a detector failed numerically on a trial
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:      # a request too large for this machine, not a crash
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory for {_request(args)}{detail}", file=sys.stderr)
+        return 2
     if failures:
         print(f"FAIL: {failures[0]}", file=sys.stderr)
         if len(failures) > 1:

@@ -105,6 +105,7 @@ from .kernels import (
     _mv,
     _pack_upper,
     _packed_unpack,
+    _scaled_pair,
     _sm_update_inplace,
 )
 from .sigmodel import ChannelRealization, RxFrame, quantize
@@ -283,6 +284,7 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
     batch, h, x, alpha, p = _stack(ch, rx)
     n_rx, m_tx = h.shape[-2:]
     lead = _lead(h, 2)
+    ts = _arange(len(h)) if lead else None
     h, alpha = (h, alpha[..., None]) if lead else (h.copy(), alpha)    # h is swapped in place
     led = FlopLedger()          # stays zero: the oracle is not instrumented
     mem = MemLedger()
@@ -304,13 +306,15 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
             raise SingularMatrixError("Gram matrix H^H H + alpha I is not finite")
         q = gauss_jordan_inverse(r)
         picks = [_argmin_gap(d) for d in q.diagonal(0, -2, -1).real.reshape(-1, m).tolist()]
-        if any(pick[0] != j for pick in picks):
-            sw = np.array([(pick[0], j) for pick in picks]).reshape(p.shape[:-1] + (2,))
-            back = sw[..., ::-1]
-            p[(*lead, sw)] = p[(*lead, back)]
-            h[(*lead, slice(None), sw)] = h[(*lead, slice(None), back)]
-            q[(*lead, sw)] = q[(*lead, back)]
-            q[(*lead, slice(None), sw)] = q[(*lead, slice(None), back)]
+        ls = [pick[0] for pick in picks]
+        if ls.count(j) < len(ls):
+            # swap l (one per trial) with j in p, H's columns and Q's rows and
+            # columns: the integer l for one trial; for a batch, (trial, l) and
+            # a basic slice for j
+            at_l, at_j = ((ts, np.array(ls)), (slice(None), j)) if lead else ((ls[0],), (j,))
+            for a, mid in ((p, ()), (h, (slice(None),)), (q, ()), (q, (slice(None),))):
+                src, dst = (*at_l[:-1], *mid, at_l[-1]), (*at_j[:-1], *mid, at_j[-1])
+                a[src], a[dst] = a[dst].copy(), a[src].copy()
         for trace, pick in zip(traces, picks):
             trace.append(OrderingTrace(m, *pick))
         if qs is not None:
@@ -367,11 +371,10 @@ def _cover_inverse_packed(q, m, led):
         delta = _check_pivot(gamma - t, gamma, "block_inv_step_v", i + 1)
         omega = 1.0 / delta
         packed[ii] = omega
-        q_col = (-omega) * q_tilde
-        packed[..., base : base + i] = q_col
+        packed[..., base : base + i] = (-omega) * q_tilde      # the column q_col
         # the matvec (i**2 products), the pivot and the column, then the triangle
         led.tick(cmul=i * i + i, cadd=i * (i - 1) + 1, cdiv=1)
-        _Packed.sub(q, None, q_tilde, q_col, led)
+        q.sub(None, q_tilde, -omega, led, right=True)      # Q -= q_tilde q_col^H
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +509,10 @@ class _Dense:
     def active(self, m, p):
         return self.q[..., :m, m - 1], self.spans[m], self.spans[m - 1], self.ats[m - 1]
 
-    def sub(self, rest, u, w, led):
-        """Hermitian ``Q[rest, rest] -= u w^H``."""
-        k = u.shape[-1]
-        rank1_update_herm(self.q[..., :k, :k], u, w, led, subtract=True)
+    def sub(self, rest, x, c, led):
+        """Hermitian ``Q[rest, rest] -= c x x^H``."""
+        k = x.shape[-1]
+        rank1_update_herm(self.q[..., :k, :k], x, c, led, subtract=True)
 
     def block(self, m, p):
         return self.q[..., :m, :m].copy()
@@ -545,10 +548,12 @@ class _Packed:
         base = (m - 1) * m // 2
         return self.upper[..., base : base + m], self.spans[m], self.spans[m - 1], self.ats[m - 1]
 
-    def sub(self, rest, u, w, led):
-        """Hermitian ``Q[:k, :k] -= u w^H`` on the leading block's triangle, the
-        packed vector's first k*(k+1)/2 entries; diagonal imaginary parts zeroed."""
-        k, lead = u.shape[-1], self.lead
+    def sub(self, rest, x, c, led, right=False):
+        """Hermitian ``Q[:k, :k] -= c x x^H`` on the leading block's triangle, the
+        packed vector's first k*(k+1)/2 entries, with the products formed as in
+        ``kernels.rank1_update_herm``'s numpy path; diagonal imaginary parts zeroed."""
+        k, lead = x.shape[-1], self.lead
+        u, w = _scaled_pair(x, c, right)
         rows, cols = _packed_coords(k)
         self.upper[..., : rows.size] -= u[(*lead, rows)] * np.conj(w)[(*lead, cols)]
         led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
@@ -598,14 +603,14 @@ class _Indexed:
         return (self._gather(lead, act, last), (*lead, act), (*lead, p[self.spans[m - 1]]),
                 (*lead, last))
 
-    def sub(self, rest, u, w, led):
-        """Hermitian ``Q[rest, rest] -= u w^H`` on the upper triangle in rest's
+    def sub(self, rest, x, c, led):
+        """Hermitian ``Q[rest, rest] -= (c x) x^H`` on the upper triangle in rest's
         order; diagonal imaginary parts zeroed."""
         lead, rest = self.lead, rest[-1]
         k = rest.shape[-1]
         iu0, iu1 = _packed_coords(k)
         i, j = rest[(*lead, iu0)], rest[(*lead, iu1)]
-        vals = u[(*lead, iu0)] * np.conj(w)[(*lead, iu1)]
+        vals = (c * x)[(*lead, iu0)] * np.conj(x)[(*lead, iu1)]
         np.conjugate(vals, out=vals, where=i > j)
         led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
         self.flat[(*lead, self.at[i, j])] -= vals
@@ -629,7 +634,7 @@ def _deflate_own(q, col, rest, led, cmul=0, cadd=0):
     om_inv = 1.0 / _check_pivot(col[q.ats[k]], None, "deflation omega", k + 1)
     q_bar = col[..., :k]
     led.tick(cmul=cmul + k, cadd=cadd, cdiv=1)
-    q.sub(rest, om_inv * q_bar, q_bar, led)
+    q.sub(rest, q_bar, om_inv, led)
     return om_inv, q_bar
 
 

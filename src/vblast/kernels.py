@@ -16,7 +16,14 @@ explicit matrix-vector product charge the full ``k**2``.
 The ledger charges the algorithm's arithmetic, not numpy's evaluation of
 it.  Where a dense numpy call is faster than gathering a triangle, the
 kernels compute the full square and overwrite the strict lower triangle with
-the conjugate of the upper one; the extra products are not charged.
+the conjugate of the upper one; the extra products are not charged.  The
+dense Hermitian rank-one update, :func:`rank1_update_herm`, computes only
+the triangle it is charged for once its block has ``ZHER_MIN_K`` rows: BLAS
+``zher`` from the OpenBLAS that numpy ships updates the upper triangle in
+place, once per trial, before the same mirror.  Smaller blocks, and every
+block where numpy has no such BLAS, take the dense numpy pass; so do the
+full-square update (:func:`rank1_update_full`) and the packed and indexed
+storages' updates in ``vblast.detectors``.
 
 Charges are made once per kernel call or step: a kernel, a growth or
 deflation step, or a detector's estimate or cancel step sums the charges of
@@ -413,55 +420,140 @@ def _zero_diag_imag(a: np.ndarray) -> None:
         a.imag[..., d, d] = 0.0
 
 
+def _scaled_pair(x, c, right):
+    """The factors ``(c x, x)`` of ``c x x^H``, or ``(x, c x)`` when ``right``."""
+    cx = c * x
+    return (x, cx) if right else (cx, x)
+
+
+# Block size from which the dense Hermitian rank-one update runs through BLAS
+# ``zher`` (set by measurement; README "Counting conventions").  Smaller blocks,
+# where a call's fixed cost outweighs numpy's extra passes, stay on numpy.
+ZHER_MIN_K = 32
+
+_ZHER_SYMBOL = "scipy_cblas_zher64_"     # numpy's OpenBLAS, 64-bit integers
+_CBLAS_ROW_MAJOR, _CBLAS_UPPER = 101, 121
+
+
+@lru_cache(maxsize=None)
+def _zher():
+    """``(function, library)`` for numpy's own OpenBLAS ``zher``, or None.
+
+    Looked up once, at the first block of ``ZHER_MIN_K`` or more, never at
+    import: in the OpenBLAS that numpy's wheels ship (``numpy.libs`` or
+    ``numpy/.dylibs``), else through numpy's core extension, whose loader
+    resolves the libraries it links.  A numpy built on another BLAS
+    (Accelerate, MKL) has no such symbol, and the numpy path runs.
+    """
+    import ctypes
+    import glob
+    import os
+
+    import numpy._core._multiarray_umath as core
+
+    root = os.path.dirname(np.__file__)
+    found = sorted(glob.glob(os.path.join(root, os.pardir, "numpy.libs", "*openblas*"))
+                   + glob.glob(os.path.join(root, ".dylibs", "*openblas*")))
+    for path in (*found, core.__file__):
+        try:
+            fn = getattr(ctypes.CDLL(path), _ZHER_SYMBOL)
+        except (OSError, AttributeError):
+            continue
+        fn.restype = None
+        fn.argtypes = (ctypes.c_int, ctypes.c_int, ctypes.c_int64, ctypes.c_double,
+                       ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
+        return fn, os.path.basename(path)
+    return None
+
+
+def blas_route() -> str:
+    """Which code runs the dense Hermitian rank-one update, as one line."""
+    found = _zher()
+    if found is None:
+        return f"rank1_update_herm: numpy for every k ({_ZHER_SYMBOL} not found)"
+    return (f"rank1_update_herm: {_ZHER_SYMBOL} from {found[1]} for k >= {ZHER_MIN_K}, "
+            "numpy below")
+
+
+def _zher_update(a, x, alpha) -> bool:
+    """``a += alpha x x^H`` on the upper triangle of each square, by BLAS.
+
+    One ``zher`` call per trial, on the row-major block in place (row stride
+    ``lda``) with ``x`` read through its own stride; each trial's call is the
+    one it makes alone.  False, touching nothing, where no BLAS is found or
+    the layout is not one BLAS takes.
+    """
+    found, k = _zher(), a.shape[-1]
+    if (found is None or a.ndim > 3 or a.shape[-2] != k or x.shape != a.shape[:-1]
+            or a.dtype != np.complex128 or x.dtype != np.complex128 or not a.flags.writeable
+            or a.strides[-1] != 16 or a.strides[-2] % 16 or a.strides[-2] < 16 * k
+            or x.strides[-1] % 16 or x.strides[-1] <= 0):
+        return False
+    zher = found[0]
+    lda, incx = a.strides[-2] // 16, x.strides[-1] // 16
+    at, xat = a.ctypes.data, x.ctypes.data
+    if a.ndim == 2:
+        zher(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, k, float(alpha), xat, incx, at, lda)
+        return True
+    step, xstep = a.strides[0], x.strides[0]
+    for t, alpha_t in enumerate(np.broadcast_to(np.ravel(alpha), len(a)).tolist()):
+        zher(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, k, alpha_t, xat + t * xstep, incx, at + t * step, lda)
+    return True
+
+
 def rank1_update_herm(
     a: np.ndarray,
-    u: np.ndarray,
-    w: np.ndarray,
+    x: np.ndarray,
+    c,
     led: FlopLedger,
     subtract: bool = False,
+    right: bool = False,
 ) -> None:
-    """In place ``a +/-= u w^H`` for a Hermitian result (per trial).
+    """In place ``a +/-= c x x^H`` for real ``c``: a Hermitian result (per trial).
 
-    Charged as the upper triangle (k*(k+1)/2 products); the strict lower
-    triangle is then overwritten by the conjugate of the upper one, so it is
-    exactly Hermitian.  numpy evaluates the whole square in one dense pass,
-    which is cheaper than gathering the triangle, but the ledger counts the
-    algorithm's arithmetic, not numpy's.  ``a`` may be a strided view such
-    as ``q[:k, :k]``.  As in the reference Hermitian rank-one BLAS routines,
-    the diagonal's imaginary parts are set to zero: callers only use this
-    with ``u`` a real multiple of ``w``, where any diagonal imaginary part is
-    rounding noise.
+    Charged as the upper triangle (k*(k+1)/2 products), whichever path runs:
+
+    * below ``ZHER_MIN_K``, numpy forms the products ``(c x) x^H``, or
+      ``x (c x)^H`` when ``right``, over the whole square in one dense pass
+      and adds or subtracts them.  The two forms round differently; each
+      caller keeps its own, so these blocks keep their bits;
+    * from ``ZHER_MIN_K`` on, BLAS ``zher`` adds ``(+/-c) x x^H`` to the
+      upper triangle only, in place, one call per trial, so a trial in a
+      batch is bit for bit its call alone.  Where numpy ships no such BLAS
+      (or the layout is not one BLAS takes), the numpy path runs instead.
+
+    Either way the strict lower triangle is then overwritten by the conjugate
+    of the upper one, so the result is exactly Hermitian, and the diagonal's
+    imaginary parts are zero, as in the reference Hermitian rank-one BLAS
+    routines: callers update Hermitian matrices, where any diagonal imaginary
+    part is rounding noise.  ``a`` may be a strided view such as
+    ``q[:k, :k]``; ``x`` must not overlap it.  ``c`` is one number, or one
+    per trial as ``(T, 1)``.
     """
-    k = u.shape[-1]
+    k = x.shape[-1]
     led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
-    prods = _outer(u, np.conj(w), fused=False)
-    if subtract:
-        np.subtract(a, prods, out=a)
-    else:
-        np.add(a, prods, out=a)
+    if k < ZHER_MIN_K or not _zher_update(a, x, -c if subtract else c):
+        u, w = _scaled_pair(x, c, right)
+        (np.subtract if subtract else np.add)(a, _outer(u, np.conj(w), fused=False), out=a)
+        _zero_diag_imag(a)
     np.copyto(a, a.mT.conj(), where=_strict_lower_mask(k))
-    _zero_diag_imag(a)
 
 
 def rank1_update_full(
     a: np.ndarray,
-    u: np.ndarray,
-    w: np.ndarray,
+    x: np.ndarray,
+    c,
     led: FlopLedger,
     subtract: bool = False,
 ) -> None:
-    """In place ``a +/-= u w^H`` without exploiting symmetry (k**2 products).
+    """In place ``a +/-= (c x) x^H`` without exploiting symmetry (k**2 products).
 
-    Hermitian-result semantics as in :func:`rank1_update_herm`: the diagonal
-    is forced real.
+    Always numpy.  Hermitian-result semantics as in :func:`rank1_update_herm`:
+    the diagonal is forced real.
     """
-    k = u.shape[-1]
+    k = x.shape[-1]
     led.tick(cmul=k * k, cadd=k * k)
-    prods = _outer(u, np.conj(w), fused=True)
-    if subtract:
-        np.subtract(a, prods, out=a)
-    else:
-        np.add(a, prods, out=a)
+    (np.subtract if subtract else np.add)(a, _outer(c * x, np.conj(x), fused=True), out=a)
     _zero_diag_imag(a)
 
 
@@ -486,12 +578,8 @@ def herm_rank1_update(
         )
     alpha = real_pivot(alpha, "herm_rank1_update alpha")
     out = a.copy()
-    u = alpha * v
-    ledger.tick(cmul=m)
-    if triangle_only:
-        rank1_update_herm(out, u, v, ledger)
-    else:
-        rank1_update_full(out, u, v, ledger)
+    ledger.tick(cmul=m)     # alpha * v
+    (rank1_update_herm if triangle_only else rank1_update_full)(out, v, alpha, ledger)
     return out
 
 
@@ -508,8 +596,7 @@ def _block_step_i(q, r_bar, gamma, led, step=None):
     t = vdot_c(r_bar, g, led)
     delta = _check_pivot(gamma - t, gamma, "block_inv_step_i", step)
     beta = 1.0 / delta
-    u = beta * g
-    rank1_update_herm(q, u, g, led)
+    rank1_update_herm(q, g, beta, led)
     g2 = matvec(q, r_bar, led)
     gamma_inv = 1.0 / gamma
     q_col = (-gamma_inv) * g2
@@ -532,7 +619,7 @@ def _block_step_v(q, r_bar, gamma, led, step=None):
     omega = 1.0 / delta
     q_col = (-omega) * q_tilde
     led.tick(cmul=k, cadd=1, cdiv=1)
-    rank1_update_herm(q, q_tilde, q_col, led, subtract=True)
+    rank1_update_herm(q, q_tilde, -omega, led, subtract=True, right=True)   # q -= q_tilde q_col^H
     return q_col, omega, q_tilde
 
 
@@ -601,9 +688,8 @@ def _sm_update_inplace(q, r, c, led, context, triangle_only=True):
     t = vdot_c(r, u, led)
     delta = _check_pivot(c + t, c, context)
     beta = 1.0 / delta
-    v = beta * u
     led.tick(cmul=m, cadd=1, cdiv=1)
-    (rank1_update_herm if triangle_only else rank1_update_full)(q, v, u, led, subtract=True)
+    (rank1_update_herm if triangle_only else rank1_update_full)(q, u, beta, led, subtract=True)
 
 
 def deflate_q(q_m: np.ndarray, ledger: FlopLedger) -> np.ndarray:
@@ -621,9 +707,8 @@ def deflate_q(q_m: np.ndarray, ledger: FlopLedger) -> np.ndarray:
     q_bar = q_m[: m - 1, m - 1]
     om_inv = 1.0 / omega
     ledger.tick(cdiv=1)
-    v = om_inv * q_bar
     ledger.tick(cmul=m - 1)
-    rank1_update_herm(out, v, q_bar, ledger, subtract=True)
+    rank1_update_herm(out, q_bar, om_inv, ledger, subtract=True)
     return out
 
 

@@ -24,6 +24,7 @@ from vblast.detectors import (
 )
 from vblast.errors import ContractViolationError, SingularMatrixError
 from vblast.kernels import (
+    ZHER_MIN_K,
     FlopLedger,
     _grow_inverse,
     _pack_upper,
@@ -315,24 +316,27 @@ def packed_sub_reference(upper, u, w):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 17, 64])
 def test_packed_sub_matches_triangular_loop(k):
-    """The packed storage's update of the leading k x k triangle, on one trial
-    and on a batch of three, equals a plain loop over its columns bit for bit:
+    """The packed storage's update ``-= c x x^H`` of the leading k x k triangle,
+    its products formed as ``(c x) x^H`` or as ``x (c x)^H``, on one trial and
+    on a batch of three, equals a plain loop over its columns bit for bit:
     real diagonal, entries past the k*(k+1)/2 prefix untouched."""
     dim = k + 3
     rng = make_rng(79, k)
     size = dim * (dim + 1) // 2
     for trials, lead in ((_OneTrial(dim), ()), (_Trials(3, dim), (3,))):
         upper = rng.standard_normal(lead + (size,)) + 1j * rng.standard_normal(lead + (size,))
-        u, w = (rng.standard_normal(lead + (k,)) + 1j * rng.standard_normal(lead + (k,))
-                for _ in range(2))
-        before, want = upper.copy(), packed_sub_reference(upper, u, w)
-        led = FlopLedger()
-        _Packed(trials, upper, dim).sub(None, u, w, led)
-        assert upper.tobytes() == want.tobytes()
-        assert not upper[..., [j * (j + 3) // 2 for j in range(k)]].imag.any()
-        n = k * (k + 1) // 2
-        assert upper[..., n:].tobytes() == before[..., n:].tobytes()
-        assert led == FlopLedger(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
+        x = rng.standard_normal(lead + (k,)) + 1j * rng.standard_normal(lead + (k,))
+        c = rng.standard_normal(lead[:1] + (1,) * len(lead)) if lead else -0.7
+        for right in (False, True):
+            u, w = (x, c * x) if right else (c * x, x)
+            before, want = upper.copy(), packed_sub_reference(upper, u, w)
+            led = FlopLedger()
+            _Packed(trials, upper, dim).sub(None, x, c, led, right=right)
+            assert upper.tobytes() == want.tobytes()
+            assert not upper[..., [j * (j + 3) // 2 for j in range(k)]].imag.any()
+            n = k * (k + 1) // 2
+            assert upper[..., n:].tobytes() == before[..., n:].tobytes()
+            assert led == FlopLedger(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
 
 
 def test_packed_pair_raises_dense_covering_errors_on_overflow():
@@ -613,19 +617,18 @@ BATCH_MODES = [(cname, soft, cq) for cname in ("qpsk", "qam16")
                for soft in (False, True) for cq in (False, True)]
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 8, 17])
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_batch_trials_bitwise_equal_single_calls(name, m):
-    """Every trial of batches of 1, 2 and 7 equals its own call, bit for bit."""
-    for n, parity in ((m, 0), (m + 2, 1)):
-        modes = [md for i, md in enumerate(BATCH_MODES) if (i + i // 2 + i // 4) % 2 == parity]
+def check_batches_equal_single_calls(name, m, modes_for_n, sizes):
+    """Batches of ``sizes`` trials, one after another, of each N and mode, equal
+    each trial's own call bit for bit, or raise its first failing trial's error."""
+    bounds = [(sum(sizes[:i]), sum(sizes[: i + 1])) for i in range(len(sizes))]
+    for n, modes in modes_for_n:
         for cname, soft, cq in modes:
             kw = {"cancel_soft": soft, "collect_q": cq}
             if name == "proposed_2":
                 kw["collect_aux"] = cq
-            c, chs, rxs = batch_trials(m, n, cname, 10, seed=1000 * m + n)
+            c, chs, rxs = batch_trials(m, n, cname, sum(sizes), seed=1000 * m + n)
             singles = [outcome(name, ch, rx, c, kw) for ch, rx in zip(chs, rxs)]
-            for lo, hi in ((0, 1), (1, 3), (3, 10)):
+            for lo, hi in bounds:
                 failed = {(type(e), str(e)) for e in singles[lo:hi] if isinstance(e, Exception)}
                 if failed:      # the batch stops at the first of its trials to fail
                     with pytest.raises((SingularMatrixError, ContractViolationError)) as info:
@@ -639,6 +642,26 @@ def test_batch_trials_bitwise_equal_single_calls(name, m):
                 led = singles[lo].ledger
                 assert batch.ledger.as_tuple() == tuple((hi - lo) * x for x in led.as_tuple())
                 assert batch.mem.peak_words == (hi - lo) * singles[lo].mem.peak_words
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 17])
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_batch_trials_bitwise_equal_single_calls(name, m):
+    """Every trial of batches of 1, 2 and 7 equals its own call, bit for bit."""
+    modes_for_n = [(n, [md for i, md in enumerate(BATCH_MODES)
+                        if (i + i // 2 + i // 4) % 2 == parity])
+                   for n, parity in ((m, 0), (m + 2, 1))]
+    check_batches_equal_single_calls(name, m, modes_for_n, (1, 2, 7))
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_batch_trials_bitwise_equal_single_calls_on_blas_blocks(name):
+    """Above ``kernels.ZHER_MIN_K``, where the dense rank-one updates run
+    through BLAS once per trial, every trial of batches of 1, 2 and 3 still
+    equals its own call bit for bit."""
+    m = ZHER_MIN_K + 8
+    modes_for_n = [(m, [("qpsk", False, True)]), (m + 2, [("qam16", True, False)])]
+    check_batches_equal_single_calls(name, m, modes_for_n, (1, 2, 3))
 
 
 def test_batch_needs_one_shape():

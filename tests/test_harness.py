@@ -439,6 +439,24 @@ def test_cli_failing_run_leaves_no_new_file(tmp_path, capsys, monkeypatch):
     assert out.read_text() == "kept\n"
 
 
+def test_cli_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    """A sweep too large for memory ends with one ``error:`` line naming the
+    request, exit 2 and no traceback, and leaves no new file.  The allocation
+    is made to fail; no test asks for the memory."""
+    def no_memory(m, n, *args, **kw):
+        raise MemoryError(f"Unable to allocate 74.5 GiB for an array with shape ({n}, {m})")
+
+    monkeypatch.setattr("vblast.harness.draw_channel", no_memory)
+    out = tmp_path / "new" / "ber.csv"
+    assert main(["ber", "--m", "100000", "--trials", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: out of memory for vblast ber at M=100000, N=M, 1 trials per point: "
+        "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)\n")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["ber", "equiv", "flops"])
 def test_cli_rejects_oracle_only(tmp_path, capsys, command):
     out = tmp_path / "b.csv"

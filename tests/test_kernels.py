@@ -1,10 +1,16 @@
 """Kernel-level contracts: examples, oracles and cross-kernel invariants."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from vblast import kernels
 from vblast.errors import ContractViolationError, SingularMatrixError
 from vblast.kernels import (
+    ZHER_MIN_K,
     FlopLedger,
     HermPacked,
     block_inv_step_i,
@@ -116,7 +122,7 @@ def test_rank1_update_herm_on_strided_view(k, subtract):
     w = random_complex(rng, k)
     u = -0.7 * w
     led = FlopLedger()
-    rank1_update_herm(buf[:k, :k], u, w, led, subtract=subtract)
+    rank1_update_herm(buf[:k, :k], w, -0.7, led, subtract=subtract)
     assert led.as_tuple() == (k * (k + 1) // 2, k * (k + 1) // 2, 0)
     got = buf[:k, :k]
     sign = -1.0 if subtract else 1.0
@@ -133,6 +139,94 @@ def test_rank1_update_herm_on_strided_view(k, subtract):
     outside = np.ones(buf.shape, bool)
     outside[:k, :k] = False
     assert np.array_equal(buf[outside], before[outside])
+
+
+def _strided_blocks(rng, k, lead):
+    """A Hermitian k x k block with a junk strict lower triangle at the top left
+    of a larger buffer, one per trial (``lead``: ``()`` or ``(T,)``), and a
+    vector per trial read with stride 2 from elsewhere."""
+    buf = random_complex(rng, *lead, k + 3, k + 5)
+    for blk in buf.reshape(-1, k + 3, k + 5):
+        blk[:k, :k] = np.triu(seeded_spd(rng, k)) + np.tril(random_complex(rng, k, k), -1)
+        blk[:k, :k][np.diag_indices(k)] = blk[:k, :k].diagonal().real
+    x = random_complex(rng, *lead, 2 * k)[..., ::2]
+    c = -0.7 if not lead else rng.standard_normal((*lead, 1))
+    return buf, x, c
+
+
+@pytest.mark.parametrize("right", [False, True])
+@pytest.mark.parametrize("subtract", [False, True])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "batch"])
+@pytest.mark.parametrize("k", [ZHER_MIN_K - 1, ZHER_MIN_K, 64, 100])
+def test_rank1_update_herm_blas_route(k, lead, subtract, right):
+    """Either side of ``ZHER_MIN_K``, on strided views, one trial and a batch:
+    the upper triangle is ``a +/- c x x^H`` to 1e-13, the strict lower one its
+    conjugate mirror bit for bit, the diagonal real, nothing outside the view
+    moves and the charge is the triangle's.  A batch's trials are each bit
+    for bit the call on that trial alone."""
+    rng = make_rng(47, k)
+    buf, x, c = _strided_blocks(rng, k, lead)
+    before = buf.copy()
+    led = FlopLedger()
+    rank1_update_herm(buf[..., :k, :k], x, c, led, subtract=subtract, right=right)
+    assert led.as_tuple() == (k * (k + 1) // 2, k * (k + 1) // 2, 0)
+    got = buf[..., :k, :k]
+    sign = -1.0 if subtract else 1.0
+    naive = before[..., :k, :k] + sign * np.asarray(c)[..., None] * (
+        x[..., :, None] * np.conj(x)[..., None, :])
+    rows, cols = np.triu_indices(k)
+    err = np.abs(got[..., rows, cols] - naive[..., rows, cols]).max() / np.abs(naive).max()
+    assert err <= 1e-13
+    lo_rows, lo_cols = np.tril_indices(k, -1)
+    assert got[..., lo_rows, lo_cols].tobytes() == np.conj(got[..., lo_cols, lo_rows]).tobytes()
+    assert not got.diagonal(0, -2, -1).imag.any()
+    outside = np.ones(buf.shape, bool)
+    outside[..., :k, :k] = False
+    assert buf[outside].tobytes() == before[outside].tobytes()
+    for t in range(len(buf) if lead else 0):
+        one = before[t].copy()
+        rank1_update_herm(one[:k, :k], x[t], c[t, 0], FlopLedger(), subtract=subtract,
+                          right=right)
+        assert one.tobytes() == buf[t].tobytes()
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "batch"])
+@pytest.mark.parametrize("k", [ZHER_MIN_K, 64])
+def test_rank1_update_herm_without_blas_runs_numpy(monkeypatch, k, lead):
+    """Where no BLAS ``zher`` is found, a block of ``ZHER_MIN_K`` or more runs
+    the numpy path, the bits of a block below ``ZHER_MIN_K``."""
+    rng = make_rng(53, k)
+    buf, x, c = _strided_blocks(rng, k, lead)
+
+    def update():
+        out = buf.copy()
+        rank1_update_herm(out[..., :k, :k], x, c, FlopLedger(), subtract=True)
+        return out.tobytes()
+
+    with monkeypatch.context() as mp:
+        mp.setattr(kernels, "ZHER_MIN_K", k + 1)        # the numpy path by block size
+        want = update()
+    monkeypatch.setattr(kernels, "_zher", lambda: None)
+    assert "numpy for every k" in kernels.blas_route()
+    assert update() == want
+
+
+def test_blas_is_loaded_at_the_first_large_block_only():
+    """``import vblast`` and blocks below ``ZHER_MIN_K`` never look for BLAS."""
+    code = (
+        "import numpy as np, vblast\n"
+        "from vblast import kernels as K\n"
+        "c = vblast.constellation('qpsk')\n"
+        "for m in (K.ZHER_MIN_K - 1, K.ZHER_MIN_K + 1):\n"
+        "    ch = vblast.draw_channel(m, m, 3)\n"
+        "    rx = vblast.transmit(vblast.random_frame(m, c, 3, stream=1), ch, 0.1, 3, stream=2)\n"
+        "    vblast.detect_proposed_2(ch, rx, c)\n"
+        "    print(K._zher.cache_info().currsize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0", "1"]
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,15 @@ on its parent and on itself and compares the two printouts::
 
     PYTHONPATH=src python tools/snapshots.py
 
+The first line names the code that ran the dense Hermitian rank-one updates:
+BLAS ``zher`` from a named library for blocks of ``kernels.ZHER_MIN_K`` or
+more, or numpy for every block.  Digests that cover blocks on the BLAS route
+depend on the BLAS build.
+
 Each routine's digest covers, for every input, its outputs (``s_hat``,
 ``order``, ``soft``), trace, ``q_steps``, ``aux`` (``proposed_2``), flop
 ledger and memory ledger, or the type and text of the error it raises.
-The grid: M in 1-5, 8, 16, 17 and 32 with N = M and N = M + 2; qpsk and
+The grid: M in 1-5, 8, 16, 17, 32 and 64 with N = M and N = M + 2; qpsk and
 qam16; 0, 20 and 60 dB and noiseless; hard and soft cancellation; each as a
 single call and as a batch of three.  Every (M, N) and constellation also
 runs a batch of three at 20 dB whose middle trial has one channel column
@@ -35,9 +40,10 @@ from vblast import (
     sigma_n2_for_snr_db,
     transmit,
 )
+from vblast import kernels
 from vblast.harness import NOISELESS_ALPHA
 
-M_LIST = (1, 2, 3, 4, 5, 8, 16, 17, 32)
+M_LIST = (1, 2, 3, 4, 5, 8, 16, 17, 32, 64)
 SNR_DB = (0.0, 20.0, 60.0, math.inf)
 CONSTELLATIONS = ("qpsk", "qam16")
 SEED = 2024
@@ -111,7 +117,15 @@ def calls():
                 yield f"{label} batch", [b[0] for b in batch], [b[1] for b in batch], c, False
 
 
+def route() -> str:
+    """The first line: :func:`vblast.kernels.blas_route`, or numpy's for a vblast without it."""
+    if hasattr(kernels, "blas_route"):
+        return kernels.blas_route()
+    return "rank1_update_herm: numpy for every k (this vblast has no BLAS route)"
+
+
 def main():
+    print(route())
     digests = {name: hashlib.sha256() for name in ALGORITHMS}
     count = 0
     for label, ch, rx, c, soft in calls():
