@@ -6,9 +6,11 @@ of trials (below).  They are mathematically equivalent and differ only in
 recursion schedule, flop count and working memory.
 
 ``oracle`` is the brute-force reference: it re-inverts the regularized Gram
-matrix at every step with the unledgered Gauss-Jordan routine, in a loop of
-its own: no Q storage, recursion step or ledgered kernel of the routines
-under test.  The nine recursive routines all run one recursion,
+matrix at every step with the unledgered Gauss-Jordan routine, in arithmetic
+of its own: no Q storage, recursion step or ledgered kernel of the routines
+under test.  It shares with them only data movement: the ordering rule, the
+swaps and the trace records of its trial shape.  The nine recursive routines
+all run one recursion,
 :func:`_sic`: pick the stream with the smallest diagonal entry of
 ``Q = (H^H H + alpha I)^-1``, estimate it, cancel it, deflate ``Q``.  Each
 ``detect_*`` wrapper only chooses the initializer, the estimation domain and
@@ -50,20 +52,20 @@ Trial batches: every routine also takes sequences ``(chs, rxs)`` of trials
 with the same (M, N) and returns a :class:`BatchResult`, whose ``trials``
 are the per-trial :class:`DetectionResult` objects in order.  All ten
 routines take their trials through :func:`_stack`, which validates and stacks
-them (a batch of one runs on its single trial's arrays), and return through
-:func:`_results`, which scatters the decisions back to antenna order and
-builds the results.  A batch runs together: each state array gains a leading
-trial axis, each step is one set of numpy calls for all trials, and each
-trial keeps its own ordering.  :func:`_sic` tells one trial from a batch once
-per call and hands the matching step operations to the initializer and the Q
-storage, so no step asks again.  A trial's outputs, trace, ledger and memory
-ledger are bit for bit those of a call on it alone, whatever batch it runs
-in.  The batch's ``ledger`` and ``mem.peak_words`` are sums over its trials.
-If any trial fails, the batch raises the error of the first trial to fail,
-exactly as a call on that trial alone raises it.  The oracle keeps its own
-arithmetic loop, the same lines for one trial and a batch: one Gauss-Jordan
-call inverts a stack of Gram matrices, and each trial keeps its own
-pivoting, ordering and swaps.
+them (a batch of one runs on its single trial's arrays) and decides the trial
+shape once per call, and return through :func:`_results`, which scatters the
+decisions back to antenna order and builds the results.  A batch runs
+together: each state array gains a leading trial axis, each step is one set
+of numpy calls for all trials, and each trial keeps its own ordering.  The
+trial shape's step operations order, swap and record every step, in the
+oracle and in :func:`_sic`, which also hands them to the initializer and the
+Q storage, so no step asks again.  A trial's outputs, trace, ledger and
+memory ledger are bit for bit those of a call on it alone, whatever batch it
+runs in.  The batch's ``ledger`` and ``mem.peak_words`` are sums over its
+trials.  If any trial fails, the batch raises the error of the first trial to
+fail, exactly as a call on that trial alone raises it.  The oracle runs the
+same lines for one trial and a batch: one Gauss-Jordan call inverts a stack
+of Gram matrices, each with its own pivoting.
 
 Memory accounting counts named, detector-owned working buffers of at least M
 complex words (matrix buffers, copies of mutated inputs, and the M-length
@@ -198,8 +200,9 @@ class BatchResult:
 
 def _stack(chs, rxs):
     """Validate a call's trials, one or a sequence with the same (M, N), and
-    return ``(batch, h, x, alpha, p)``: one trial (a batch of one too) as its
-    own arrays, ``float(alpha)`` and ``arange(M)``; a batch stacked, with alpha
+    return ``(batch, trials, h, x, alpha, p)``: one trial (a batch of one too)
+    as a :class:`_OneTrial` and its own arrays, ``float(alpha)`` and
+    ``arange(M)``; a batch as a :class:`_Trials` and stacked arrays, with alpha
     and ``p`` one row per trial.  A batch raises the error of its first trial
     to fail; the received vectors are checked for NaN or Inf in one call,
     trial by trial only if one has any.
@@ -227,15 +230,19 @@ def _stack(chs, rxs):
         if not (rx.alpha > 0):
             raise ContractViolationError(f"detectors need alpha > 0, got {rx.alpha}")
     if len(chs) == 1:
-        return batch, chs[0].h, rxs[0].x, float(rxs[0].alpha), np.arange(m)
-    return (batch, np.stack([ch.h for ch in chs]), np.stack([rx.x for rx in rxs]),
-            np.array([[float(rx.alpha)] for rx in rxs]), np.tile(np.arange(m), (len(chs), 1)))
+        return batch, _OneTrial(m), chs[0].h, rxs[0].x, float(rxs[0].alpha), np.arange(m)
+    return (batch, _Trials(len(chs), m), np.stack([ch.h for ch in chs]),
+            np.stack([rx.x for rx in rxs]), np.array([[float(rx.alpha)] for rx in rxs]),
+            np.tile(np.arange(m), (len(chs), 1)))
 
 
-def _results(batch, lead, p, hard, soft, led, mem, traces, qs, aux=None):
+def _results(batch, trials, p, hard, soft, led, mem, picks, qs, aux=None):
     """Scatter the decisions, in detection order, back to antenna order and
     return the call's :class:`DetectionResult`, or its :class:`BatchResult`
-    when it took a batch; trial t gets ``traces[t]``, ``qs[t]`` and ``aux[t]``."""
+    when it took a batch.  ``picks`` holds each step's ordering records, one
+    per trial; trial t gets its records as its trace, ``qs[t]`` and ``aux[t]``."""
+    lead = trials.lead
+    traces = [list(trace) for trace in zip(*picks)]
     s_hat, soft_ant = np.empty_like(hard), np.empty_like(soft)
     s_hat[(*lead, p)] = hard
     soft_ant[(*lead, p)] = soft
@@ -278,14 +285,13 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
 
     A batch runs through the same lines with a leading trial axis (a batch
     of one runs as its single trial): one Gauss-Jordan call inverts every
-    trial's Gram matrix, and each trial keeps its own pivoting, ordering and
-    swaps, so it equals its call alone bit for bit.
+    trial's Gram matrix, and each trial keeps its own pivoting.  The ordering,
+    the swaps and the trace records are the trial shape's from :func:`_stack`,
+    data movement only, so each trial equals its call alone bit for bit.
     """
-    batch, h, x, alpha, p = _stack(ch, rx)
+    batch, trials, h, x, alpha, p = _stack(ch, rx)
     n_rx, m_tx = h.shape[-2:]
-    lead = _lead(h, 2)
-    ts = _arange(len(h)) if lead else None
-    h, alpha = (h, alpha[..., None]) if lead else (h.copy(), alpha)    # h is swapped in place
+    h, alpha = (h, alpha[..., None]) if trials.lead else (h.copy(), alpha)  # h is swapped in place
     led = FlopLedger()          # stays zero: the oracle is not instrumented
     mem = MemLedger()
     mem.alloc("h_copy", m_tx * n_rx)
@@ -295,9 +301,8 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
     mem.alloc("gj_workspace", 2 * m_tx * m_tx)
     soft = np.zeros(p.shape, np.complex128)     # in detection order
     hard = np.zeros(p.shape, np.complex128)
-    n_trials = p.size // m_tx
-    traces: list[list[OrderingTrace]] = [[] for _ in range(n_trials)]
-    qs = [[] for _ in range(n_trials)] if collect_q else None
+    picks: list = []                # each step's records, one per trial
+    qs = [[] for _ in range(p.size // m_tx)] if collect_q else None
     for m in range(m_tx, 0, -1):
         j = m - 1
         hm = h[..., :m]
@@ -305,18 +310,12 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
         if not np.isfinite(r).all():
             raise SingularMatrixError("Gram matrix H^H H + alpha I is not finite")
         q = gauss_jordan_inverse(r)
-        picks = [_argmin_gap(d) for d in q.diagonal(0, -2, -1).real.reshape(-1, m).tolist()]
-        ls = [pick[0] for pick in picks]
-        if ls.count(j) < len(ls):
-            # swap l (one per trial) with j in p, H's columns and Q's rows and
-            # columns: the integer l for one trial; for a batch, (trial, l) and
-            # a basic slice for j
-            at_l, at_j = ((ts, np.array(ls)), (slice(None), j)) if lead else ((ls[0],), (j,))
-            for a, mid in ((p, ()), (h, (slice(None),)), (q, ()), (q, (slice(None),))):
-                src, dst = (*at_l[:-1], *mid, at_l[-1]), (*at_j[:-1], *mid, at_j[-1])
-                a[src], a[dst] = a[dst].copy(), a[src].copy()
-        for trace, pick in zip(traces, picks):
-            trace.append(OrderingTrace(m, *pick))
+        l, recs = trials.order(q.diagonal(0, -2, -1).real, m)
+        if l is not None:       # swap l (one per trial) with j in p, H's columns and Q
+            trials.swap_entries((p,), l, j)
+            trials.swap_rows((h.mT,), l, j)
+            trials.sym_swap(q, l, j, m)
+        picks.append(recs)
         if qs is not None:
             for steps, blk in zip(qs, q.copy().reshape(-1, m, m)):
                 steps.append(blk)
@@ -328,7 +327,7 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
         if m == 1:
             break
         x = x - np.asarray(est if cancel_soft else s)[..., None] * h[..., j]
-    return _results(batch, lead, p, hard, soft, led, mem, traces, qs)
+    return _results(batch, trials, p, hard, soft, led, mem, picks, qs)
 
 
 # ---------------------------------------------------------------------------
@@ -378,25 +377,26 @@ def _cover_inverse_packed(q, m, led):
 
 
 # ---------------------------------------------------------------------------
-# the trial shape and the Q storage of the recursive detectors
+# the trial shape of all ten routines and the Q storage of the recursive ones
 #
-# ``_sic`` builds a ``_OneTrial`` or, for a batch, a ``_Trials`` and hands it
-# to the initializer and the Q storage.  The two keep only what is faster
-# written per shape: the ordering, the swaps of vectors, rows and dense
-# squares, and the index tables.  ``lead`` indexes the trial axis: ``()``, or
-# the trial numbers as a column (``lead2``: with two unit axes); ``spans[k]``
-# and ``ats[k]`` index the leading k entries and entry k of each trial's state
+# ``_stack`` builds a ``_OneTrial`` or, for a batch, a ``_Trials``; the oracle
+# orders, swaps and records through it, and ``_sic`` also hands it to the
+# initializer and the Q storage.  The two keep only what is faster written
+# per shape: the ordering, the swaps of vectors, rows and dense squares, and
+# the index tables.  ``lead`` indexes the trial axis: ``()``, or the trial
+# numbers as a column (``lead2``: with two unit axes); ``spans[k]`` and
+# ``ats[k]`` index the leading k entries and entry k of each trial's state
 # vector.  Everything else (the packed swap, the deflation's omega check by
 # ``kernels._check_pivot``, the storages) is written once and indexes with
 # ``...``, ``lead`` and these tables, so that one trial and a batch run the
 # same lines.  A batch indexes a position that every trial shares (entry k,
-# the swap target m - 1, a diagonal or border entry) with basic slices: ``ats[k]``
-# and ``kernels._entry`` give a ``(T, 1)`` view, and one trial a plain int.  It
-# keeps ``lead`` where the position differs per trial (the swap source l, the
-# permuted addresses of indexed storage, the oracle's pivot rows) and for a
-# gather through an index table: ``u[:, rows]`` would lay the result out
-# otherwise, and the complex multiplies and BLAS calls after it would round
-# unlike one trial's.
+# the swap target m - 1, a diagonal or border entry) with basic slices:
+# ``ats[k]`` and ``kernels._entry`` give a ``(T, 1)`` view, and one trial a
+# plain int.  It keeps ``lead`` where the position differs per trial (the
+# swap source l, the permuted addresses of indexed storage) and for a gather
+# through an index table: ``u[:, rows]`` would lay the result out otherwise,
+# and the complex multiplies and BLAS calls after it would round unlike one
+# trial's.
 # ``active(m, p)`` returns the detected stream's column of the
 # active block (omega last) and the index expressions of the active, kept and
 # detected streams into the state vectors.
@@ -426,7 +426,9 @@ class _OneTrial:
 
     def swap_rows(self, mats, l, j):
         for a in mats:
-            a[[l, j]] = a[[j, l]]
+            row = a[l].copy()
+            a[l] = a[j]
+            a[j] = row
 
     def sym_swap(self, a, i, j, m):
         """Swap rows and columns i, j of the leading m x m block of a square."""
@@ -758,8 +760,8 @@ def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
     which return a :class:`BatchResult`.  A batch runs its trials together:
     every state array gains a leading trial axis and each step is one set of
     numpy calls for all of them, while each trial keeps its own ordering.
-    A batch of one runs as its single trial.  The trial shape is decided
-    here, once, and goes to the initializer and the Q storage.
+    A batch of one runs as its single trial.  The trial shape comes from
+    :func:`_stack` and goes to the initializer and the Q storage.
 
     ``init`` allocates and initializes the detector's state (charging one
     trial's ledger and memory) and returns its Q storage, the vectors kept
@@ -767,15 +769,14 @@ def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
     records ``p``, ``z`` and ``d`` of the active streams at every step
     (single-buffer swapped storage only).
     """
-    batch, h, x, alpha, p = _stack(chs, rxs)
+    batch, trials, h, x, alpha, p = _stack(chs, rxs)
     m_tx = p.shape[-1]
     n_trials = p.size // m_tx
-    trials = _OneTrial(m_tx) if p.ndim == 1 else _Trials(n_trials, m_tx)
     led = FlopLedger()
     mem = MemLedger()
     q, vecs, estimate, cancel = init(trials, h, x, alpha, led, mem)
     diag, swap, active, block = q.diag, q.swap, q.active, q.block
-    order, swap_entries, lead, ats = trials.order, trials.swap_entries, trials.lead, trials.ats
+    order, swap_entries, ats = trials.order, trials.swap_entries, trials.ats
     moved = (p,) if swap is None else (p, *vecs)    # swapped storage keeps vecs in p's order
     soft = np.zeros(p.shape, np.complex128)     # in detection order
     hard = np.zeros(p.shape, np.complex128)
@@ -805,8 +806,7 @@ def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
         if m == 1:
             break
         cancel(col, rest, last, est if cancel_soft else s)
-    traces = [list(trace) for trace in zip(*picks)]
-    return _results(batch, lead, p, hard, soft, led, mem, traces, qs, aux)
+    return _results(batch, trials, p, hard, soft, led, mem, picks, qs, aux)
 
 
 # ---------------------------------------------------------------------------

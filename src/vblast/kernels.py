@@ -274,10 +274,12 @@ def _pack_upper(a: np.ndarray) -> np.ndarray:
 
 
 def as_cmat(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """A complex matrix with finite entries (``stack``: or a 3-D stack of them)."""
+    """A non-empty complex matrix with finite entries (``stack``: or a 3-D stack of them)."""
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 and not (stack and a.ndim == 3):
         raise ContractViolationError(f"{name} must be 2-D, got shape {a.shape}")
+    if not a.size:
+        raise ContractViolationError(f"{name} must be non-empty, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ContractViolationError(f"{name} contains NaN or Inf")
     return a
@@ -305,6 +307,7 @@ def real_pivot(x, context: str, step: int | None = None, error=ContractViolation
     failure (``SingularMatrixError``).  ``x`` may hold one pivot per trial;
     each is then judged as a number, in trial order, so the first failing
     trial's error is raised, and the real parts come back as a new array.
+    A value that is no number at all (a string, None, a list) is misuse.
     """
     if isinstance(x, np.ndarray):
         if x.size > 1:
@@ -315,13 +318,33 @@ def real_pivot(x, context: str, step: int | None = None, error=ContractViolation
                     real_pivot(v, context, step, error)
             return x.real.copy()
         x = x.item()
-    x = complex(x)
+    try:
+        if isinstance(x, str):
+            raise TypeError     # complex() would parse it
+        x = complex(x)
+    except TypeError:
+        raise ContractViolationError(f"{_label(context, step)}: expected a number, got "
+                                     f"{type(x).__name__}") from None
     re, im = x.real, x.imag
     if im and abs(im) > PIVOT_IMAG_RTOL * max(abs(re), 1e-300):
         raise error(f"{_label(context, step)}: pivot {x} has a non-negligible imaginary part")
     if not math.isfinite(re) or math.isnan(im):
         raise error(f"{_label(context, step)}: pivot is not finite")
     return re
+
+
+def _operands(context: str, mat, vec, scalar=None, drop: int = 0):
+    """A public kernel's operands, each given as ``(name, value)``, else misuse
+    naming ``context``: a square matrix, a vector of its size less ``drop``
+    and, when given, a real scalar.  Returns the matrix, the vector and the
+    scalar's real part (None when not given)."""
+    (a_name, a), (v_name, v) = mat, vec
+    a, v = as_cmat(a, a_name), as_cvec(v, v_name)
+    m = a.shape[0]
+    if a.shape[1] != m or v.shape[0] != m - drop or m <= drop:
+        raise ContractViolationError(
+            f"{context}: {a_name} is {a.shape}, {v_name} has length {v.shape[0]}")
+    return a, v, None if scalar is None else real_pivot(scalar[1], f"{context} {scalar[0]}")
 
 
 def _check_pivot(x, scale, context: str, step=None):
@@ -569,14 +592,8 @@ def herm_rank1_update(
     ledger: FlopLedger,
 ) -> np.ndarray:
     """Return ``a + alpha * v v^H`` for Hermitian ``a`` and real ``alpha``."""
-    a = as_cmat(a, "a")
-    v = as_cvec(v, "v")
+    a, v, alpha = _operands("herm_rank1_update", ("a", a), ("v", v), ("alpha", alpha))
     m = a.shape[0]
-    if a.shape[1] != m or v.shape[0] != m:
-        raise ContractViolationError(
-            f"dimension mismatch: a is {a.shape}, v has length {v.shape[0]}"
-        )
-    alpha = real_pivot(alpha, "herm_rank1_update alpha")
     out = a.copy()
     ledger.tick(cmul=m)     # alpha * v
     (rank1_update_herm if triangle_only else rank1_update_full)(out, v, alpha, ledger)
@@ -623,18 +640,6 @@ def _block_step_v(q, r_bar, gamma, led, step=None):
     return q_col, omega, q_tilde
 
 
-def _validate_block_args(q_prev, r_bar, gamma, name):
-    q_prev = as_cmat(q_prev, "q_prev")
-    r_bar = as_cvec(r_bar, "r_bar")
-    k = q_prev.shape[0]
-    if q_prev.shape[1] != k or r_bar.shape[0] != k:
-        raise ContractViolationError(
-            f"{name}: q_prev is {q_prev.shape} but r_bar has length {r_bar.shape[0]}"
-        )
-    gamma = real_pivot(gamma, f"{name} gamma")
-    return q_prev, r_bar, gamma
-
-
 def block_inv_step_i(q_prev, r_bar, gamma, ledger: FlopLedger, step: int | None = None):
     """Grow a partitioned inverse by one row/column (two extra divisions).
 
@@ -643,7 +648,8 @@ def block_inv_step_i(q_prev, r_bar, gamma, ledger: FlopLedger, step: int | None 
     such that assembling [[q_bar_block, q_bar_col], [q_bar_col^H, omega]]
     inverts the grown matrix.
     """
-    q_prev, r_bar, gamma = _validate_block_args(q_prev, r_bar, gamma, "block_inv_step_i")
+    q_prev, r_bar, gamma = _operands("block_inv_step_i", ("q_prev", q_prev), ("r_bar", r_bar),
+                                     ("gamma", gamma))
     q_bar = q_prev.copy()
     q_col, omega = _block_step_i(q_bar, r_bar, gamma, ledger, step)
     return q_bar, q_col, omega
@@ -656,7 +662,8 @@ def block_inv_step_v(q_prev, r_bar, gamma, ledger: FlopLedger, step: int | None 
     intermediate q_tilde = Q r_bar, charging exactly one cdiv per call.
     Also returns q_tilde, which callers may reuse.
     """
-    q_prev, r_bar, gamma = _validate_block_args(q_prev, r_bar, gamma, "block_inv_step_v")
+    q_prev, r_bar, gamma = _operands("block_inv_step_v", ("q_prev", q_prev), ("r_bar", r_bar),
+                                     ("gamma", gamma))
     q_bar = q_prev.copy()
     q_col, omega, q_tilde = _block_step_v(q_bar, r_bar, gamma, ledger, step)
     return q_bar, q_col, omega, q_tilde
@@ -669,13 +676,7 @@ def sm_rank1_inverse_update(
     triangle_only: bool = True,
 ) -> np.ndarray:
     """Return ``(Q^-1 + h h^H)^-1`` from Q via a rank-one correction."""
-    q = as_cmat(q, "q")
-    h = as_cvec(h, "h")
-    m = q.shape[0]
-    if q.shape[1] != m or h.shape[0] != m:
-        raise ContractViolationError(
-            f"sm_rank1_inverse_update: q is {q.shape}, h has length {h.shape[0]}"
-        )
+    q, h, _ = _operands("sm_rank1_inverse_update", ("q", q), ("h", h))
     out = q.copy()
     _sm_update_inplace(out, h, 1.0, ledger, "sm_rank1_inverse_update", triangle_only)
     return out
@@ -724,14 +725,9 @@ def deflate_q_sm(
     Same output as :func:`deflate_q` but computed from (r_bar, gamma), which
     costs one extra matrix-vector product.
     """
-    q_m = as_cmat(q_m, "q_m")
-    r_bar = as_cvec(r_bar, "r_bar")
+    q_m, r_bar, gamma = _operands("deflate_q_sm", ("q_m", q_m), ("r_bar", r_bar),
+                                  ("gamma", gamma), drop=1)
     m = q_m.shape[0]
-    if q_m.shape[1] != m or m < 2 or r_bar.shape[0] != m - 1:
-        raise ContractViolationError(
-            f"deflate_q_sm: q_m is {q_m.shape}, r_bar has length {r_bar.shape[0]}"
-        )
-    gamma = real_pivot(gamma, "deflate_q_sm gamma")
     out = q_m[: m - 1, : m - 1].copy()
     _sm_update_inplace(out, r_bar, gamma, ledger, "deflate_q_sm", triangle_only)
     return out
@@ -840,11 +836,6 @@ def _grow_inverse(q, led, variant):
 # independent oracle
 
 
-def _any(flags) -> bool:
-    """Whether a flag is set: one numpy bool (one matrix) or an array of them (a stack)."""
-    return bool(flags.any() if isinstance(flags, np.ndarray) else flags)
-
-
 def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
     """Invert a square complex matrix by Gauss-Jordan with partial pivoting.
 
@@ -860,7 +851,7 @@ def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
         raise ContractViolationError(f"cannot invert non-square matrix {a.shape}")
     lead = _lead(a, 2, 0)
     scale = np.abs(a).max(axis=(-2, -1))
-    if _any(scale == 0.0):
+    if (scale == 0.0).any():
         raise SingularMatrixError("gauss_jordan_inverse: zero matrix")
     tol = SINGULAR_RTOL * scale
     aug = np.empty(a.shape[:-1] + (2 * n,), np.complex128)
@@ -870,13 +861,12 @@ def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
         piv = col + np.abs(aug[..., col:, col]).argmax(axis=-1)
         pivot = aug[(*lead, piv, col)]
         small = np.abs(pivot) < tol
-        if _any(small):
+        if small.any():
             piv = np.ravel(piv)[np.argmax(small)]
             raise SingularMatrixError(f"gauss_jordan_inverse: pivot {piv} below tolerance")
-        if _any(piv != col):
-            top = aug[(*lead, piv)].copy()
-            aug[(*lead, piv)] = aug[..., col, :]
-            aug[..., col, :] = top
+        top = aug[(*lead, piv)].copy()      # the pivot row into place, a no-op where it is
+        aug[(*lead, piv)] = aug[..., col, :]
+        aug[..., col, :] = top
         aug[..., col, :] /= pivot[..., None]
         factors = aug[..., :, col].copy()
         factors[..., col] = 0.0

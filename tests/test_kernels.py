@@ -725,18 +725,31 @@ def test_packed_diagonal_check_is_scale_free(k):
      "v must be 1-D and non-empty, got shape (2, 1)"),
     (lambda led: herm_rank1_update(np.eye(2), np.array([1.0, np.nan]), 1.0, True, led),
      "v contains NaN or Inf"),
+    (lambda led: herm_rank1_update(np.eye(2), np.ones(3), 1.0, True, led),
+     "herm_rank1_update: a is (2, 2), v has length 3"),
+    (lambda led: herm_rank1_update(np.eye(2), np.ones(2), "x", True, led),
+     "herm_rank1_update alpha: expected a number, got str"),
+    (lambda led: herm_rank1_update(np.eye(2), np.ones(2), None, True, led),
+     "herm_rank1_update alpha: expected a number, got NoneType"),
     (lambda led: block_inv_step_v(np.eye(2), np.ones(3), 1.0, led),
-     "block_inv_step_v: q_prev is (2, 2) but r_bar has length 3"),
+     "block_inv_step_v: q_prev is (2, 2), r_bar has length 3"),
+    (lambda led: block_inv_step_v(np.eye(2), np.ones(2), "g", led),
+     "block_inv_step_v gamma: expected a number, got str"),
     (lambda led: sm_rank1_inverse_update(np.eye(2), np.ones(3), led),
      "sm_rank1_inverse_update: q is (2, 2), h has length 3"),
     (lambda led: deflate_q_sm(np.eye(3), np.ones(3), 1.0, led),
      "deflate_q_sm: q_m is (3, 3), r_bar has length 3"),
+    (lambda led: deflate_q_sm(np.eye(3), np.ones(3)[:2], [1, 2], led),
+     "deflate_q_sm gamma: expected a number, got list"),
+    (lambda led: init_gram(np.eye(2), "a", led), "init_gram alpha: expected a number, got str"),
     (lambda led: deflate_q(np.eye(1), led),
      "deflate_q needs a square matrix of dim >= 2, got (1, 1)"),
     (lambda led: init_q_recursive(np.ones((2, 3)), led),
      "init_q_recursive needs a square matrix"),
     (lambda led: init_q_recursive(np.eye(2), led, variant="x"), "unknown variant 'x'"),
+    (lambda led: init_q_recursive(np.zeros((0, 0)), led), "r must be non-empty, got shape (0, 0)"),
     (lambda led: gauss_jordan_inverse(np.ones((2, 3))), "cannot invert non-square matrix (2, 3)"),
+    (lambda led: gauss_jordan_inverse(np.zeros((0, 0))), "a must be non-empty, got shape (0, 0)"),
     (lambda led: HermPacked(2, np.zeros(4, complex)),
      "packed storage for dim 2 needs 3 entries, got (4,)"),
     (lambda led: HermPacked(2, np.array([1, np.nan, 1], complex)),
