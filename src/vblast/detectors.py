@@ -37,7 +37,9 @@ packed form runs the same steps and errors in a loop of its own).  Domain
 ``z = H^H x`` and cancels with R's column; ``d`` cancels through the
 deficiency vector ``d`` and never reads R again.  Swapped
 storage keeps Q and the domain's vectors in detection order by symmetric
-swaps; packed storage keeps Q's upper triangle.  Indexed storage keeps only
+swaps; packed storage keeps Q's upper triangle, and so does dense storage
+on the BLAS route (blocks of ``kernels.ZHER_MIN_K`` or more, see
+:class:`_Dense`).  Indexed storage keeps only
 Q's upper triangle, in antenna order, in the dense square or the packed
 vector alike, and addresses it through the order permutation: an entry below
 the diagonal is read from its upper mirror, conjugated.
@@ -98,13 +100,16 @@ from .kernels import (
     matvec,
     rank1_update_herm,
     vdot_c,
+    _bind,
     _check_pivot,
     _dot,
     _entry,
     _grow_inverse,
     _invert_leading,
     _lead,
+    _mirror,
     _mv,
+    _on_blas,
     _pack_upper,
     _packed_unpack,
     _scaled_pair,
@@ -405,6 +410,24 @@ def _cover_inverse_packed(q, m, led):
 # packed alike, is ``_Indexed``, which reads and writes only Q's upper triangle.
 
 
+def _herm_swap(a, l, j):
+    """Swap rows and columns l < j of the leading (j + 1)-square of a square that
+    keeps only its upper triangle, reading and writing nothing below the diagonal.
+
+    Four O(j) pieces move: column l above l with column j above l, row l between
+    l and j with the conjugate of column j between them, the two diagonal
+    entries, and the corner (l, j), conjugated in place.
+    """
+    col = a[:l, l].copy()
+    a[:l, l] = a[:l, j]
+    a[:l, j] = col
+    row = np.conj(a[l, l + 1 : j])
+    a[l, l + 1 : j] = np.conj(a[l + 1 : j, j])
+    a[l + 1 : j, j] = row
+    a[l, l], a[j, j] = a[j, j], a[l, l]
+    a[l, j] = a[l, j].conjugate()
+
+
 @lru_cache(maxsize=None)      # one read-only instance per shape: tables built once
 class _OneTrial:
     """One trial's step operations: unbatched arrays and an int per index."""
@@ -438,6 +461,8 @@ class _OneTrial:
         col = a[:m, i].copy()
         a[:m, i] = a[:m, j]
         a[:m, j] = col
+
+    herm_swap = staticmethod(_herm_swap)
 
 
 @lru_cache(maxsize=None)
@@ -484,40 +509,63 @@ class _Trials:
         a[ts, :m, i] = a[:, :m, j]
         a[:, :m, j] = col
 
+    def herm_swap(self, a, l, j):
+        """:func:`_herm_swap` trial by trial; a trial whose l is j keeps its own."""
+        for t, l_t in enumerate(l.tolist()):
+            if l_t != j:
+                _herm_swap(a[t], l_t, j)
+
 
 class _Dense:
     """Dense Q (and R, where kept) in detection order by symmetric swaps.
 
     ``rows`` (the x domain's transposed channel copy) has its rows swapped.
+    With ``herm``, Q is bound once for the Hermitian kernels
+    (``kernels._bind``): on the BLAS route, a leading block of
+    ``kernels.ZHER_MIN_K`` or more keeps only its upper triangle, is swapped
+    conjugate-aware and comes out of :meth:`block` mirrored; below, Q's
+    blocks are full squares again (the deflation from R's border mirrors the
+    block it first reads there).  R, never updated, is then swapped
+    conjugate-aware at every step, so its upper triangle stays right.
+    ``original`` keeps its full squares (``herm`` false).
     """
 
-    def __init__(self, trials, q, r=None, rows=None):
+    def __init__(self, trials, q, r=None, rows=None, herm=True):
         self.trials = trials
         self.lead, self.spans, self.ats = trials.lead, trials.spans, trials.ats
         self.q = q
         self.qdiag = q.diagonal(axis1=-2, axis2=-1).real    # a view: follows Q's updates
         self.mats = (q,) if r is None else (q, r)
         self.rows = rows
+        self.bound = _bind(q) if herm else None
 
     def diag(self, m, p):
         return self.qdiag[..., :m]
 
     def swap(self, l, last):
+        trials, bound = self.trials, self.bound
         for a in self.mats:
-            self.trials.sym_swap(a, l, last, last + 1)
+            if bound is not None and (a is not self.q or _on_blas(bound, last + 1)):
+                trials.herm_swap(a, l, last)
+            else:
+                trials.sym_swap(a, l, last, last + 1)
         if self.rows is not None:
-            self.trials.swap_rows((self.rows,), l, last)
+            trials.swap_rows((self.rows,), l, last)
 
     def active(self, m, p):
         return self.q[..., :m, m - 1], self.spans[m], self.spans[m - 1], self.ats[m - 1]
 
     def sub(self, rest, x, c, led):
-        """Hermitian ``Q[rest, rest] -= c x x^H``."""
-        k = x.shape[-1]
-        rank1_update_herm(self.q[..., :k, :k], x, c, led, subtract=True)
+        """Hermitian ``Q[rest, rest] -= c x x^H``, ``x`` Q's column k above the diagonal."""
+        k, bound = x.shape[-1], self.bound
+        rank1_update_herm(self.q[..., :k, :k], x, c, led, subtract=True, bound=bound,
+                          xat=bound and bound.col(k))
 
     def block(self, m, p):
-        return self.q[..., :m, :m].copy()
+        out = self.q[..., :m, :m].copy()
+        if _on_blas(self.bound, m):
+            _mirror(out)
+        return out
 
 
 class _Packed:
@@ -648,11 +696,14 @@ def _deflate(q, col, rest, led, r_border, triangle_only, cmul, cadd):
     if r_border is None:
         _deflate_own(q, col, rest, led, cmul, cadd)
     else:
-        k = col.shape[-1] - 1
+        k, bound = col.shape[-1] - 1, q.bound
         led.tick(cmul=cmul, cadd=cadd)
+        block = q.q[..., :k, :k]
+        if _on_blas(bound, k + 1) and not _on_blas(bound, k):
+            _mirror(block)      # off the BLAS route, the matvec reads the full square
         # gamma is R's own diagonal entry, real and finite since init_gram
-        _sm_update_inplace(q.q[..., :k, :k], r_border[..., :k, k], r_border[_entry(q.lead, k, k)],
-                           led, "deflate_q_sm", triangle_only)
+        _sm_update_inplace(block, r_border[..., :k, k], r_border[_entry(q.lead, k, k)],
+                           led, "deflate_q_sm", triangle_only, bound)
 
 
 def _init_x(border):
@@ -670,7 +721,7 @@ def _init_x(border):
         r = init_gram(h, alpha, led) if border else None
         # the rows of the transpose are the channel's columns
         q = _Dense(trials, init_q_sherman_morrison(h, alpha, led, triangle_only=not border), r,
-                   rows=h.swapaxes(-1, -2))
+                   rows=h.swapaxes(-1, -2), herm=not border)
 
         def estimate(col, act, last):
             return vdot_c(col, conj_matvec(h[..., : col.shape[-1]], x, led), led)

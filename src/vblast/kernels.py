@@ -16,14 +16,21 @@ explicit matrix-vector product charge the full ``k**2``.
 The ledger charges the algorithm's arithmetic, not numpy's evaluation of
 it.  Where a dense numpy call is faster than gathering a triangle, the
 kernels compute the full square and overwrite the strict lower triangle with
-the conjugate of the upper one; the extra products are not charged.  The
-dense Hermitian rank-one update, :func:`rank1_update_herm`, computes only
-the triangle it is charged for once its block has ``ZHER_MIN_K`` rows: BLAS
-``zher`` from the OpenBLAS that numpy ships updates the upper triangle in
-place, once per trial, before the same mirror.  Smaller blocks, and every
-block where numpy has no such BLAS, take the dense numpy pass; so do the
-full-square update (:func:`rank1_update_full`) and the packed and indexed
-storages' updates in ``vblast.detectors``.
+the conjugate of the upper one (:func:`_mirror`); the extra products are not
+charged.  From ``ZHER_MIN_K`` rows on, the dense Hermitian kernels compute
+only the triangle they are charged for.  A caller binds its Hermitian
+squares once per call (:func:`_bind`: each trial's address, the row stride
+and a workspace); :func:`rank1_update_herm` and :func:`matvec` then run BLAS
+``zher`` and ``zhemv`` from the OpenBLAS that numpy ships on those
+integers, once per trial, with no address lookup or layout check per step.
+They read and write the upper triangle only, and nothing mirrors it: such a
+block's strict lower triangle is stale, and a caller that reads the full
+square mirrors it once.  The initializers bind and mirror once on exit, so
+every public kernel returns full Hermitian squares.  Smaller blocks, unbound
+squares and every block where numpy has no such BLAS take the dense numpy
+pass and its mirror; so do the full-square update
+(:func:`rank1_update_full`) and the packed and indexed storages' updates in
+``vblast.detectors``.
 
 Charges are made once per kernel call or step: a kernel, a growth or
 deflation step, or a detector's estimate or cancel step sums the charges of
@@ -317,7 +324,8 @@ def real_pivot(x, context: str, step: int | None = None, error=ContractViolation
                 for v in vals:
                     real_pivot(v, context, step, error)
             return x.real.copy()
-        x = x.item()
+        if x.size:          # an empty array is no number: complex() below refuses it
+            x = x.item()
     try:
         if isinstance(x, str):
             raise TypeError     # complex() would parse it
@@ -401,10 +409,19 @@ def vdot_c(a: np.ndarray, b: np.ndarray, led: FlopLedger):
     return _dot(a, b)
 
 
-def matvec(a: np.ndarray, v: np.ndarray, led: FlopLedger) -> np.ndarray:
-    """Plain A @ v (per trial); charges rows*cols cmul and rows*(cols-1) cadd."""
+def matvec(a: np.ndarray, v: np.ndarray, led: FlopLedger, bound=None, vat=None) -> np.ndarray:
+    """Plain A @ v (per trial); charges rows*cols cmul and rows*(cols-1) cadd.
+
+    With ``bound`` (see :func:`rank1_update_herm`), ``a`` is the leading block
+    of Hermitian squares: from ``ZHER_MIN_K`` rows on, one BLAS ``zhemv`` per
+    trial reads only its upper triangle and writes A v into the bound
+    workspace, which comes back.  ``v`` is read where ``vat`` says, else
+    staged into the workspace first.
+    """
     rows, cols = a.shape[-2:]
     led.tick(cmul=rows * cols, cadd=rows * (cols - 1))
+    if bound is not None and cols >= ZHER_MIN_K:
+        return bound.hemv(cols, vat or bound.stage(v))
     return _mv(a, v)
 
 
@@ -449,24 +466,28 @@ def _scaled_pair(x, c, right):
     return (x, cx) if right else (cx, x)
 
 
-# Block size from which the dense Hermitian rank-one update runs through BLAS
-# ``zher`` (set by measurement; README "Counting conventions").  Smaller blocks,
-# where a call's fixed cost outweighs numpy's extra passes, stay on numpy.
+# Block size from which the dense Hermitian kernels run through BLAS ``zher``
+# and ``zhemv`` (set by measurement; README "Counting conventions").  Smaller
+# blocks, where a call's fixed cost outweighs numpy's extra passes, stay on numpy.
 ZHER_MIN_K = 32
 
 _ZHER_SYMBOL = "scipy_cblas_zher64_"     # numpy's OpenBLAS, 64-bit integers
+_ZHEMV_SYMBOL = "scipy_cblas_zhemv64_"
 _CBLAS_ROW_MAJOR, _CBLAS_UPPER = 101, 121
+_ONE_ZERO = np.array([1.0, 0.0], np.complex128)    # zhemv's alpha and beta, passed by address
 
 
 @lru_cache(maxsize=None)
 def _zher():
-    """``(function, library)`` for numpy's own OpenBLAS ``zher``, or None.
+    """``(zher, zhemv, library, ab)`` from numpy's own OpenBLAS, or None; ``ab``
+    holds the addresses of ``zhemv``'s alpha (1) and beta (0).
 
     Looked up once, at the first block of ``ZHER_MIN_K`` or more, never at
     import: in the OpenBLAS that numpy's wheels ship (``numpy.libs`` or
     ``numpy/.dylibs``), else through numpy's core extension, whose loader
-    resolves the libraries it links.  A numpy built on another BLAS
-    (Accelerate, MKL) has no such symbol, and the numpy path runs.
+    resolves the libraries it links.  Both symbols come from the one library
+    found.  A numpy built on another BLAS (Accelerate, MKL) has no such
+    symbols, and the numpy path runs.
     """
     import ctypes
     import glob
@@ -479,49 +500,115 @@ def _zher():
                    + glob.glob(os.path.join(root, ".dylibs", "*openblas*")))
     for path in (*found, core.__file__):
         try:
-            fn = getattr(ctypes.CDLL(path), _ZHER_SYMBOL)
+            lib = ctypes.CDLL(path)
+            zher, zhemv = getattr(lib, _ZHER_SYMBOL), getattr(lib, _ZHEMV_SYMBOL)
         except (OSError, AttributeError):
             continue
-        fn.restype = None
-        fn.argtypes = (ctypes.c_int, ctypes.c_int, ctypes.c_int64, ctypes.c_double,
-                       ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
-        return fn, os.path.basename(path)
+        enum, n, ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
+        zher.restype = zhemv.restype = None
+        zher.argtypes = (enum, enum, n, ctypes.c_double, ptr, n, ptr, n)
+        zhemv.argtypes = (enum, enum, n, ptr, ptr, n, ptr, n, ptr, ptr, n)
+        one = _address(_ONE_ZERO)
+        return zher, zhemv, os.path.basename(path), (one, one + 16)
     return None
 
 
 def blas_route() -> str:
-    """Which code runs the dense Hermitian rank-one update, as one line."""
+    """Which code runs the dense Hermitian rank-one updates and matvecs, as one line."""
     found = _zher()
     if found is None:
-        return f"rank1_update_herm: numpy for every k ({_ZHER_SYMBOL} not found)"
-    return (f"rank1_update_herm: {_ZHER_SYMBOL} from {found[1]} for k >= {ZHER_MIN_K}, "
-            "numpy below")
+        return (f"dense Hermitian kernels: numpy for every k ({_ZHER_SYMBOL} or {_ZHEMV_SYMBOL} "
+                "not found)")
+    return (f"dense Hermitian kernels: {_ZHER_SYMBOL} and {_ZHEMV_SYMBOL} from {found[2]} "
+            f"for k >= {ZHER_MIN_K}, numpy below")
 
 
-def _zher_update(a, x, alpha) -> bool:
-    """``a += alpha x x^H`` on the upper triangle of each square, by BLAS.
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]      # as ``a.ctypes.data``, in half the time
 
-    One ``zher`` call per trial, on the row-major block in place (row stride
-    ``lda``) with ``x`` read through its own stride; each trial's call is the
-    one it makes alone.  False, touching nothing, where no BLAS is found or
-    the layout is not one BLAS takes.
+
+def _addresses(a: np.ndarray) -> list[int]:
+    """The address of each trial's first entry: one, or one per matrix of a stack."""
+    at = _address(a)
+    return [at] if a.ndim < 3 else [at + t * a.strides[0] for t in range(len(a))]
+
+
+class _Bound:
+    """Row-major Hermitian squares, one or a stack, bound once for BLAS.
+
+    Built by :func:`_bind` once per call, so that a step passes integers to
+    ``zher`` and ``zhemv`` and makes no address lookup or layout check.
+    ``at`` holds each trial's address of entry (0, 0) and ``lda`` the row
+    stride in entries; ``ws`` holds two vectors per trial, a staged operand
+    and ``zhemv``'s output; ``ab`` holds the addresses of ``zhemv``'s alpha
+    and beta.  A vector operand is given as ``(addresses, increment)``: a
+    column of the squares (:meth:`col`), the staged operand ``inp`` or the
+    output ``out``.  Only the upper triangle of a leading block is read or
+    written.
     """
-    found, k = _zher(), a.shape[-1]
-    if (found is None or a.ndim > 3 or a.shape[-2] != k or x.shape != a.shape[:-1]
-            or a.dtype != np.complex128 or x.dtype != np.complex128 or not a.flags.writeable
-            or a.strides[-1] != 16 or a.strides[-2] % 16 or a.strides[-2] < 16 * k
-            or x.strides[-1] % 16 or x.strides[-1] <= 0):
-        return False
-    zher = found[0]
-    lda, incx = a.strides[-2] // 16, x.strides[-1] // 16
-    at, xat = a.ctypes.data, x.ctypes.data
-    if a.ndim == 2:
-        zher(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, k, float(alpha), xat, incx, at, lda)
-        return True
-    step, xstep = a.strides[0], x.strides[0]
-    for t, alpha_t in enumerate(np.broadcast_to(np.ravel(alpha), len(a)).tolist()):
-        zher(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, k, alpha_t, xat + t * xstep, incx, at + t * step, lda)
-    return True
+
+    __slots__ = ("at", "lda", "ws", "inp", "out", "ab", "zher", "zhemv")
+
+    def __init__(self, a: np.ndarray, zher, zhemv, ab):
+        self.zher, self.zhemv, self.ab = zher, zhemv, ab
+        self.at, self.lda = _addresses(a), a.strides[-2] // 16
+        self.ws = np.zeros(a.shape[:-2] + (2, a.shape[-1]), np.complex128)
+        inp, row = _addresses(self.ws), self.ws.strides[-2]
+        self.inp, self.out = (inp, 1), ([w + row for w in inp], 1)
+
+    def col(self, j: int):
+        """Column j of each square, from row 0."""
+        return [at + 16 * j for at in self.at], self.lda
+
+    def stage(self, v: np.ndarray):
+        """Copy ``v`` (one per trial) into the staged operand, which is returned."""
+        np.copyto(self.ws[..., 0, : v.shape[-1]], v)
+        return self.inp
+
+    def hemv(self, k: int, x) -> np.ndarray:
+        """``A x`` for the leading k x k block A of each square, read from its
+        upper triangle, into ``out``: one ``zhemv`` per trial.  Returns ``out``."""
+        (xs, incx), (ys, _), (one, zero) = x, self.out, self.ab
+        for at, xat, yat in zip(self.at, xs, ys):
+            self.zhemv(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, k, one, at, self.lda, xat, incx, zero,
+                       yat, 1)
+        return self.ws[..., 1, :k]
+
+    def her(self, k: int, x, alpha) -> None:
+        """``A += alpha x x^H`` on the upper triangle of each leading k x k
+        block, in place: one ``zher`` per trial, ``alpha`` one real or one per trial."""
+        xs, incx = x
+        alphas = ((alpha,) * len(xs) if isinstance(alpha, float)
+                  else np.broadcast_to(np.ravel(alpha), len(xs)).tolist())
+        for at, xat, alpha_t in zip(self.at, xs, alphas):
+            self.zher(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, k, alpha_t, xat, incx, at, self.lda)
+
+
+def _bind(a: np.ndarray) -> _Bound | None:
+    """``a``'s squares (one or a stack) bound for BLAS, or None where every block
+    stays on numpy: below ``ZHER_MIN_K`` rows, where no BLAS is found, or in a
+    layout BLAS does not take.  No lookup is made below ``ZHER_MIN_K``."""
+    k = a.shape[-1]
+    if k < ZHER_MIN_K:
+        return None
+    found = _zher()
+    if (found is None or a.ndim > 3 or a.shape[-2] != k or a.dtype != np.complex128
+            or not a.flags.writeable or a.strides[-1] != 16 or a.strides[-2] % 16
+            or a.strides[-2] < 16 * k or (a.ndim == 3 and a.strides[0] % 16)):
+        return None
+    zher, zhemv, _, ab = found
+    return _Bound(a, zher, zhemv, ab)
+
+
+def _on_blas(bound: _Bound | None, k: int) -> bool:
+    """Whether a k x k block of bound squares runs on BLAS, keeping only its upper triangle."""
+    return bound is not None and k >= ZHER_MIN_K
+
+
+def _mirror(a: np.ndarray) -> None:
+    """Overwrite the strict lower triangle of each trailing square by the
+    conjugate of the upper one."""
+    np.copyto(a, a.mT.conj(), where=_strict_lower_mask(a.shape[-1]))
 
 
 def rank1_update_herm(
@@ -531,35 +618,42 @@ def rank1_update_herm(
     led: FlopLedger,
     subtract: bool = False,
     right: bool = False,
+    bound: _Bound | None = None,
+    xat=None,
 ) -> None:
     """In place ``a +/-= c x x^H`` for real ``c``: a Hermitian result (per trial).
 
     Charged as the upper triangle (k*(k+1)/2 products), whichever path runs:
 
-    * below ``ZHER_MIN_K``, numpy forms the products ``(c x) x^H``, or
-      ``x (c x)^H`` when ``right``, over the whole square in one dense pass
-      and adds or subtracts them.  The two forms round differently; each
-      caller keeps its own, so these blocks keep their bits;
-    * from ``ZHER_MIN_K`` on, BLAS ``zher`` adds ``(+/-c) x x^H`` to the
-      upper triangle only, in place, one call per trial, so a trial in a
-      batch is bit for bit its call alone.  Where numpy ships no such BLAS
-      (or the layout is not one BLAS takes), the numpy path runs instead.
+    * below ``ZHER_MIN_K``, and where ``a`` is not bound, numpy forms the
+      products ``(c x) x^H``, or ``x (c x)^H`` when ``right``, over the whole
+      square in one dense pass and adds or subtracts them.  The two forms
+      round differently; each caller keeps its own, so these blocks keep their
+      bits.  The strict lower triangle is then overwritten by the conjugate of
+      the upper one, so the result is exactly Hermitian;
+    * from ``ZHER_MIN_K`` on, where ``a`` is the leading block of the squares
+      ``bound`` holds (:func:`_bind`), BLAS ``zher`` adds ``(+/-c) x x^H`` to
+      the upper triangle only, in place, one call per trial on addresses bound
+      once, so a trial in a batch is bit for bit its call alone.  The strict
+      lower triangle is neither read nor written, and nothing mirrors it: a
+      caller that needs the full square mirrors it once (:func:`_mirror`).
+      ``x`` is read where ``xat`` says, else staged into the bound workspace.
 
-    Either way the strict lower triangle is then overwritten by the conjugate
-    of the upper one, so the result is exactly Hermitian, and the diagonal's
-    imaginary parts are zero, as in the reference Hermitian rank-one BLAS
-    routines: callers update Hermitian matrices, where any diagonal imaginary
-    part is rounding noise.  ``a`` may be a strided view such as
-    ``q[:k, :k]``; ``x`` must not overlap it.  ``c`` is one number, or one
-    per trial as ``(T, 1)``.
+    Either way the diagonal's imaginary parts are zero, as in the reference
+    Hermitian rank-one BLAS routines: callers update Hermitian matrices,
+    where any diagonal imaginary part is rounding noise.  ``a`` may be a
+    strided view such as ``q[:k, :k]``; ``x`` must not overlap it.  ``c`` is
+    one number, or one per trial as ``(T, 1)``.
     """
     k = x.shape[-1]
     led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
-    if k < ZHER_MIN_K or not _zher_update(a, x, -c if subtract else c):
-        u, w = _scaled_pair(x, c, right)
-        (np.subtract if subtract else np.add)(a, _outer(u, np.conj(w), fused=False), out=a)
-        _zero_diag_imag(a)
-    np.copyto(a, a.mT.conj(), where=_strict_lower_mask(k))
+    if bound is not None and k >= ZHER_MIN_K:
+        bound.her(k, xat or bound.stage(x), -c if subtract else c)
+        return
+    u, w = _scaled_pair(x, c, right)
+    (np.subtract if subtract else np.add)(a, _outer(u, np.conj(w), fused=False), out=a)
+    _zero_diag_imag(a)
+    _mirror(a)
 
 
 def rank1_update_full(
@@ -600,21 +694,23 @@ def herm_rank1_update(
     return out
 
 
-def _block_step_i(q, r_bar, gamma, led, step=None):
+def _block_step_i(q, r_bar, gamma, led, step=None, bound=None, rat=None):
     """Partitioned-inverse growth step, three-division form, in place.
 
     ``q`` holds the inverse of the leading block and becomes the grown
     inverse's leading block; returns the new column and corner entry.
     Division accounting is deliberate: one for the Schur denominator, one
     for 1/gamma and one more for 1/gamma**2.  Errors name ``block_inv_step_i``.
+    With ``bound`` (``q`` its leading block, ``r_bar`` at ``rat``), a block on
+    the BLAS route is read and updated in its upper triangle only.
     """
     k = r_bar.shape[-1]
-    g = matvec(q, r_bar, led)
+    g = matvec(q, r_bar, led, bound, rat)
     t = vdot_c(r_bar, g, led)
     delta = _check_pivot(gamma - t, gamma, "block_inv_step_i", step)
     beta = 1.0 / delta
-    rank1_update_herm(q, g, beta, led)
-    g2 = matvec(q, r_bar, led)
+    rank1_update_herm(q, g, beta, led, bound=bound, xat=bound and bound.out)
+    g2 = matvec(q, r_bar, led, bound, rat)
     gamma_inv = 1.0 / gamma
     q_col = (-gamma_inv) * g2
     gamma_inv2 = gamma_inv / gamma
@@ -624,19 +720,20 @@ def _block_step_i(q, r_bar, gamma, led, step=None):
     return q_col, omega
 
 
-def _block_step_v(q, r_bar, gamma, led, step=None):
+def _block_step_v(q, r_bar, gamma, led, step=None, bound=None, rat=None):
     """Partitioned-inverse growth step, single-division form, in place.
 
     As :func:`_block_step_i`; also returns ``q_tilde = Q r_bar``.
     """
     k = r_bar.shape[-1]
-    q_tilde = matvec(q, r_bar, led)
+    q_tilde = matvec(q, r_bar, led, bound, rat)
     t = vdot_c(r_bar, q_tilde, led)
     delta = _check_pivot(gamma - t, gamma, "block_inv_step_v", step)
     omega = 1.0 / delta
     q_col = (-omega) * q_tilde
     led.tick(cmul=k, cadd=1, cdiv=1)
-    rank1_update_herm(q, q_tilde, -omega, led, subtract=True, right=True)   # q -= q_tilde q_col^H
+    rank1_update_herm(q, q_tilde, -omega, led, subtract=True, right=True,   # q -= q_tilde q_col^H
+                      bound=bound, xat=bound and bound.out)
     return q_col, omega, q_tilde
 
 
@@ -682,15 +779,22 @@ def sm_rank1_inverse_update(
     return out
 
 
-def _sm_update_inplace(q, r, c, led, context, triangle_only=True):
-    """Q -= (Q r)(Q r)^H / (c + r^H Q r) in place, the pivot judged against c."""
+def _sm_update_inplace(q, r, c, led, context, triangle_only=True, bound=None):
+    """Q -= (Q r)(Q r)^H / (c + r^H Q r) in place, the pivot judged against c.
+
+    With ``bound`` (``q`` its leading block), a block on the BLAS route is read
+    and updated in its upper triangle only.
+    """
     m = q.shape[-1]
-    u = matvec(q, r, led)
+    u = matvec(q, r, led, bound)
     t = vdot_c(r, u, led)
     delta = _check_pivot(c + t, c, context)
     beta = 1.0 / delta
     led.tick(cmul=m, cadd=1, cdiv=1)
-    (rank1_update_herm if triangle_only else rank1_update_full)(q, u, beta, led, subtract=True)
+    if triangle_only:
+        rank1_update_herm(q, u, beta, led, subtract=True, bound=bound, xat=bound and bound.out)
+    else:
+        rank1_update_full(q, u, beta, led, subtract=True)
 
 
 def deflate_q(q_m: np.ndarray, ledger: FlopLedger) -> np.ndarray:
@@ -751,7 +855,7 @@ def init_gram(h: np.ndarray, alpha: float, ledger: FlopLedger) -> np.ndarray:
     alpha = real_pivot(alpha, "init_gram alpha")
     ledger.tick(cmul=n * m * (m + 1) // 2, cadd=n * m * (m + 1) // 2)
     r = h.conj().mT @ h
-    np.copyto(r, r.mT.conj(), where=_strict_lower_mask(m))
+    _mirror(r)
     diag = (*_lead(r, 2), _arange(m), _arange(m))
     r[diag] = d = r[diag].real + alpha
     if not np.isfinite(d).all():
@@ -767,7 +871,9 @@ def init_q_sherman_morrison(
 ) -> np.ndarray:
     """Build ``(H^H H + alpha I)^-1`` by rank-one corrections over rows.
 
-    ``h`` may be a stack of channels, with one ``alpha`` per trial.
+    ``h`` may be a stack of channels, with one ``alpha`` per trial.  With
+    ``triangle_only``, Q is bound once (:func:`_bind`): on the BLAS route the
+    corrections keep its upper triangle, mirrored once on exit.
     """
     h = as_cmat(h, "h", stack=True)
     n, m = h.shape[-2:]
@@ -777,9 +883,12 @@ def init_q_sherman_morrison(
     q = np.zeros(h.shape[:-2] + (m, m), dtype=np.complex128)
     q[(*_lead(q, 2), _arange(m), _arange(m))] = 1.0 / alpha
     ledger.tick(cdiv=1)
+    bound = _bind(q) if triangle_only else None
     for row in range(n):
         _sm_update_inplace(q, np.conj(h[..., row, :]), 1.0, ledger, "sm_rank1_inverse_update",
-                           triangle_only)
+                           triangle_only, bound)
+    if bound is not None:
+        _mirror(q)
     return q
 
 
@@ -798,7 +907,8 @@ def init_q_recursive(r: np.ndarray, ledger: FlopLedger, variant: str = "v") -> n
         raise ContractViolationError(f"unknown variant {variant!r}")
     real_pivot(r.diagonal(0, -2, -1), "init_q_recursive")
     q = r.copy()
-    _grow_inverse(q, ledger, variant)
+    if _grow_inverse(q, ledger, variant) is not None:
+        _mirror(q)
     return q
 
 
@@ -819,17 +929,26 @@ def _grow_inverse(q, led, variant):
     inverse by border i with the ``variant`` step: it reads only the inverted leading
     block, the column above the diagonal and the diagonal entry gamma (a pivot of its
     own scale), then overwrites them, so one buffer holds both matrices.  ``q`` may be a stack.
+
+    ``q`` is bound once (:func:`_bind`).  On the BLAS route, a grown block of
+    ``ZHER_MIN_K`` or more rows keeps only its upper triangle: its strict lower
+    triangle is neither read nor written.  Returns the binding, None where
+    every block stayed a full Hermitian square.
     """
     lead, m = _lead(q, 2), q.shape[-1]
+    bound = _bind(q)
     _invert_leading(q, _entry(lead, 0, 0), led)
     step_fn = _block_step_i if variant == "i" else _block_step_v
     for i in range(1, m):
         ii = _entry(lead, i, i)
         gamma = _check_pivot(q[ii], None, "init_q_recursive", i + 1)
-        q_col, omega = step_fn(q[..., :i, :i], q[..., :i, i], gamma, led, i + 1)[:2]
+        q_col, omega = step_fn(q[..., :i, :i], q[..., :i, i], gamma, led, i + 1, bound,
+                               bound and bound.col(i))[:2]
         q[ii] = omega
         q[..., :i, i] = q_col
-        q[..., i, :i] = np.conj(q_col)
+        if bound is None or i + 1 < ZHER_MIN_K:
+            q[..., i, :i] = np.conj(q_col)
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -861,7 +980,7 @@ def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
         piv = col + np.abs(aug[..., col:, col]).argmax(axis=-1)
         pivot = aug[(*lead, piv, col)]
         small = np.abs(pivot) < tol
-        if small.any():
+        if small.any() if lead else small:      # one matrix: a numpy bool, no reduction
             piv = np.ravel(piv)[np.argmax(small)]
             raise SingularMatrixError(f"gauss_jordan_inverse: pivot {piv} below tolerance")
         top = aug[(*lead, piv)].copy()      # the pivot row into place, a no-op where it is

@@ -10,6 +10,7 @@ from vblast.detectors import (
     OrderingTrace,
     _argmin_gap,
     _cover_gram_rows,
+    _herm_swap,
     _OneTrial,
     _Packed,
     _Trials,
@@ -22,6 +23,7 @@ from vblast.detectors import (
     detect_proposed_2_tri_noperm,
     detect_speed_adv,
 )
+from vblast import kernels
 from vblast.errors import ContractViolationError, SingularMatrixError
 from vblast.kernels import (
     ZHER_MIN_K,
@@ -259,6 +261,30 @@ def test_covering_schedules_match_out_of_place():
     assert (led_a.cmul - pre.cmul, led_a.cadd - pre.cadd, led_a.cdiv - pre.cdiv) == led_b.as_tuple()
 
 
+@pytest.mark.parametrize("m", [ZHER_MIN_K, ZHER_MIN_K + 1, ZHER_MIN_K + 8])
+def test_covering_on_the_blas_route_keeps_the_upper_triangle(m):
+    """From ``ZHER_MIN_K`` rows on, the single buffer's covering is the
+    out-of-place growth's upper triangle bit for bit; where BLAS is found, the
+    rows from ``ZHER_MIN_K - 1`` on are never written below the diagonal, so
+    they keep the H^H entries the Gram covering left there."""
+    rng = make_rng(317, m)
+    h = (rng.standard_normal((m + 2, m)) + 1j * rng.standard_normal((m + 2, m))) / np.sqrt(2)
+    buf = h.conj().T.copy()
+    _cover_gram_rows(buf, 0.1, FlopLedger())
+    covered = buf.copy()
+    ru, cu = np.triu_indices(m)
+    r = np.zeros((m, m), complex)
+    r[ru, cu] = covered[ru, cu]
+    r[cu, ru] = np.conj(covered[ru, cu])
+    q_oop = init_q_recursive(r, FlopLedger(), variant="v")
+    _grow_inverse(buf[:, :m], FlopLedger(), "v")
+    assert buf[ru, cu].tobytes() == q_oop[ru, cu].tobytes()
+    if kernels._zher() is not None:
+        kept = np.tril(np.ones((m, m), bool), -1)
+        kept[: ZHER_MIN_K - 1] = False
+        assert buf[:, :m][kept].tobytes() == covered[:, :m][kept].tobytes()
+
+
 @pytest.mark.parametrize("i, j, m", [(0, 1, 2), (0, 4, 5), (2, 6, 7), (3, 4, 5)])
 def test_sym_swap_is_permutation_similarity(i, j, m):
     rng = make_rng(71, i * 10 + j)
@@ -277,6 +303,30 @@ def test_sym_swap_is_permutation_similarity(i, j, m):
         outside = np.ones(buf.shape, bool)
         outside[:m, :m] = False
         assert np.array_equal(buf[outside], before[outside])
+
+
+@pytest.mark.parametrize("l, j, dim", [(0, 1, 2), (0, 4, 5), (2, 6, 8), (3, 4, 6), (5, 6, 7)])
+def test_herm_swap_moves_only_the_upper_triangle(l, j, dim):
+    """The conjugate-aware swap, on one trial and on a batch (whose trials may
+    also keep their order), gives the upper triangle of the plain swap of the
+    Hermitian square bit for bit, and reads and writes nothing below the
+    diagonal: NaN there stays NaN."""
+    rng = make_rng(75, 10 * l + j)
+    a = rng.standard_normal((4, dim, dim + 2)) + 1j * rng.standard_normal((4, dim, dim + 2))
+    sq = a[..., :dim]
+    sq += np.conj(sq).swapaxes(-1, -2)
+    want = a.copy()
+    trial_l = np.array([l, j, (l + 1) % j])
+    for square, lt in zip(want, [l, *trial_l.tolist()]):
+        _OneTrial(dim).sym_swap(square, lt, j, j + 1)
+    spoiled = a.copy()
+    spoiled[..., :dim][..., _strict_lower_mask(dim)] = np.nan
+    _herm_swap(spoiled[0], l, j)
+    _Trials(3, dim).herm_swap(spoiled[1:], trial_l, j)
+    ru, cu = np.triu_indices(dim)
+    assert spoiled[..., ru, cu].tobytes() == want[..., ru, cu].tobytes()
+    assert spoiled[..., dim:].tobytes() == want[..., dim:].tobytes()
+    assert np.isnan(spoiled[..., :dim][..., _strict_lower_mask(dim)]).all()
 
 
 @pytest.mark.parametrize("l, last, dim", [(0, 1, 2), (0, 4, 5), (2, 6, 8), (3, 4, 6), (4, 5, 6)])
@@ -416,6 +466,77 @@ def test_indexed_dense_storage_reads_only_the_upper_triangle(monkeypatch):
             assert _bits(a.s_hat) == _bits(b.s_hat)
             assert _bits(a.soft) == _bits(b.soft)
             assert [_bits(q) for q in a.q_steps] == [_bits(q) for q in b.q_steps]
+
+
+# the routines whose dense Q (and R) take the Hermitian kernels: all but ``original``
+# (full squares) and the packed pair
+DENSE_HERM = ["mem_saving", "fastest_known", "speed_adv", "proposed_1", "proposed_2",
+              "proposed_2_noperm"]
+
+
+@pytest.mark.parametrize("m", [ZHER_MIN_K - 1, ZHER_MIN_K, ZHER_MIN_K + 1, ZHER_MIN_K + 8])
+def test_dense_storages_read_only_the_upper_triangle_on_the_blas_route(monkeypatch, m):
+    """Where BLAS is found and M reaches ``ZHER_MIN_K``, the dense detectors never
+    read the strict lower triangle of Q or R: spoiled with NaN once they are
+    built (for the single buffer, also right after its growth), each returns
+    the same bytes, Q steps and ledgers included, for one trial and a batch.
+    At M = ZHER_MIN_K - 1 nothing is bound and nothing is spoiled.  This covers
+    the step from the BLAS route back to numpy at k = ZHER_MIN_K - 1, the
+    deflation from R's border there and R's conjugate-aware swaps."""
+    import vblast.detectors as det
+
+    c, chs, rxs = batch_trials(m, m + 1, "qpsk", 3, seed=37)
+    runs = [(chs[0], rxs[0]), (chs, rxs)]
+    want = {name: [ALGORITHMS[name](ch, rx, c, collect_q=True) for ch, rx in runs]
+            for name in DENSE_HERM}
+
+    def spoil(a):
+        a[..., _strict_lower_mask(a.shape[-1])] = np.nan
+
+    class Spoiled(det._Dense):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.bound is not None:
+                for a in self.mats:
+                    spoil(a)
+
+    grow = det._grow_inverse
+
+    def grow_then_spoil(q, *args, **kwargs):
+        bound = grow(q, *args, **kwargs)
+        if bound is not None:
+            spoil(q)
+        return bound
+
+    monkeypatch.setattr(det, "_Dense", Spoiled)
+    monkeypatch.setattr(det, "_grow_inverse", grow_then_spoil)
+    for name in DENSE_HERM:
+        for (ch, rx), before in zip(runs, want[name]):
+            after = ALGORITHMS[name](ch, rx, c, collect_q=True)
+            for a, b in zip(getattr(before, "trials", [before]),
+                            getattr(after, "trials", [after])):
+                assert_bitwise_equal(b, a)
+
+
+def test_detectors_without_blas_take_the_numpy_path(monkeypatch):
+    """Where numpy ships no BLAS ``zher`` and ``zhemv``, nothing is bound: at
+    M = ZHER_MIN_K + 8 the nine detectors return the bits of the numpy path
+    (every block below the BLAS threshold), for one trial and a batch."""
+    m = ZHER_MIN_K + 8
+    c, chs, rxs = batch_trials(m, m + 2, "qam16", 3, seed=43)
+    runs = [(chs[0], rxs[0]), (chs, rxs)]
+
+    def results():
+        return [ALGORITHMS[name](ch, rx, c, cancel_soft=True, collect_q=True)
+                for name in DETECTOR_NAMES for ch, rx in runs]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(kernels, "ZHER_MIN_K", m + 1)
+        want = results()
+    monkeypatch.setattr(kernels, "_zher", lambda: None)
+    for before, after in zip(want, results()):
+        for a, b in zip(getattr(before, "trials", [before]), getattr(after, "trials", [after])):
+            assert_bitwise_equal(b, a)
 
 
 def test_sign_resolution_trivial_cases():

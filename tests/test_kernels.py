@@ -22,6 +22,7 @@ from vblast.kernels import (
     init_gram,
     init_q_recursive,
     init_q_sherman_morrison,
+    matvec,
     rank1_update_herm,
     real_pivot,
     sm_rank1_inverse_update,
@@ -105,13 +106,37 @@ def test_rank1_rejects_nan():
         herm_rank1_update(a, np.zeros(2, complex), 1.0, True, FlopLedger())
 
 
+def _on_blas(k):
+    """Whether a bound k x k block runs on BLAS here: then only its upper triangle is kept."""
+    return k >= ZHER_MIN_K and kernels._zher() is not None
+
+
+def _bound_update(buf, k, x, c, **kw):
+    """``rank1_update_herm`` on ``buf[..., :k, :k]``, bound as the detectors bind it;
+    returns the charge."""
+    led = FlopLedger()
+    block = buf[..., :k, :k]
+    rank1_update_herm(block, x, c, led, bound=kernels._bind(block), **kw)
+    return led
+
+
+def _spoiled(buf, k):
+    """A copy of ``buf`` with the strict lower triangle of its leading k x k block(s) NaN."""
+    out = buf.copy()
+    rows, cols = np.tril_indices(k, -1)
+    out[..., rows, cols] = np.nan
+    return out
+
+
 @pytest.mark.parametrize("subtract", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 17, 64])
 def test_rank1_update_herm_on_strided_view(k, subtract):
-    """The in-place kernel on ``buf[:k, :k]``, as the detectors call it.
+    """The in-place kernel on ``buf[:k, :k]``, bound as the detectors bind it.
 
-    Only the upper triangle is read: the strict lower one starts as junk and
-    must come out as its conjugate mirror.
+    Only the upper triangle is read.  Below ``ZHER_MIN_K`` the strict lower
+    one starts as junk and must come out as its conjugate mirror; on the BLAS
+    route it is never read nor written: spoiled with NaN, it stays so, bit
+    for bit, and the upper triangle keeps its bits.
     """
     rng = make_rng(43, k)
     buf = random_complex(rng, k + 3, k + 5)
@@ -121,8 +146,7 @@ def test_rank1_update_herm_on_strided_view(k, subtract):
     before = buf.copy()
     w = random_complex(rng, k)
     u = -0.7 * w
-    led = FlopLedger()
-    rank1_update_herm(buf[:k, :k], w, -0.7, led, subtract=subtract)
+    led = _bound_update(buf, k, w, -0.7, subtract=subtract)
     assert led.as_tuple() == (k * (k + 1) // 2, k * (k + 1) // 2, 0)
     got = buf[:k, :k]
     sign = -1.0 if subtract else 1.0
@@ -134,7 +158,14 @@ def test_rank1_update_herm_on_strided_view(k, subtract):
     err = np.abs(got[rows, cols] - naive[rows, cols]).max() / np.abs(naive).max()
     assert err <= 1e-14
     lo_rows, lo_cols = np.tril_indices(k, -1)
-    assert np.array_equal(got[lo_rows, lo_cols], np.conj(got[lo_cols, lo_rows]))
+    if _on_blas(k):
+        assert got[lo_rows, lo_cols].tobytes() == before[lo_rows, lo_cols].tobytes()
+        spoiled = _spoiled(before, k)
+        _bound_update(spoiled, k, w, -0.7, subtract=subtract)
+        assert spoiled[rows, cols].tobytes() == got[rows, cols].tobytes()
+        assert np.isnan(spoiled[lo_rows, lo_cols]).all()
+    else:
+        assert np.array_equal(got[lo_rows, lo_cols], np.conj(got[lo_cols, lo_rows]))
     assert np.all(got.diagonal().imag == 0.0)
     outside = np.ones(buf.shape, bool)
     outside[:k, :k] = False
@@ -159,16 +190,17 @@ def _strided_blocks(rng, k, lead):
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "batch"])
 @pytest.mark.parametrize("k", [ZHER_MIN_K - 1, ZHER_MIN_K, 64, 100])
 def test_rank1_update_herm_blas_route(k, lead, subtract, right):
-    """Either side of ``ZHER_MIN_K``, on strided views, one trial and a batch:
-    the upper triangle is ``a +/- c x x^H`` to 1e-13, the strict lower one its
-    conjugate mirror bit for bit, the diagonal real, nothing outside the view
-    moves and the charge is the triangle's.  A batch's trials are each bit
-    for bit the call on that trial alone."""
+    """Either side of ``ZHER_MIN_K``, on bound strided views, one trial and a
+    batch: the upper triangle is ``a +/- c x x^H`` to 1e-13 and the diagonal
+    real.  The strict lower triangle is the conjugate mirror bit for bit below
+    ``ZHER_MIN_K``; on the BLAS route it is never read nor written (NaN there
+    changes no bit of the upper one).  Nothing outside the view moves and the
+    charge is the triangle's.  A batch's trials, with one c each or one c for
+    all, are each bit for bit the call on that trial alone."""
     rng = make_rng(47, k)
     buf, x, c = _strided_blocks(rng, k, lead)
     before = buf.copy()
-    led = FlopLedger()
-    rank1_update_herm(buf[..., :k, :k], x, c, led, subtract=subtract, right=right)
+    led = _bound_update(buf, k, x, c, subtract=subtract, right=right)
     assert led.as_tuple() == (k * (k + 1) // 2, k * (k + 1) // 2, 0)
     got = buf[..., :k, :k]
     sign = -1.0 if subtract else 1.0
@@ -178,29 +210,78 @@ def test_rank1_update_herm_blas_route(k, lead, subtract, right):
     err = np.abs(got[..., rows, cols] - naive[..., rows, cols]).max() / np.abs(naive).max()
     assert err <= 1e-13
     lo_rows, lo_cols = np.tril_indices(k, -1)
-    assert got[..., lo_rows, lo_cols].tobytes() == np.conj(got[..., lo_cols, lo_rows]).tobytes()
+    if _on_blas(k):
+        assert got[..., lo_rows, lo_cols].tobytes() == before[..., lo_rows, lo_cols].tobytes()
+        spoiled = _spoiled(before, k)
+        _bound_update(spoiled, k, x, c, subtract=subtract, right=right)
+        assert spoiled[..., rows, cols].tobytes() == got[..., rows, cols].tobytes()
+    else:
+        mirror = np.conj(got[..., lo_cols, lo_rows])
+        assert got[..., lo_rows, lo_cols].tobytes() == mirror.tobytes()
     assert not got.diagonal(0, -2, -1).imag.any()
     outside = np.ones(buf.shape, bool)
     outside[..., :k, :k] = False
     assert buf[outside].tobytes() == before[outside].tobytes()
     for t in range(len(buf) if lead else 0):
         one = before[t].copy()
-        rank1_update_herm(one[:k, :k], x[t], c[t, 0], FlopLedger(), subtract=subtract,
-                          right=right)
+        _bound_update(one, k, x[t], c[t, 0], subtract=subtract, right=right)
         assert one.tobytes() == buf[t].tobytes()
+    if lead:        # one c for every trial of the batch
+        same_c = before.copy()
+        _bound_update(same_c, k, x, -0.7, subtract=subtract, right=right)
+        for t in range(len(buf)):
+            one = before[t].copy()
+            _bound_update(one, k, x[t], -0.7, subtract=subtract, right=right)
+            assert one.tobytes() == same_c[t].tobytes()
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "batch"])
+@pytest.mark.parametrize("k", [ZHER_MIN_K - 1, ZHER_MIN_K, 64])
+def test_matvec_on_bound_squares_reads_only_the_upper_triangle(k, lead):
+    """``matvec`` on a bound Hermitian block, with ``v`` a column of the squares
+    (as the growth steps pass it) or staged: on the BLAS route ``zhemv`` gives
+    A v to 1e-13 from the upper triangle alone (NaN below changes no bit), a
+    batch's trials each bit for bit its call alone; below ``ZHER_MIN_K`` it is
+    numpy's product of the full square, bit for bit.  The charge is the plain
+    matvec's."""
+    rng = make_rng(61, k)
+    buf, _, _ = _strided_blocks(rng, k, lead)
+    upper = np.triu(buf[..., :k, :k])
+    herm = upper + np.conj(np.triu(upper, 1)).swapaxes(-1, -2)
+    v = buf[..., :k, k]
+    want = np.matvec(herm, v)
+
+    def product(b, col):
+        block, led = b[..., :k, :k], FlopLedger()
+        bound = kernels._bind(block)
+        vat = bound.col(k) if bound is not None and col else None
+        out = matvec(block, b[..., :k, k], led, bound, vat).copy()
+        assert led.as_tuple() == (k * k, k * (k - 1), 0)
+        return out
+
+    for col in (True, False):
+        got = product(buf, col)
+        if not _on_blas(k):     # the full square, junk below the diagonal and all
+            assert got.tobytes() == np.matvec(buf[..., :k, :k], v).tobytes()
+            continue
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert product(_spoiled(buf, k), col).tobytes() == got.tobytes()
+        for t in range(len(buf) if lead else 0):
+            assert product(buf[t], col).tobytes() == got[t].tobytes()
 
 
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "batch"])
 @pytest.mark.parametrize("k", [ZHER_MIN_K, 64])
 def test_rank1_update_herm_without_blas_runs_numpy(monkeypatch, k, lead):
-    """Where no BLAS ``zher`` is found, a block of ``ZHER_MIN_K`` or more runs
-    the numpy path, the bits of a block below ``ZHER_MIN_K``."""
+    """Where no BLAS ``zher`` is found, nothing is bound, and a block of
+    ``ZHER_MIN_K`` or more runs the numpy path, the bits of a block below
+    ``ZHER_MIN_K``."""
     rng = make_rng(53, k)
     buf, x, c = _strided_blocks(rng, k, lead)
 
     def update():
         out = buf.copy()
-        rank1_update_herm(out[..., :k, :k], x, c, FlopLedger(), subtract=True)
+        _bound_update(out, k, x, c, subtract=True)
         return out.tobytes()
 
     with monkeypatch.context() as mp:
@@ -208,6 +289,7 @@ def test_rank1_update_herm_without_blas_runs_numpy(monkeypatch, k, lead):
         want = update()
     monkeypatch.setattr(kernels, "_zher", lambda: None)
     assert "numpy for every k" in kernels.blas_route()
+    assert kernels._bind(buf[..., :k, :k]) is None
     assert update() == want
 
 
@@ -652,11 +734,14 @@ def test_inverse_pair_property_all_paths(alpha):
         buf = h.conj().T.copy()
         _cover_gram_rows(buf, alpha, FlopLedger())
         _grow_inverse(buf[:, :m], FlopLedger(), "v")
+        # the single buffer's Q is its upper triangle: from ZHER_MIN_K rows on, the
+        # BLAS route never writes the strict lower one
+        grown = np.triu(buf[:, :m]) + np.triu(buf[:, :m], 1).conj().T
         for q in (
             init_q_sherman_morrison(h, alpha, FlopLedger()),
             init_q_recursive(r, FlopLedger(), variant="i"),
             init_q_recursive(r, FlopLedger(), variant="v"),
-            buf[:, :m],
+            grown,
         ):
             resid = np.abs(q @ r_exact - np.eye(m)).max()
             assert resid <= 1e-10 * m
@@ -731,6 +816,8 @@ def test_packed_diagonal_check_is_scale_free(k):
      "herm_rank1_update alpha: expected a number, got str"),
     (lambda led: herm_rank1_update(np.eye(2), np.ones(2), None, True, led),
      "herm_rank1_update alpha: expected a number, got NoneType"),
+    (lambda led: herm_rank1_update(np.eye(2), np.ones(2), np.array([]), True, led),
+     "herm_rank1_update alpha: expected a number, got ndarray"),
     (lambda led: block_inv_step_v(np.eye(2), np.ones(3), 1.0, led),
      "block_inv_step_v: q_prev is (2, 2), r_bar has length 3"),
     (lambda led: block_inv_step_v(np.eye(2), np.ones(2), "g", led),
