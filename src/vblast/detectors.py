@@ -46,6 +46,17 @@ the diagonal is read from its upper mirror, conjugated.
 Q is deflated from its own column, or from R's border by a
 Sherman-Morrison step on the full square or the upper triangle.
 
+On the BLAS route, where numpy's OpenBLAS is found, the dense storages run
+``zher`` and ``zhemv``; the packed pair's growth runs ``zhpmv`` and
+``zhpr`` on the packed vector; the dense indexed form deflates with one
+``zher`` over its whole antenna-order triangle, the column scattered into a
+zero vector, so the detected streams' entries gain +/-0 and are never read
+again.  The packed pair's deflation stays numpy: the pair must agree bit
+for bit, and a ``zhpr`` in antenna order would form ``x_j (omega conj x_i)``
+where the swapped form forms ``x_i (omega conj x_j)``, which round
+differently.  Their growth, one function on one index-order vector, runs
+BLAS for both.
+
 The ``d`` convention: every ``d``-domain form estimates ``q^H z - d_m`` and
 updates ``d -= (s + d_m) / omega * q_bar``, swapped or indexed alike.  The
 published update is written in the '+' form, with ``d_paper = -d``.
@@ -89,6 +100,7 @@ from .errors import ContractViolationError, SingularMatrixError
 from .kernels import (
     FlopLedger,
     _arange,
+    _cols_off_diagonal,
     _packed_coords,
     _packed_diag_indices,
     _packed_square_flat,
@@ -362,13 +374,27 @@ def _cover_gram_rows(a, alpha, led):
 
 def _cover_inverse_packed(q, m, led):
     """``kernels._grow_inverse(..., "v")`` with its errors, on Q's swapped
-    packed storage ``q`` before it first moves (so in index order)."""
+    packed storage ``q`` before it first moves (so in index order).
+
+    The packed vector is bound once (``kernels._bind``).  From block size
+    ``ZHER_MIN_K`` on, where BLAS is found, each step runs one ``zhpmv``, which
+    reads the border from the packed column in place, and one ``zhpr``, once
+    per trial; smaller blocks unpack the block for numpy's matvec and update
+    the triangle as :meth:`_Packed.sub` does, so they keep their bits.  Both
+    packed forms grow here, so the pair stays bit for bit equal.
+    """
     packed, lead = q.upper, q.lead
+    bound = _bind(packed, m)
     _invert_leading(packed, _entry(lead, 0), led)
     for i in range(1, m):
         base = i * (i + 1) // 2
-        rcol = packed[..., base : base + i].copy()
-        q_tilde = _mv(_packed_unpack(packed, i), rcol)      # Hermitian matvec
+        blas = _on_blas(bound, i)
+        if blas:
+            rcol = packed[..., base : base + i]
+            q_tilde = bound.hemv(i, bound.col(i))
+        else:
+            rcol = packed[..., base : base + i].copy()
+            q_tilde = _mv(_packed_unpack(packed, i), rcol)      # Hermitian matvec
         t = vdot_c(rcol, q_tilde, led)
         ii = _entry(lead, base + i)
         gamma = _check_pivot(packed[ii], None, "init_q_recursive", i + 1)
@@ -378,7 +404,10 @@ def _cover_inverse_packed(q, m, led):
         packed[..., base : base + i] = (-omega) * q_tilde      # the column q_col
         # the matvec (i**2 products), the pivot and the column, then the triangle
         led.tick(cmul=i * i + i, cadd=i * (i - 1) + 1, cdiv=1)
-        q.sub(None, q_tilde, -omega, led, right=True)      # Q -= q_tilde q_col^H
+        if blas:        # Q += omega q_tilde q_tilde^H on the bound packed triangle, no square
+            rank1_update_herm(None, q_tilde, omega, led, bound=bound, xat=bound.out)
+        else:
+            q.sub(None, q_tilde, -omega, led, right=True)      # Q -= q_tilde q_col^H
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +597,19 @@ class _Dense:
         return out
 
 
+@lru_cache(maxsize=None)
+def _packed_swap_order(k):
+    """For :meth:`_Packed.swap` of rows l and k - 1: each moved entry's row or
+    column index (it is conjugated where that exceeds l) and the position
+    each moved entry goes to, in the order the swap gathers them."""
+    j = k - 1
+    ar = np.arange(j)
+    tables = np.concatenate((ar, [j], ar)), np.concatenate((ar + k, [j], ar))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 class _Packed:
     """Packed upper triangle of Q, kept in detection order by swaps."""
 
@@ -582,17 +624,22 @@ class _Packed:
         return self.ureal[(*self.lead, self.dflat[:m])]
 
     def swap(self, l, last):
-        """Swap rows and columns l, last: the leading block gathered through the
-        permutation (one per trial), entries read from below the diagonal conjugated."""
-        k, upper = last + 1, self.upper
-        ar, l = _arange(k), np.asarray(l)
-        perm = np.where(ar == l[..., None], last, ar)
-        perm[..., last] = l
-        rows, cols = _packed_coords(k)
-        i, j = perm[..., rows], perm[..., cols]
-        moved = upper[(*self.lead, _packed_square_flat(k)[i, j])]
-        np.conjugate(moved, out=moved, where=i > j)
-        upper[..., : rows.size] = moved
+        """Swap rows and columns l and last of the leading block (l one per
+        trial), moving only the 2 * last + 1 entries that change, as
+        :func:`_herm_swap` does: row l (column l above the diagonal, the
+        diagonal entry, then row l up to column last) with column last above the
+        diagonal, both conjugated past l, except that the two diagonal entries
+        trade places; and the corner (l, last), conjugated in place.  Every
+        trial moves as many entries, so a batch moves them in one gather; a
+        trial whose l is last writes its entries back unchanged."""
+        k, upper, lead = last + 1, self.upper, self.lead
+        flat, (order, flip) = _packed_square_flat(k), _packed_swap_order(k)
+        # row l and the corner, then column last with its diagonal entry at l
+        src = np.concatenate((flat[l, :k], flat[last, :k][_cols_off_diagonal(k)[l, :last]]),
+                             axis=-1)
+        moved = upper[(*lead, src)]
+        np.conjugate(moved, out=moved, where=order > np.asarray(l)[..., None])
+        upper[(*lead, src[..., flip])] = moved
 
     def active(self, m, p):
         base = (m - 1) * m // 2
@@ -628,15 +675,16 @@ class _Indexed:
 
     ``flat`` holds each trial's buffer as one vector and ``at[i, j]`` is the
     flat index of entry (i, j), or of (j, i) below the diagonal, which is
-    read and written conjugated.
+    read and written conjugated.  ``bound`` is the dense square's binding for
+    BLAS (``kernels._bind``), None for the packed vector: see :meth:`sub`.
     """
 
     swap = None     # nothing moves
 
-    def __init__(self, trials, flat, at):
+    def __init__(self, trials, flat, at, bound=None):
         self.trials = trials
         self.lead, self.spans, self.ats = trials.lead, trials.spans, trials.ats
-        self.flat, self.at = flat, at
+        self.flat, self.at, self.bound = flat, at, bound
         self.freal = flat.real
         self.dflat = at.diagonal()
 
@@ -655,14 +703,27 @@ class _Indexed:
 
     def sub(self, rest, x, c, led):
         """Hermitian ``Q[rest, rest] -= (c x) x^H`` on the upper triangle in rest's
-        order; diagonal imaginary parts zeroed."""
-        lead, rest = self.lead, rest[-1]
+        order; diagonal imaginary parts zeroed.
+
+        From ``ZHER_MIN_K`` streams on, a bound dense square takes one BLAS
+        ``zher`` per trial over the whole antenna-order triangle, with ``x``
+        scattered to rest's places in a zero vector staged in the binding's
+        workspace: a detected stream's entries gain +/-0 and are never read
+        again.  Smaller blocks and the packed vector gather and scatter the
+        triangle with numpy."""
+        lead, rest, bound = self.lead, rest[-1], self.bound
         k = rest.shape[-1]
+        led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
+        if _on_blas(bound, k):
+            padded = bound.ws[..., 0, :]
+            padded.fill(0.0)
+            padded[(*lead, rest)] = x
+            bound.her(padded.shape[-1], bound.inp, -c)
+            return
         iu0, iu1 = _packed_coords(k)
         i, j = rest[(*lead, iu0)], rest[(*lead, iu1)]
         vals = (c * x)[(*lead, iu0)] * np.conj(x)[(*lead, iu1)]
         np.conjugate(vals, out=vals, where=i > j)
-        led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
         self.flat[(*lead, self.at[i, j])] -= vals
         self.flat.imag[(*lead, self.dflat[rest])] = 0.0
 
@@ -782,8 +843,9 @@ def _init_single_buffer(packed=False, indexed=False):
             if indexed:
                 q = _Indexed(trials, q.upper, _packed_square_flat(m_tx))
         else:
-            _grow_inverse(a[..., :m_tx], led, "v")
-            q = (_Indexed(trials, a.reshape(a.shape[:-2] + (-1,)), _dense_upper_flat(m_tx, n_rx))
+            bound = _grow_inverse(a[..., :m_tx], led, "v")
+            q = (_Indexed(trials, a.reshape(a.shape[:-2] + (-1,)), _dense_upper_flat(m_tx, n_rx),
+                          bound)
                  if indexed else _Dense(trials, a[..., :m_tx]))
 
         def estimate(col, act, last):

@@ -17,19 +17,22 @@ The ledger charges the algorithm's arithmetic, not numpy's evaluation of
 it.  Where a dense numpy call is faster than gathering a triangle, the
 kernels compute the full square and overwrite the strict lower triangle with
 the conjugate of the upper one (:func:`_mirror`); the extra products are not
-charged.  From ``ZHER_MIN_K`` rows on, the dense Hermitian kernels compute
-only the triangle they are charged for.  A caller binds its Hermitian
-squares once per call (:func:`_bind`: each trial's address, the row stride
-and a workspace); :func:`rank1_update_herm` and :func:`matvec` then run BLAS
-``zher`` and ``zhemv`` from the OpenBLAS that numpy ships on those
-integers, once per trial, with no address lookup or layout check per step.
-They read and write the upper triangle only, and nothing mirrors it: such a
+charged.  From ``ZHER_MIN_K`` rows on, the Hermitian kernels compute only
+the triangle they are charged for.  A caller binds its Hermitian matrices
+once per call (:func:`_bind`: each trial's address, the row stride or the
+packed layout, and a workspace); :func:`rank1_update_herm` and
+:func:`matvec` then run BLAS from the OpenBLAS that numpy ships on those
+integers, once per trial, with no address lookup or layout check per step:
+``zher`` and ``zhemv`` on row-major squares, ``zhpr`` and ``zhpmv`` on
+packed upper triangles (the packed growth in ``vblast.detectors``, which
+also calls the binding's matvec directly).  They
+read and write the upper triangle only, and nothing mirrors it: such a
 block's strict lower triangle is stale, and a caller that reads the full
 square mirrors it once.  The initializers bind and mirror once on exit, so
 every public kernel returns full Hermitian squares.  Smaller blocks, unbound
-squares and every block where numpy has no such BLAS take the dense numpy
-pass and its mirror; so do the full-square update
-(:func:`rank1_update_full`) and the packed and indexed storages' updates in
+matrices and every block where numpy has no such BLAS take the numpy path
+(a dense square's pass and its mirror); so do the full-square update
+(:func:`rank1_update_full`) and the packed storages' deflation in
 ``vblast.detectors``.
 
 Charges are made once per kernel call or step: a kernel, a growth or
@@ -169,12 +172,19 @@ class HermPacked:
 
     def unpack(self, m: int | None = None) -> np.ndarray:
         """Materialize the leading ``m`` x ``m`` Hermitian block."""
-        m = self.dim if m is None else m
-        return _packed_unpack(self.upper, m)
+        return _packed_unpack(self.upper, self._size(m, "unpack"))
 
     def diagonal(self, m: int | None = None) -> np.ndarray:
-        m = self.dim if m is None else m
-        return self.upper[_packed_diag_indices(m)].real
+        return self.upper[_packed_diag_indices(self._size(m, "diagonal"))].real
+
+    def _size(self, m, method: str) -> int:
+        """A leading block's size ``m`` (None: ``dim``) as an int in 1..dim, else misuse."""
+        if m is None:
+            return self.dim
+        if isinstance(m, (int, np.integer)) and not isinstance(m, bool) and 1 <= m <= self.dim:
+            return int(m)
+        raise ContractViolationError(
+            f"HermPacked.{method}: m must be an integer in 1..{self.dim}, got {m!r}")
 
 
 def _packed_unpack(upper: np.ndarray, m: int) -> np.ndarray:
@@ -198,7 +208,8 @@ def _arange(k: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _square_tables(size: int):
     """Strict-lower mask and packed flat index of every entry of a square,
-    and the row and column of every packed entry in flat order.
+    the row and column of every packed entry in flat order, and the column of
+    every entry with -1 on the diagonal.
 
     None depends on the block size, so a k x k block reads the leading
     corner (or prefix) of the tables for the next power of two; caching one
@@ -210,7 +221,8 @@ def _square_tables(size: int):
     flat = hi * (hi + 1) // 2 + np.minimum(rows, cols)
     pcols = np.repeat(np.arange(size), np.arange(1, size + 1))
     prows = np.arange(pcols.size) - pcols * (pcols + 1) // 2
-    tables = lower, flat, prows, pcols
+    skip = np.where(rows == cols, -1, cols)
+    tables = lower, flat, prows, pcols, skip
     for t in tables:
         t.flags.writeable = False
     return tables
@@ -227,6 +239,12 @@ def _packed_square_flat(k: int) -> np.ndarray:
     return _square_tables(1 << (k - 1).bit_length())[1][:k, :k]
 
 
+@lru_cache(maxsize=None)      # a view per k, as above
+def _cols_off_diagonal(k: int) -> np.ndarray:
+    """Row i holds the column indices of a k x k block, with -1 at column i."""
+    return _square_tables(1 << (k - 1).bit_length())[4][:k, :k]
+
+
 @lru_cache(maxsize=None)
 def _packed_diag_indices(k: int):
     j = np.arange(k)
@@ -237,7 +255,7 @@ def _packed_diag_indices(k: int):
 def _packed_coords(k: int):
     """Row and column of every packed entry, in flat order."""
     n = k * (k + 1) // 2
-    rows, cols = _square_tables(1 << (k - 1).bit_length())[2:]
+    rows, cols = _square_tables(1 << (k - 1).bit_length())[2:4]
     return rows[:n], cols[:n]
 
 
@@ -466,28 +484,29 @@ def _scaled_pair(x, c, right):
     return (x, cx) if right else (cx, x)
 
 
-# Block size from which the dense Hermitian kernels run through BLAS ``zher``
-# and ``zhemv`` (set by measurement; README "Counting conventions").  Smaller
-# blocks, where a call's fixed cost outweighs numpy's extra passes, stay on numpy.
+# Block size from which the Hermitian kernels run through BLAS ``zher`` and
+# ``zhemv``, or ``zhpr`` and ``zhpmv`` on packed storage (set by measurement;
+# README "Counting conventions").  Smaller blocks, where a call's fixed cost
+# outweighs numpy's extra passes, stay on numpy.
 ZHER_MIN_K = 32
 
-_ZHER_SYMBOL = "scipy_cblas_zher64_"     # numpy's OpenBLAS, 64-bit integers
-_ZHEMV_SYMBOL = "scipy_cblas_zhemv64_"
-_CBLAS_ROW_MAJOR, _CBLAS_UPPER = 101, 121
-_ONE_ZERO = np.array([1.0, 0.0], np.complex128)    # zhemv's alpha and beta, passed by address
+# numpy's OpenBLAS, 64-bit integers: zher, zhemv, zhpr and zhpmv
+_SYMBOLS = tuple(f"scipy_cblas_{name}64_" for name in ("zher", "zhemv", "zhpr", "zhpmv"))
+_CBLAS_ROW_MAJOR, _CBLAS_COL_MAJOR, _CBLAS_UPPER = 101, 102, 121
+_ONE_ZERO = np.array([1.0, 0.0], np.complex128)    # the matvecs' alpha and beta, passed by address
 
 
 @lru_cache(maxsize=None)
 def _zher():
-    """``(zher, zhemv, library, ab)`` from numpy's own OpenBLAS, or None; ``ab``
-    holds the addresses of ``zhemv``'s alpha (1) and beta (0).
+    """``(zher, zhemv, zhpr, zhpmv, library, ab)`` from numpy's own OpenBLAS, or
+    None; ``ab`` holds the addresses of the matvecs' alpha (1) and beta (0).
 
     Looked up once, at the first block of ``ZHER_MIN_K`` or more, never at
     import: in the OpenBLAS that numpy's wheels ship (``numpy.libs`` or
     ``numpy/.dylibs``), else through numpy's core extension, whose loader
-    resolves the libraries it links.  Both symbols come from the one library
-    found.  A numpy built on another BLAS (Accelerate, MKL) has no such
-    symbols, and the numpy path runs.
+    resolves the libraries it links.  All four symbols come from the one
+    library found, or none is used.  A numpy built on another BLAS
+    (Accelerate, MKL) has no such symbols, and the numpy path runs.
     """
     import ctypes
     import glob
@@ -501,63 +520,75 @@ def _zher():
     for path in (*found, core.__file__):
         try:
             lib = ctypes.CDLL(path)
-            zher, zhemv = getattr(lib, _ZHER_SYMBOL), getattr(lib, _ZHEMV_SYMBOL)
+            zher, zhemv, zhpr, zhpmv = (getattr(lib, name) for name in _SYMBOLS)
         except (OSError, AttributeError):
             continue
         enum, n, ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
-        zher.restype = zhemv.restype = None
+        zher.restype = zhemv.restype = zhpr.restype = zhpmv.restype = None
         zher.argtypes = (enum, enum, n, ctypes.c_double, ptr, n, ptr, n)
         zhemv.argtypes = (enum, enum, n, ptr, ptr, n, ptr, n, ptr, ptr, n)
+        zhpr.argtypes = (enum, enum, n, ctypes.c_double, ptr, n, ptr)
+        zhpmv.argtypes = (enum, enum, n, ptr, ptr, ptr, n, ptr, ptr, n)
         one = _address(_ONE_ZERO)
-        return zher, zhemv, os.path.basename(path), (one, one + 16)
+        return zher, zhemv, zhpr, zhpmv, os.path.basename(path), (one, one + 16)
     return None
 
 
 def blas_route() -> str:
-    """Which code runs the dense Hermitian rank-one updates and matvecs, as one line."""
+    """Which code runs the Hermitian rank-one updates and matvecs, as one line."""
+    names = ", ".join(_SYMBOLS[:-1]) + f" and {_SYMBOLS[-1]}"
     found = _zher()
     if found is None:
-        return (f"dense Hermitian kernels: numpy for every k ({_ZHER_SYMBOL} or {_ZHEMV_SYMBOL} "
-                "not found)")
-    return (f"dense Hermitian kernels: {_ZHER_SYMBOL} and {_ZHEMV_SYMBOL} from {found[2]} "
-            f"for k >= {ZHER_MIN_K}, numpy below")
+        return f"Hermitian kernels: numpy for every k ({names} not found)"
+    return f"Hermitian kernels: {names} from {found[4]} for k >= {ZHER_MIN_K}, numpy below"
 
 
 def _address(a: np.ndarray) -> int:
     return a.__array_interface__["data"][0]      # as ``a.ctypes.data``, in half the time
 
 
-def _addresses(a: np.ndarray) -> list[int]:
-    """The address of each trial's first entry: one, or one per matrix of a stack."""
+def _addresses(a: np.ndarray, core: int) -> list[int]:
+    """The address of each trial's first entry: one, or one per matrix (``core``
+    trailing axes) of a stack."""
     at = _address(a)
-    return [at] if a.ndim < 3 else [at + t * a.strides[0] for t in range(len(a))]
+    return [at] if a.ndim == core else [at + t * a.strides[0] for t in range(len(a))]
 
 
 class _Bound:
-    """Row-major Hermitian squares, one or a stack, bound once for BLAS.
+    """Hermitian matrices, one or a stack, bound once for BLAS.
 
     Built by :func:`_bind` once per call, so that a step passes integers to
-    ``zher`` and ``zhemv`` and makes no address lookup or layout check.
-    ``at`` holds each trial's address of entry (0, 0) and ``lda`` the row
-    stride in entries; ``ws`` holds two vectors per trial, a staged operand
-    and ``zhemv``'s output; ``ab`` holds the addresses of ``zhemv``'s alpha
+    BLAS and makes no address lookup or layout check.  Two layouts: row-major
+    squares, run by ``zher`` and ``zhemv``, with ``lda`` the row stride in
+    entries; or packed upper triangles (``HermPacked``'s layout, which is
+    BLAS's column-major packed upper one), run by ``zhpr`` and ``zhpmv``, with
+    ``lda`` None.  ``at`` holds each trial's address of entry (0, 0); ``ws``
+    holds two vectors of the matrices' dimension per trial, a staged operand
+    and the matvec's output; ``ab`` holds the addresses of the matvec's alpha
     and beta.  A vector operand is given as ``(addresses, increment)``: a
-    column of the squares (:meth:`col`), the staged operand ``inp`` or the
+    column of the matrices (:meth:`col`), the staged operand ``inp`` or the
     output ``out``.  Only the upper triangle of a leading block is read or
     written.
     """
 
-    __slots__ = ("at", "lda", "ws", "inp", "out", "ab", "zher", "zhemv")
+    __slots__ = ("at", "lda", "ws", "inp", "out", "ab", "her_fn", "hemv_fn")
 
-    def __init__(self, a: np.ndarray, zher, zhemv, ab):
-        self.zher, self.zhemv, self.ab = zher, zhemv, ab
-        self.at, self.lda = _addresses(a), a.strides[-2] // 16
-        self.ws = np.zeros(a.shape[:-2] + (2, a.shape[-1]), np.complex128)
-        inp, row = _addresses(self.ws), self.ws.strides[-2]
+    def __init__(self, a: np.ndarray, found, dim: int | None = None):
+        zher, zhemv, zhpr, zhpmv, _, self.ab = found
+        if dim is None:
+            self.her_fn, self.hemv_fn, core = zher, zhemv, 2
+            self.lda, dim = a.strides[-2] // 16, a.shape[-1]
+        else:
+            self.her_fn, self.hemv_fn, core, self.lda = zhpr, zhpmv, 1, None
+        self.at = _addresses(a, core)
+        self.ws = np.zeros(a.shape[: a.ndim - core] + (2, dim), np.complex128)
+        inp, row = _addresses(self.ws, 2), self.ws.strides[-2]
         self.inp, self.out = (inp, 1), ([w + row for w in inp], 1)
 
     def col(self, j: int):
-        """Column j of each square, from row 0."""
+        """Column j of each matrix, from row 0."""
+        if self.lda is None:
+            return [at + 8 * j * (j + 1) for at in self.at], 1
         return [at + 16 * j for at in self.at], self.lda
 
     def stage(self, v: np.ndarray):
@@ -566,38 +597,53 @@ class _Bound:
         return self.inp
 
     def hemv(self, k: int, x) -> np.ndarray:
-        """``A x`` for the leading k x k block A of each square, read from its
-        upper triangle, into ``out``: one ``zhemv`` per trial.  Returns ``out``."""
-        (xs, incx), (ys, _), (one, zero) = x, self.out, self.ab
-        for at, xat, yat in zip(self.at, xs, ys):
-            self.zhemv(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, k, one, at, self.lda, xat, incx, zero,
-                       yat, 1)
+        """``A x`` for the leading k x k block A of each matrix, read from its
+        upper triangle, into ``out``: one ``zhemv`` or ``zhpmv`` per trial.
+        Returns ``out``."""
+        (xs, incx), (ys, _), (one, zero), lda = x, self.out, self.ab, self.lda
+        if lda is None:
+            for at, xat, yat in zip(self.at, xs, ys):
+                self.hemv_fn(_CBLAS_COL_MAJOR, _CBLAS_UPPER, k, one, at, xat, incx, zero, yat, 1)
+        else:
+            for at, xat, yat in zip(self.at, xs, ys):
+                self.hemv_fn(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, k, one, at, lda, xat, incx, zero,
+                             yat, 1)
         return self.ws[..., 1, :k]
 
     def her(self, k: int, x, alpha) -> None:
-        """``A += alpha x x^H`` on the upper triangle of each leading k x k
-        block, in place: one ``zher`` per trial, ``alpha`` one real or one per trial."""
-        xs, incx = x
+        """``A += alpha x x^H`` on the upper triangle of each leading k x k block,
+        in place: one ``zher`` or ``zhpr`` per trial, ``alpha`` one real or one
+        per trial."""
+        (xs, incx), lda = x, self.lda
         alphas = ((alpha,) * len(xs) if isinstance(alpha, float)
                   else np.broadcast_to(np.ravel(alpha), len(xs)).tolist())
-        for at, xat, alpha_t in zip(self.at, xs, alphas):
-            self.zher(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, k, alpha_t, xat, incx, at, self.lda)
+        if lda is None:
+            for at, xat, alpha_t in zip(self.at, xs, alphas):
+                self.her_fn(_CBLAS_COL_MAJOR, _CBLAS_UPPER, k, alpha_t, xat, incx, at)
+        else:
+            for at, xat, alpha_t in zip(self.at, xs, alphas):
+                self.her_fn(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, k, alpha_t, xat, incx, at, lda)
 
 
-def _bind(a: np.ndarray) -> _Bound | None:
-    """``a``'s squares (one or a stack) bound for BLAS, or None where every block
-    stays on numpy: below ``ZHER_MIN_K`` rows, where no BLAS is found, or in a
-    layout BLAS does not take.  No lookup is made below ``ZHER_MIN_K``."""
-    k = a.shape[-1]
+def _bind(a: np.ndarray, dim: int | None = None) -> _Bound | None:
+    """``a``'s Hermitian squares (one or a stack), or with ``dim`` its packed
+    upper triangles of that dimension, bound for BLAS; or None where every
+    block stays on numpy: below ``ZHER_MIN_K`` rows, where no BLAS is found,
+    or in a layout BLAS does not take.  No lookup is made below ``ZHER_MIN_K``."""
+    core = 2 if dim is None else 1
+    k = a.shape[-1] if dim is None else dim
     if k < ZHER_MIN_K:
         return None
     found = _zher()
-    if (found is None or a.ndim > 3 or a.shape[-2] != k or a.dtype != np.complex128
-            or not a.flags.writeable or a.strides[-1] != 16 or a.strides[-2] % 16
-            or a.strides[-2] < 16 * k or (a.ndim == 3 and a.strides[0] % 16)):
+    if (found is None or a.ndim > core + 1 or a.dtype != np.complex128 or not a.flags.writeable
+            or a.strides[-1] != 16 or (a.ndim > core and a.strides[0] % 16)):
         return None
-    zher, zhemv, _, ab = found
-    return _Bound(a, zher, zhemv, ab)
+    if dim is None:
+        if a.shape[-2] != k or a.strides[-2] % 16 or a.strides[-2] < 16 * k:
+            return None
+    elif a.shape[-1] != k * (k + 1) // 2:
+        return None
+    return _Bound(a, found, dim)
 
 
 def _on_blas(bound: _Bound | None, k: int) -> bool:
@@ -853,6 +899,8 @@ def init_gram(h: np.ndarray, alpha: float, ledger: FlopLedger) -> np.ndarray:
     h = as_cmat(h, "h", stack=True)
     n, m = h.shape[-2:]
     alpha = real_pivot(alpha, "init_gram alpha")
+    if np.any(alpha <= 0):
+        raise ContractViolationError("init_gram needs alpha > 0")
     ledger.tick(cmul=n * m * (m + 1) // 2, cadd=n * m * (m + 1) // 2)
     r = h.conj().mT @ h
     _mirror(r)

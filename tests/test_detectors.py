@@ -10,6 +10,7 @@ from vblast.detectors import (
     OrderingTrace,
     _argmin_gap,
     _cover_gram_rows,
+    _cover_inverse_packed,
     _herm_swap,
     _OneTrial,
     _Packed,
@@ -285,6 +286,35 @@ def test_covering_on_the_blas_route_keeps_the_upper_triangle(m):
         assert buf[:, :m][kept].tobytes() == covered[:, :m][kept].tobytes()
 
 
+@pytest.mark.parametrize("m", [ZHER_MIN_K - 1, ZHER_MIN_K, ZHER_MIN_K + 1, ZHER_MIN_K + 8, 64])
+def test_packed_growth_matches_the_dense_growth(monkeypatch, m):
+    """The packed pair's growth gives the upper triangle of the dense growth to
+    1e-13 relative, with the same ledger.  While every block stays below
+    ``ZHER_MIN_K`` it keeps the bits of its numpy path (no BLAS found);
+    beyond, ``zhpmv`` and ``zhpr`` run.  A batch's trials are each bit for bit
+    the growth of that trial alone."""
+    rng = make_rng(319, m)
+    h = (rng.standard_normal((3, m + 2, m)) + 1j * rng.standard_normal((3, m + 2, m))) / np.sqrt(2)
+    r = np.conj(h).swapaxes(-1, -2) @ h + 0.1 * np.eye(m)
+    dense, led_dense = r[0].copy(), FlopLedger()
+    _grow_inverse(dense, led_dense, "v")
+    want = _pack_upper(dense)
+
+    def grow(trials, upper):
+        led = FlopLedger()
+        _cover_inverse_packed(_Packed(trials, upper, m), m, led)
+        assert led == led_dense
+        return upper
+
+    one = grow(_OneTrial(m), _pack_upper(r[0]))
+    assert np.abs(one - want).max() <= 1e-13 * np.abs(want).max()
+    batch = grow(_Trials(3, m), _pack_upper(r))
+    for t in range(3):
+        assert batch[t].tobytes() == grow(_OneTrial(m), _pack_upper(r[t])).tobytes()
+    monkeypatch.setattr(kernels, "_zher", lambda: None)
+    assert (grow(_OneTrial(m), _pack_upper(r[0])).tobytes() == one.tobytes()) == (m <= ZHER_MIN_K)
+
+
 @pytest.mark.parametrize("i, j, m", [(0, 1, 2), (0, 4, 5), (2, 6, 7), (3, 4, 5)])
 def test_sym_swap_is_permutation_similarity(i, j, m):
     rng = make_rng(71, i * 10 + j)
@@ -329,12 +359,22 @@ def test_herm_swap_moves_only_the_upper_triangle(l, j, dim):
     assert np.isnan(spoiled[..., :dim][..., _strict_lower_mask(dim)]).all()
 
 
-@pytest.mark.parametrize("l, last, dim", [(0, 1, 2), (0, 4, 5), (2, 6, 8), (3, 4, 6), (4, 5, 6)])
+def _swap_cases():
+    """Every l < last for dim <= 9; at dim 64 both ends and eight random pairs."""
+    cases = [(l, last, dim) for dim in range(2, 10) for last in range(1, dim) for l in range(last)]
+    cases += [(0, 63, 64), (62, 63, 64)]
+    rng = make_rng(77)
+    for last in rng.integers(1, 63, 8).tolist():
+        cases.append((int(rng.integers(0, last)), last, 64))
+    return cases
+
+
+@pytest.mark.parametrize("l, last, dim", _swap_cases())
 def test_packed_sym_swap_matches_dense_swap(l, last, dim):
-    """The packed storage's swap, on one trial and on a batch, equals the
-    dense swap of the unpacked matrix, bit for bit (a batch's trials may also
-    keep their order)."""
-    rng = make_rng(73, 10 * l + last)
+    """The packed storage's swap, on one trial and on a batch whose trials swap
+    other rows or keep their order, equals the dense swap of the unpacked
+    matrix, bit for bit; entries past the leading block keep their bytes."""
+    rng = make_rng(73, 100 * dim + 10 * l + last)
     a = rng.standard_normal((4, dim, dim)) + 1j * rng.standard_normal((4, dim, dim))
     a = a + np.conj(a).swapaxes(-1, -2)
     packed = _pack_upper(a)
@@ -346,8 +386,10 @@ def test_packed_sym_swap_matches_dense_swap(l, last, dim):
     _Packed(_OneTrial(dim), one, dim).swap(l, last)
     stack = packed[1:].copy()
     _Packed(_Trials(3, dim), stack, dim).swap(trial_l, last)
-    for got, square in zip([one, *stack], want):
+    n = (last + 1) * (last + 2) // 2
+    for got, square, before in zip([one, *stack], want, packed):
         assert got.tobytes() == _pack_upper(square).tobytes()
+        assert got[n:].tobytes() == before[n:].tobytes()
 
 
 def packed_sub_reference(upper, u, w):
@@ -446,26 +488,42 @@ def test_unpermuted_variants_reproduce_permuted_outputs():
 
 
 def test_indexed_dense_storage_reads_only_the_upper_triangle(monkeypatch):
-    """With its buffer's strict lower triangle spoiled by NaN once Q is grown, the
-    index-addressed dense form returns the same bytes, for one trial and a batch."""
+    """With its buffer's strict lower triangle spoiled by NaN once Q is grown, and
+    each detected stream's row and column spoiled once it leaves, the
+    index-addressed dense form returns the same bytes, for one trial and a batch,
+    below ``ZHER_MIN_K`` and on the BLAS route, where the deflation's ``zher``
+    runs over every stream's row, the detected ones included."""
     import vblast.detectors as det
 
-    c, chs, rxs = batch_trials(6, 8, "qpsk", 3, seed=31)
-    runs = [(chs[0], rxs[0]), (chs, rxs)]
-    want = [detect_proposed_2_noperm(ch, rx, c, collect_q=True) for ch, rx in runs]
     grow = det._grow_inverse
 
     def grow_then_spoil(q, *args, **kwargs):
-        grow(q, *args, **kwargs)
+        bound = grow(q, *args, **kwargs)
         q[..., _strict_lower_mask(q.shape[-1])] = np.nan
+        return bound
 
-    monkeypatch.setattr(det, "_grow_inverse", grow_then_spoil)
-    for (ch, rx), before in zip(runs, want):
-        after = detect_proposed_2_noperm(ch, rx, c, collect_q=True)
-        for a, b in zip(getattr(before, "trials", [before]), getattr(after, "trials", [after])):
-            assert _bits(a.s_hat) == _bits(b.s_hat)
-            assert _bits(a.soft) == _bits(b.soft)
-            assert [_bits(q) for q in a.q_steps] == [_bits(q) for q in b.q_steps]
+    class Spoiled(det._Indexed):
+        def sub(self, rest, x, c, led):
+            super().sub(rest, x, c, led)
+            kept = rest[-1].reshape(-1, rest[-1].shape[-1])
+            for buf, keep in zip(self.flat.reshape(len(kept), -1), kept):
+                square = buf.reshape(m, -1)[:, :m]
+                left = np.setdiff1d(np.arange(m), keep)
+                square[left] = np.nan
+                square[:, left] = np.nan
+
+    for m in (6, ZHER_MIN_K - 1, ZHER_MIN_K, ZHER_MIN_K + 1, ZHER_MIN_K + 8):
+        c, chs, rxs = batch_trials(m, m + 2, "qpsk", 3, seed=31)
+        runs = [(chs[0], rxs[0]), (chs, rxs)]
+        want = [detect_proposed_2_noperm(ch, rx, c, collect_q=True) for ch, rx in runs]
+        with monkeypatch.context() as mp:
+            mp.setattr(det, "_grow_inverse", grow_then_spoil)
+            mp.setattr(det, "_Indexed", Spoiled)
+            got = [detect_proposed_2_noperm(ch, rx, c, collect_q=True) for ch, rx in runs]
+        for before, after in zip(want, got):
+            for a, b in zip(getattr(before, "trials", [before]),
+                            getattr(after, "trials", [after])):
+                assert_bitwise_equal(b, a)
 
 
 # the routines whose dense Q (and R) take the Hermitian kernels: all but ``original``
@@ -519,9 +577,12 @@ def test_dense_storages_read_only_the_upper_triangle_on_the_blas_route(monkeypat
 
 
 def test_detectors_without_blas_take_the_numpy_path(monkeypatch):
-    """Where numpy ships no BLAS ``zher`` and ``zhemv``, nothing is bound: at
-    M = ZHER_MIN_K + 8 the nine detectors return the bits of the numpy path
-    (every block below the BLAS threshold), for one trial and a batch."""
+    """Where numpy ships no BLAS ``zher``, ``zhemv``, ``zhpr`` and ``zhpmv``,
+    nothing is bound, dense square or packed vector: at M = ZHER_MIN_K + 8 the
+    nine detectors return the bits of the numpy path (every block below the
+    BLAS threshold), for one trial and a batch.  That covers the packed pair's
+    growth and ``proposed_2_noperm``'s deflation, which take BLAS where it is
+    found (their ``soft`` then moves)."""
     m = ZHER_MIN_K + 8
     c, chs, rxs = batch_trials(m, m + 2, "qam16", 3, seed=43)
     runs = [(chs[0], rxs[0]), (chs, rxs)]
@@ -533,6 +594,12 @@ def test_detectors_without_blas_take_the_numpy_path(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(kernels, "ZHER_MIN_K", m + 1)
         want = results()
+    if kernels._zher() is not None:
+        on_blas = {name: ALGORITHMS[name](chs[0], rxs[0], c, cancel_soft=True).soft
+                   for name in ("proposed_2_noperm", "proposed_2_tri", "proposed_2_tri_noperm")}
+        numpy_soft = {name: res.soft for name, res in zip(DETECTOR_NAMES, want[::2])}
+        for name, soft in on_blas.items():
+            assert soft.tobytes() != numpy_soft[name].tobytes(), name
     monkeypatch.setattr(kernels, "_zher", lambda: None)
     for before, after in zip(want, results()):
         for a, b in zip(getattr(before, "trials", [before]), getattr(after, "trials", [after])):

@@ -287,8 +287,12 @@ def test_rank1_update_herm_without_blas_runs_numpy(monkeypatch, k, lead):
     with monkeypatch.context() as mp:
         mp.setattr(kernels, "ZHER_MIN_K", k + 1)        # the numpy path by block size
         want = update()
+    route = kernels.blas_route()
     monkeypatch.setattr(kernels, "_zher", lambda: None)
     assert "numpy for every k" in kernels.blas_route()
+    for name in ("zher", "zhemv", "zhpr", "zhpmv"):       # found or not, the line names all four
+        assert f"scipy_cblas_{name}64_" in route
+        assert f"scipy_cblas_{name}64_" in kernels.blas_route()
     assert kernels._bind(buf[..., :k, :k]) is None
     assert update() == want
 
@@ -777,6 +781,10 @@ def test_packed_roundtrip():
     assert np.abs(hp.unpack() - a).max() < 1e-15
     assert np.allclose(hp.diagonal(), np.diag(a).real)
     assert np.abs(hp.unpack(3) - a[:3, :3]).max() < 1e-15
+    # a numpy integer is an integer; 1 and dim are the ends of the range
+    assert hp.unpack(np.int64(3)).tobytes() == hp.unpack(3).tobytes()
+    assert hp.diagonal(np.int32(2)).tobytes() == hp.diagonal()[:2].tobytes()
+    assert hp.unpack(1).shape == (1, 1) and hp.diagonal(5).shape == (5,)
 
 
 def test_packed_rejects_complex_diagonal():
@@ -846,6 +854,21 @@ def test_packed_diagonal_check_is_scale_free(k):
     (lambda led: HermPacked(2, np.array([np.inf, 0, 1], complex)),
      "packed storage contains NaN or Inf"),
     (lambda led: HermPacked.pack(np.ones((2, 3))), "can only pack a square matrix"),
+    (lambda led: HermPacked.pack(np.eye(3)).unpack(5),
+     "HermPacked.unpack: m must be an integer in 1..3, got 5"),
+    (lambda led: HermPacked.pack(np.eye(3)).unpack(-1),
+     "HermPacked.unpack: m must be an integer in 1..3, got -1"),
+    (lambda led: HermPacked.pack(np.eye(3)).unpack(2.0),
+     "HermPacked.unpack: m must be an integer in 1..3, got 2.0"),
+    (lambda led: HermPacked.pack(np.eye(3)).diagonal(4),
+     "HermPacked.diagonal: m must be an integer in 1..3, got 4"),
+    (lambda led: HermPacked.pack(np.eye(3)).diagonal(0),
+     "HermPacked.diagonal: m must be an integer in 1..3, got 0"),
+    (lambda led: HermPacked.pack(np.eye(3)).diagonal(True),
+     "HermPacked.diagonal: m must be an integer in 1..3, got True"),
+    (lambda led: init_gram(np.ones((2, 2)), -1.0, led), "init_gram needs alpha > 0"),
+    (lambda led: init_gram(np.ones((3, 2, 2)), np.array([[0.1], [0.0], [0.1]]), led),
+     "init_gram needs alpha > 0"),
 ])
 def test_kernel_input_checks_name_the_misuse(call, text):
     """Each shape or value check on a kernel's arguments raises misuse, with its text,

@@ -5,8 +5,9 @@ on its parent and on itself and compares the two printouts::
 
     PYTHONPATH=src python tools/snapshots.py
 
-The first line names the code that ran the dense Hermitian rank-one updates
-and matvecs: BLAS ``zher`` and ``zhemv`` from a named library for blocks of
+The first line names the code that ran the Hermitian rank-one updates and
+matvecs: BLAS ``zher`` and ``zhemv`` (dense squares) and ``zhpr`` and
+``zhpmv`` (packed triangles) from a named library for blocks of
 ``kernels.ZHER_MIN_K`` or more, or numpy for every block.  Digests that cover
 blocks on the BLAS route depend on the BLAS build.
 
@@ -121,7 +122,7 @@ def route() -> str:
     """The first line: :func:`vblast.kernels.blas_route`, or numpy's for a vblast without it."""
     if hasattr(kernels, "blas_route"):
         return kernels.blas_route()
-    return "dense Hermitian kernels: numpy for every k (this vblast has no BLAS route)"
+    return "Hermitian kernels: numpy for every k (this vblast has no BLAS route)"
 
 
 def main():
