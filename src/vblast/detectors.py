@@ -61,13 +61,13 @@ The ``d`` convention: every ``d``-domain form estimates ``q^H z - d_m`` and
 updates ``d -= (s + d_m) / omega * q_bar``, swapped or indexed alike.  The
 published update is written in the '+' form, with ``d_paper = -d``.
 
-Trial batches: every routine also takes sequences ``(chs, rxs)`` of trials
-with the same (M, N) and returns a :class:`BatchResult`, whose ``trials``
-are the per-trial :class:`DetectionResult` objects in order.  All ten
-routines take their trials through :func:`_stack`, which validates and stacks
-them (a batch of one runs on its single trial's arrays) and decides the trial
-shape once per call, and return through :func:`_results`, which scatters the
-decisions back to antenna order and builds the results.  A batch runs
+Trial batches: every routine also takes lists or tuples ``(chs, rxs)`` of
+trials with the same (M, N) and returns a :class:`BatchResult`, whose
+``trials`` are the per-trial :class:`DetectionResult` objects in order.  All
+ten routines take their trials through :func:`_stack`, which validates and
+stacks them (a batch of one runs on its single trial's arrays) and decides
+the trial shape once per call, and return through :func:`_results`, which
+scatters the decisions back to antenna order and builds the results.  A batch runs
 together: each state array gains a leading trial axis, each step is one set
 of numpy calls for all trials, and each trial keeps its own ordering.  The
 trial shape's step operations order, swap and record every step, in the
@@ -98,6 +98,7 @@ import numpy as np
 
 from .errors import ContractViolationError, SingularMatrixError
 from .kernels import (
+    ZHER_MIN_K,
     FlopLedger,
     _arange,
     _cols_off_diagonal,
@@ -127,7 +128,7 @@ from .kernels import (
     _scaled_pair,
     _sm_update_inplace,
 )
-from .sigmodel import ChannelRealization, RxFrame, quantize
+from .sigmodel import ChannelRealization, Constellation, RxFrame, quantize
 
 
 class MemLedger:
@@ -215,21 +216,40 @@ class BatchResult:
         return cls(trials, led, mem)
 
 
-def _stack(chs, rxs):
-    """Validate a call's trials, one or a sequence with the same (M, N), and
-    return ``(batch, trials, h, x, alpha, p)``: one trial (a batch of one too)
-    as a :class:`_OneTrial` and its own arrays, ``float(alpha)`` and
-    ``arange(M)``; a batch as a :class:`_Trials` and stacked arrays, with alpha
-    and ``p`` one row per trial.  A batch raises the error of its first trial
-    to fail; the received vectors are checked for NaN or Inf in one call,
-    trial by trial only if one has any.
+def _stack(chs, rxs, c):
+    """Validate a call's trials, one or a list or tuple of them with the same
+    (M, N), and its constellation ``c``, and return ``(batch, trials, h, x,
+    alpha, p)``: one trial (a batch of one too) as a :class:`_OneTrial` and
+    its own arrays, ``float(alpha)`` and ``arange(M)``; a batch as a
+    :class:`_Trials` and stacked arrays, with alpha and ``p`` one row per
+    trial.  Argument types are checked first, before any arithmetic.  A batch
+    raises the error of its first trial to fail; the received vectors are
+    checked for NaN or Inf in one call, trial by trial only if one has any.
     """
+    if not isinstance(c, Constellation):
+        raise ContractViolationError(
+            f"constellation must be a Constellation, got {type(c).__name__}")
     batch = not isinstance(chs, ChannelRealization)
     if not batch:
         chs, rxs = (chs,), (rxs,)
+    elif not isinstance(chs, (list, tuple)):
+        raise ContractViolationError("channel must be a ChannelRealization, or a list or tuple "
+                                     f"of them, got {type(chs).__name__}")
+    elif not isinstance(rxs, (list, tuple)):
+        raise ContractViolationError("a batch's received frames must be a list or tuple of "
+                                     f"RxFrame, got {type(rxs).__name__}")
     if len(chs) != len(rxs) or not len(chs):
         raise ContractViolationError(
             f"a batch needs one received frame per channel, got {len(rxs)} for {len(chs)}")
+    for t, (ch, rx) in enumerate(zip(chs, rxs)):
+        if not (isinstance(ch, ChannelRealization) and isinstance(rx, RxFrame)):
+            if t:
+                _stack(chs[:t], rxs[:t], c)     # an earlier trial's own error comes first
+            if not isinstance(ch, ChannelRealization):
+                raise ContractViolationError(
+                    f"channel must be a ChannelRealization, got {type(ch).__name__}")
+            raise ContractViolationError(
+                f"received frame must be an RxFrame, got {type(rx).__name__}")
     m, n = chs[0].m, chs[0].n
     finite = np.isfinite(np.concatenate([rx.x for rx in rxs], axis=None)).all()
     for ch, rx in zip(chs, rxs):
@@ -306,7 +326,7 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
     the swaps and the trace records are the trial shape's from :func:`_stack`,
     data movement only, so each trial equals its call alone bit for bit.
     """
-    batch, trials, h, x, alpha, p = _stack(ch, rx)
+    batch, trials, h, x, alpha, p = _stack(ch, rx, c)
     n_rx, m_tx = h.shape[-2:]
     h, alpha = (h, alpha[..., None]) if trials.lead else (h.copy(), alpha)  # h is swapped in place
     led = FlopLedger()          # stays zero: the oracle is not instrumented
@@ -353,17 +373,47 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
 # Each takes a leading trial axis, as the kernels do.
 
 
+# rows per product of the blocked Gram covering: at M = 64 and 128, 16 takes 0.02-0.04 ms
+# more than 32 and 0.05-0.1 ms less than 8, and 32 doubles the scratch (proposed_2's
+# traced peak: 124 against 149 KiB at M = 64, 355 against 439 KiB at M = 128)
+GRAM_BLOCK = 16
+
+
 def _cover_gram_rows(a, alpha, led):
     """Overwrite the upper triangle of a's square block with H^H H + alpha I.
 
-    ``a`` holds the conjugate-transposed channel (M x N).  Row i's dot
-    products read only rows i..M-1, all still intact, so the buffer can be
-    covered in place.  The diagonal term is computed separately, which keeps
-    per-row scratch below M words.
+    ``a`` holds the conjugate-transposed channel (M x N).  Row i of R reads
+    only rows i..M-1, all still intact, so the buffer can be covered in place,
+    top-down, in one of two routes:
+
+    * up to ``ZHER_MIN_K`` rows, row by row: one matvec of the conjugated rows
+      below i against row i, and row i's diagonal from its own dot product.
+      The scratch is the conjugated copy of rows i+1..M-1, (M-1) x N words at
+      row 0.
+    * from ``ZHER_MIN_K + 1`` rows on, in blocks of b = ``GRAM_BLOCK`` rows:
+      block [i0, i1) forms ``conj(a[i0:i1]) @ a[i0:M]^T`` in one matrix
+      product (a ``zgemm``, one per trial), conjugates it in place, sets its
+      diagonal to the real part plus alpha and writes it over rows i0..i1-1
+      from column i0 on, entries below the diagonal within the block
+      included.  The scratch is the b x N conjugated block and the
+      b x (M - i0) product; the right operand is read through its transpose,
+      never copied.
+
+    Either way the charge is the upper triangle's ``N M (M + 1) / 2`` products
+    and adds, plus M adds for alpha.
     """
     m, n = a.shape[-2:]
     tri = m * (m + 1) // 2
     led.tick(cmul=n * tri, cadd=(n - 1) * tri + m)      # + m: alpha on the diagonal
+    if m > ZHER_MIN_K:
+        for i0 in range(0, m, GRAM_BLOCK):
+            i1 = min(i0 + GRAM_BLOCK, m)
+            t = np.conj(a[..., i0:i1, :]) @ a[..., i0:m, :].mT
+            np.conjugate(t, out=t)
+            dg = _arange(i1 - i0)
+            t[..., dg, dg] = t[..., dg, dg].real + alpha
+            a[..., i0:i1, i0:m] = t
+        return
     lead = _lead(a, 2)
     for i in range(m):
         tail = _mv(np.conj(a[..., i + 1 : m, :]), a[..., i, :]) if i < m - 1 else None
@@ -830,7 +880,8 @@ def _init_single_buffer(packed=False, indexed=False):
         mem.alloc("ht", m_tx * n_rx)
         mem.alloc("z", m_tx)
         mem.alloc("d", m_tx)
-        a = np.conj(h).swapaxes(-1, -2).copy()
+        a = h.mT.copy()     # H^H in one allocation: a transposed copy, conjugated in place
+        np.conjugate(a, out=a)
         z = matvec(a, x, led)
         d = np.zeros(z.shape, np.complex128)
         _cover_gram_rows(a, alpha, led)
@@ -869,10 +920,11 @@ def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
     """Ordered SIC: order by Q's smallest diagonal, estimate, cancel, deflate.
 
     ``chs`` and ``rxs`` are one trial, which returns a
-    :class:`DetectionResult`, or sequences of trials with the same (M, N),
-    which return a :class:`BatchResult`.  A batch runs its trials together:
-    every state array gains a leading trial axis and each step is one set of
-    numpy calls for all of them, while each trial keeps its own ordering.
+    :class:`DetectionResult`, or lists or tuples of trials with the same
+    (M, N), which return a :class:`BatchResult`.  A batch runs its trials
+    together: every state array gains a leading trial axis and each step is
+    one set of numpy calls for all of them, while each trial keeps its own
+    ordering.
     A batch of one runs as its single trial.  The trial shape comes from
     :func:`_stack` and goes to the initializer and the Q storage.
 
@@ -882,7 +934,7 @@ def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
     records ``p``, ``z`` and ``d`` of the active streams at every step
     (single-buffer swapped storage only).
     """
-    batch, trials, h, x, alpha, p = _stack(chs, rxs)
+    batch, trials, h, x, alpha, p = _stack(chs, rxs, c)
     m_tx = p.shape[-1]
     n_trials = p.size // m_tx
     led = FlopLedger()

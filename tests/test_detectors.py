@@ -152,6 +152,51 @@ def test_received_vector_must_be_one_dimensional(name):
             assert str(info.value) == text
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_arguments_of_the_wrong_type_are_misuse(name, monkeypatch):
+    """A constellation, channel or received frame of the wrong type is misuse,
+    named with the type received, in one call and as the middle trial of a
+    batch of three, before any arithmetic runs (the quantizer is never reached).
+    A batch's trials come as a list or tuple; one whose earlier trial fails
+    first raises that trial's own error."""
+    import vblast.detectors as det
+
+    def no_arithmetic(*args):
+        raise AssertionError("a detector ran before checking its argument types")
+
+    c, chs, rxs = batch_trials(3, 4, "qpsk", 3, seed=7)
+    monkeypatch.setattr(det, "quantize", no_arithmetic)
+    for bad in (None, "qpsk", QPSK.points, 4):
+        text = f"constellation must be a Constellation, got {type(bad).__name__}"
+        for ch, rx in ((chs[1], rxs[1]), (chs, rxs), (tuple(chs), tuple(rxs))):
+            with pytest.raises(ContractViolationError) as info:
+                ALGORITHMS[name](ch, rx, bad)
+            assert str(info.value) == text
+    for bad in (chs[1].h, None):
+        got = type(bad).__name__
+        for rx in (rxs[1], rxs):
+            with pytest.raises(ContractViolationError) as info:
+                ALGORITHMS[name](bad, rx, c)
+            assert str(info.value) == ("channel must be a ChannelRealization, or a list or "
+                                       f"tuple of them, got {got}")
+        with pytest.raises(ContractViolationError) as info:
+            ALGORITHMS[name]([chs[0], bad, chs[2]], rxs, c)
+        assert str(info.value) == f"channel must be a ChannelRealization, got {got}"
+    for bad in (rxs[1].x, None):
+        text = f"received frame must be an RxFrame, got {type(bad).__name__}"
+        with pytest.raises(ContractViolationError, match=f"^{text}$"):
+            ALGORITHMS[name](chs[1], bad, c)
+        with pytest.raises(ContractViolationError, match=f"^{text}$"):
+            ALGORITHMS[name](chs, (rxs[0], bad, rxs[2]), c)
+        with pytest.raises(ContractViolationError, match="^a batch's received frames must be a "):
+            ALGORITHMS[name](chs, bad, c)
+    with pytest.raises(ContractViolationError, match="^a batch's received frames must be a "):
+        ALGORITHMS[name](chs, rxs[1], c)
+    first = RxFrame(rxs[0].x, 0.0, 0.0)
+    with pytest.raises(ContractViolationError, match="^detectors need alpha > 0, got 0.0$"):
+        ALGORITHMS[name](chs, [first, None, rxs[2]], c)
+
+
 def test_dimension_mismatch_rejected():
     ch, frame, rx = seeded_trial(2, 3, 10.0, 3)
     bad = RxFrame(rx.x[:2], rx.sigma_n2, rx.alpha)
@@ -262,12 +307,50 @@ def test_covering_schedules_match_out_of_place():
     assert (led_a.cmul - pre.cmul, led_a.cadd - pre.cadd, led_a.cdiv - pre.cdiv) == led_b.as_tuple()
 
 
+@pytest.mark.parametrize("m", [31, 32, 33, 47, 48, 49, 64, 100])
+def test_blocked_gram_covering_matches_the_row_loop(monkeypatch, m):
+    """Beyond ``ZHER_MIN_K`` rows the Gram covering runs in blocks of
+    ``GRAM_BLOCK`` rows, one matrix product each: its upper triangle is
+    within 1e-14 relative of the row-by-row reference (bitwise up to
+    ``ZHER_MIN_K``, where the row loop runs), with the row loop's ledger,
+    and a batch's trials are each bit for bit the covering of that trial alone."""
+    import vblast.detectors as det
+
+    for n in (m, m + 2):
+        rng = make_rng(331, 1000 * m + n)
+        h = (rng.standard_normal((3, n, m)) + 1j * rng.standard_normal((3, n, m))) / np.sqrt(2)
+        alphas = np.array([[1e-3], [1e-1], [1.0]])
+        ru, cu = np.triu_indices(m)
+        singles = []
+        for t in range(3):
+            buf = h[t].conj().T.copy()
+            led = FlopLedger()
+            _cover_gram_rows(buf, float(alphas[t, 0]), led)
+            want = oop_gram_rows(h[t].conj().T.copy(), float(alphas[t, 0]))[ru, cu]
+            err = np.abs(buf[ru, cu] - want).max() / np.abs(want).max()
+            assert err <= 1e-14, (n, t, err)
+            assert (buf[ru, cu].tobytes() == want.tobytes()) or m > ZHER_MIN_K
+            singles.append(buf)
+            with monkeypatch.context() as mp:       # the row loop at any M
+                mp.setattr(det, "ZHER_MIN_K", m)
+                rows_led = FlopLedger()
+                _cover_gram_rows(h[t].conj().T.copy(), float(alphas[t, 0]), rows_led)
+            assert led == rows_led
+        stack, led_batch = h.conj().swapaxes(-1, -2).copy(), FlopLedger()
+        _cover_gram_rows(stack, alphas, led_batch)
+        assert led_batch == led      # one trial's charge, as for every batched step
+        for t in range(3):
+            assert stack[t].tobytes() == singles[t].tobytes(), (n, t)
+
+
 @pytest.mark.parametrize("m", [ZHER_MIN_K, ZHER_MIN_K + 1, ZHER_MIN_K + 8])
 def test_covering_on_the_blas_route_keeps_the_upper_triangle(m):
     """From ``ZHER_MIN_K`` rows on, the single buffer's covering is the
     out-of-place growth's upper triangle bit for bit; where BLAS is found, the
-    rows from ``ZHER_MIN_K - 1`` on are never written below the diagonal, so
-    they keep the H^H entries the Gram covering left there."""
+    growth never writes the rows from ``ZHER_MIN_K - 1`` on below the
+    diagonal, so they keep what the Gram covering left there: H^H's entries
+    after the row loop, and after the blocked covering (beyond ``ZHER_MIN_K``
+    rows) R's entries within each block of rows and H^H's left of it."""
     rng = make_rng(317, m)
     h = (rng.standard_normal((m + 2, m)) + 1j * rng.standard_normal((m + 2, m))) / np.sqrt(2)
     buf = h.conj().T.copy()
@@ -700,6 +783,37 @@ def test_memory_single_buffer_beats_speed_adv():
         detect_proposed_2(ch, rx, QPSK).mem.peak_words
         < detect_speed_adv(ch, rx, QPSK).mem.peak_words
     )
+
+
+# how far a warm call's tracemalloc peak may exceed its counted peak_words x 16 bytes:
+# at M=128, 1.85 fails a single buffer with one more whole-matrix transient (2.0x); at
+# M=64 the x-domain estimate's copies of the channel already take mem_saving to 2.03x
+TRACED_FACTOR = {64: 2.15, 128: 1.85}
+
+
+@pytest.mark.parametrize("m", sorted(TRACED_FACTOR))
+def test_traced_peak_stays_near_the_counted_words(m):
+    """Executed memory: each recursive detector's ``tracemalloc`` peak on a warm
+    call stays within ``TRACED_FACTOR[m]`` of its counted words, and
+    ``proposed_2`` allocates at most 0.55 of ``mem_saving``'s bytes, the
+    paper's half-memory claim in bytes rather than in counted words."""
+    import tracemalloc
+
+    ch, frame, rx = seeded_trial(m, m, 20.0, 29)
+    traced = {}
+    was_tracing = tracemalloc.is_tracing()
+    for name in DETECTOR_NAMES:
+        ALGORITHMS[name](ch, rx, QPSK)      # warm: tables and BLAS symbols cached
+        if not was_tracing:
+            tracemalloc.start()
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        words = ALGORITHMS[name](ch, rx, QPSK).mem.peak_words
+        traced[name] = tracemalloc.get_traced_memory()[1] - base
+        if not was_tracing:
+            tracemalloc.stop()
+        assert traced[name] <= TRACED_FACTOR[m] * 16 * words, (name, traced[name], 16 * words)
+    assert traced["proposed_2"] <= 0.55 * traced["mem_saving"]
 
 
 def test_mem_peak_at_least_largest_buffer():

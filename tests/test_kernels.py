@@ -727,7 +727,7 @@ def test_gj_stack_raises_its_failing_matrix_error(bad):
 def test_inverse_pair_property_all_paths(alpha):
     from vblast.detectors import _cover_gram_rows
 
-    sizes = [(1, 1), (2, 4), (5, 5), (8, 12), (16, 16), (24, 32), (32, 32)]
+    sizes = [(1, 1), (2, 4), (5, 5), (8, 12), (16, 16), (24, 32), (32, 32), (33, 35), (64, 64)]
     for idx, (m, n) in enumerate(sizes):
         rng = make_rng(47, idx)
         h = random_complex(rng, n, m) / np.sqrt(2.0)

@@ -14,13 +14,15 @@ blocks on the BLAS route depend on the BLAS build.
 Each routine's digest covers, for every input, its outputs (``s_hat``,
 ``order``, ``soft``), trace, ``q_steps``, ``aux`` (``proposed_2``), flop
 ledger and memory ledger, or the type and text of the error it raises.
-The grid: M in 1-5, 8, 16, 17, 32 and 64 with N = M and N = M + 2; qpsk and
-qam16; 0, 20 and 60 dB and noiseless; hard and soft cancellation; each as a
-single call and as a batch of three.  Every (M, N) and constellation also
-runs a batch of three at 20 dB whose middle trial has one channel column
-scaled by 1e160, and that trial alone.  A batch is recorded as each of its
-trials plus its summed ledgers.  Only numpy and the standard library are
-used besides vblast.
+The grid: M in 1-5, 8, 16, 17, 32, 33 and 64 with N = M and N = M + 2;
+qpsk and qam16; 0, 20 and 60 dB and noiseless; hard and soft cancellation;
+each as a single call and as a batch of three.  M = 33 is the first size
+past ``kernels.ZHER_MIN_K``, where the growth takes its first BLAS step and
+the single buffer's blocked Gram covering ends on a partial block of rows.
+Every (M, N) and constellation also runs a batch of three at 20 dB whose
+middle trial has one channel column scaled by 1e160, and that trial alone.
+A batch is recorded as each of its trials plus its summed ledgers.  Only
+numpy and the standard library are used besides vblast.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from vblast import (
 from vblast import kernels
 from vblast.harness import NOISELESS_ALPHA
 
-M_LIST = (1, 2, 3, 4, 5, 8, 16, 17, 32, 64)
+M_LIST = (1, 2, 3, 4, 5, 8, 16, 17, 32, 33, 64)
 SNR_DB = (0.0, 20.0, 60.0, math.inf)
 CONSTELLATIONS = ("qpsk", "qam16")
 SEED = 2024
