@@ -31,52 +31,46 @@ proposed_2_tri_noperm  single buffer (V)    d (VI)  packed, indexed  own column
 Sherman-Morrison builds Q from ``I/alpha`` by rank-one corrections over the
 receive rows; the partitioned and single-division steps grow Q from the Gram
 matrix R; the single buffer holds ``H^H`` and is covered in place by R, then
-by Q through ``init_q_recursive``'s growth (``kernels._grow_inverse``; the
-packed form runs the same steps and errors in a loop of its own).  Domain
-``x`` estimates from ``H_m^H x`` and cancels from ``x``; ``z`` estimates from
-``z = H^H x`` and cancels with R's column; ``d`` cancels through the
-deficiency vector ``d`` and never reads R again.  Swapped
-storage keeps Q and the domain's vectors in detection order by symmetric
-swaps; packed storage keeps Q's upper triangle, and so does dense storage
-on the BLAS route (blocks of ``kernels.ZHER_MIN_K`` or more, see
-:class:`_Dense`).  Indexed storage keeps only
-Q's upper triangle, in antenna order, in the dense square or the packed
+by Q through ``init_q_recursive``'s growth (``kernels._grow_inverse``), in
+the dense square or the packed vector alike.  Domain ``x`` estimates from
+``H_m^H x`` and cancels from ``x``; ``z`` estimates from ``z = H^H x`` and
+cancels with R's column; ``d`` cancels through the deficiency vector ``d``
+and never reads R again.  Swapped storage keeps Q and the domain's vectors
+in detection order by symmetric swaps; packed storage keeps Q's upper
+triangle, and so does dense storage on the BLAS route (blocks of
+``kernels.ZHER_MIN_K`` or more, see :class:`_Dense`).  Indexed storage keeps
+only Q's upper triangle, in antenna order, in the dense square or the packed
 vector alike, and addresses it through the order permutation: an entry below
-the diagonal is read from its upper mirror, conjugated.
-Q is deflated from its own column, or from R's border by a
-Sherman-Morrison step on the full square or the upper triangle.
+the diagonal is read from its upper mirror, conjugated.  Q is deflated from
+its own column, or from R's border by a Sherman-Morrison step on the full
+square or the upper triangle.
 
 On the BLAS route, where numpy's OpenBLAS is found, the dense storages run
-``zher`` and ``zhemv``; the packed pair's growth runs ``zhpmv`` and
-``zhpr`` on the packed vector; the dense indexed form deflates with one
-``zher`` over its whole antenna-order triangle, the column scattered into a
-zero vector, so the detected streams' entries gain +/-0 and are never read
-again.  The packed pair's deflation stays numpy: the pair must agree bit
-for bit, and a ``zhpr`` in antenna order would form ``x_j (omega conj x_i)``
-where the swapped form forms ``x_i (omega conj x_j)``, which round
-differently.  Their growth, one function on one index-order vector, runs
-BLAS for both.
+``zher`` and ``zhemv``, and the packed vector grows with ``zhpmv`` and
+``zhpr``; the dense indexed form deflates with one ``zher`` over its whole
+antenna-order triangle, the column scattered into a zero vector, so the
+detected streams' entries gain +/-0 and are never read again.  The packed
+pair grows in index order, before Q first moves, so one growth serves both;
+its deflation stays numpy, because the pair must agree bit for bit and a
+``zhpr`` in antenna order would form ``x_j (omega conj x_i)`` where the
+swapped form forms ``x_i (omega conj x_j)``, which round differently.
 
 The ``d`` convention: every ``d``-domain form estimates ``q^H z - d_m`` and
 updates ``d -= (s + d_m) / omega * q_bar``, swapped or indexed alike.  The
 published update is written in the '+' form, with ``d_paper = -d``.
 
 Trial batches: every routine also takes lists or tuples ``(chs, rxs)`` of
-trials with the same (M, N) and returns a :class:`BatchResult`, whose
-``trials`` are the per-trial :class:`DetectionResult` objects in order.  All
-ten routines take their trials through :func:`_stack`, which validates and
-stacks them (a batch of one runs on its single trial's arrays) and decides
-the trial shape once per call, and return through :func:`_results`, which
-scatters the decisions back to antenna order and builds the results.  A batch runs
-together: each state array gains a leading trial axis, each step is one set
-of numpy calls for all trials, and each trial keeps its own ordering.  The
-trial shape's step operations order, swap and record every step, in the
-oracle and in :func:`_sic`, which also hands them to the initializer and the
-Q storage, so no step asks again.  A trial's outputs, trace, ledger and
-memory ledger are bit for bit those of a call on it alone, whatever batch it
-runs in.  The batch's ``ledger`` and ``mem.peak_words`` are sums over its
-trials.  If any trial fails, the batch raises the error of the first trial to
-fail, exactly as a call on that trial alone raises it.  The oracle runs the
+trials with the same (M, N) and returns a :class:`BatchResult` of per-trial
+:class:`DetectionResult` objects, in order.  All ten routines take their
+trials through :func:`_stack`, which validates and stacks them and decides
+the trial shape once per call (a batch of one runs as its single trial),
+and return through :func:`_results`.  A batch runs together: each state
+array gains a leading trial axis, each step is one set of numpy calls for
+all trials, and each trial keeps its own ordering.  A trial's outputs,
+trace, ledger and memory ledger are bit for bit those of a call on it
+alone, whatever batch it runs in; the batch's ``ledger`` and
+``mem.peak_words`` are sums over its trials, and it raises the error of its
+first trial to fail, as that trial alone raises it.  The oracle runs the
 same lines for one trial and a batch: one Gauss-Jordan call inverts a stack
 of Gram matrices, each with its own pivoting.
 
@@ -118,7 +112,6 @@ from .kernels import (
     _dot,
     _entry,
     _grow_inverse,
-    _invert_leading,
     _lead,
     _mirror,
     _mv,
@@ -127,6 +120,7 @@ from .kernels import (
     _packed_unpack,
     _scaled_pair,
     _sm_update_inplace,
+    _Square,
 )
 from .sigmodel import ChannelRealization, Constellation, RxFrame, quantize
 
@@ -368,9 +362,9 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
 
 
 # ---------------------------------------------------------------------------
-# in-place covering and packed-storage helpers
+# the single buffer's in-place Gram covering
 #
-# Each takes a leading trial axis, as the kernels do.
+# It takes a leading trial axis, as the kernels do.
 
 
 # rows per product of the blocked Gram covering: at M = 64 and 128, 16 takes 0.02-0.04 ms
@@ -383,24 +377,18 @@ def _cover_gram_rows(a, alpha, led):
     """Overwrite the upper triangle of a's square block with H^H H + alpha I.
 
     ``a`` holds the conjugate-transposed channel (M x N).  Row i of R reads
-    only rows i..M-1, all still intact, so the buffer can be covered in place,
-    top-down, in one of two routes:
-
-    * up to ``ZHER_MIN_K`` rows, row by row: one matvec of the conjugated rows
-      below i against row i, and row i's diagonal from its own dot product.
-      The scratch is the conjugated copy of rows i+1..M-1, (M-1) x N words at
-      row 0.
-    * from ``ZHER_MIN_K + 1`` rows on, in blocks of b = ``GRAM_BLOCK`` rows:
-      block [i0, i1) forms ``conj(a[i0:i1]) @ a[i0:M]^T`` in one matrix
-      product (a ``zgemm``, one per trial), conjugates it in place, sets its
-      diagonal to the real part plus alpha and writes it over rows i0..i1-1
-      from column i0 on, entries below the diagonal within the block
-      included.  The scratch is the b x N conjugated block and the
-      b x (M - i0) product; the right operand is read through its transpose,
-      never copied.
-
-    Either way the charge is the upper triangle's ``N M (M + 1) / 2`` products
-    and adds, plus M adds for alpha.
+    only rows i..M-1, all still intact, so the buffer is covered in place,
+    top-down.  Up to ``ZHER_MIN_K`` rows, row by row: a matvec of the
+    conjugated rows below i against row i, and the diagonal from row i's own
+    dot product (scratch: the (M-1) x N conjugated rows at row 0).  Beyond,
+    in blocks of b = ``GRAM_BLOCK`` rows: block [i0, i1) is one matrix
+    product ``conj(a[i0:i1]) @ a[i0:M]^T`` (a ``zgemm`` per trial, the right
+    operand read through its transpose), conjugated in place, its diagonal
+    set to the real part plus alpha, and written over rows i0..i1-1 from
+    column i0 on, entries below the diagonal within the block included
+    (scratch: the b x N conjugated block and the b x (M - i0) product).
+    Either way the charge is the upper triangle's ``N M (M + 1) / 2``
+    products and adds, plus M adds for alpha.
     """
     m, n = a.shape[-2:]
     tri = m * (m + 1) // 2
@@ -422,44 +410,6 @@ def _cover_gram_rows(a, alpha, led):
             a[..., i, i + 1 : m] = tail
 
 
-def _cover_inverse_packed(q, m, led):
-    """``kernels._grow_inverse(..., "v")`` with its errors, on Q's swapped
-    packed storage ``q`` before it first moves (so in index order).
-
-    The packed vector is bound once (``kernels._bind``).  From block size
-    ``ZHER_MIN_K`` on, where BLAS is found, each step runs one ``zhpmv``, which
-    reads the border from the packed column in place, and one ``zhpr``, once
-    per trial; smaller blocks unpack the block for numpy's matvec and update
-    the triangle as :meth:`_Packed.sub` does, so they keep their bits.  Both
-    packed forms grow here, so the pair stays bit for bit equal.
-    """
-    packed, lead = q.upper, q.lead
-    bound = _bind(packed, m)
-    _invert_leading(packed, _entry(lead, 0), led)
-    for i in range(1, m):
-        base = i * (i + 1) // 2
-        blas = _on_blas(bound, i)
-        if blas:
-            rcol = packed[..., base : base + i]
-            q_tilde = bound.hemv(i, bound.col(i))
-        else:
-            rcol = packed[..., base : base + i].copy()
-            q_tilde = _mv(_packed_unpack(packed, i), rcol)      # Hermitian matvec
-        t = vdot_c(rcol, q_tilde, led)
-        ii = _entry(lead, base + i)
-        gamma = _check_pivot(packed[ii], None, "init_q_recursive", i + 1)
-        delta = _check_pivot(gamma - t, gamma, "block_inv_step_v", i + 1)
-        omega = 1.0 / delta
-        packed[ii] = omega
-        packed[..., base : base + i] = (-omega) * q_tilde      # the column q_col
-        # the matvec (i**2 products), the pivot and the column, then the triangle
-        led.tick(cmul=i * i + i, cadd=i * (i - 1) + 1, cdiv=1)
-        if blas:        # Q += omega q_tilde q_tilde^H on the bound packed triangle, no square
-            rank1_update_herm(None, q_tilde, omega, led, bound=bound, xat=bound.out)
-        else:
-            q.sub(None, q_tilde, -omega, led, right=True)      # Q -= q_tilde q_col^H
-
-
 # ---------------------------------------------------------------------------
 # the trial shape of all ten routines and the Q storage of the recursive ones
 #
@@ -470,23 +420,22 @@ def _cover_inverse_packed(q, m, led):
 # the index tables.  ``lead`` indexes the trial axis: ``()``, or the trial
 # numbers as a column (``lead2``: with two unit axes); ``spans[k]`` and
 # ``ats[k]`` index the leading k entries and entry k of each trial's state
-# vector.  Everything else (the packed swap, the deflation's omega check by
-# ``kernels._check_pivot``, the storages) is written once and indexes with
-# ``...``, ``lead`` and these tables, so that one trial and a batch run the
-# same lines.  A batch indexes a position that every trial shares (entry k,
-# the swap target m - 1, a diagonal or border entry) with basic slices:
-# ``ats[k]`` and ``kernels._entry`` give a ``(T, 1)`` view, and one trial a
-# plain int.  It keeps ``lead`` where the position differs per trial (the
-# swap source l, the permuted addresses of indexed storage) and for a gather
-# through an index table: ``u[:, rows]`` would lay the result out otherwise,
-# and the complex multiplies and BLAS calls after it would round unlike one
-# trial's.
-# ``active(m, p)`` returns the detected stream's column of the
-# active block (omega last) and the index expressions of the active, kept and
-# detected streams into the state vectors.
+# vector.  Everything else (the packed swap, the growth and the deflation,
+# the storages) is written once and indexes with ``...``, ``lead`` and these
+# tables, so that one trial and a batch run the same lines.  A batch indexes
+# a position that every trial shares (entry k, the swap target m - 1, a
+# diagonal or border entry) with basic slices: ``ats[k]`` and
+# ``kernels._entry`` give a ``(T, 1)`` view, and one trial a plain int.  It
+# keeps ``lead`` where the position differs per trial (the swap source l,
+# the permuted addresses of indexed storage) and for a gather through an
+# index table: ``u[:, rows]`` would lay the result out otherwise, and the
+# complex multiplies and BLAS calls after it would round unlike one trial's.
 #
 # Swapped storage is ``_Dense`` or ``_Packed``; indexed storage, dense or
-# packed alike, is ``_Indexed``, which reads and writes only Q's upper triangle.
+# packed alike, is ``_Indexed``, which reads and writes only Q's upper
+# triangle.  A storage's ``active(m, p)`` returns the detected stream's
+# column of the active block (omega last) and the index expressions of the
+# active, kept and detected streams into the state vectors.
 
 
 def _herm_swap(a, l, j):
@@ -599,14 +548,13 @@ class _Dense:
     """Dense Q (and R, where kept) in detection order by symmetric swaps.
 
     ``rows`` (the x domain's transposed channel copy) has its rows swapped.
-    With ``herm``, Q is bound once for the Hermitian kernels
-    (``kernels._bind``): on the BLAS route, a leading block of
-    ``kernels.ZHER_MIN_K`` or more keeps only its upper triangle, is swapped
-    conjugate-aware and comes out of :meth:`block` mirrored; below, Q's
-    blocks are full squares again (the deflation from R's border mirrors the
-    block it first reads there).  R, never updated, is then swapped
-    conjugate-aware at every step, so its upper triangle stays right.
-    ``original`` keeps its full squares (``herm`` false).
+    With ``herm``, Q is bound once (``kernels._bind``): on the BLAS route, a
+    leading block of ``kernels.ZHER_MIN_K`` or more keeps only its upper
+    triangle, is swapped conjugate-aware and comes out of :meth:`block`
+    mirrored; below, Q's blocks are full squares again (the deflation from
+    R's border mirrors the block it first reads there).  R, never updated, is
+    then swapped conjugate-aware at every step.  ``original`` keeps its full
+    squares (``herm`` false).
     """
 
     def __init__(self, trials, q, r=None, rows=None, herm=True):
@@ -661,7 +609,13 @@ def _packed_swap_order(k):
 
 
 class _Packed:
-    """Packed upper triangle of Q, kept in detection order by swaps."""
+    """Packed upper triangle of Q, kept in detection order by swaps.
+
+    Both packed forms grow Q here (``kernels._grow_inverse``) before it first
+    moves.  Bound once (``kernels._bind``), a block from ``ZHER_MIN_K`` on runs
+    ``zhpmv`` on the border column in place and ``zhpr``; smaller ones multiply
+    the unpacked block by a copy of the column and update through :meth:`sub`.
+    """
 
     def __init__(self, trials, upper, dim):
         self.trials = trials
@@ -669,6 +623,30 @@ class _Packed:
         self.upper = upper
         self.dflat = _packed_diag_indices(dim)
         self.ureal = upper.real
+        self.bound = _bind(upper, dim)
+
+    def border(self, k):
+        base = k * (k + 1) // 2
+        col = self.upper[..., base : base + k]
+        gamma = self.upper[_entry(self.lead, base + k)]
+        return (col if _on_blas(self.bound, k) else col.copy()), gamma
+
+    def hemv(self, k, x, led):
+        led.tick(cmul=k * k, cadd=k * (k - 1))      # as kernels.matvec
+        if _on_blas(self.bound, k):
+            return self.bound.hemv(k, self.bound.col(k))
+        return _mv(_packed_unpack(self.upper, k), x)
+
+    def her(self, k, x, c, led, subtract=False, right=False):
+        if _on_blas(self.bound, k):
+            rank1_update_herm(None, x, c, led, subtract, bound=self.bound, xat=self.bound.out)
+        else:
+            self.sub(None, x, c if subtract else -c, led, right)
+
+    def put(self, k, q_col, omega):
+        base = k * (k + 1) // 2
+        self.upper[_entry(self.lead, base + k)] = omega
+        self.upper[..., base : base + k] = q_col
 
     def diag(self, m, p):
         return self.ureal[(*self.lead, self.dflat[:m])]
@@ -753,14 +731,12 @@ class _Indexed:
 
     def sub(self, rest, x, c, led):
         """Hermitian ``Q[rest, rest] -= (c x) x^H`` on the upper triangle in rest's
-        order; diagonal imaginary parts zeroed.
-
-        From ``ZHER_MIN_K`` streams on, a bound dense square takes one BLAS
-        ``zher`` per trial over the whole antenna-order triangle, with ``x``
-        scattered to rest's places in a zero vector staged in the binding's
-        workspace: a detected stream's entries gain +/-0 and are never read
-        again.  Smaller blocks and the packed vector gather and scatter the
-        triangle with numpy."""
+        order; diagonal imaginary parts zeroed.  From ``ZHER_MIN_K`` streams on,
+        a bound dense square takes one ``zher`` per trial over its whole
+        antenna-order triangle, ``x`` scattered to rest's places in a zero
+        vector in the binding's workspace (a detected stream's entries gain
+        +/-0 and are never read again); otherwise numpy gathers and scatters
+        the triangle."""
         lead, rest, bound = self.lead, rest[-1], self.bound
         k = rest.shape[-1]
         led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
@@ -890,13 +866,14 @@ def _init_single_buffer(packed=False, indexed=False):
             mem.alloc("q_packed", m_tx * (m_tx + 1) // 2)
             mem.free("ht")
             del a
-            _cover_inverse_packed(q, m_tx, led)
+            _grow_inverse(q, m_tx, led, "v")
             if indexed:
                 q = _Indexed(trials, q.upper, _packed_square_flat(m_tx))
         else:
-            bound = _grow_inverse(a[..., :m_tx], led, "v")
+            square = _Square(a[..., :m_tx], bind=True)
+            _grow_inverse(square, m_tx, led, "v")
             q = (_Indexed(trials, a.reshape(a.shape[:-2] + (-1,)), _dense_upper_flat(m_tx, n_rx),
-                          bound)
+                          square.bound)
                  if indexed else _Dense(trials, a[..., :m_tx]))
 
         def estimate(col, act, last):
@@ -921,12 +898,9 @@ def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
 
     ``chs`` and ``rxs`` are one trial, which returns a
     :class:`DetectionResult`, or lists or tuples of trials with the same
-    (M, N), which return a :class:`BatchResult`.  A batch runs its trials
-    together: every state array gains a leading trial axis and each step is
-    one set of numpy calls for all of them, while each trial keeps its own
-    ordering.
-    A batch of one runs as its single trial.  The trial shape comes from
-    :func:`_stack` and goes to the initializer and the Q storage.
+    (M, N), which return a :class:`BatchResult` (see the module docstring).
+    The trial shape from :func:`_stack` orders, swaps and records every step,
+    and goes to the initializer and the Q storage.
 
     ``init`` allocates and initializes the detector's state (charging one
     trial's ledger and memory) and returns its Q storage, the vectors kept

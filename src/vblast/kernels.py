@@ -11,51 +11,40 @@ Conjugation, negation and data movement are free.  Hermitian-aware rank-one
 updates charge only the upper triangle, ``k*(k+1)/2`` products instead of
 ``k**2``, and the Gram matrix ``H^H H`` of an N x M channel charges
 ``N*M*(M+1)/2`` products and adds; quadratic forms computed through an
-explicit matrix-vector product charge the full ``k**2``.
+explicit matrix-vector product charge the full ``k**2``.  A kernel, a
+growth or deflation step, or a detector's estimate or cancel step sums its
+own sub-expressions into one ``FlopLedger.tick``; the kernels it calls
+charge their own.
 
 The ledger charges the algorithm's arithmetic, not numpy's evaluation of
-it.  Where a dense numpy call is faster than gathering a triangle, the
-kernels compute the full square and overwrite the strict lower triangle with
-the conjugate of the upper one (:func:`_mirror`); the extra products are not
-charged.  From ``ZHER_MIN_K`` rows on, the Hermitian kernels compute only
-the triangle they are charged for.  A caller binds its Hermitian matrices
-once per call (:func:`_bind`: each trial's address, the row stride or the
-packed layout, and a workspace); :func:`rank1_update_herm` and
-:func:`matvec` then run BLAS from the OpenBLAS that numpy ships on those
-integers, once per trial, with no address lookup or layout check per step:
-``zher`` and ``zhemv`` on row-major squares, ``zhpr`` and ``zhpmv`` on
-packed upper triangles (the packed growth in ``vblast.detectors``, which
-also calls the binding's matvec directly).  They
-read and write the upper triangle only, and nothing mirrors it: such a
-block's strict lower triangle is stale, and a caller that reads the full
-square mirrors it once.  The initializers bind and mirror once on exit, so
-every public kernel returns full Hermitian squares.  Smaller blocks, unbound
-matrices and every block where numpy has no such BLAS take the numpy path
-(a dense square's pass and its mirror); so do the full-square update
-(:func:`rank1_update_full`) and the packed storages' deflation in
-``vblast.detectors``.
+it.  Below ``ZHER_MIN_K`` rows, and on matrices not bound for BLAS, the
+Hermitian kernels make one dense numpy pass over the full square and then
+overwrite its strict lower triangle with the conjugate of the upper one
+(:func:`_mirror`), uncharged.  From ``ZHER_MIN_K`` rows on, a caller binds
+its matrices once per call (:func:`_bind`), and :func:`rank1_update_herm`
+and :func:`matvec` run ``zher`` and ``zhemv`` (row-major squares) or
+``zhpr`` and ``zhpmv`` (packed upper triangles) from numpy's OpenBLAS, once
+per trial, on the upper triangle only; nothing mirrors such a block, and a
+caller that reads the full square mirrors it once.  The initializers do so
+on exit, so every public kernel returns full Hermitian squares.  The
+full-square update (:func:`rank1_update_full`) and the packed storages'
+deflation in ``vblast.detectors`` always take numpy.
 
-Charges are made once per kernel call or step: a kernel, a growth or
-deflation step, or a detector's estimate or cancel step sums the charges of
-its scalar and vector sub-expressions into one ``FlopLedger.tick``, while the
-kernels it calls charge their own.  The totals are those of charging every
-sub-expression separately.
-
-The kernels the detectors run take an optional leading trial axis: a stack
-of T matrices ``(T, k, k)`` and of T vectors ``(T, k)``, one per trial, all
-worked in the same numpy calls.  The ledger then stands for each trial, not
-for their sum: a call charges one trial's work, because the count depends
-only on the shapes.  A value that is one number per trial (a dot product, a
-pivot) is then an array of shape ``(T, 1)``, which broadcasts against the
-trials' vectors; unbatched, it is a Python number.  Each trial's arithmetic
-is that of the unbatched call, rounding included.  A kernel reads the shape
-from its arguments; the detectors decide it once per call, in
-``detectors._sic``, and run their own steps in its shape's variant.
+The kernels the detectors run take an optional leading trial axis: T
+matrices ``(T, k, k)`` and T vectors ``(T, k)``, one per trial, worked in
+the same numpy calls, each trial rounding as its unbatched call.  The
+ledger charges one trial's work, since the count depends only on the
+shapes.  A value that is one number per trial (a dot product, a pivot) is
+then an array of shape ``(T, 1)``, else a Python number.  The detectors
+decide the shape once per call, in ``detectors._sic``.
 
 One in-place growth, :func:`_grow_inverse`, inverts a Hermitian matrix
-border by border, on a copy (:func:`init_q_recursive`) or on the
-single-buffer detectors' own buffer.  Each recursion step names itself in
-its errors, whoever calls it.
+border by border on any storage with four operations (border, matvec,
+rank-one update, write-back): dense squares (:class:`_Square`), a copy in
+:func:`init_q_recursive` or the single buffer, and the packed pair's vector.
+Each recursion step names itself in its errors, whoever calls it.  The
+public kernels run with numpy's floating-point warnings off: numerical
+trouble ends in a typed error, never in a warning or a non-finite result.
 
 One rule, :func:`_check_pivot`, judges every pivot the recursion computes:
 it fails when not finite or not above ``SINGULAR_RTOL`` times the size of
@@ -65,11 +54,10 @@ growth's leading entry and gamma, a deflation's omega and a three-division
 step's corner are no differences, so their scale is their own: only a
 non-positive one fails.  So scaling (H, x, alpha) by (2^k, 2^k, 4^k) changes
 no outcome.  A computed pivot with a non-negligible imaginary part
-(``PIVOT_IMAG_RTOL``) fails too, a placeholder for an accuracy guard.  The
-rule takes one value or one per trial.  A batch's pivots are judged as
-Python numbers: one pass over them as a list finds that all pass, else each
-trial in turn goes through the one-trial rule, so a batch raises exactly the
-error its first failing trial raises alone.
+(``PIVOT_IMAG_RTOL``) fails too, a placeholder for an accuracy guard.  A
+batch's pivots pass in one pass over them as Python numbers, else each
+trial in turn takes the one-trial rule, so a batch raises exactly the error
+its first failing trial raises alone.
 
 The Gauss-Jordan routine at the bottom is the independent oracle used by the
 test-suite: it is deliberately plain, uses partial pivoting, and never
@@ -142,14 +130,23 @@ class HermPacked:
     """Upper triangle of a Hermitian matrix, packed column by column.
 
     Entry ``(i, j)`` with ``i <= j`` lives at flat index ``j*(j+1)//2 + i``.
-    Entries must be finite, and diagonal entries real to within 1e-12 of their
-    own real part.
+    ``dim`` must be an integer of at least 1, ``upper`` convertible to a 1-D
+    complex array (which it becomes) with finite entries, and diagonal
+    entries real to within 1e-12 of their own real part.
     """
 
     dim: int
     upper: np.ndarray
 
     def __post_init__(self):
+        if not _is_int(self.dim, 1):
+            raise ContractViolationError(f"HermPacked: dim must be an integer >= 1, got {self.dim!r}")
+        self.dim = int(self.dim)
+        try:
+            self.upper = np.asarray(self.upper, dtype=np.complex128)
+        except (TypeError, ValueError, OverflowError):
+            raise ContractViolationError("HermPacked: upper must be an array of numbers, got "
+                                         f"{type(self.upper).__name__}") from None
         n = self.dim * (self.dim + 1) // 2
         if self.upper.shape != (n,):
             raise ContractViolationError(
@@ -181,10 +178,15 @@ class HermPacked:
         """A leading block's size ``m`` (None: ``dim``) as an int in 1..dim, else misuse."""
         if m is None:
             return self.dim
-        if isinstance(m, (int, np.integer)) and not isinstance(m, bool) and 1 <= m <= self.dim:
+        if _is_int(m, 1, self.dim):
             return int(m)
         raise ContractViolationError(
             f"HermPacked.{method}: m must be an integer in 1..{self.dim}, got {m!r}")
+
+
+def _is_int(x, lo: int, hi: float = math.inf) -> bool:
+    """Whether ``x`` is an integer (not a bool) in lo..hi."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and lo <= x <= hi
 
 
 def _packed_unpack(upper: np.ndarray, m: int) -> np.ndarray:
@@ -263,14 +265,11 @@ def _lead(a: np.ndarray, core: int, depth: int = 1) -> tuple:
     """Index of ``a``'s trial axis for fancy indexing of its ``core`` trailing axes.
 
     ``()`` for one trial, else the trial numbers as one column with ``depth``
-    unit axes.  A batch keeps this column only where a position differs from
-    trial to trial (a per-trial swap source or permuted address) and for a
-    gather through an index table: ``a[(*lead, idx)]`` keeps one trial's
-    gather on numpy's fast path (``a[..., idx]`` is two to three times
-    slower), and a batch's gather comes out C-contiguous, so BLAS reads each
-    trial's rows with unit stride, as it reads one trial's, and the complex
-    multiplies that follow round as they do for one trial.  A position that
-    every trial shares is indexed with basic slices instead (:func:`_entry`).
+    unit axes.  ``a[(*lead, idx)]`` keeps one trial's gather on numpy's fast
+    path (``a[..., idx]`` is two to three times slower), and a batch's gather
+    comes out C-contiguous, so BLAS reads each trial's rows with unit stride
+    and the complex multiplies that follow round as for one trial.  A
+    position that every trial shares takes basic slices instead (:func:`_entry`).
     """
     if a.ndim == core:
         return ()
@@ -379,9 +378,7 @@ def _check_pivot(x, scale, context: str, step=None):
     Not real or not finite (see :func:`real_pivot`), or not above SINGULAR_RTOL
     times ``|scale|`` (``None``: its own size, so only a non-positive ``x``) fails,
     naming ``context`` and ``step``.  ``x`` may hold one pivot per trial, and
-    ``scale`` one per trial or one for all: each trial is then judged as a
-    number, in trial order, so the first failing trial's error is raised, and
-    the real parts come back as a new array."""
+    ``scale`` one per trial or one for all, judged as :func:`real_pivot` does."""
     if isinstance(x, np.ndarray) and x.size > 1:
         vals = x.ravel().tolist()
         # a sufficient condition for passing, else the rule trial by trial
@@ -555,20 +552,17 @@ def _addresses(a: np.ndarray, core: int) -> list[int]:
 
 
 class _Bound:
-    """Hermitian matrices, one or a stack, bound once for BLAS.
+    """Hermitian matrices, one or a stack, bound once per call (:func:`_bind`)
+    so that a step passes BLAS integers, with no lookup or layout check.
 
-    Built by :func:`_bind` once per call, so that a step passes integers to
-    BLAS and makes no address lookup or layout check.  Two layouts: row-major
-    squares, run by ``zher`` and ``zhemv``, with ``lda`` the row stride in
-    entries; or packed upper triangles (``HermPacked``'s layout, which is
-    BLAS's column-major packed upper one), run by ``zhpr`` and ``zhpmv``, with
-    ``lda`` None.  ``at`` holds each trial's address of entry (0, 0); ``ws``
-    holds two vectors of the matrices' dimension per trial, a staged operand
-    and the matvec's output; ``ab`` holds the addresses of the matvec's alpha
-    and beta.  A vector operand is given as ``(addresses, increment)``: a
-    column of the matrices (:meth:`col`), the staged operand ``inp`` or the
-    output ``out``.  Only the upper triangle of a leading block is read or
-    written.
+    Row-major squares run ``zher`` and ``zhemv``, ``lda`` their row stride in
+    entries; packed upper triangles (``HermPacked``'s layout, BLAS's
+    column-major packed upper one) run ``zhpr`` and ``zhpmv``, ``lda`` None.
+    ``at`` holds each trial's address of entry (0, 0), ``ws`` a staged operand
+    and the matvec's output per trial, and ``ab`` the addresses of the
+    matvec's alpha and beta.  A vector operand is ``(addresses, increment)``:
+    a column (:meth:`col`), ``inp`` or ``out``.  Only the upper triangle of a
+    leading block is read or written.
     """
 
     __slots__ = ("at", "lda", "ws", "inp", "out", "ab", "her_fn", "hemv_fn")
@@ -669,27 +663,22 @@ def rank1_update_herm(
 ) -> None:
     """In place ``a +/-= c x x^H`` for real ``c``: a Hermitian result (per trial).
 
-    Charged as the upper triangle (k*(k+1)/2 products), whichever path runs:
-
-    * below ``ZHER_MIN_K``, and where ``a`` is not bound, numpy forms the
-      products ``(c x) x^H``, or ``x (c x)^H`` when ``right``, over the whole
-      square in one dense pass and adds or subtracts them.  The two forms
-      round differently; each caller keeps its own, so these blocks keep their
-      bits.  The strict lower triangle is then overwritten by the conjugate of
-      the upper one, so the result is exactly Hermitian;
-    * from ``ZHER_MIN_K`` on, where ``a`` is the leading block of the squares
-      ``bound`` holds (:func:`_bind`), BLAS ``zher`` adds ``(+/-c) x x^H`` to
-      the upper triangle only, in place, one call per trial on addresses bound
-      once, so a trial in a batch is bit for bit its call alone.  The strict
-      lower triangle is neither read nor written, and nothing mirrors it: a
-      caller that needs the full square mirrors it once (:func:`_mirror`).
-      ``x`` is read where ``xat`` says, else staged into the bound workspace.
+    Charged as the upper triangle (k*(k+1)/2 products), whichever path runs.
+    Below ``ZHER_MIN_K``, and unbound, numpy forms the products ``(c x) x^H``,
+    or ``x (c x)^H`` when ``right`` (they round differently, and each caller
+    keeps its form and its bits), over the whole square in one pass, then
+    mirrors the strict lower triangle from the upper one.  From ``ZHER_MIN_K``
+    on, where ``a`` is the leading block of the matrices ``bound`` holds
+    (:func:`_bind`; a packed binding needs no ``a``), BLAS ``zher`` or
+    ``zhpr`` adds ``(+/-c) x x^H`` to the upper triangle only, one call per
+    trial, so a trial in a batch is bit for bit its call alone; nothing
+    mirrors it.  ``x`` is read where ``xat`` says, else staged into the
+    bound workspace.
 
     Either way the diagonal's imaginary parts are zero, as in the reference
-    Hermitian rank-one BLAS routines: callers update Hermitian matrices,
-    where any diagonal imaginary part is rounding noise.  ``a`` may be a
-    strided view such as ``q[:k, :k]``; ``x`` must not overlap it.  ``c`` is
-    one number, or one per trial as ``(T, 1)``.
+    Hermitian BLAS routines.  ``a`` may be a strided view such as
+    ``q[:k, :k]``; ``x`` must not overlap it.  ``c`` is one number, or one
+    per trial as ``(T, 1)``.
     """
     k = x.shape[-1]
     led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
@@ -720,10 +709,20 @@ def rank1_update_full(
     _zero_diag_imag(a)
 
 
+def _finite(kernel: str, *outs):
+    """A public kernel's result ``outs`` (one value, else a tuple), unless an
+    entry is not finite: then SingularMatrixError naming ``kernel``."""
+    for out in outs:
+        if not np.isfinite(out).all():
+            raise SingularMatrixError(f"{kernel}: result is not finite")
+    return outs if len(outs) > 1 else outs[0]
+
+
 # ---------------------------------------------------------------------------
 # public kernel operations
 
 
+@np.errstate(all="ignore")
 def herm_rank1_update(
     a: np.ndarray,
     v: np.ndarray,
@@ -737,26 +736,25 @@ def herm_rank1_update(
     out = a.copy()
     ledger.tick(cmul=m)     # alpha * v
     (rank1_update_herm if triangle_only else rank1_update_full)(out, v, alpha, ledger)
-    return out
+    return _finite("herm_rank1_update", out)
 
 
-def _block_step_i(q, r_bar, gamma, led, step=None, bound=None, rat=None):
+def _block_step_i(s, r_bar, gamma, led, step=None):
     """Partitioned-inverse growth step, three-division form, in place.
 
-    ``q`` holds the inverse of the leading block and becomes the grown
-    inverse's leading block; returns the new column and corner entry.
-    Division accounting is deliberate: one for the Schur denominator, one
-    for 1/gamma and one more for 1/gamma**2.  Errors name ``block_inv_step_i``.
-    With ``bound`` (``q`` its leading block, ``r_bar`` at ``rat``), a block on
-    the BLAS route is read and updated in its upper triangle only.
+    The storage ``s`` (:func:`_grow_inverse`) holds the leading block's
+    inverse, which becomes the grown inverse's; returns the new column and
+    corner entry.  Division accounting is deliberate: one for the Schur
+    denominator, one for 1/gamma and one for 1/gamma**2.  Errors name
+    ``block_inv_step_i``.
     """
     k = r_bar.shape[-1]
-    g = matvec(q, r_bar, led, bound, rat)
+    g = s.hemv(k, r_bar, led)
     t = vdot_c(r_bar, g, led)
     delta = _check_pivot(gamma - t, gamma, "block_inv_step_i", step)
     beta = 1.0 / delta
-    rank1_update_herm(q, g, beta, led, bound=bound, xat=bound and bound.out)
-    g2 = matvec(q, r_bar, led, bound, rat)
+    s.her(k, g, beta, led)
+    g2 = s.hemv(k, r_bar, led)
     gamma_inv = 1.0 / gamma
     q_col = (-gamma_inv) * g2
     gamma_inv2 = gamma_inv / gamma
@@ -766,23 +764,23 @@ def _block_step_i(q, r_bar, gamma, led, step=None, bound=None, rat=None):
     return q_col, omega
 
 
-def _block_step_v(q, r_bar, gamma, led, step=None, bound=None, rat=None):
+def _block_step_v(s, r_bar, gamma, led, step=None):
     """Partitioned-inverse growth step, single-division form, in place.
 
     As :func:`_block_step_i`; also returns ``q_tilde = Q r_bar``.
     """
     k = r_bar.shape[-1]
-    q_tilde = matvec(q, r_bar, led, bound, rat)
+    q_tilde = s.hemv(k, r_bar, led)
     t = vdot_c(r_bar, q_tilde, led)
     delta = _check_pivot(gamma - t, gamma, "block_inv_step_v", step)
     omega = 1.0 / delta
     q_col = (-omega) * q_tilde
     led.tick(cmul=k, cadd=1, cdiv=1)
-    rank1_update_herm(q, q_tilde, -omega, led, subtract=True, right=True,   # q -= q_tilde q_col^H
-                      bound=bound, xat=bound and bound.out)
+    s.her(k, q_tilde, -omega, led, subtract=True, right=True)     # q -= q_tilde q_col^H
     return q_col, omega, q_tilde
 
 
+@np.errstate(all="ignore")
 def block_inv_step_i(q_prev, r_bar, gamma, ledger: FlopLedger, step: int | None = None):
     """Grow a partitioned inverse by one row/column (two extra divisions).
 
@@ -794,10 +792,11 @@ def block_inv_step_i(q_prev, r_bar, gamma, ledger: FlopLedger, step: int | None 
     q_prev, r_bar, gamma = _operands("block_inv_step_i", ("q_prev", q_prev), ("r_bar", r_bar),
                                      ("gamma", gamma))
     q_bar = q_prev.copy()
-    q_col, omega = _block_step_i(q_bar, r_bar, gamma, ledger, step)
-    return q_bar, q_col, omega
+    q_col, omega = _block_step_i(_Square(q_bar), r_bar, gamma, ledger, step)
+    return _finite("block_inv_step_i", q_bar, q_col, omega)
 
 
+@np.errstate(all="ignore")
 def block_inv_step_v(q_prev, r_bar, gamma, ledger: FlopLedger, step: int | None = None):
     """Grow a partitioned inverse by one row/column with a single division.
 
@@ -808,10 +807,11 @@ def block_inv_step_v(q_prev, r_bar, gamma, ledger: FlopLedger, step: int | None 
     q_prev, r_bar, gamma = _operands("block_inv_step_v", ("q_prev", q_prev), ("r_bar", r_bar),
                                      ("gamma", gamma))
     q_bar = q_prev.copy()
-    q_col, omega, q_tilde = _block_step_v(q_bar, r_bar, gamma, ledger, step)
-    return q_bar, q_col, omega, q_tilde
+    q_col, omega, q_tilde = _block_step_v(_Square(q_bar), r_bar, gamma, ledger, step)
+    return _finite("block_inv_step_v", q_bar, q_col, omega, q_tilde)
 
 
+@np.errstate(all="ignore")
 def sm_rank1_inverse_update(
     q: np.ndarray,
     h: np.ndarray,
@@ -822,7 +822,7 @@ def sm_rank1_inverse_update(
     q, h, _ = _operands("sm_rank1_inverse_update", ("q", q), ("h", h))
     out = q.copy()
     _sm_update_inplace(out, h, 1.0, ledger, "sm_rank1_inverse_update", triangle_only)
-    return out
+    return _finite("sm_rank1_inverse_update", out)
 
 
 def _sm_update_inplace(q, r, c, led, context, triangle_only=True, bound=None):
@@ -843,6 +843,7 @@ def _sm_update_inplace(q, r, c, led, context, triangle_only=True, bound=None):
         rank1_update_full(q, u, beta, led, subtract=True)
 
 
+@np.errstate(all="ignore")
 def deflate_q(q_m: np.ndarray, ledger: FlopLedger) -> np.ndarray:
     """Shrink an inverse after dropping the last row/column of its matrix.
 
@@ -860,9 +861,10 @@ def deflate_q(q_m: np.ndarray, ledger: FlopLedger) -> np.ndarray:
     ledger.tick(cdiv=1)
     ledger.tick(cmul=m - 1)
     rank1_update_herm(out, q_bar, om_inv, ledger, subtract=True)
-    return out
+    return _finite("deflate_q", out)
 
 
+@np.errstate(all="ignore")
 def deflate_q_sm(
     q_m: np.ndarray,
     r_bar: np.ndarray,
@@ -880,13 +882,14 @@ def deflate_q_sm(
     m = q_m.shape[0]
     out = q_m[: m - 1, : m - 1].copy()
     _sm_update_inplace(out, r_bar, gamma, ledger, "deflate_q_sm", triangle_only)
-    return out
+    return _finite("deflate_q_sm", out)
 
 
 # ---------------------------------------------------------------------------
 # initializer chains shared by the detectors
 
 
+@np.errstate(all="ignore")
 def init_gram(h: np.ndarray, alpha: float, ledger: FlopLedger) -> np.ndarray:
     """Return ``H^H H + alpha I``, exactly Hermitian with a real diagonal.
 
@@ -911,6 +914,7 @@ def init_gram(h: np.ndarray, alpha: float, ledger: FlopLedger) -> np.ndarray:
     return r
 
 
+@np.errstate(all="ignore")
 def init_q_sherman_morrison(
     h: np.ndarray,
     alpha: float,
@@ -940,6 +944,7 @@ def init_q_sherman_morrison(
     return q
 
 
+@np.errstate(all="ignore")
 def init_q_recursive(r: np.ndarray, ledger: FlopLedger, variant: str = "v") -> np.ndarray:
     """Invert a Hermitian positive-definite matrix by growing its inverse.
 
@@ -954,55 +959,75 @@ def init_q_recursive(r: np.ndarray, ledger: FlopLedger, variant: str = "v") -> n
     if variant not in ("i", "v"):
         raise ContractViolationError(f"unknown variant {variant!r}")
     real_pivot(r.diagonal(0, -2, -1), "init_q_recursive")
-    q = r.copy()
-    if _grow_inverse(q, ledger, variant) is not None:
-        _mirror(q)
-    return q
+    q = _Square(r.copy(), bind=True)
+    _grow_inverse(q, m, ledger, variant)
+    if q.bound is not None:
+        _mirror(q.q)
+    return q.q
 
 
-def _invert_leading(a, at, led):
-    """Overwrite the leading diagonal entry ``a[at]`` (one per trial) by its inverse.
+class _Square:
+    """Hermitian squares ``q`` (one or a stack) as :func:`_grow_inverse`'s storage.
 
-    It is a pivot of its own scale, so only a non-positive or non-finite one
-    fails.  Errors name ``init_q_recursive leading entry``.
+    With ``bind``, blocks from ``ZHER_MIN_K`` rows on run BLAS on the upper
+    triangle (:func:`_bind`); the others take numpy and mirror the border row.
     """
-    a[at] = 1.0 / _check_pivot(a[at], None, "init_q_recursive leading entry")
-    led.tick(cdiv=1)
+
+    def __init__(self, q, bind=False):
+        self.q, self.lead, self.block = q, _lead(q, 2), q
+        self.bound = _bind(q) if bind else None
+
+    def border(self, k):
+        """Column k above the diagonal and entry (k, k); ``block`` becomes the leading block."""
+        q = self.q
+        self.block, self.ii = q[..., :k, :k], _entry(self.lead, k, k)
+        return q[..., :k, k], q[self.ii]
+
+    def hemv(self, k, x, led):
+        bound = self.bound
+        return matvec(self.block, x, led, bound, bound and bound.col(k))
+
+    def her(self, k, x, c, led, subtract=False, right=False):
+        bound = self.bound
+        rank1_update_herm(self.block, x, c, led, subtract, right, bound, bound and bound.out)
+
+    def put(self, k, q_col, omega):
+        q = self.q
+        q[self.ii] = omega
+        q[..., :k, k] = q_col
+        if not _on_blas(self.bound, k + 1):
+            q[..., k, :k] = np.conj(q_col)
 
 
-def _grow_inverse(q, led, variant):
-    """:func:`init_q_recursive` in place: ``q``'s upper triangle, Hermitian, becomes its inverse.
-
-    The leading entry is inverted (:func:`_invert_leading`), then step i grows the
-    inverse by border i with the ``variant`` step: it reads only the inverted leading
-    block, the column above the diagonal and the diagonal entry gamma (a pivot of its
-    own scale), then overwrites them, so one buffer holds both matrices.  ``q`` may be a stack.
-
-    ``q`` is bound once (:func:`_bind`).  On the BLAS route, a grown block of
-    ``ZHER_MIN_K`` or more rows keeps only its upper triangle: its strict lower
-    triangle is neither read nor written.  Returns the binding, None where
-    every block stayed a full Hermitian square.
+def _grow_inverse(s, m, led, variant):
+    """:func:`init_q_recursive` in place: the storage ``s``'s leading m x m
+    Hermitian block (one trial or a stack, read from its upper triangle)
+    becomes its inverse.  Step 0 inverts the leading entry; step k grows the
+    inverse by border k with the ``variant`` step and overwrites the border.
+    ``s`` provides four operations (:class:`_Square`, ``detectors._Packed``):
+    ``border(k)``, column k above the diagonal and the entry gamma (a pivot of
+    its own scale); ``hemv(k, x, led)``, the leading block times that column
+    x, charged; ``her(k, x, c, led, subtract, right)``, its update by
+    ``c x x^H``, x the last matvec's result; ``put(k, q_col, omega)``, the
+    border's write-back.
     """
-    lead, m = _lead(q, 2), q.shape[-1]
-    bound = _bind(q)
-    _invert_leading(q, _entry(lead, 0, 0), led)
     step_fn = _block_step_i if variant == "i" else _block_step_v
-    for i in range(1, m):
-        ii = _entry(lead, i, i)
-        gamma = _check_pivot(q[ii], None, "init_q_recursive", i + 1)
-        q_col, omega = step_fn(q[..., :i, :i], q[..., :i, i], gamma, led, i + 1, bound,
-                               bound and bound.col(i))[:2]
-        q[ii] = omega
-        q[..., :i, i] = q_col
-        if bound is None or i + 1 < ZHER_MIN_K:
-            q[..., i, :i] = np.conj(q_col)
-    return bound
+    for k in range(m):
+        col, gamma = s.border(k)
+        if k:
+            gamma = _check_pivot(gamma, None, "init_q_recursive", k + 1)
+            q_col, omega = step_fn(s, col, gamma, led, k + 1)[:2]
+        else:       # the 1 x 1 inverse
+            q_col, omega = col, 1.0 / _check_pivot(gamma, None, "init_q_recursive leading entry")
+            led.tick(cdiv=1)
+        s.put(k, q_col, omega)
 
 
 # ---------------------------------------------------------------------------
 # independent oracle
 
 
+@np.errstate(all="ignore")
 def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
     """Invert a square complex matrix by Gauss-Jordan with partial pivoting.
 
@@ -1038,4 +1063,4 @@ def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
         factors = aug[..., :, col].copy()
         factors[..., col] = 0.0
         aug -= factors[..., :, None] * aug[..., None, col, :]
-    return aug[..., n:]
+    return _finite("gauss_jordan_inverse", aug[..., n:])

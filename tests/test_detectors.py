@@ -10,7 +10,6 @@ from vblast.detectors import (
     OrderingTrace,
     _argmin_gap,
     _cover_gram_rows,
-    _cover_inverse_packed,
     _herm_swap,
     _OneTrial,
     _Packed,
@@ -31,6 +30,7 @@ from vblast.kernels import (
     FlopLedger,
     _grow_inverse,
     _pack_upper,
+    _Square,
     _packed_unpack,
     _strict_lower_mask,
     init_q_recursive,
@@ -114,6 +114,19 @@ def test_alpha_must_be_positive(name):
     bad = RxFrame(rx.x, 0.0, 0.0)
     with pytest.raises(ContractViolationError):
         ALGORITHMS[name](ch, bad, QPSK)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_overflowing_inverse_is_a_numerical_failure(name):
+    """A channel of size 1e-160 and alpha of 1e-310 give a subnormal Gram matrix whose
+    pivots pass their relative test while its inverse overflows: every routine, the
+    oracle included, raises SingularMatrixError instead of returning NaN estimates."""
+    rng = make_rng(59)
+    h = 1e-160 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    ch = ChannelRealization(h, 4, 4)
+    rx = RxFrame(h @ QPSK.points[:4], 1e-310, 1e-310)
+    with pytest.raises(SingularMatrixError):
+        ALGORITHMS[name](ch, rx, QPSK)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -289,7 +302,7 @@ def test_covering_schedules_match_out_of_place():
         r_full = r_oop.copy()
         r_full[cu, ru] = np.conj(r_oop[ru, cu])
         q_oop = init_q_recursive(r_full, led_oop, variant="v")
-        _grow_inverse(buf[:, :m], led_in, "v")   # the single-buffer covering
+        _grow_inverse(_Square(buf[:, :m], bind=True), m, led_in, "v")   # the single-buffer covering
         assert np.array_equal(buf[:m, :m], q_oop)           # bitwise
     # ledgers of the aliased and fresh-target inverse paths agree
     rng = make_rng(313, 0)
@@ -298,7 +311,7 @@ def test_covering_schedules_match_out_of_place():
     led_a = FlopLedger()
     _cover_gram_rows(buf, 0.1, led_a)
     pre = led_a.copy()
-    _grow_inverse(buf[:, :8], led_a, "v")
+    _grow_inverse(_Square(buf[:, :8], bind=True), 8, led_a, "v")
     led_b = FlopLedger()
     r = oop_gram_rows(h.conj().T.copy(), 0.1)
     ru, cu = np.triu_indices(8)
@@ -361,7 +374,7 @@ def test_covering_on_the_blas_route_keeps_the_upper_triangle(m):
     r[ru, cu] = covered[ru, cu]
     r[cu, ru] = np.conj(covered[ru, cu])
     q_oop = init_q_recursive(r, FlopLedger(), variant="v")
-    _grow_inverse(buf[:, :m], FlopLedger(), "v")
+    _grow_inverse(_Square(buf[:, :m], bind=True), m, FlopLedger(), "v")
     assert buf[ru, cu].tobytes() == q_oop[ru, cu].tobytes()
     if kernels._zher() is not None:
         kept = np.tril(np.ones((m, m), bool), -1)
@@ -380,12 +393,12 @@ def test_packed_growth_matches_the_dense_growth(monkeypatch, m):
     h = (rng.standard_normal((3, m + 2, m)) + 1j * rng.standard_normal((3, m + 2, m))) / np.sqrt(2)
     r = np.conj(h).swapaxes(-1, -2) @ h + 0.1 * np.eye(m)
     dense, led_dense = r[0].copy(), FlopLedger()
-    _grow_inverse(dense, led_dense, "v")
+    _grow_inverse(_Square(dense, bind=True), m, led_dense, "v")
     want = _pack_upper(dense)
 
     def grow(trials, upper):
         led = FlopLedger()
-        _cover_inverse_packed(_Packed(trials, upper, m), m, led)
+        _grow_inverse(_Packed(trials, upper, m), m, led, "v")
         assert led == led_dense
         return upper
 
@@ -580,10 +593,9 @@ def test_indexed_dense_storage_reads_only_the_upper_triangle(monkeypatch):
 
     grow = det._grow_inverse
 
-    def grow_then_spoil(q, *args, **kwargs):
-        bound = grow(q, *args, **kwargs)
-        q[..., _strict_lower_mask(q.shape[-1])] = np.nan
-        return bound
+    def grow_then_spoil(s, *args, **kwargs):
+        grow(s, *args, **kwargs)
+        s.q[..., _strict_lower_mask(s.q.shape[-1])] = np.nan
 
     class Spoiled(det._Indexed):
         def sub(self, rest, x, c, led):
@@ -643,11 +655,10 @@ def test_dense_storages_read_only_the_upper_triangle_on_the_blas_route(monkeypat
 
     grow = det._grow_inverse
 
-    def grow_then_spoil(q, *args, **kwargs):
-        bound = grow(q, *args, **kwargs)
-        if bound is not None:
-            spoil(q)
-        return bound
+    def grow_then_spoil(s, *args, **kwargs):
+        grow(s, *args, **kwargs)
+        if s.bound is not None:
+            spoil(s.q)
 
     monkeypatch.setattr(det, "_Dense", Spoiled)
     monkeypatch.setattr(det, "_grow_inverse", grow_then_spoil)

@@ -1,8 +1,10 @@
 """Kernel-level contracts: examples, oracles and cross-kernel invariants."""
 
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from vblast.kernels import (
     _check_pivot,
     _grow_inverse,
     _pack_upper,
+    _Square,
 )
 from vblast.sigmodel import make_rng
 
@@ -455,16 +458,48 @@ def test_init_q_recursive_singular_border_names_index(variant, m):
         init_q_recursive(r, FlopLedger(), variant=variant)
     # as the middle trial of a batch of three, the same error; the single-buffer
     # detectors' dense and packed coverings raise it too
-    from vblast.detectors import _cover_inverse_packed, _Packed, _Trials
+    from vblast.detectors import _Packed, _Trials
 
     stack = np.stack([np.diag(2.0 ** np.arange(m)), r, np.eye(m)]).astype(complex)
     runs = [lambda: init_q_recursive(stack, FlopLedger(), variant=variant)]
     if variant == "v":
-        runs += [lambda: _grow_inverse(stack.copy(), FlopLedger(), "v"),
-                 lambda: _cover_inverse_packed(_Packed(_Trials(3, m), _pack_upper(stack), m), m,
-                                               FlopLedger())]
+        runs += [lambda: _grow_inverse(_Square(stack.copy(), bind=True), m, FlopLedger(), "v"),
+                 lambda: _grow_inverse(_Packed(_Trials(3, m), _pack_upper(stack), m), m,
+                                       FlopLedger(), "v")]
     for run in runs:
         with pytest.raises(SingularMatrixError, match=text):
+            run()
+
+
+@pytest.mark.parametrize("m", [3, ZHER_MIN_K + 1])
+@pytest.mark.parametrize("lead, text", [
+    (0.0, "singular pivot in init_q_recursive leading entry: |0|"),
+    (-1.0, "singular pivot in init_q_recursive leading entry: |-1|"),
+    (np.inf, "init_q_recursive leading entry: pivot is not finite"),
+])
+def test_grow_inverse_leading_entry_errors(m, lead, text):
+    """A leading entry that is not positive and finite fails the growth's step 0, with
+    the same text on a dense square (either variant) and on the packed vector, for one
+    trial and as the middle trial of a batch of three; a finite one fails
+    ``init_q_recursive`` the same way."""
+    from vblast.detectors import _OneTrial, _Packed, _Trials
+
+    good = 2.0 * np.eye(m, dtype=complex)
+    bad = good.copy()
+    bad[0, 0] = lead
+    stack = np.stack([good, bad, good])
+    runs = [lambda: _grow_inverse(_Packed(_OneTrial(m), _pack_upper(bad), m), m, FlopLedger(), "v"),
+            lambda: _grow_inverse(_Packed(_Trials(3, m), _pack_upper(stack), m), m,
+                                  FlopLedger(), "v")]
+    for variant in ("i", "v"):
+        runs += [lambda v=variant: _grow_inverse(_Square(bad.copy(), bind=True), m, FlopLedger(), v),
+                 lambda v=variant: _grow_inverse(_Square(stack.copy(), bind=True), m,
+                                                 FlopLedger(), v)]
+        if np.isfinite(lead):
+            runs += [lambda v=variant: init_q_recursive(bad, FlopLedger(), v),
+                     lambda v=variant: init_q_recursive(stack, FlopLedger(), v)]
+    for run in runs:
+        with pytest.raises(SingularMatrixError, match=f"^{re.escape(text)}$"):
             run()
 
 
@@ -737,7 +772,7 @@ def test_inverse_pair_property_all_paths(alpha):
         assert np.abs(r - r_exact).max() <= 1e-12 * np.abs(r_exact).max()
         buf = h.conj().T.copy()
         _cover_gram_rows(buf, alpha, FlopLedger())
-        _grow_inverse(buf[:, :m], FlopLedger(), "v")
+        _grow_inverse(_Square(buf[:, :m], bind=True), m, FlopLedger(), "v")
         # the single buffer's Q is its upper triangle: from ZHER_MIN_K rows on, the
         # BLAS route never writes the strict lower one
         grown = np.triu(buf[:, :m]) + np.triu(buf[:, :m], 1).conj().T
@@ -853,6 +888,20 @@ def test_packed_diagonal_check_is_scale_free(k):
      "packed storage contains NaN or Inf"),
     (lambda led: HermPacked(2, np.array([np.inf, 0, 1], complex)),
      "packed storage contains NaN or Inf"),
+    (lambda led: HermPacked(-2, np.zeros(1)), "HermPacked: dim must be an integer >= 1, got -2"),
+    (lambda led: HermPacked(-1, np.zeros(0)), "HermPacked: dim must be an integer >= 1, got -1"),
+    (lambda led: HermPacked(0, np.zeros(0)), "HermPacked: dim must be an integer >= 1, got 0"),
+    (lambda led: HermPacked(2.0, np.ones(3)), "HermPacked: dim must be an integer >= 1, got 2.0"),
+    (lambda led: HermPacked(True, np.ones(1)),
+     "HermPacked: dim must be an integer >= 1, got True"),
+    (lambda led: HermPacked(2, np.array(["a"])),
+     "HermPacked: upper must be an array of numbers, got ndarray"),
+    (lambda led: HermPacked(2, [1, [0], 1]),
+     "HermPacked: upper must be an array of numbers, got list"),
+    (lambda led: HermPacked(2, [10**400, 0, 1]),
+     "HermPacked: upper must be an array of numbers, got list"),
+    (lambda led: HermPacked(2, np.ones((3, 1))),
+     "packed storage for dim 2 needs 3 entries, got (3, 1)"),
     (lambda led: HermPacked.pack(np.ones((2, 3))), "can only pack a square matrix"),
     (lambda led: HermPacked.pack(np.eye(3)).unpack(5),
      "HermPacked.unpack: m must be an integer in 1..3, got 5"),
@@ -878,6 +927,53 @@ def test_kernel_input_checks_name_the_misuse(call, text):
         call(led)
     assert str(info.value) == text
     assert led.as_tuple() == (0, 0, 0)
+
+
+def test_herm_packed_converts_its_entries_to_complex():
+    """A list or an int array of entries is stored as a complex vector, and an
+    integer-typed dim as an int."""
+    want = np.array([[1, 2], [2, 5]], complex)
+    for upper in ([1, 2, 5], np.array([1, 2, 5])):
+        hp = HermPacked(np.int64(2), upper)
+        assert type(hp.dim) is int and hp.upper.dtype == np.complex128
+        assert hp.unpack().dtype == np.complex128
+        assert np.array_equal(hp.unpack(), want)
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda led: block_inv_step_i(1e300 * np.eye(2), np.full(2, 1e300), 1e300, led),
+     "block_inv_step_i: pivot is not finite"),
+    (lambda led: block_inv_step_v(1e300 * np.eye(2), np.full(2, 1e300), 1e300, led),
+     "block_inv_step_v: pivot is not finite"),
+    (lambda led: sm_rank1_inverse_update(1e300 * np.eye(2), np.full(2, 1e300), led),
+     "sm_rank1_inverse_update: pivot is not finite"),
+    (lambda led: deflate_q_sm(1e300 * np.eye(3), np.full(2, 1e300), 1e300, led),
+     "deflate_q_sm: pivot is not finite"),
+    (lambda led: init_gram(np.full((2, 2), 1e300), 1.0, led),
+     "init_gram: H^H H + alpha I is not finite"),
+    (lambda led: init_q_sherman_morrison(np.full((3, 2), 1e300), 1e-300, led),
+     "sm_rank1_inverse_update: pivot is not finite"),
+    (lambda led: herm_rank1_update(np.eye(2), np.full(2, 1e200), 1e200, True, led),
+     "herm_rank1_update: result is not finite"),
+    (lambda led: herm_rank1_update(np.eye(2), np.full(2, 1e200), 1e200, False, led),
+     "herm_rank1_update: result is not finite"),
+    (lambda led: deflate_q([[1e300, 1e300], [1e300, 1e-300]], led),
+     "deflate_q: result is not finite"),
+    # a pivot of subnormal size passes the relative test, and its reciprocal overflows
+    (lambda led: block_inv_step_v(1e-160 * np.eye(2), np.full(2, 1e-320), 1e-310, led),
+     "block_inv_step_v: result is not finite"),
+    (lambda led: deflate_q_sm(1e-160 * np.eye(3), np.full(2, 1e-320), 1e-310, led),
+     "deflate_q_sm: result is not finite"),
+    (lambda led: gauss_jordan_inverse(1e-310 * np.eye(2)),
+     "gauss_jordan_inverse: result is not finite"),
+])
+def test_public_kernels_overflow_into_typed_errors(call, text):
+    """Finite operands whose arithmetic overflows end in SingularMatrixError, with no
+    numpy floating-point warning and no non-finite result."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularMatrixError, match=f"^{re.escape(text)}$"):
+            call(FlopLedger())
 
 
 def test_caller_supplied_pivots_keep_contract_errors():
