@@ -83,6 +83,7 @@ expression temporaries are outside the convention.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
@@ -92,7 +93,6 @@ import numpy as np
 
 from .errors import ContractViolationError, SingularMatrixError
 from .kernels import (
-    ZHER_MIN_K,
     FlopLedger,
     _arange,
     _cols_off_diagonal,
@@ -109,10 +109,8 @@ from .kernels import (
     vdot_c,
     _bind,
     _check_pivot,
-    _dot,
     _entry,
     _grow_inverse,
-    _lead,
     _mirror,
     _mv,
     _on_blas,
@@ -216,9 +214,11 @@ def _stack(chs, rxs, c):
     alpha, p)``: one trial (a batch of one too) as a :class:`_OneTrial` and
     its own arrays, ``float(alpha)`` and ``arange(M)``; a batch as a
     :class:`_Trials` and stacked arrays, with alpha and ``p`` one row per
-    trial.  Argument types are checked first, before any arithmetic.  A batch
-    raises the error of its first trial to fail; the received vectors are
-    checked for NaN or Inf in one call, trial by trial only if one has any.
+    trial.  Argument types are checked first, before any arithmetic.  The
+    channel and the received vector are taken as ``complex128`` (themselves if
+    they are already), alpha must be a real number.  A batch raises the error
+    of its first trial to fail; the received vectors are checked for NaN or
+    Inf in one call, trial by trial only if one has any.
     """
     if not isinstance(c, Constellation):
         raise ContractViolationError(
@@ -245,26 +245,43 @@ def _stack(chs, rxs, c):
             raise ContractViolationError(
                 f"received frame must be an RxFrame, got {type(rx).__name__}")
     m, n = chs[0].m, chs[0].n
-    finite = np.isfinite(np.concatenate([rx.x for rx in rxs], axis=None)).all()
-    for ch, rx in zip(chs, rxs):
+    hs, xs = [_complex(ch.h) for ch in chs], [_complex(rx.x) for rx in rxs]
+    finite = all(x is not None for x in xs) and np.isfinite(np.concatenate(xs, axis=None)).all()
+    for ch, rx, h, x in zip(chs, rxs, hs, xs):
         if (ch.m, ch.n) != (m, n):
             raise ContractViolationError(
                 f"a batch needs one (M, N), got ({ch.m}, {ch.n}) after ({m}, {n})")
-        if rx.x.ndim != 1:
-            raise ContractViolationError(f"received vector must be 1-D, got shape {rx.x.shape}")
-        if rx.x.shape[0] != ch.n:
+        if h is None or x is None:
+            what = "channel matrix" if h is None else "received vector"
+            raise ContractViolationError(f"{what} must hold real or complex numbers")
+        if x.ndim != 1:
+            raise ContractViolationError(f"received vector must be 1-D, got shape {x.shape}")
+        if x.shape[0] != ch.n:
             raise ContractViolationError(
-                f"received vector has length {rx.x.shape[0]} for an N={ch.n} channel"
+                f"received vector has length {x.shape[0]} for an N={ch.n} channel"
             )
-        if not finite and not np.all(np.isfinite(rx.x)):
+        if not finite and not np.all(np.isfinite(x)):
             raise ContractViolationError("received vector contains NaN or Inf")
+        if not isinstance(rx.alpha, (float, numbers.Real)):     # float first: the ABC check is slow
+            raise ContractViolationError(
+                f"alpha must be a real number, got {type(rx.alpha).__name__}")
         if not (rx.alpha > 0):
             raise ContractViolationError(f"detectors need alpha > 0, got {rx.alpha}")
     if len(chs) == 1:
-        return batch, _OneTrial(m), chs[0].h, rxs[0].x, float(rxs[0].alpha), np.arange(m)
-    return (batch, _Trials(len(chs), m), np.stack([ch.h for ch in chs]),
-            np.stack([rx.x for rx in rxs]), np.array([[float(rx.alpha)] for rx in rxs]),
-            np.tile(np.arange(m), (len(chs), 1)))
+        return batch, _OneTrial(m), hs[0], xs[0], float(rxs[0].alpha), np.arange(m)
+    return (batch, _Trials(len(chs), m), np.stack(hs), np.stack(xs),
+            np.array([[float(rx.alpha)] for rx in rxs]), np.tile(np.arange(m), (len(chs), 1)))
+
+
+def _complex(a):
+    """``a`` as a complex128 array (``a`` itself if it is one), None unless it holds
+    numbers: strings, dates and durations are not taken, even where numpy converts them."""
+    try:
+        if np.asarray(a).dtype.kind in "biufcO":
+            return np.asarray(a, np.complex128)
+    except (TypeError, ValueError):
+        pass
+    return None
 
 
 def _results(batch, trials, p, hard, soft, led, mem, picks, qs, aux=None):
@@ -367,9 +384,9 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
 # It takes a leading trial axis, as the kernels do.
 
 
-# rows per product of the blocked Gram covering: at M = 64 and 128, 16 takes 0.02-0.04 ms
-# more than 32 and 0.05-0.1 ms less than 8, and 32 doubles the scratch (proposed_2's
-# traced peak: 124 against 149 KiB at M = 64, 355 against 439 KiB at M = 128)
+# rows per product of the Gram covering: at M = 64 and 128, 16 takes 0.02-0.04 ms more
+# than 32 and 0.05-0.1 ms less than 8, and 32 doubles the scratch (proposed_2's traced
+# peak: 124 against 149 KiB at M = 64, 355 against 439 KiB at M = 128)
 GRAM_BLOCK = 16
 
 
@@ -378,36 +395,25 @@ def _cover_gram_rows(a, alpha, led):
 
     ``a`` holds the conjugate-transposed channel (M x N).  Row i of R reads
     only rows i..M-1, all still intact, so the buffer is covered in place,
-    top-down.  Up to ``ZHER_MIN_K`` rows, row by row: a matvec of the
-    conjugated rows below i against row i, and the diagonal from row i's own
-    dot product (scratch: the (M-1) x N conjugated rows at row 0).  Beyond,
-    in blocks of b = ``GRAM_BLOCK`` rows: block [i0, i1) is one matrix
-    product ``conj(a[i0:i1]) @ a[i0:M]^T`` (a ``zgemm`` per trial, the right
-    operand read through its transpose), conjugated in place, its diagonal
-    set to the real part plus alpha, and written over rows i0..i1-1 from
-    column i0 on, entries below the diagonal within the block included
-    (scratch: the b x N conjugated block and the b x (M - i0) product).
-    Either way the charge is the upper triangle's ``N M (M + 1) / 2``
+    top-down, in blocks of b = ``GRAM_BLOCK`` rows: block [i0, i1) is one
+    matrix product ``conj(a[i0:i1]) @ a[i0:M]^T`` (a ``zgemm`` per trial, the
+    right operand read through its transpose), conjugated in place, its
+    diagonal set to the real part plus alpha, and written over rows
+    i0..i1-1 from column i0 on, entries below the diagonal within the block
+    included (scratch: the b x N conjugated block and the b x (M - i0)
+    product).  The charge is the upper triangle's ``N M (M + 1) / 2``
     products and adds, plus M adds for alpha.
     """
     m, n = a.shape[-2:]
     tri = m * (m + 1) // 2
     led.tick(cmul=n * tri, cadd=(n - 1) * tri + m)      # + m: alpha on the diagonal
-    if m > ZHER_MIN_K:
-        for i0 in range(0, m, GRAM_BLOCK):
-            i1 = min(i0 + GRAM_BLOCK, m)
-            t = np.conj(a[..., i0:i1, :]) @ a[..., i0:m, :].mT
-            np.conjugate(t, out=t)
-            dg = _arange(i1 - i0)
-            t[..., dg, dg] = t[..., dg, dg].real + alpha
-            a[..., i0:i1, i0:m] = t
-        return
-    lead = _lead(a, 2)
-    for i in range(m):
-        tail = _mv(np.conj(a[..., i + 1 : m, :]), a[..., i, :]) if i < m - 1 else None
-        a[_entry(lead, i, i)] = _dot(a[..., i, :], a[..., i, :]).real + alpha
-        if tail is not None:
-            a[..., i, i + 1 : m] = tail
+    for i0 in range(0, m, GRAM_BLOCK):
+        i1 = min(i0 + GRAM_BLOCK, m)
+        t = np.conj(a[..., i0:i1, :]) @ a[..., i0:m, :].mT
+        np.conjugate(t, out=t)
+        dg = _arange(i1 - i0)
+        t[..., dg, dg] = t[..., dg, dg].real + alpha
+        a[..., i0:i1, i0:m] = t
 
 
 # ---------------------------------------------------------------------------

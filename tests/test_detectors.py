@@ -6,6 +6,7 @@ import pytest
 from vblast.detectors import (
     ALGORITHMS,
     DETECTOR_NAMES,
+    GRAM_BLOCK,
     BatchResult,
     OrderingTrace,
     _argmin_gap,
@@ -210,6 +211,44 @@ def test_arguments_of_the_wrong_type_are_misuse(name, monkeypatch):
         ALGORITHMS[name](chs, [first, None, rxs[2]], c)
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_inputs_are_taken_as_complex128(name):
+    """An integer or boolean channel and a complex64 or object-dtype received
+    vector give, bit for bit, what their complex128 values give, in one call and
+    as the middle trial of a batch of three.  A received vector of strings (even
+    of digits), a channel of durations and an alpha that is not a real number are
+    misuse, and a batch raises its first failing trial's error."""
+    c, chs, rxs = batch_trials(3, 4, "qpsk", 3, seed=7)
+    h = chs[1].h
+    x = rxs[1].x
+    cases = [(np.round(3 * h.real).astype(int), x), ((h.imag > 0), x),
+             (h, x.astype(np.complex64)), (h, x.astype(object))]
+    for h_in, x_in in cases:
+        ch_in, rx_in = ChannelRealization(h_in, 3, 4), RxFrame(x_in, rxs[1].sigma_n2, rxs[1].alpha)
+        ch_ref = ChannelRealization(h_in.astype(np.complex128), 3, 4)
+        rx_ref = RxFrame(x_in.astype(np.complex128), rxs[1].sigma_n2, rxs[1].alpha)
+        assert_bitwise_equal(ALGORITHMS[name](ch_in, rx_in, c), ALGORITHMS[name](ch_ref, rx_ref, c))
+        got = ALGORITHMS[name]([chs[0], ch_in, chs[2]], [rxs[0], rx_in, rxs[2]], c)
+        want = ALGORITHMS[name]([chs[0], ch_ref, chs[2]], [rxs[0], rx_ref, rxs[2]], c)
+        for g, w in zip(got.trials, want.trials):
+            assert_bitwise_equal(g, w)
+    numbers_x = "received vector must hold real or complex numbers"
+    for bad_ch, bad_rx, text in (
+            (chs[1], RxFrame(np.array(["a"] * 4), 0.1, 0.1), numbers_x),
+            (chs[1], RxFrame(np.array(["1"] * 4), 0.1, 0.1), numbers_x),
+            (ChannelRealization(np.ones((4, 3), "m8[s]"), 3, 4), rxs[1],
+             "channel matrix must hold real or complex numbers"),
+            (chs[1], RxFrame(x, 0.1, "0.1"), "alpha must be a real number, got str"),
+            (chs[1], RxFrame(x, 0.1, 0.1 + 0j), "alpha must be a real number, got complex")):
+        for ch, rx in ((bad_ch, bad_rx), ([chs[0], bad_ch, chs[2]], [rxs[0], bad_rx, rxs[2]])):
+            with pytest.raises(ContractViolationError) as info:
+                ALGORITHMS[name](ch, rx, c)
+            assert str(info.value) == text
+        first = RxFrame(rxs[0].x, 0.0, 0.0)
+        with pytest.raises(ContractViolationError, match="^detectors need alpha > 0, got 0.0$"):
+            ALGORITHMS[name]([chs[0], bad_ch, chs[2]], [first, bad_rx, rxs[2]], c)
+
+
 def test_dimension_mismatch_rejected():
     ch, frame, rx = seeded_trial(2, 3, 10.0, 3)
     bad = RxFrame(rx.x[:2], rx.sigma_n2, rx.alpha)
@@ -272,10 +311,10 @@ def test_d_vector_matches_definition():
 
 
 def oop_gram_rows(hs, alpha):
-    """Out-of-place twin of the row covering (same arithmetic, fresh target)."""
+    """Row-by-row reference of the covering: row i of R from row i's dot product
+    and a matvec of the conjugated rows below it, in a fresh target."""
     m, n = hs.shape
     r = np.zeros((m, m), complex)
-    led = FlopLedger()
     for i in range(m):
         tail = hs[i + 1 : m, :].conj() @ hs[i, :] if i < m - 1 else None
         r[i, i] = np.vdot(hs[i, :], hs[i, :]).real + alpha
@@ -284,18 +323,32 @@ def oop_gram_rows(hs, alpha):
     return r
 
 
+def oop_gram_blocks(hs, alpha):
+    """Out-of-place twin of the blocked covering (same products, fresh target)."""
+    m, n = hs.shape
+    r = np.zeros((m, m), complex)
+    for i0 in range(0, m, GRAM_BLOCK):
+        i1 = min(i0 + GRAM_BLOCK, m)
+        t = np.conj(np.conj(hs[i0:i1]) @ hs[i0:m].T)
+        dg = np.arange(i1 - i0)
+        t[dg, dg] = t[dg, dg].real + alpha
+        r[i0:i1, i0:m] = t
+    return r
+
+
 def test_covering_schedules_match_out_of_place():
-    rows, cols = np.triu_indices(16)
+    """The in-place covering is its out-of-place twin's upper triangle bit for bit,
+    over whole and partial blocks of rows, and so is the Q grown over it."""
     for trial in range(1000):
         rng = make_rng(313, trial)
-        m = 2 + trial % 15
+        m = 1 + trial % (ZHER_MIN_K - 1)     # growth on numpy: its full squares compare
         n = m + trial % 3
         h = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2)
         alpha = [1e-3, 1e-1, 1.0][trial % 3]
         buf = h.conj().T.copy()
         led_in = FlopLedger()
         _cover_gram_rows(buf, alpha, led_in)
-        r_oop = oop_gram_rows(h.conj().T.copy(), alpha)
+        r_oop = oop_gram_blocks(h.conj().T.copy(), alpha)
         ru, cu = np.triu_indices(m)
         assert np.array_equal(buf[ru, cu], r_oop[ru, cu])   # bitwise
         led_oop = FlopLedger()
@@ -320,15 +373,15 @@ def test_covering_schedules_match_out_of_place():
     assert (led_a.cmul - pre.cmul, led_a.cadd - pre.cadd, led_a.cdiv - pre.cdiv) == led_b.as_tuple()
 
 
-@pytest.mark.parametrize("m", [31, 32, 33, 47, 48, 49, 64, 100])
-def test_blocked_gram_covering_matches_the_row_loop(monkeypatch, m):
-    """Beyond ``ZHER_MIN_K`` rows the Gram covering runs in blocks of
-    ``GRAM_BLOCK`` rows, one matrix product each: its upper triangle is
-    within 1e-14 relative of the row-by-row reference (bitwise up to
-    ``ZHER_MIN_K``, where the row loop runs), with the row loop's ledger,
-    and a batch's trials are each bit for bit the covering of that trial alone."""
-    import vblast.detectors as det
-
+@pytest.mark.parametrize("m", [1, 2, 15, 16, 17, 31, 32, 33, 47, 48, 49, 64, 100])
+def test_blocked_gram_covering_matches_the_row_loop(m):
+    """The Gram covering runs in blocks of ``GRAM_BLOCK`` rows, one matrix
+    product each: its upper triangle is its out-of-place twin's bit for bit and
+    within 1e-14 relative of the row-by-row reference, its ledger is the upper
+    triangle's N M (M + 1) / 2 products and (N - 1) M (M + 1) / 2 adds plus M
+    adds for alpha, and a batch's trials are each bit for bit the covering of
+    that trial alone."""
+    tri = m * (m + 1) // 2
     for n in (m, m + 2):
         rng = make_rng(331, 1000 * m + n)
         h = (rng.standard_normal((3, n, m)) + 1j * rng.standard_normal((3, n, m))) / np.sqrt(2)
@@ -339,16 +392,13 @@ def test_blocked_gram_covering_matches_the_row_loop(monkeypatch, m):
             buf = h[t].conj().T.copy()
             led = FlopLedger()
             _cover_gram_rows(buf, float(alphas[t, 0]), led)
+            twin = oop_gram_blocks(h[t].conj().T.copy(), float(alphas[t, 0]))[ru, cu]
+            assert buf[ru, cu].tobytes() == twin.tobytes(), (n, t)
             want = oop_gram_rows(h[t].conj().T.copy(), float(alphas[t, 0]))[ru, cu]
             err = np.abs(buf[ru, cu] - want).max() / np.abs(want).max()
             assert err <= 1e-14, (n, t, err)
-            assert (buf[ru, cu].tobytes() == want.tobytes()) or m > ZHER_MIN_K
+            assert led.as_tuple() == (n * tri, (n - 1) * tri + m, 0)
             singles.append(buf)
-            with monkeypatch.context() as mp:       # the row loop at any M
-                mp.setattr(det, "ZHER_MIN_K", m)
-                rows_led = FlopLedger()
-                _cover_gram_rows(h[t].conj().T.copy(), float(alphas[t, 0]), rows_led)
-            assert led == rows_led
         stack, led_batch = h.conj().swapaxes(-1, -2).copy(), FlopLedger()
         _cover_gram_rows(stack, alphas, led_batch)
         assert led_batch == led      # one trial's charge, as for every batched step
@@ -361,9 +411,8 @@ def test_covering_on_the_blas_route_keeps_the_upper_triangle(m):
     """From ``ZHER_MIN_K`` rows on, the single buffer's covering is the
     out-of-place growth's upper triangle bit for bit; where BLAS is found, the
     growth never writes the rows from ``ZHER_MIN_K - 1`` on below the
-    diagonal, so they keep what the Gram covering left there: H^H's entries
-    after the row loop, and after the blocked covering (beyond ``ZHER_MIN_K``
-    rows) R's entries within each block of rows and H^H's left of it."""
+    diagonal, so they keep what the blocked Gram covering left there: R's
+    entries within each block of rows and H^H's left of it."""
     rng = make_rng(317, m)
     h = (rng.standard_normal((m + 2, m)) + 1j * rng.standard_normal((m + 2, m))) / np.sqrt(2)
     buf = h.conj().T.copy()

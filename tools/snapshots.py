@@ -17,8 +17,9 @@ ledger and memory ledger, or the type and text of the error it raises.
 The grid: M in 1-5, 8, 16, 17, 32, 33 and 64 with N = M and N = M + 2;
 qpsk and qam16; 0, 20 and 60 dB and noiseless; hard and soft cancellation;
 each as a single call and as a batch of three.  M = 33 is the first size
-past ``kernels.ZHER_MIN_K``, where the growth takes its first BLAS step and
-the single buffer's blocked Gram covering ends on a partial block of rows.
+past ``kernels.ZHER_MIN_K``, where the growth takes its first BLAS step.  The
+single buffer's Gram covering is one product up to M = 16 (one block of
+rows), and ends on a partial block at M = 17 and M = 33.
 Every (M, N) and constellation also runs a batch of three at 20 dB whose
 middle trial has one channel column scaled by 1e160, and that trial alone.
 A batch is recorded as each of its trials plus its summed ledgers.  Only
