@@ -36,14 +36,15 @@ the dense square or the packed vector alike.  Domain ``x`` estimates from
 ``H_m^H x`` and cancels from ``x``; ``z`` estimates from ``z = H^H x`` and
 cancels with R's column; ``d`` cancels through the deficiency vector ``d``
 and never reads R again.  Swapped storage keeps Q and the domain's vectors
-in detection order by symmetric swaps; packed storage keeps Q's upper
-triangle, and so does dense storage on the BLAS route (blocks of
-``kernels.ZHER_MIN_K`` or more, see :class:`_Dense`).  Indexed storage keeps
-only Q's upper triangle, in antenna order, in the dense square or the packed
-vector alike, and addresses it through the order permutation: an entry below
-the diagonal is read from its upper mirror, conjugated.  Q is deflated from
-its own column, or from R's border by a Sherman-Morrison step on the full
-square or the upper triangle.
+in detection order by symmetric swaps; R, never updated, never moves either:
+its border is read through the order permutation (:func:`_r_border`).  Packed
+storage keeps Q's upper triangle, and so does dense storage on the BLAS route
+(blocks of ``kernels.ZHER_MIN_K`` or more, see :class:`_Dense`).  Indexed
+storage keeps only Q's upper triangle, in antenna order, in the dense square
+or the packed vector alike, and addresses it through the order permutation:
+an entry below the diagonal is read from its upper mirror, conjugated.  Q is
+deflated from its own column, or from R's border by a Sherman-Morrison step
+on the full square or the upper triangle.
 
 On the BLAS route, where numpy's OpenBLAS is found, the dense storages run
 ``zher`` and ``zhemv``, and the packed vector grows with ``zhpmv`` and
@@ -109,6 +110,7 @@ from .kernels import (
     vdot_c,
     _bind,
     _check_pivot,
+    _complex,
     _entry,
     _grow_inverse,
     _mirror,
@@ -271,17 +273,6 @@ def _stack(chs, rxs, c):
         return batch, _OneTrial(m), hs[0], xs[0], float(rxs[0].alpha), np.arange(m)
     return (batch, _Trials(len(chs), m), np.stack(hs), np.stack(xs),
             np.array([[float(rx.alpha)] for rx in rxs]), np.tile(np.arange(m), (len(chs), 1)))
-
-
-def _complex(a):
-    """``a`` as a complex128 array (``a`` itself if it is one), None unless it holds
-    numbers: strings, dates and durations are not taken, even where numpy converts them."""
-    try:
-        if np.asarray(a).dtype.kind in "biufcO":
-            return np.asarray(a, np.complex128)
-    except (TypeError, ValueError):
-        pass
-    return None
 
 
 def _results(batch, trials, p, hard, soft, led, mem, picks, qs, aux=None):
@@ -551,24 +542,23 @@ class _Trials:
 
 
 class _Dense:
-    """Dense Q (and R, where kept) in detection order by symmetric swaps.
+    """Dense Q in detection order by symmetric swaps.
 
     ``rows`` (the x domain's transposed channel copy) has its rows swapped.
     With ``herm``, Q is bound once (``kernels._bind``): on the BLAS route, a
     leading block of ``kernels.ZHER_MIN_K`` or more keeps only its upper
     triangle, is swapped conjugate-aware and comes out of :meth:`block`
     mirrored; below, Q's blocks are full squares again (the deflation from
-    R's border mirrors the block it first reads there).  R, never updated, is
-    then swapped conjugate-aware at every step.  ``original`` keeps its full
-    squares (``herm`` false).
+    R's border mirrors the block it first reads there).  ``original`` keeps
+    its full squares (``herm`` false).  R, where kept, never moves: see
+    :func:`_r_border`.
     """
 
-    def __init__(self, trials, q, r=None, rows=None, herm=True):
+    def __init__(self, trials, q, rows=None, herm=True):
         self.trials = trials
         self.lead, self.spans, self.ats = trials.lead, trials.spans, trials.ats
         self.q = q
         self.qdiag = q.diagonal(axis1=-2, axis2=-1).real    # a view: follows Q's updates
-        self.mats = (q,) if r is None else (q, r)
         self.rows = rows
         self.bound = _bind(q) if herm else None
 
@@ -576,14 +566,12 @@ class _Dense:
         return self.qdiag[..., :m]
 
     def swap(self, l, last):
-        trials, bound = self.trials, self.bound
-        for a in self.mats:
-            if bound is not None and (a is not self.q or _on_blas(bound, last + 1)):
-                trials.herm_swap(a, l, last)
-            else:
-                trials.sym_swap(a, l, last, last + 1)
+        if _on_blas(self.bound, last + 1):
+            self.trials.herm_swap(self.q, l, last)
+        else:
+            self.trials.sym_swap(self.q, l, last, last + 1)
         if self.rows is not None:
-            trials.swap_rows((self.rows,), l, last)
+            self.trials.swap_rows((self.rows,), l, last)
 
     def active(self, m, p):
         return self.q[..., :m, m - 1], self.spans[m], self.spans[m - 1], self.ats[m - 1]
@@ -781,12 +769,24 @@ def _deflate_own(q, col, rest, led, cmul=0, cadd=0):
     return om_inv, q_bar
 
 
-def _deflate(q, col, rest, led, r_border, triangle_only, cmul, cadd):
-    """From Q's own column, or from R's border when ``r_border`` is given.
+def _r_border(r, p, trials, k):
+    """R's column k above the diagonal and its entry (k, k), in detection order.
+
+    R is never updated or swapped: both are gathered through the order ``p``,
+    ``r[p[:k], p[k]]`` and ``r[p[k], p[k]]`` (through ``lead`` for a batch).
+    R is a full square, mirrored by ``init_gram``, so an entry below its
+    diagonal is the exact conjugate a swap of the upper triangle would move.
+    """
+    lead, at = trials.lead, p[trials.ats[k]]
+    return r[(*lead, p[trials.spans[k]], at)], r[(*lead, at, at)]
+
+
+def _deflate(q, col, rest, led, border, triangle_only, cmul, cadd):
+    """From Q's own column, or from R's ``border`` ``(r_bar, gamma)`` when given.
 
     The caller's cancellation (``cmul``, ``cadd``) is charged with it.
     """
-    if r_border is None:
+    if border is None:
         _deflate_own(q, col, rest, led, cmul, cadd)
     else:
         k, bound = col.shape[-1] - 1, q.bound
@@ -795,14 +795,13 @@ def _deflate(q, col, rest, led, r_border, triangle_only, cmul, cadd):
         if _on_blas(bound, k + 1) and not _on_blas(bound, k):
             _mirror(block)      # off the BLAS route, the matvec reads the full square
         # gamma is R's own diagonal entry, real and finite since init_gram
-        _sm_update_inplace(block, r_border[..., :k, k], r_border[_entry(q.lead, k, k)],
-                           led, "deflate_q_sm", triangle_only, bound)
+        _sm_update_inplace(block, *border, led, "deflate_q_sm", triangle_only, bound)
 
 
 def _init_x(border):
     """Sherman-Morrison Q, domain x; ``border`` keeps R to deflate from (full)."""
 
-    def init(trials, h, x, alpha, led, mem):
+    def init(trials, h, x, alpha, p, led, mem):
         n_rx, m_tx = h.shape[-2:]
         mem.alloc("h_copy", m_tx * n_rx)
         mem.alloc("x", n_rx)
@@ -813,15 +812,17 @@ def _init_x(border):
         h, x = h.copy(), x.copy()       # swapped and cancelled in place
         r = init_gram(h, alpha, led) if border else None
         # the rows of the transpose are the channel's columns
-        q = _Dense(trials, init_q_sherman_morrison(h, alpha, led, triangle_only=not border), r,
+        q = _Dense(trials, init_q_sherman_morrison(h, alpha, led, triangle_only=not border),
                    rows=h.swapaxes(-1, -2), herm=not border)
 
         def estimate(col, act, last):
             return vdot_c(col, conj_matvec(h[..., : col.shape[-1]], x, led), led)
 
         def cancel(col, rest, last, s_use):
-            np.subtract(x, s_use * h[..., col.shape[-1] - 1], out=x)
-            _deflate(q, col, rest, led, r, triangle_only=False, cmul=n_rx, cadd=n_rx)
+            k = col.shape[-1] - 1
+            np.subtract(x, s_use * h[..., k], out=x)
+            _deflate(q, col, rest, led, _r_border(r, p, trials, k) if border else None,
+                     triangle_only=False, cmul=n_rx, cadd=n_rx)
 
         return q, (), estimate, cancel
 
@@ -831,22 +832,23 @@ def _init_x(border):
 def _init_z(variant, border):
     """Q grown from R by the ``variant`` step, domain z; ``border``: deflate from R (tri)."""
 
-    def init(trials, h, x, alpha, led, mem):
+    def init(trials, h, x, alpha, p, led, mem):
         m_tx = h.shape[-1]
         mem.alloc("z", m_tx)
         mem.alloc("gram", m_tx * m_tx)
         mem.alloc("inv", m_tx * m_tx)
         z = conj_matvec(h, x, led)
         r = init_gram(h, alpha, led)
-        q = _Dense(trials, init_q_recursive(r, led, variant=variant), r)
+        q = _Dense(trials, init_q_recursive(r, led, variant=variant))
 
         def estimate(col, act, last):
             return vdot_c(col, z[act], led)
 
         def cancel(col, rest, last, s_use):
             k = col.shape[-1] - 1
-            z[rest] -= s_use * r[..., :k, k]
-            _deflate(q, col, rest, led, r if border else None, triangle_only=True,
+            r_bar, gamma = _r_border(r, p, trials, k)
+            z[rest] -= s_use * r_bar
+            _deflate(q, col, rest, led, (r_bar, gamma) if border else None, triangle_only=True,
                      cmul=k, cadd=k)
 
         return q, (z,), estimate, cancel
@@ -857,7 +859,7 @@ def _init_z(variant, border):
 def _init_single_buffer(packed=False, indexed=False):
     """One buffer holds H^H, then R, then Q (packed: R is packed, the buffer freed)."""
 
-    def init(trials, h, x, alpha, led, mem):
+    def init(trials, h, x, alpha, p, led, mem):
         n_rx, m_tx = h.shape[-2:]
         mem.alloc("ht", m_tx * n_rx)
         mem.alloc("z", m_tx)
@@ -909,8 +911,9 @@ def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
     and goes to the initializer and the Q storage.
 
     ``init`` allocates and initializes the detector's state (charging one
-    trial's ledger and memory) and returns its Q storage, the vectors kept
-    in Q's order, and its estimate and cancel steps.  ``collect_aux``
+    trial's ledger and memory), given the order ``p`` that its steps read,
+    and returns its Q storage, the vectors kept in Q's order, and its
+    estimate and cancel steps.  ``collect_aux``
     records ``p``, ``z`` and ``d`` of the active streams at every step
     (single-buffer swapped storage only).
     """
@@ -919,7 +922,7 @@ def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
     n_trials = p.size // m_tx
     led = FlopLedger()
     mem = MemLedger()
-    q, vecs, estimate, cancel = init(trials, h, x, alpha, led, mem)
+    q, vecs, estimate, cancel = init(trials, h, x, alpha, p, led, mem)
     diag, swap, active, block = q.diag, q.swap, q.active, q.block
     order, swap_entries, ats = trials.order, trials.swap_entries, trials.ats
     moved = (p,) if swap is None else (p, *vecs)    # swapped storage keeps vecs in p's order

@@ -55,9 +55,11 @@ step's corner are no differences, so their scale is their own: only a
 non-positive one fails.  So scaling (H, x, alpha) by (2^k, 2^k, 4^k) changes
 no outcome.  A computed pivot with a non-negligible imaginary part
 (``PIVOT_IMAG_RTOL``) fails too, a placeholder for an accuracy guard.  A
-batch's pivots pass in one pass over them as Python numbers, else each
-trial in turn takes the one-trial rule, so a batch raises exactly the error
-its first failing trial raises alone.
+pivot that meets a sufficient condition for passing (finite, above the
+scale's tolerance, imaginary part within ``PIVOT_IMAG_RTOL`` of it) returns
+at once, one trial's as a number and a batch's in one pass over them as
+Python numbers; any other takes the one-trial rule, trial by trial, so a
+batch raises exactly the error its first failing trial raises alone.
 
 The Gauss-Jordan routine at the bottom is the independent oracle used by the
 test-suite: it is deliberately plain, uses partial pivoting, and never
@@ -68,6 +70,7 @@ pivot rows, bit for bit as one by one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -142,11 +145,11 @@ class HermPacked:
         if not _is_int(self.dim, 1):
             raise ContractViolationError(f"HermPacked: dim must be an integer >= 1, got {self.dim!r}")
         self.dim = int(self.dim)
-        try:
-            self.upper = np.asarray(self.upper, dtype=np.complex128)
-        except (TypeError, ValueError, OverflowError):
+        upper = _complex(self.upper)
+        if upper is None:
             raise ContractViolationError("HermPacked: upper must be an array of numbers, got "
-                                         f"{type(self.upper).__name__}") from None
+                                         f"{type(self.upper).__name__}")
+        self.upper = upper
         n = self.dim * (self.dim + 1) // 2
         if self.upper.shape != (n,):
             raise ContractViolationError(
@@ -297,9 +300,33 @@ def _pack_upper(a: np.ndarray) -> np.ndarray:
 # validation helpers
 
 
+def _complex(a):
+    """``a`` as a complex128 array (``a`` itself if it is one), None unless it holds
+    numbers: strings, dates, durations and an object array's non-numbers (None, a
+    string of digits) are not taken, even where numpy converts them.  The one
+    conversion rule of the detectors' trials, the channel and the public kernels."""
+    try:
+        arr = np.asarray(a)
+        kind = arr.dtype.kind
+        if kind in "biufc" or (kind == "O" and all(isinstance(v, numbers.Number)
+                                                   for v in arr.flat)):
+            return np.asarray(arr, np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return None
+
+
+def _numbers(a, name: str) -> np.ndarray:
+    """:func:`_complex` of ``a``, else misuse naming ``name``."""
+    out = _complex(a)
+    if out is None:
+        raise ContractViolationError(f"{name} must hold real or complex numbers")
+    return out
+
+
 def as_cmat(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """A non-empty complex matrix with finite entries (``stack``: or a 3-D stack of them)."""
-    a = np.asarray(a, dtype=np.complex128)
+    a = _numbers(a, name)
     if a.ndim != 2 and not (stack and a.ndim == 3):
         raise ContractViolationError(f"{name} must be 2-D, got shape {a.shape}")
     if not a.size:
@@ -310,7 +337,7 @@ def as_cmat(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
 
 
 def as_cvec(v, name: str = "vector") -> np.ndarray:
-    v = np.asarray(v, dtype=np.complex128)
+    v = _numbers(v, name)
     if v.ndim != 1 or v.shape[0] < 1:
         raise ContractViolationError(f"{name} must be 1-D and non-empty, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -378,8 +405,15 @@ def _check_pivot(x, scale, context: str, step=None):
     Not real or not finite (see :func:`real_pivot`), or not above SINGULAR_RTOL
     times ``|scale|`` (``None``: its own size, so only a non-positive ``x``) fails,
     naming ``context`` and ``step``.  ``x`` may hold one pivot per trial, and
-    ``scale`` one per trial or one for all, judged as :func:`real_pivot` does."""
-    if isinstance(x, np.ndarray) and x.size > 1:
+    ``scale`` one per trial or one for all, judged as :func:`real_pivot` does.
+    One trial's pivot, a ``complex``, that meets the sufficient condition a
+    batch tests first returns at once; anything else takes :func:`_pivot_rule`."""
+    if isinstance(x, complex):      # np.complex128 too
+        re = x.real
+        if ((0.0 if scale is None else SINGULAR_RTOL * abs(scale)) < re < math.inf
+                and abs(x.imag) <= PIVOT_IMAG_RTOL * re):
+            return float(re)
+    elif isinstance(x, np.ndarray) and x.size > 1:
         vals = x.ravel().tolist()
         # a sufficient condition for passing, else the rule trial by trial
         if scale is None:       # self-scaled: only a non-positive pivot fails
@@ -392,8 +426,13 @@ def _check_pivot(x, scale, context: str, step=None):
                          and abs(v.imag) <= PIVOT_IMAG_RTOL * v.real for v, s in zip(vals, scales))
         if not passed:
             for v, s in zip(vals, scales):
-                _check_pivot(v, s, context, step)
+                _pivot_rule(v, s, context, step)
         return x.real.copy()
+    return _pivot_rule(x, scale, context, step)
+
+
+def _pivot_rule(x, scale, context: str, step):
+    """:func:`_check_pivot`'s rule on one pivot, in full."""
     delta = real_pivot(x, context, step, SingularMatrixError)
     if delta <= (0.0 if scale is None else SINGULAR_RTOL * abs(scale)):
         raise SingularMatrixError(f"singular pivot in {_label(context, step)}: |{delta:g}|")
@@ -544,11 +583,16 @@ def _address(a: np.ndarray) -> int:
     return a.__array_interface__["data"][0]      # as ``a.ctypes.data``, in half the time
 
 
-def _addresses(a: np.ndarray, core: int) -> list[int]:
-    """The address of each trial's first entry: one, or one per matrix (``core``
-    trailing axes) of a stack."""
+def _addresses(a: np.ndarray, core: int):
+    """The address of entry 0: an int for one matrix (``core`` trailing axes),
+    else a list, one per matrix of the stack."""
     at = _address(a)
-    return [at] if a.ndim == core else [at + t * a.strides[0] for t in range(len(a))]
+    return at if a.ndim == core else [at + t * a.strides[0] for t in range(len(a))]
+
+
+def _shifted(at, offset: int):
+    """Addresses from :func:`_addresses`, each moved by ``offset`` bytes."""
+    return at + offset if isinstance(at, int) else [a + offset for a in at]
 
 
 class _Bound:
@@ -558,32 +602,39 @@ class _Bound:
     Row-major squares run ``zher`` and ``zhemv``, ``lda`` their row stride in
     entries; packed upper triangles (``HermPacked``'s layout, BLAS's
     column-major packed upper one) run ``zhpr`` and ``zhpmv``, ``lda`` None.
-    ``at`` holds each trial's address of entry (0, 0), ``ws`` a staged operand
-    and the matvec's output per trial, and ``ab`` the addresses of the
-    matvec's alpha and beta.  A vector operand is ``(addresses, increment)``:
-    a column (:meth:`col`), ``inp`` or ``out``.  Only the upper triangle of a
-    leading block is read or written.
+    ``at`` holds the address of entry (0, 0), ``ws`` a staged operand and the
+    matvec's output, and ``ab`` the addresses of the matvec's alpha and beta.
+    A vector operand is ``(addresses, increment)``: a column (:meth:`col`),
+    ``inp`` or ``out``.  Addresses are one int for a single matrix (``single``),
+    which takes one BLAS call per operation, else a list with one per trial.
+    Only the upper triangle of a leading block is read or written.
     """
 
-    __slots__ = ("at", "lda", "ws", "inp", "out", "ab", "her_fn", "hemv_fn")
+    __slots__ = ("at", "lda", "ws", "inp", "out", "ab", "her_fn", "hemv_fn", "single", "layout",
+                 "mat")
 
     def __init__(self, a: np.ndarray, found, dim: int | None = None):
         zher, zhemv, zhpr, zhpmv, _, self.ab = found
         if dim is None:
-            self.her_fn, self.hemv_fn, core = zher, zhemv, 2
+            self.her_fn, self.hemv_fn, core, self.layout = zher, zhemv, 2, _CBLAS_ROW_MAJOR
             self.lda, dim = a.strides[-2] // 16, a.shape[-1]
         else:
             self.her_fn, self.hemv_fn, core, self.lda = zhpr, zhpmv, 1, None
+            self.layout = _CBLAS_COL_MAJOR
+        self.single = a.ndim == core
         self.at = _addresses(a, core)
+        # the matrix arguments of a BLAS call: address, then lda unless packed
+        lda = () if self.lda is None else (self.lda,)
+        self.mat = (self.at, *lda) if self.single else [(at, *lda) for at in self.at]
         self.ws = np.zeros(a.shape[: a.ndim - core] + (2, dim), np.complex128)
-        inp, row = _addresses(self.ws, 2), self.ws.strides[-2]
-        self.inp, self.out = (inp, 1), ([w + row for w in inp], 1)
+        inp = _addresses(self.ws, 2)
+        self.inp, self.out = (inp, 1), (_shifted(inp, self.ws.strides[-2]), 1)
 
     def col(self, j: int):
         """Column j of each matrix, from row 0."""
         if self.lda is None:
-            return [at + 8 * j * (j + 1) for at in self.at], 1
-        return [at + 16 * j for at in self.at], self.lda
+            return _shifted(self.at, 8 * j * (j + 1)), 1
+        return _shifted(self.at, 16 * j), self.lda
 
     def stage(self, v: np.ndarray):
         """Copy ``v`` (one per trial) into the staged operand, which is returned."""
@@ -594,29 +645,26 @@ class _Bound:
         """``A x`` for the leading k x k block A of each matrix, read from its
         upper triangle, into ``out``: one ``zhemv`` or ``zhpmv`` per trial.
         Returns ``out``."""
-        (xs, incx), (ys, _), (one, zero), lda = x, self.out, self.ab, self.lda
-        if lda is None:
-            for at, xat, yat in zip(self.at, xs, ys):
-                self.hemv_fn(_CBLAS_COL_MAJOR, _CBLAS_UPPER, k, one, at, xat, incx, zero, yat, 1)
+        (xs, incx), ys, (one, zero), fn, layout = x, self.out[0], self.ab, self.hemv_fn, self.layout
+        if self.single:
+            fn(layout, _CBLAS_UPPER, k, one, *self.mat, xs, incx, zero, ys, 1)
         else:
-            for at, xat, yat in zip(self.at, xs, ys):
-                self.hemv_fn(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, k, one, at, lda, xat, incx, zero,
-                             yat, 1)
+            for mat, xat, yat in zip(self.mat, xs, ys):
+                fn(layout, _CBLAS_UPPER, k, one, *mat, xat, incx, zero, yat, 1)
         return self.ws[..., 1, :k]
 
     def her(self, k: int, x, alpha) -> None:
         """``A += alpha x x^H`` on the upper triangle of each leading k x k block,
-        in place: one ``zher`` or ``zhpr`` per trial, ``alpha`` one real or one
-        per trial."""
-        (xs, incx), lda = x, self.lda
+        in place: one ``zher`` or ``zhpr`` per trial, ``alpha`` one real, or
+        for a stack one per trial."""
+        (xs, incx), fn, layout = x, self.her_fn, self.layout
+        if self.single:
+            fn(layout, _CBLAS_UPPER, k, alpha, xs, incx, *self.mat)
+            return
         alphas = ((alpha,) * len(xs) if isinstance(alpha, float)
                   else np.broadcast_to(np.ravel(alpha), len(xs)).tolist())
-        if lda is None:
-            for at, xat, alpha_t in zip(self.at, xs, alphas):
-                self.her_fn(_CBLAS_COL_MAJOR, _CBLAS_UPPER, k, alpha_t, xat, incx, at)
-        else:
-            for at, xat, alpha_t in zip(self.at, xs, alphas):
-                self.her_fn(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, k, alpha_t, xat, incx, at, lda)
+        for mat, xat, alpha_t in zip(self.mat, xs, alphas):
+            fn(layout, _CBLAS_UPPER, k, alpha_t, xat, incx, *mat)
 
 
 def _bind(a: np.ndarray, dim: int | None = None) -> _Bound | None:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError
+from .kernels import _numbers
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -98,11 +99,14 @@ class ChannelRealization:
     def __post_init__(self):
         if self.n < self.m or self.m < 1:
             raise ContractViolationError(f"need N >= M >= 1, got N={self.n}, M={self.m}")
+        if not isinstance(self.h, np.ndarray):
+            raise ContractViolationError(
+                f"channel matrix must be a numpy array, got {type(self.h).__name__}")
         if self.h.shape != (self.n, self.m):
             raise ContractViolationError(
                 f"channel matrix shape {self.h.shape} != ({self.n}, {self.m})"
             )
-        if not np.all(np.isfinite(self.h)):
+        if not np.isfinite(_numbers(self.h, "channel matrix")).all():     # the detectors' rule
             raise ContractViolationError("channel matrix contains NaN or Inf")
 
 

@@ -233,11 +233,12 @@ def test_inputs_are_taken_as_complex128(name):
         for g, w in zip(got.trials, want.trials):
             assert_bitwise_equal(g, w)
     numbers_x = "received vector must hold real or complex numbers"
+    durations = ChannelRealization(np.ones((4, 3)), 3, 4)
+    object.__setattr__(durations, "h", np.ones((4, 3), "m8[s]"))    # past its own check
     for bad_ch, bad_rx, text in (
             (chs[1], RxFrame(np.array(["a"] * 4), 0.1, 0.1), numbers_x),
             (chs[1], RxFrame(np.array(["1"] * 4), 0.1, 0.1), numbers_x),
-            (ChannelRealization(np.ones((4, 3), "m8[s]"), 3, 4), rxs[1],
-             "channel matrix must hold real or complex numbers"),
+            (durations, rxs[1], "channel matrix must hold real or complex numbers"),
             (chs[1], RxFrame(x, 0.1, "0.1"), "alpha must be a real number, got str"),
             (chs[1], RxFrame(x, 0.1, 0.1 + 0j), "alpha must be a real number, got complex")):
         for ch, rx in ((bad_ch, bad_rx), ([chs[0], bad_ch, chs[2]], [rxs[0], bad_rx, rxs[2]])):
@@ -679,12 +680,13 @@ DENSE_HERM = ["mem_saving", "fastest_known", "speed_adv", "proposed_1", "propose
 @pytest.mark.parametrize("m", [ZHER_MIN_K - 1, ZHER_MIN_K, ZHER_MIN_K + 1, ZHER_MIN_K + 8])
 def test_dense_storages_read_only_the_upper_triangle_on_the_blas_route(monkeypatch, m):
     """Where BLAS is found and M reaches ``ZHER_MIN_K``, the dense detectors never
-    read the strict lower triangle of Q or R: spoiled with NaN once they are
-    built (for the single buffer, also right after its growth), each returns
-    the same bytes, Q steps and ledgers included, for one trial and a batch.
-    At M = ZHER_MIN_K - 1 nothing is bound and nothing is spoiled.  This covers
-    the step from the BLAS route back to numpy at k = ZHER_MIN_K - 1, the
-    deflation from R's border there and R's conjugate-aware swaps."""
+    read the strict lower triangle of Q: spoiled with NaN once it is built (for
+    the single buffer, also right after its growth), each returns the same
+    bytes, Q steps and ledgers included, for one trial and a batch.  At M =
+    ZHER_MIN_K - 1 nothing is bound and nothing is spoiled.  This covers the
+    step from the BLAS route back to numpy at k = ZHER_MIN_K - 1 and the
+    deflation from R's border there.  R is read through the order, below its
+    diagonal too: see test_gram_matrix_is_read_through_the_order_only."""
     import vblast.detectors as det
 
     c, chs, rxs = batch_trials(m, m + 1, "qpsk", 3, seed=37)
@@ -699,8 +701,7 @@ def test_dense_storages_read_only_the_upper_triangle_on_the_blas_route(monkeypat
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             if self.bound is not None:
-                for a in self.mats:
-                    spoil(a)
+                spoil(self.q)
 
     grow = det._grow_inverse
 
@@ -714,6 +715,35 @@ def test_dense_storages_read_only_the_upper_triangle_on_the_blas_route(monkeypat
     for name in DENSE_HERM:
         for (ch, rx), before in zip(runs, want[name]):
             after = ALGORITHMS[name](ch, rx, c, collect_q=True)
+            for a, b in zip(getattr(before, "trials", [before]),
+                            getattr(after, "trials", [after])):
+                assert_bitwise_equal(b, a)
+
+
+@pytest.mark.parametrize("m", [8, ZHER_MIN_K + 8])
+def test_gram_matrix_is_read_through_the_order_only(monkeypatch, m):
+    """The four routines that keep R after ``init_gram`` never write it: they
+    read its border through the detection order.  With R read-only, each
+    returns the same bytes, Q steps and ledgers included, for one trial and a
+    batch, on either side of ``ZHER_MIN_K``."""
+    import vblast.detectors as det
+
+    keep_r = ["original", "fastest_known", "speed_adv", "proposed_1"]
+    c, chs, rxs = batch_trials(m, m + 1, "qam16", 3, seed=41)
+    runs = [(chs[0], rxs[0]), (chs, rxs)]
+    want = {name: [ALGORITHMS[name](ch, rx, c, cancel_soft=True, collect_q=True)
+                   for ch, rx in runs] for name in keep_r}
+    gram = det.init_gram
+
+    def read_only_gram(*args):
+        r = gram(*args)
+        r.flags.writeable = False
+        return r
+
+    monkeypatch.setattr(det, "init_gram", read_only_gram)
+    for name in keep_r:
+        for (ch, rx), before in zip(runs, want[name]):
+            after = ALGORITHMS[name](ch, rx, c, cancel_soft=True, collect_q=True)
             for a, b in zip(getattr(before, "trials", [before]),
                             getattr(after, "trials", [after])):
                 assert_bitwise_equal(b, a)

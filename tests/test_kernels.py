@@ -988,3 +988,81 @@ def test_caller_supplied_pivots_keep_contract_errors():
         deflate_q_sm(np.eye(3, dtype=complex), np.ones(2), 2 + 1j, led)
     with pytest.raises(ContractViolationError, match="alpha"):
         init_gram(np.eye(2), 0.1 + 1j, led)
+
+
+def _not_numbers(shape):
+    """Operands of ``shape`` that hold no numbers, although numpy converts most
+    of them to complex: digit strings, a string, a dict, a digit string or None
+    in an object array, and durations."""
+    def with_entry(entry):
+        a = np.ones(shape, object)
+        a.flat[0] = entry
+        return a
+
+    return [np.full(shape, "1"), "x", with_entry({}), with_entry("1"), with_entry(None),
+            np.ones(shape, "m8[s]")]
+
+
+_EYE, _ONES = np.eye(2), np.ones(2)
+
+
+@pytest.mark.parametrize("name, call, shape", [
+    ("h", lambda b, led: init_gram(b, 0.1, led), (2, 2)),
+    ("h", lambda b, led: init_q_sherman_morrison(b, 0.1, led), (2, 2)),
+    ("r", lambda b, led: init_q_recursive(b, led), (2, 2)),
+    ("a", lambda b, led: gauss_jordan_inverse(b), (2, 2)),
+    ("q_m", lambda b, led: deflate_q(b, led), (2, 2)),
+    ("q_m", lambda b, led: deflate_q_sm(b, _ONES[:1], 1.0, led), (2, 2)),
+    ("r_bar", lambda b, led: deflate_q_sm(_EYE, b, 1.0, led), (1,)),
+    ("a", lambda b, led: herm_rank1_update(b, _ONES, 1.0, True, led), (2, 2)),
+    ("v", lambda b, led: herm_rank1_update(_EYE, b, 1.0, False, led), (2,)),
+    ("q_prev", lambda b, led: block_inv_step_i(b, _ONES, 1.0, led), (2, 2)),
+    ("r_bar", lambda b, led: block_inv_step_v(_EYE, b, 1.0, led), (2,)),
+    ("q", lambda b, led: sm_rank1_inverse_update(b, _ONES, led), (2, 2)),
+    ("h", lambda b, led: sm_rank1_inverse_update(_EYE, b, led), (2,)),
+    ("matrix", lambda b, led: HermPacked.pack(b), (2, 2)),
+])
+def test_public_kernels_take_only_numbers(name, call, shape):
+    """Every public kernel takes its matrix and vector operands by the detectors'
+    rule (``kernels._complex``): an operand that holds no numbers is misuse naming
+    it, never a result, a raw numpy error or a charge."""
+    for bad in _not_numbers(shape):
+        led = FlopLedger()
+        with pytest.raises(ContractViolationError) as info:
+            call(bad, led)
+        assert str(info.value) == f"{name} must hold real or complex numbers", bad
+        assert led.as_tuple() == (0, 0, 0)
+
+
+def test_herm_packed_takes_only_numbers():
+    for bad in _not_numbers((3,)):
+        with pytest.raises(ContractViolationError) as info:
+            HermPacked(2, bad)
+        assert str(info.value) == ("HermPacked: upper must be an array of numbers, got "
+                                   f"{type(bad).__name__}")
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["square", "packed"])
+def test_one_matrix_binding_is_a_stack_bindings_row(packed):
+    """A binding of one matrix makes one BLAS call per operation, without the
+    stack's per-trial lists: its ``hemv`` and ``her`` give, bit for bit, row 0
+    of a two-matrix stack binding whose first matrix is the same."""
+    if kernels._zher() is None:
+        pytest.skip("no BLAS zher/zhemv/zhpr/zhpmv in this numpy")
+    dim, k = ZHER_MIN_K + 8, ZHER_MIN_K + 5
+    rng = make_rng(71)
+    squares = np.stack([seeded_spd(rng, dim), seeded_spd(rng, dim)])
+    stack = _pack_upper(squares) if packed else squares
+    one = stack[0].copy()
+    b1, bs = (kernels._bind(a, dim if packed else None) for a in (one, stack))
+    assert b1.single and not bs.single
+    for x1, xs in ((b1.col(k), bs.col(k)), (b1.stage(squares[0, 1, :k]),
+                                             bs.stage(squares[:, 1, :k]))):
+        assert b1.hemv(k, x1).tobytes() == bs.hemv(k, xs)[0].tobytes()
+    x = random_complex(rng, 2, k)
+    b1.her(k, b1.stage(x[0]), -0.7)
+    bs.her(k, bs.stage(x), np.array([[-0.7], [1.3]]))
+    assert one.tobytes() == stack[0].tobytes()
+    b1.her(k, b1.stage(x[1]), 0.25)
+    bs.her(k, bs.stage(x[::-1]), 0.25)      # one alpha for every matrix of the stack
+    assert one.tobytes() == stack[0].tobytes()

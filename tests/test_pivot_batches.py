@@ -148,3 +148,39 @@ def test_batch_swaps_are_each_trials_swaps(swap):
             assert got[t].dtype == want.dtype and got[t].tobytes() == want.tobytes()
         if l == j:
             assert vecs[1][t].tobytes() == cplx[t].tobytes()
+
+
+def _boundary_pivots():
+    """(pivot, scale) pairs on and around every edge of the one-trial rule:
+    ``re`` at SINGULAR_RTOL * |scale| and one ulp either side, ``|im|`` at
+    PIVOT_IMAG_RTOL * re and one ulp above, subnormal, zero, infinite and NaN
+    parts, each as a Python complex and as an np.complex128."""
+    from vblast.kernels import PIVOT_IMAG_RTOL, SINGULAR_RTOL
+
+    for scale in (None, 1.0, 2.0, -3.0, np.complex128(3 - 4j), 1e-300, 0.0, math.inf, math.nan):
+        edge = 0.0 if scale is None or not math.isfinite(abs(scale)) else SINGULAR_RTOL * abs(scale)
+        reals = [edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf), 1.0,
+                 5e-324, 1e-310, -0.0, -1.0, math.inf, -math.inf, math.nan]
+        for re in reals:
+            limit = PIVOT_IMAG_RTOL * re if math.isfinite(re) and re > 0 else 1.0
+            for im in (0.0, -0.0, limit, -limit, math.nextafter(limit, math.inf), 1e-300,
+                       math.inf, math.nan):
+                for kind in (complex, np.complex128):
+                    yield kind(complex(re, im)), scale
+
+
+def test_one_trial_pivot_matches_its_two_trial_batch():
+    """A pivot judged as a number (``_check_pivot``'s one-trial branch) returns the
+    float a batch of two copies returns for it, or raises the batch's error, type
+    and text alike, on every edge of the rule."""
+    seen = 0
+    for x, scale in _boundary_pivots():
+        got = outcome(_check_pivot, x, scale, "ctx", 4)
+        pair = outcome(_check_pivot, np.array([[x], [x]]), scale, "ctx", 4)
+        if isinstance(pair, Exception):
+            assert type(got) is type(pair) and str(got) == str(pair), (x, scale)
+        else:
+            assert type(got) is float, (x, scale, got)
+            assert bits(got) == bits(pair[0]), (x, scale)
+            seen += 1
+    assert seen > 100

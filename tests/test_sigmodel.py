@@ -176,6 +176,17 @@ def test_snr_helper():
     (lambda: ChannelRealization(np.ones((1, 2)), 2, 1), "need N >= M >= 1, got N=1, M=2"),
     (lambda: ChannelRealization(np.ones((3, 2)), 2, 2), "channel matrix shape (3, 2) != (2, 2)"),
     (lambda: ChannelRealization(np.array([[np.nan]]), 1, 1), "channel matrix contains NaN or Inf"),
+    (lambda: ChannelRealization(np.array([[None]]), 1, 1),
+     "channel matrix must hold real or complex numbers"),
+    (lambda: ChannelRealization([[1.0]], 1, 1), "channel matrix must be a numpy array, got list"),
+    (lambda: ChannelRealization(np.array([["1"]]), 1, 1),
+     "channel matrix must hold real or complex numbers"),
+    (lambda: ChannelRealization(np.array([["1"]], object), 1, 1),
+     "channel matrix must hold real or complex numbers"),
+    (lambda: ChannelRealization(np.array([[{}]]), 1, 1),
+     "channel matrix must hold real or complex numbers"),
+    (lambda: ChannelRealization(np.ones((1, 1), "m8[s]"), 1, 1),
+     "channel matrix must hold real or complex numbers"),
     (lambda: random_frame(0, constellation("qpsk"), 1), "need at least one transmit symbol"),
     (lambda: transmit(random_frame(3, constellation("qpsk"), 1), draw_channel(2, 2, 1), 0.1, 1),
      "frame carries 3 symbols for an M=2 channel"),
@@ -184,3 +195,13 @@ def test_signal_model_input_checks_name_the_misuse(call, text):
     with pytest.raises(ContractViolationError) as info:
         call()
     assert str(info.value) == text
+
+
+def test_channel_takes_numbers_of_any_numeric_dtype():
+    """A channel of ints, bools, floats or an object array of numbers is taken as
+    given, as the detectors take it; an object array's NaN still fails."""
+    for h in (np.ones((2, 1), int), np.ones((2, 1), bool), np.ones((2, 1)),
+              np.array([[1], [2.5j]], object)):
+        assert ChannelRealization(h, 1, 2).h is h
+    with pytest.raises(ContractViolationError, match="^channel matrix contains NaN or Inf$"):
+        ChannelRealization(np.array([[1.0], [float("nan")]], object), 1, 2)
