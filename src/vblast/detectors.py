@@ -31,8 +31,8 @@ proposed_2_tri_noperm  single buffer (V)    d (VI)  packed, indexed  own column
 Sherman-Morrison builds Q from ``I/alpha`` by rank-one corrections over the
 receive rows; the partitioned and single-division steps grow Q from the Gram
 matrix R; the single buffer holds ``H^H`` and is covered in place by R, then
-by Q through ``init_q_recursive``'s growth (``kernels._grow_inverse``), in
-the dense square or the packed vector alike.  Domain ``x`` estimates from
+by Q through ``init_q_recursive``'s growth (``kernels._grow_inverse``) in its
+M x M square, which the packed forms then pack.  Domain ``x`` estimates from
 ``H_m^H x`` and cancels from ``x``; ``z`` estimates from ``z = H^H x`` and
 cancels with R's column; ``d`` cancels through the deficiency vector ``d``
 and never reads R again.  Swapped storage keeps Q and the domain's vectors
@@ -46,15 +46,15 @@ an entry below the diagonal is read from its upper mirror, conjugated.  Q is
 deflated from its own column, or from R's border by a Sherman-Morrison step
 on the full square or the upper triangle.
 
-On the BLAS route, where numpy's OpenBLAS is found, the dense storages run
-``zher`` and ``zhemv``, and the packed vector grows with ``zhpmv`` and
-``zhpr``; the dense indexed form deflates with one ``zher`` over its whole
-antenna-order triangle, the column scattered into a zero vector, so the
-detected streams' entries gain +/-0 and are never read again.  The packed
-pair grows in index order, before Q first moves, so one growth serves both;
-its deflation stays numpy, because the pair must agree bit for bit and a
-``zhpr`` in antenna order would form ``x_j (omega conj x_i)`` where the
-swapped form forms ``x_i (omega conj x_j)``, which round differently.
+On the BLAS route, where numpy's OpenBLAS is found, the growth and the
+dense storages run ``zher`` and ``zhemv``; the dense indexed form deflates
+with one ``zher`` over its whole antenna-order triangle, the column
+scattered into a zero vector, so the detected streams' entries gain +/-0
+and are never read again.  The packed pair packs one growth, made before Q
+first moves, so both start from the same bits; its deflation stays numpy,
+because the pair must agree bit for bit and a packed rank-one update in
+antenna order would form ``x_j (omega conj x_i)`` where the swapped form
+forms ``x_i (omega conj x_j)``, which round differently.
 
 The ``d`` convention: every ``d``-domain form estimates ``q^H z - d_m`` and
 updates ``d -= (s + d_m) / omega * q_bar``, swapped or indexed alike.  The
@@ -114,13 +114,10 @@ from .kernels import (
     _entry,
     _grow_inverse,
     _mirror,
-    _mv,
     _on_blas,
     _pack_upper,
     _packed_unpack,
-    _scaled_pair,
     _sm_update_inplace,
-    _Square,
 )
 from .sigmodel import ChannelRealization, Constellation, RxFrame, quantize
 
@@ -605,10 +602,9 @@ def _packed_swap_order(k):
 class _Packed:
     """Packed upper triangle of Q, kept in detection order by swaps.
 
-    Both packed forms grow Q here (``kernels._grow_inverse``) before it first
-    moves.  Bound once (``kernels._bind``), a block from ``ZHER_MIN_K`` on runs
-    ``zhpmv`` on the border column in place and ``zhpr``; smaller ones multiply
-    the unpacked block by a copy of the column and update through :meth:`sub`.
+    Both packed forms pack Q's upper triangle once it is grown in the single
+    buffer's dense square, before Q first moves; every step after that is
+    numpy's, on the packed vector.
     """
 
     def __init__(self, trials, upper, dim):
@@ -617,30 +613,6 @@ class _Packed:
         self.upper = upper
         self.dflat = _packed_diag_indices(dim)
         self.ureal = upper.real
-        self.bound = _bind(upper, dim)
-
-    def border(self, k):
-        base = k * (k + 1) // 2
-        col = self.upper[..., base : base + k]
-        gamma = self.upper[_entry(self.lead, base + k)]
-        return (col if _on_blas(self.bound, k) else col.copy()), gamma
-
-    def hemv(self, k, x, led):
-        led.tick(cmul=k * k, cadd=k * (k - 1))      # as kernels.matvec
-        if _on_blas(self.bound, k):
-            return self.bound.hemv(k, self.bound.col(k))
-        return _mv(_packed_unpack(self.upper, k), x)
-
-    def her(self, k, x, c, led, subtract=False, right=False):
-        if _on_blas(self.bound, k):
-            rank1_update_herm(None, x, c, led, subtract, bound=self.bound, xat=self.bound.out)
-        else:
-            self.sub(None, x, c if subtract else -c, led, right)
-
-    def put(self, k, q_col, omega):
-        base = k * (k + 1) // 2
-        self.upper[_entry(self.lead, base + k)] = omega
-        self.upper[..., base : base + k] = q_col
 
     def diag(self, m, p):
         return self.ureal[(*self.lead, self.dflat[:m])]
@@ -667,14 +639,13 @@ class _Packed:
         base = (m - 1) * m // 2
         return self.upper[..., base : base + m], self.spans[m], self.spans[m - 1], self.ats[m - 1]
 
-    def sub(self, rest, x, c, led, right=False):
-        """Hermitian ``Q[:k, :k] -= c x x^H`` on the leading block's triangle, the
+    def sub(self, rest, x, c, led):
+        """Hermitian ``Q[:k, :k] -= (c x) x^H`` on the leading block's triangle, the
         packed vector's first k*(k+1)/2 entries, with the products formed as in
         ``kernels.rank1_update_herm``'s numpy path; diagonal imaginary parts zeroed."""
         k, lead = x.shape[-1], self.lead
-        u, w = _scaled_pair(x, c, right)
         rows, cols = _packed_coords(k)
-        self.upper[..., : rows.size] -= u[(*lead, rows)] * np.conj(w)[(*lead, cols)]
+        self.upper[..., : rows.size] -= (c * x)[(*lead, rows)] * np.conj(x)[(*lead, cols)]
         led.tick(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
         self.upper.imag[(*lead, self.dflat[:k])] = 0.0
 
@@ -857,7 +828,7 @@ def _init_z(variant, border):
 
 
 def _init_single_buffer(packed=False, indexed=False):
-    """One buffer holds H^H, then R, then Q (packed: R is packed, the buffer freed)."""
+    """One buffer holds H^H, then R, then Q (packed: Q is packed, the buffer freed)."""
 
     def init(trials, h, x, alpha, p, led, mem):
         n_rx, m_tx = h.shape[-2:]
@@ -869,20 +840,20 @@ def _init_single_buffer(packed=False, indexed=False):
         z = matvec(a, x, led)
         d = np.zeros(z.shape, np.complex128)
         _cover_gram_rows(a, alpha, led)
+        square = a[..., :m_tx]
+        bound = _bind(square)
+        _grow_inverse(square, m_tx, led, "v", bound)
         if packed:
-            q = _Packed(trials, _pack_upper(a[..., :m_tx]), m_tx)
+            upper = _pack_upper(square)
             mem.alloc("q_packed", m_tx * (m_tx + 1) // 2)
             mem.free("ht")
-            del a
-            _grow_inverse(q, m_tx, led, "v")
-            if indexed:
-                q = _Indexed(trials, q.upper, _packed_square_flat(m_tx))
+            q = (_Indexed(trials, upper, _packed_square_flat(m_tx)) if indexed
+                 else _Packed(trials, upper, m_tx))
+        elif indexed:
+            q = _Indexed(trials, a.reshape(a.shape[:-2] + (-1,)), _dense_upper_flat(m_tx, n_rx),
+                         bound)
         else:
-            square = _Square(a[..., :m_tx], bind=True)
-            _grow_inverse(square, m_tx, led, "v")
-            q = (_Indexed(trials, a.reshape(a.shape[:-2] + (-1,)), _dense_upper_flat(m_tx, n_rx),
-                          square.bound)
-                 if indexed else _Dense(trials, a[..., :m_tx]))
+            q = _Dense(trials, square)
 
         def estimate(col, act, last):
             est = vdot_c(col, z[act], led) - d[last]

@@ -21,14 +21,13 @@ it.  Below ``ZHER_MIN_K`` rows, and on matrices not bound for BLAS, the
 Hermitian kernels make one dense numpy pass over the full square and then
 overwrite its strict lower triangle with the conjugate of the upper one
 (:func:`_mirror`), uncharged.  From ``ZHER_MIN_K`` rows on, a caller binds
-its matrices once per call (:func:`_bind`), and :func:`rank1_update_herm`
-and :func:`matvec` run ``zher`` and ``zhemv`` (row-major squares) or
-``zhpr`` and ``zhpmv`` (packed upper triangles) from numpy's OpenBLAS, once
-per trial, on the upper triangle only; nothing mirrors such a block, and a
-caller that reads the full square mirrors it once.  The initializers do so
-on exit, so every public kernel returns full Hermitian squares.  The
-full-square update (:func:`rank1_update_full`) and the packed storages'
-deflation in ``vblast.detectors`` always take numpy.
+its row-major squares once per call (:func:`_bind`), and
+:func:`rank1_update_herm` and :func:`matvec` run ``zher`` and ``zhemv``
+from numpy's OpenBLAS, once per trial, on the upper triangle only; nothing
+mirrors such a block, and a caller that reads the full square mirrors it
+once.  The initializers do so on exit, so every public kernel returns full
+Hermitian squares.  The full-square update (:func:`rank1_update_full`) and
+the packed storages' deflation in ``vblast.detectors`` always take numpy.
 
 The kernels the detectors run take an optional leading trial axis: T
 matrices ``(T, k, k)`` and T vectors ``(T, k)``, one per trial, worked in
@@ -39,10 +38,9 @@ then an array of shape ``(T, 1)``, else a Python number.  The detectors
 decide the shape once per call, in ``detectors._sic``.
 
 One in-place growth, :func:`_grow_inverse`, inverts a Hermitian matrix
-border by border on any storage with four operations (border, matvec,
-rank-one update, write-back): dense squares (:class:`_Square`), a copy in
-:func:`init_q_recursive` or the single buffer, and the packed pair's vector.
-Each recursion step names itself in its errors, whoever calls it.  The
+border by border in a dense square: a copy in :func:`init_q_recursive`, or
+the single buffer, whose packed forms pack the grown upper triangle after
+it.  Each recursion step names itself in its errors, whoever calls it.  The
 public kernels run with numpy's floating-point warnings off: numerical
 trouble ends in a typed error, never in a warning or a non-finite result.
 
@@ -197,8 +195,7 @@ def _packed_unpack(upper: np.ndarray, m: int) -> np.ndarray:
 
     Entries below the diagonal are read from their upper mirror and
     conjugated, so the result is exactly Hermitian.  ``upper`` may be a
-    stack of packed vectors, one per trial; each block is C-contiguous, so
-    a matrix-vector product on it runs through BLAS, trial by trial.
+    stack of packed vectors, one per trial.
     """
     out = upper[(*_lead(upper, 1, 2), _packed_square_flat(m))]
     np.conjugate(out, out=out, where=_strict_lower_mask(m))
@@ -514,35 +511,29 @@ def _zero_diag_imag(a: np.ndarray) -> None:
         a.imag[..., d, d] = 0.0
 
 
-def _scaled_pair(x, c, right):
-    """The factors ``(c x, x)`` of ``c x x^H``, or ``(x, c x)`` when ``right``."""
-    cx = c * x
-    return (x, cx) if right else (cx, x)
-
-
 # Block size from which the Hermitian kernels run through BLAS ``zher`` and
-# ``zhemv``, or ``zhpr`` and ``zhpmv`` on packed storage (set by measurement;
-# README "Counting conventions").  Smaller blocks, where a call's fixed cost
-# outweighs numpy's extra passes, stay on numpy.
+# ``zhemv`` (set by measurement; README "Counting conventions").  Smaller
+# blocks, where a call's fixed cost outweighs numpy's extra passes, stay on
+# numpy.
 ZHER_MIN_K = 32
 
-# numpy's OpenBLAS, 64-bit integers: zher, zhemv, zhpr and zhpmv
-_SYMBOLS = tuple(f"scipy_cblas_{name}64_" for name in ("zher", "zhemv", "zhpr", "zhpmv"))
-_CBLAS_ROW_MAJOR, _CBLAS_COL_MAJOR, _CBLAS_UPPER = 101, 102, 121
-_ONE_ZERO = np.array([1.0, 0.0], np.complex128)    # the matvecs' alpha and beta, passed by address
+# numpy's OpenBLAS, 64-bit integers: zher and zhemv
+_SYMBOLS = tuple(f"scipy_cblas_{name}64_" for name in ("zher", "zhemv"))
+_CBLAS_ROW_MAJOR, _CBLAS_UPPER = 101, 121
+_ONE_ZERO = np.array([1.0, 0.0], np.complex128)    # the matvec's alpha and beta, passed by address
 
 
 @lru_cache(maxsize=None)
 def _zher():
-    """``(zher, zhemv, zhpr, zhpmv, library, ab)`` from numpy's own OpenBLAS, or
-    None; ``ab`` holds the addresses of the matvecs' alpha (1) and beta (0).
+    """``(zher, zhemv, library, ab)`` from numpy's own OpenBLAS, or None;
+    ``ab`` holds the addresses of the matvec's alpha (1) and beta (0).
 
     Looked up once, at the first block of ``ZHER_MIN_K`` or more, never at
     import: in the OpenBLAS that numpy's wheels ship (``numpy.libs`` or
     ``numpy/.dylibs``), else through numpy's core extension, whose loader
-    resolves the libraries it links.  All four symbols come from the one
-    library found, or none is used.  A numpy built on another BLAS
-    (Accelerate, MKL) has no such symbols, and the numpy path runs.
+    resolves the libraries it links.  Both symbols come from the one library
+    found, or neither is used.  A numpy built on another BLAS (Accelerate,
+    MKL) has no such symbols, and the numpy path runs.
     """
     import ctypes
     import glob
@@ -556,38 +547,36 @@ def _zher():
     for path in (*found, core.__file__):
         try:
             lib = ctypes.CDLL(path)
-            zher, zhemv, zhpr, zhpmv = (getattr(lib, name) for name in _SYMBOLS)
+            zher, zhemv = (getattr(lib, name) for name in _SYMBOLS)
         except (OSError, AttributeError):
             continue
         enum, n, ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
-        zher.restype = zhemv.restype = zhpr.restype = zhpmv.restype = None
+        zher.restype = zhemv.restype = None
         zher.argtypes = (enum, enum, n, ctypes.c_double, ptr, n, ptr, n)
         zhemv.argtypes = (enum, enum, n, ptr, ptr, n, ptr, n, ptr, ptr, n)
-        zhpr.argtypes = (enum, enum, n, ctypes.c_double, ptr, n, ptr)
-        zhpmv.argtypes = (enum, enum, n, ptr, ptr, ptr, n, ptr, ptr, n)
         one = _address(_ONE_ZERO)
-        return zher, zhemv, zhpr, zhpmv, os.path.basename(path), (one, one + 16)
+        return zher, zhemv, os.path.basename(path), (one, one + 16)
     return None
 
 
 def blas_route() -> str:
     """Which code runs the Hermitian rank-one updates and matvecs, as one line."""
-    names = ", ".join(_SYMBOLS[:-1]) + f" and {_SYMBOLS[-1]}"
+    names = " and ".join(_SYMBOLS)
     found = _zher()
     if found is None:
         return f"Hermitian kernels: numpy for every k ({names} not found)"
-    return f"Hermitian kernels: {names} from {found[4]} for k >= {ZHER_MIN_K}, numpy below"
+    return f"Hermitian kernels: {names} from {found[2]} for k >= {ZHER_MIN_K}, numpy below"
 
 
 def _address(a: np.ndarray) -> int:
     return a.__array_interface__["data"][0]      # as ``a.ctypes.data``, in half the time
 
 
-def _addresses(a: np.ndarray, core: int):
-    """The address of entry 0: an int for one matrix (``core`` trailing axes),
-    else a list, one per matrix of the stack."""
+def _addresses(a: np.ndarray):
+    """The address of entry (0, 0): an int for one matrix, else a list, one per
+    matrix of the stack."""
     at = _address(a)
-    return at if a.ndim == core else [at + t * a.strides[0] for t in range(len(a))]
+    return at if a.ndim == 2 else [at + t * a.strides[0] for t in range(len(a))]
 
 
 def _shifted(at, offset: int):
@@ -596,44 +585,34 @@ def _shifted(at, offset: int):
 
 
 class _Bound:
-    """Hermitian matrices, one or a stack, bound once per call (:func:`_bind`)
-    so that a step passes BLAS integers, with no lookup or layout check.
+    """Row-major Hermitian squares, one or a stack, bound once per call
+    (:func:`_bind`) so that a step passes BLAS integers to ``zher`` and
+    ``zhemv``, with no lookup or layout check.
 
-    Row-major squares run ``zher`` and ``zhemv``, ``lda`` their row stride in
-    entries; packed upper triangles (``HermPacked``'s layout, BLAS's
-    column-major packed upper one) run ``zhpr`` and ``zhpmv``, ``lda`` None.
-    ``at`` holds the address of entry (0, 0), ``ws`` a staged operand and the
-    matvec's output, and ``ab`` the addresses of the matvec's alpha and beta.
-    A vector operand is ``(addresses, increment)``: a column (:meth:`col`),
-    ``inp`` or ``out``.  Addresses are one int for a single matrix (``single``),
-    which takes one BLAS call per operation, else a list with one per trial.
-    Only the upper triangle of a leading block is read or written.
+    ``lda`` is the squares' row stride in entries, ``at`` the address of
+    entry (0, 0), ``ws`` a staged operand and the matvec's output, and ``ab``
+    the addresses of the matvec's alpha and beta.  A vector operand is
+    ``(addresses, increment)``: a column (:meth:`col`), ``inp`` or ``out``.
+    Addresses are one int for a single matrix (``single``), which takes one
+    BLAS call per operation, else a list with one per trial.  Only the upper
+    triangle of a leading block is read or written.
     """
 
-    __slots__ = ("at", "lda", "ws", "inp", "out", "ab", "her_fn", "hemv_fn", "single", "layout",
-                 "mat")
+    __slots__ = ("at", "lda", "ws", "inp", "out", "ab", "her_fn", "hemv_fn", "single", "mat")
 
-    def __init__(self, a: np.ndarray, found, dim: int | None = None):
-        zher, zhemv, zhpr, zhpmv, _, self.ab = found
-        if dim is None:
-            self.her_fn, self.hemv_fn, core, self.layout = zher, zhemv, 2, _CBLAS_ROW_MAJOR
-            self.lda, dim = a.strides[-2] // 16, a.shape[-1]
-        else:
-            self.her_fn, self.hemv_fn, core, self.lda = zhpr, zhpmv, 1, None
-            self.layout = _CBLAS_COL_MAJOR
-        self.single = a.ndim == core
-        self.at = _addresses(a, core)
-        # the matrix arguments of a BLAS call: address, then lda unless packed
-        lda = () if self.lda is None else (self.lda,)
-        self.mat = (self.at, *lda) if self.single else [(at, *lda) for at in self.at]
-        self.ws = np.zeros(a.shape[: a.ndim - core] + (2, dim), np.complex128)
-        inp = _addresses(self.ws, 2)
+    def __init__(self, a: np.ndarray, found):
+        self.her_fn, self.hemv_fn, _, self.ab = found
+        self.lda, dim = a.strides[-2] // 16, a.shape[-1]
+        self.single = a.ndim == 2
+        self.at = _addresses(a)
+        # the matrix arguments of a BLAS call: address, then lda
+        self.mat = (self.at, self.lda) if self.single else [(at, self.lda) for at in self.at]
+        self.ws = np.zeros(a.shape[:-2] + (2, dim), np.complex128)
+        inp = _addresses(self.ws)
         self.inp, self.out = (inp, 1), (_shifted(inp, self.ws.strides[-2]), 1)
 
     def col(self, j: int):
         """Column j of each matrix, from row 0."""
-        if self.lda is None:
-            return _shifted(self.at, 8 * j * (j + 1)), 1
         return _shifted(self.at, 16 * j), self.lda
 
     def stage(self, v: np.ndarray):
@@ -643,49 +622,43 @@ class _Bound:
 
     def hemv(self, k: int, x) -> np.ndarray:
         """``A x`` for the leading k x k block A of each matrix, read from its
-        upper triangle, into ``out``: one ``zhemv`` or ``zhpmv`` per trial.
-        Returns ``out``."""
-        (xs, incx), ys, (one, zero), fn, layout = x, self.out[0], self.ab, self.hemv_fn, self.layout
+        upper triangle, into ``out``: one ``zhemv`` per trial.  Returns ``out``."""
+        (xs, incx), ys, (one, zero), fn = x, self.out[0], self.ab, self.hemv_fn
         if self.single:
-            fn(layout, _CBLAS_UPPER, k, one, *self.mat, xs, incx, zero, ys, 1)
+            fn(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, k, one, *self.mat, xs, incx, zero, ys, 1)
         else:
             for mat, xat, yat in zip(self.mat, xs, ys):
-                fn(layout, _CBLAS_UPPER, k, one, *mat, xat, incx, zero, yat, 1)
+                fn(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, k, one, *mat, xat, incx, zero, yat, 1)
         return self.ws[..., 1, :k]
 
     def her(self, k: int, x, alpha) -> None:
         """``A += alpha x x^H`` on the upper triangle of each leading k x k block,
-        in place: one ``zher`` or ``zhpr`` per trial, ``alpha`` one real, or
-        for a stack one per trial."""
-        (xs, incx), fn, layout = x, self.her_fn, self.layout
+        in place: one ``zher`` per trial, ``alpha`` one real, or for a stack one
+        per trial."""
+        (xs, incx), fn = x, self.her_fn
         if self.single:
-            fn(layout, _CBLAS_UPPER, k, alpha, xs, incx, *self.mat)
+            fn(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, k, alpha, xs, incx, *self.mat)
             return
         alphas = ((alpha,) * len(xs) if isinstance(alpha, float)
                   else np.broadcast_to(np.ravel(alpha), len(xs)).tolist())
         for mat, xat, alpha_t in zip(self.mat, xs, alphas):
-            fn(layout, _CBLAS_UPPER, k, alpha_t, xat, incx, *mat)
+            fn(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, k, alpha_t, xat, incx, *mat)
 
 
-def _bind(a: np.ndarray, dim: int | None = None) -> _Bound | None:
-    """``a``'s Hermitian squares (one or a stack), or with ``dim`` its packed
-    upper triangles of that dimension, bound for BLAS; or None where every
-    block stays on numpy: below ``ZHER_MIN_K`` rows, where no BLAS is found,
-    or in a layout BLAS does not take.  No lookup is made below ``ZHER_MIN_K``."""
-    core = 2 if dim is None else 1
-    k = a.shape[-1] if dim is None else dim
+def _bind(a: np.ndarray) -> _Bound | None:
+    """``a``'s Hermitian squares (one or a stack) bound for BLAS, or None where
+    every block stays on numpy: below ``ZHER_MIN_K`` rows, where no BLAS is
+    found, or in a layout BLAS does not take.  No lookup is made below
+    ``ZHER_MIN_K``."""
+    k = a.shape[-1]
     if k < ZHER_MIN_K:
         return None
     found = _zher()
-    if (found is None or a.ndim > core + 1 or a.dtype != np.complex128 or not a.flags.writeable
-            or a.strides[-1] != 16 or (a.ndim > core and a.strides[0] % 16)):
+    if (found is None or a.ndim > 3 or a.dtype != np.complex128 or not a.flags.writeable
+            or a.strides[-1] != 16 or (a.ndim > 2 and a.strides[0] % 16)
+            or a.shape[-2] != k or a.strides[-2] % 16 or a.strides[-2] < 16 * k):
         return None
-    if dim is None:
-        if a.shape[-2] != k or a.strides[-2] % 16 or a.strides[-2] < 16 * k:
-            return None
-    elif a.shape[-1] != k * (k + 1) // 2:
-        return None
-    return _Bound(a, found, dim)
+    return _Bound(a, found)
 
 
 def _on_blas(bound: _Bound | None, k: int) -> bool:
@@ -716,12 +689,11 @@ def rank1_update_herm(
     or ``x (c x)^H`` when ``right`` (they round differently, and each caller
     keeps its form and its bits), over the whole square in one pass, then
     mirrors the strict lower triangle from the upper one.  From ``ZHER_MIN_K``
-    on, where ``a`` is the leading block of the matrices ``bound`` holds
-    (:func:`_bind`; a packed binding needs no ``a``), BLAS ``zher`` or
-    ``zhpr`` adds ``(+/-c) x x^H`` to the upper triangle only, one call per
-    trial, so a trial in a batch is bit for bit its call alone; nothing
-    mirrors it.  ``x`` is read where ``xat`` says, else staged into the
-    bound workspace.
+    on, where ``a`` is the leading block of the squares ``bound`` holds
+    (:func:`_bind`), BLAS ``zher`` adds ``(+/-c) x x^H`` to the upper
+    triangle only, one call per trial, so a trial in a batch is bit for bit
+    its call alone; nothing mirrors it.  ``x`` is read where ``xat`` says,
+    else staged into the bound workspace.
 
     Either way the diagonal's imaginary parts are zero, as in the reference
     Hermitian BLAS routines.  ``a`` may be a strided view such as
@@ -733,7 +705,7 @@ def rank1_update_herm(
     if bound is not None and k >= ZHER_MIN_K:
         bound.her(k, xat or bound.stage(x), -c if subtract else c)
         return
-    u, w = _scaled_pair(x, c, right)
+    u, w = (x, c * x) if right else (c * x, x)
     (np.subtract if subtract else np.add)(a, _outer(u, np.conj(w), fused=False), out=a)
     _zero_diag_imag(a)
     _mirror(a)
@@ -787,22 +759,25 @@ def herm_rank1_update(
     return _finite("herm_rank1_update", out)
 
 
-def _block_step_i(s, r_bar, gamma, led, step=None):
+def _block_step_i(a, r_bar, gamma, led, bound=None, step=None):
     """Partitioned-inverse growth step, three-division form, in place.
 
-    The storage ``s`` (:func:`_grow_inverse`) holds the leading block's
-    inverse, which becomes the grown inverse's; returns the new column and
-    corner entry.  Division accounting is deliberate: one for the Schur
-    denominator, one for 1/gamma and one for 1/gamma**2.  Errors name
+    ``a`` holds the leading block's inverse, Hermitian squares (one or a
+    stack), which becomes the grown inverse's block; returns the new column
+    and corner entry.  With ``bound`` (:func:`_bind`), ``a`` is the leading
+    k x k block of the bound squares and ``r_bar`` their column k above the
+    diagonal, read in place.  Division accounting is deliberate: one for the
+    Schur denominator, one for 1/gamma and one for 1/gamma**2.  Errors name
     ``block_inv_step_i``.
     """
     k = r_bar.shape[-1]
-    g = s.hemv(k, r_bar, led)
+    vat = bound and bound.col(k)
+    g = matvec(a, r_bar, led, bound, vat)
     t = vdot_c(r_bar, g, led)
     delta = _check_pivot(gamma - t, gamma, "block_inv_step_i", step)
     beta = 1.0 / delta
-    s.her(k, g, beta, led)
-    g2 = s.hemv(k, r_bar, led)
+    rank1_update_herm(a, g, beta, led, bound=bound, xat=bound and bound.out)
+    g2 = matvec(a, r_bar, led, bound, vat)
     gamma_inv = 1.0 / gamma
     q_col = (-gamma_inv) * g2
     gamma_inv2 = gamma_inv / gamma
@@ -812,19 +787,21 @@ def _block_step_i(s, r_bar, gamma, led, step=None):
     return q_col, omega
 
 
-def _block_step_v(s, r_bar, gamma, led, step=None):
+def _block_step_v(a, r_bar, gamma, led, bound=None, step=None):
     """Partitioned-inverse growth step, single-division form, in place.
 
     As :func:`_block_step_i`; also returns ``q_tilde = Q r_bar``.
     """
     k = r_bar.shape[-1]
-    q_tilde = s.hemv(k, r_bar, led)
+    q_tilde = matvec(a, r_bar, led, bound, bound and bound.col(k))
     t = vdot_c(r_bar, q_tilde, led)
     delta = _check_pivot(gamma - t, gamma, "block_inv_step_v", step)
     omega = 1.0 / delta
     q_col = (-omega) * q_tilde
     led.tick(cmul=k, cadd=1, cdiv=1)
-    s.her(k, q_tilde, -omega, led, subtract=True, right=True)     # q -= q_tilde q_col^H
+    # q -= q_tilde q_col^H
+    rank1_update_herm(a, q_tilde, -omega, led, subtract=True, right=True, bound=bound,
+                      xat=bound and bound.out)
     return q_col, omega, q_tilde
 
 
@@ -840,7 +817,7 @@ def block_inv_step_i(q_prev, r_bar, gamma, ledger: FlopLedger, step: int | None 
     q_prev, r_bar, gamma = _operands("block_inv_step_i", ("q_prev", q_prev), ("r_bar", r_bar),
                                      ("gamma", gamma))
     q_bar = q_prev.copy()
-    q_col, omega = _block_step_i(_Square(q_bar), r_bar, gamma, ledger, step)
+    q_col, omega = _block_step_i(q_bar, r_bar, gamma, ledger, step=step)
     return _finite("block_inv_step_i", q_bar, q_col, omega)
 
 
@@ -855,7 +832,7 @@ def block_inv_step_v(q_prev, r_bar, gamma, ledger: FlopLedger, step: int | None 
     q_prev, r_bar, gamma = _operands("block_inv_step_v", ("q_prev", q_prev), ("r_bar", r_bar),
                                      ("gamma", gamma))
     q_bar = q_prev.copy()
-    q_col, omega, q_tilde = _block_step_v(_Square(q_bar), r_bar, gamma, ledger, step)
+    q_col, omega, q_tilde = _block_step_v(q_bar, r_bar, gamma, ledger, step=step)
     return _finite("block_inv_step_v", q_bar, q_col, omega, q_tilde)
 
 
@@ -1007,68 +984,39 @@ def init_q_recursive(r: np.ndarray, ledger: FlopLedger, variant: str = "v") -> n
     if variant not in ("i", "v"):
         raise ContractViolationError(f"unknown variant {variant!r}")
     real_pivot(r.diagonal(0, -2, -1), "init_q_recursive")
-    q = _Square(r.copy(), bind=True)
-    _grow_inverse(q, m, ledger, variant)
-    if q.bound is not None:
-        _mirror(q.q)
-    return q.q
+    q = r.copy()
+    bound = _bind(q)
+    _grow_inverse(q, m, ledger, variant, bound)
+    if bound is not None:
+        _mirror(q)
+    return q
 
 
-class _Square:
-    """Hermitian squares ``q`` (one or a stack) as :func:`_grow_inverse`'s storage.
-
-    With ``bind``, blocks from ``ZHER_MIN_K`` rows on run BLAS on the upper
-    triangle (:func:`_bind`); the others take numpy and mirror the border row.
-    """
-
-    def __init__(self, q, bind=False):
-        self.q, self.lead, self.block = q, _lead(q, 2), q
-        self.bound = _bind(q) if bind else None
-
-    def border(self, k):
-        """Column k above the diagonal and entry (k, k); ``block`` becomes the leading block."""
-        q = self.q
-        self.block, self.ii = q[..., :k, :k], _entry(self.lead, k, k)
-        return q[..., :k, k], q[self.ii]
-
-    def hemv(self, k, x, led):
-        bound = self.bound
-        return matvec(self.block, x, led, bound, bound and bound.col(k))
-
-    def her(self, k, x, c, led, subtract=False, right=False):
-        bound = self.bound
-        rank1_update_herm(self.block, x, c, led, subtract, right, bound, bound and bound.out)
-
-    def put(self, k, q_col, omega):
-        q = self.q
-        q[self.ii] = omega
-        q[..., :k, k] = q_col
-        if not _on_blas(self.bound, k + 1):
-            q[..., k, :k] = np.conj(q_col)
-
-
-def _grow_inverse(s, m, led, variant):
-    """:func:`init_q_recursive` in place: the storage ``s``'s leading m x m
-    Hermitian block (one trial or a stack, read from its upper triangle)
-    becomes its inverse.  Step 0 inverts the leading entry; step k grows the
-    inverse by border k with the ``variant`` step and overwrites the border.
-    ``s`` provides four operations (:class:`_Square`, ``detectors._Packed``):
-    ``border(k)``, column k above the diagonal and the entry gamma (a pivot of
-    its own scale); ``hemv(k, x, led)``, the leading block times that column
-    x, charged; ``her(k, x, c, led, subtract, right)``, its update by
-    ``c x x^H``, x the last matvec's result; ``put(k, q_col, omega)``, the
-    border's write-back.
+def _grow_inverse(q, m, led, variant, bound=None):
+    """:func:`init_q_recursive` in place: the leading m x m Hermitian block of
+    the squares ``q`` (one or a stack, read from its upper triangle) becomes
+    its inverse.  Step 0 inverts the leading entry; step k grows the inverse
+    by border k (column k above the diagonal and the entry gamma, a pivot of
+    its own scale) with the ``variant`` step and overwrites the border.  With
+    ``bound``, ``q``'s binding (:func:`_bind`), blocks from ``ZHER_MIN_K`` rows
+    on run BLAS on the upper triangle; the others take numpy and mirror the
+    border row.
     """
     step_fn = _block_step_i if variant == "i" else _block_step_v
+    lead = _lead(q, 2)
     for k in range(m):
-        col, gamma = s.border(k)
+        ii = _entry(lead, k, k)
+        col, gamma = q[..., :k, k], q[ii]
         if k:
             gamma = _check_pivot(gamma, None, "init_q_recursive", k + 1)
-            q_col, omega = step_fn(s, col, gamma, led, k + 1)[:2]
+            q_col, omega = step_fn(q[..., :k, :k], col, gamma, led, bound, k + 1)[:2]
         else:       # the 1 x 1 inverse
             q_col, omega = col, 1.0 / _check_pivot(gamma, None, "init_q_recursive leading entry")
             led.tick(cdiv=1)
-        s.put(k, q_col, omega)
+        q[ii] = omega
+        q[..., :k, k] = q_col
+        if not _on_blas(bound, k + 1):
+            q[..., k, :k] = np.conj(q_col)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError
-from .kernels import _numbers
+from .kernels import _is_int, _numbers
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -97,7 +97,11 @@ class ChannelRealization:
     n: int
 
     def __post_init__(self):
-        if self.n < self.m or self.m < 1:
+        for name, dim in (("M", self.m), ("N", self.n)):
+            if not _is_int(dim, 1):
+                raise ContractViolationError(
+                    f"channel dimension {name} must be an integer >= 1, got {dim!r}")
+        if self.n < self.m:
             raise ContractViolationError(f"need N >= M >= 1, got N={self.n}, M={self.m}")
         if not isinstance(self.h, np.ndarray):
             raise ContractViolationError(

@@ -31,7 +31,6 @@ from vblast.kernels import (
     FlopLedger,
     _grow_inverse,
     _pack_upper,
-    _Square,
     _packed_unpack,
     _strict_lower_mask,
     init_q_recursive,
@@ -356,7 +355,7 @@ def test_covering_schedules_match_out_of_place():
         r_full = r_oop.copy()
         r_full[cu, ru] = np.conj(r_oop[ru, cu])
         q_oop = init_q_recursive(r_full, led_oop, variant="v")
-        _grow_inverse(_Square(buf[:, :m], bind=True), m, led_in, "v")   # the single-buffer covering
+        _grow_inverse(buf[:, :m], m, led_in, "v", kernels._bind(buf[:, :m]))   # single buffer
         assert np.array_equal(buf[:m, :m], q_oop)           # bitwise
     # ledgers of the aliased and fresh-target inverse paths agree
     rng = make_rng(313, 0)
@@ -365,7 +364,7 @@ def test_covering_schedules_match_out_of_place():
     led_a = FlopLedger()
     _cover_gram_rows(buf, 0.1, led_a)
     pre = led_a.copy()
-    _grow_inverse(_Square(buf[:, :8], bind=True), 8, led_a, "v")
+    _grow_inverse(buf[:, :8], 8, led_a, "v", kernels._bind(buf[:, :8]))
     led_b = FlopLedger()
     r = oop_gram_rows(h.conj().T.copy(), 0.1)
     ru, cu = np.triu_indices(8)
@@ -424,7 +423,7 @@ def test_covering_on_the_blas_route_keeps_the_upper_triangle(m):
     r[ru, cu] = covered[ru, cu]
     r[cu, ru] = np.conj(covered[ru, cu])
     q_oop = init_q_recursive(r, FlopLedger(), variant="v")
-    _grow_inverse(_Square(buf[:, :m], bind=True), m, FlopLedger(), "v")
+    _grow_inverse(buf[:, :m], m, FlopLedger(), "v", kernels._bind(buf[:, :m]))
     assert buf[ru, cu].tobytes() == q_oop[ru, cu].tobytes()
     if kernels._zher() is not None:
         kept = np.tril(np.ones((m, m), bool), -1)
@@ -432,33 +431,43 @@ def test_covering_on_the_blas_route_keeps_the_upper_triangle(m):
         assert buf[:, :m][kept].tobytes() == covered[:, :m][kept].tobytes()
 
 
-@pytest.mark.parametrize("m", [ZHER_MIN_K - 1, ZHER_MIN_K, ZHER_MIN_K + 1, ZHER_MIN_K + 8, 64])
-def test_packed_growth_matches_the_dense_growth(monkeypatch, m):
-    """The packed pair's growth gives the upper triangle of the dense growth to
-    1e-13 relative, with the same ledger.  While every block stays below
-    ``ZHER_MIN_K`` it keeps the bits of its numpy path (no BLAS found);
-    beyond, ``zhpmv`` and ``zhpr`` run.  A batch's trials are each bit for bit
-    the growth of that trial alone."""
-    rng = make_rng(319, m)
-    h = (rng.standard_normal((3, m + 2, m)) + 1j * rng.standard_normal((3, m + 2, m))) / np.sqrt(2)
-    r = np.conj(h).swapaxes(-1, -2) @ h + 0.1 * np.eye(m)
-    dense, led_dense = r[0].copy(), FlopLedger()
-    _grow_inverse(_Square(dense, bind=True), m, led_dense, "v")
-    want = _pack_upper(dense)
+@pytest.mark.parametrize("m", [ZHER_MIN_K - 1, ZHER_MIN_K, ZHER_MIN_K + 1, 64])
+def test_packed_pair_packs_the_dense_growth(m):
+    """The packed pair packs the Q that ``proposed_2`` grows in its square: the
+    first Q step and the ledger are ``proposed_2``'s bit for bit, for one trial
+    and a batch of three, on either side of ``ZHER_MIN_K``."""
+    for cname in ("qpsk", "qam16"):
+        c, chs, rxs = batch_trials(m, m + 2, cname, 5, seed=53)
+        # a noiseless trial alone, and a batch at 10, 20 and 40 dB
+        for ch, rx in ((chs[4], rxs[4]), (chs[1:4], rxs[1:4])):
+            dense = detect_proposed_2(ch, rx, c, collect_q=True)
+            for detect in (detect_proposed_2_tri, detect_proposed_2_tri_noperm):
+                packed = detect(ch, rx, c, collect_q=True)
+                assert packed.ledger == dense.ledger
+                for a, b in zip(getattr(dense, "trials", [dense]),
+                                getattr(packed, "trials", [packed])):
+                    assert b.q_steps[0].tobytes() == a.q_steps[0].tobytes()
+                    assert b.ledger == a.ledger
 
-    def grow(trials, upper):
-        led = FlopLedger()
-        _grow_inverse(_Packed(trials, upper, m), m, led, "v")
-        assert led == led_dense
-        return upper
 
-    one = grow(_OneTrial(m), _pack_upper(r[0]))
-    assert np.abs(one - want).max() <= 1e-13 * np.abs(want).max()
-    batch = grow(_Trials(3, m), _pack_upper(r))
-    for t in range(3):
-        assert batch[t].tobytes() == grow(_OneTrial(m), _pack_upper(r[t])).tobytes()
-    monkeypatch.setattr(kernels, "_zher", lambda: None)
-    assert (grow(_OneTrial(m), _pack_upper(r[0])).tobytes() == one.tobytes()) == (m <= ZHER_MIN_K)
+@pytest.mark.parametrize("cname", ["qpsk", "qam16"])
+@pytest.mark.parametrize("snr_db", [60.0, np.inf])
+def test_packed_pair_returns_where_proposed_2_returns(cname, snr_db):
+    """At M = N = 27, 60 dB and noiseless (``tools/snapshots.py``'s ``trial(27, 27,
+    cname, snr_db, 0)``, drawn here alike), a growth in the packed vector raised
+    ``SingularMatrixError`` where the dense growth returns; the pair packs that
+    dense growth, and returns with ``proposed_2``'s order and decisions."""
+    c = constellation(cname)
+    stream = 1000 * (100 * 27 + 27)     # the grid's stream for (M, N) = (27, 27), trial 0
+    ch = draw_channel(27, 27, 2024, stream=stream)
+    sigma = sigma_n2_for_snr_db(snr_db, c.symbol_energy)
+    rx = transmit(random_frame(27, c, 2024, stream=stream + 1), ch, sigma, 2024,
+                  stream=stream + 2, alpha=1e-6 if sigma == 0 else None)
+    dense = detect_proposed_2(ch, rx, c)
+    for detect in (detect_proposed_2_tri, detect_proposed_2_tri_noperm):
+        packed = detect(ch, rx, c)
+        assert np.array_equal(packed.order, dense.order)
+        assert np.array_equal(packed.s_hat, dense.s_hat)
 
 
 @pytest.mark.parametrize("i, j, m", [(0, 1, 2), (0, 4, 5), (2, 6, 7), (3, 4, 5)])
@@ -554,10 +563,10 @@ def packed_sub_reference(upper, u, w):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 17, 64])
 def test_packed_sub_matches_triangular_loop(k):
-    """The packed storage's update ``-= c x x^H`` of the leading k x k triangle,
-    its products formed as ``(c x) x^H`` or as ``x (c x)^H``, on one trial and
-    on a batch of three, equals a plain loop over its columns bit for bit:
-    real diagonal, entries past the k*(k+1)/2 prefix untouched."""
+    """The packed storage's update ``-= (c x) x^H`` of the leading k x k
+    triangle, on one trial and on a batch of three, equals a plain loop over
+    its columns bit for bit: real diagonal, entries past the k*(k+1)/2 prefix
+    untouched."""
     dim = k + 3
     rng = make_rng(79, k)
     size = dim * (dim + 1) // 2
@@ -565,16 +574,14 @@ def test_packed_sub_matches_triangular_loop(k):
         upper = rng.standard_normal(lead + (size,)) + 1j * rng.standard_normal(lead + (size,))
         x = rng.standard_normal(lead + (k,)) + 1j * rng.standard_normal(lead + (k,))
         c = rng.standard_normal(lead[:1] + (1,) * len(lead)) if lead else -0.7
-        for right in (False, True):
-            u, w = (x, c * x) if right else (c * x, x)
-            before, want = upper.copy(), packed_sub_reference(upper, u, w)
-            led = FlopLedger()
-            _Packed(trials, upper, dim).sub(None, x, c, led, right=right)
-            assert upper.tobytes() == want.tobytes()
-            assert not upper[..., [j * (j + 3) // 2 for j in range(k)]].imag.any()
-            n = k * (k + 1) // 2
-            assert upper[..., n:].tobytes() == before[..., n:].tobytes()
-            assert led == FlopLedger(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
+        before, want = upper.copy(), packed_sub_reference(upper, c * x, x)
+        led = FlopLedger()
+        _Packed(trials, upper, dim).sub(None, x, c, led)
+        assert upper.tobytes() == want.tobytes()
+        assert not upper[..., [j * (j + 3) // 2 for j in range(k)]].imag.any()
+        n = k * (k + 1) // 2
+        assert upper[..., n:].tobytes() == before[..., n:].tobytes()
+        assert led == FlopLedger(cmul=k * (k + 1) // 2, cadd=k * (k + 1) // 2)
 
 
 def test_packed_pair_raises_dense_covering_errors_on_overflow():
@@ -643,9 +650,9 @@ def test_indexed_dense_storage_reads_only_the_upper_triangle(monkeypatch):
 
     grow = det._grow_inverse
 
-    def grow_then_spoil(s, *args, **kwargs):
-        grow(s, *args, **kwargs)
-        s.q[..., _strict_lower_mask(s.q.shape[-1])] = np.nan
+    def grow_then_spoil(q, *args, **kwargs):
+        grow(q, *args, **kwargs)
+        q[..., _strict_lower_mask(q.shape[-1])] = np.nan
 
     class Spoiled(det._Indexed):
         def sub(self, rest, x, c, led):
@@ -672,16 +679,17 @@ def test_indexed_dense_storage_reads_only_the_upper_triangle(monkeypatch):
 
 
 # the routines whose dense Q (and R) take the Hermitian kernels: all but ``original``
-# (full squares) and the packed pair
+# (full squares); the packed pair only in the growth, whose upper triangle it packs
 DENSE_HERM = ["mem_saving", "fastest_known", "speed_adv", "proposed_1", "proposed_2",
-              "proposed_2_noperm"]
+              "proposed_2_noperm", "proposed_2_tri", "proposed_2_tri_noperm"]
 
 
 @pytest.mark.parametrize("m", [ZHER_MIN_K - 1, ZHER_MIN_K, ZHER_MIN_K + 1, ZHER_MIN_K + 8])
 def test_dense_storages_read_only_the_upper_triangle_on_the_blas_route(monkeypatch, m):
     """Where BLAS is found and M reaches ``ZHER_MIN_K``, the dense detectors never
     read the strict lower triangle of Q: spoiled with NaN once it is built (for
-    the single buffer, also right after its growth), each returns the same
+    the single buffer, also right after its growth, which the packed pair
+    packs), each returns the same
     bytes, Q steps and ledgers included, for one trial and a batch.  At M =
     ZHER_MIN_K - 1 nothing is bound and nothing is spoiled.  This covers the
     step from the BLAS route back to numpy at k = ZHER_MIN_K - 1 and the
@@ -705,10 +713,10 @@ def test_dense_storages_read_only_the_upper_triangle_on_the_blas_route(monkeypat
 
     grow = det._grow_inverse
 
-    def grow_then_spoil(s, *args, **kwargs):
-        grow(s, *args, **kwargs)
-        if s.bound is not None:
-            spoil(s.q)
+    def grow_then_spoil(q, m, led, variant, bound=None):
+        grow(q, m, led, variant, bound)
+        if bound is not None:
+            spoil(q)
 
     monkeypatch.setattr(det, "_Dense", Spoiled)
     monkeypatch.setattr(det, "_grow_inverse", grow_then_spoil)
@@ -750,12 +758,12 @@ def test_gram_matrix_is_read_through_the_order_only(monkeypatch, m):
 
 
 def test_detectors_without_blas_take_the_numpy_path(monkeypatch):
-    """Where numpy ships no BLAS ``zher``, ``zhemv``, ``zhpr`` and ``zhpmv``,
-    nothing is bound, dense square or packed vector: at M = ZHER_MIN_K + 8 the
-    nine detectors return the bits of the numpy path (every block below the
-    BLAS threshold), for one trial and a batch.  That covers the packed pair's
-    growth and ``proposed_2_noperm``'s deflation, which take BLAS where it is
-    found (their ``soft`` then moves)."""
+    """Where numpy ships no BLAS ``zher`` and ``zhemv``, nothing is bound: at M =
+    ZHER_MIN_K + 8 the nine detectors return the bits of the numpy path (every
+    block below the BLAS threshold), for one trial and a batch.  That covers
+    the single buffer's growth, which the packed pair packs, and
+    ``proposed_2_noperm``'s deflation, which take BLAS where it is found
+    (their ``soft`` then moves)."""
     m = ZHER_MIN_K + 8
     c, chs, rxs = batch_trials(m, m + 2, "qam16", 3, seed=43)
     runs = [(chs[0], rxs[0]), (chs, rxs)]

@@ -30,8 +30,6 @@ from vblast.kernels import (
     sm_rank1_inverse_update,
     _check_pivot,
     _grow_inverse,
-    _pack_upper,
-    _Square,
 )
 from vblast.sigmodel import make_rng
 
@@ -121,6 +119,12 @@ def _bound_update(buf, k, x, c, **kw):
     block = buf[..., :k, :k]
     rank1_update_herm(block, x, c, led, bound=kernels._bind(block), **kw)
     return led
+
+
+def _grow(q, m, variant="v"):
+    """``_grow_inverse`` on the squares ``q`` in place, bound as the single buffer
+    binds them."""
+    _grow_inverse(q, m, FlopLedger(), variant, kernels._bind(q))
 
 
 def _spoiled(buf, k):
@@ -293,7 +297,7 @@ def test_rank1_update_herm_without_blas_runs_numpy(monkeypatch, k, lead):
     route = kernels.blas_route()
     monkeypatch.setattr(kernels, "_zher", lambda: None)
     assert "numpy for every k" in kernels.blas_route()
-    for name in ("zher", "zhemv", "zhpr", "zhpmv"):       # found or not, the line names all four
+    for name in ("zher", "zhemv"):       # found or not, the line names both
         assert f"scipy_cblas_{name}64_" in route
         assert f"scipy_cblas_{name}64_" in kernels.blas_route()
     assert kernels._bind(buf[..., :k, :k]) is None
@@ -456,16 +460,12 @@ def test_init_q_recursive_singular_border_names_index(variant, m):
     text = rf"^singular pivot in block_inv_step_{variant} \(recursion index {m}\): \|0\|$"
     with pytest.raises(SingularMatrixError, match=text):
         init_q_recursive(r, FlopLedger(), variant=variant)
-    # as the middle trial of a batch of three, the same error; the single-buffer
-    # detectors' dense and packed coverings raise it too
-    from vblast.detectors import _Packed, _Trials
-
+    # as the middle trial of a batch of three, the same error; the single
+    # buffer's growth raises it too
     stack = np.stack([np.diag(2.0 ** np.arange(m)), r, np.eye(m)]).astype(complex)
     runs = [lambda: init_q_recursive(stack, FlopLedger(), variant=variant)]
     if variant == "v":
-        runs += [lambda: _grow_inverse(_Square(stack.copy(), bind=True), m, FlopLedger(), "v"),
-                 lambda: _grow_inverse(_Packed(_Trials(3, m), _pack_upper(stack), m), m,
-                                       FlopLedger(), "v")]
+        runs.append(lambda: _grow(stack.copy(), m))
     for run in runs:
         with pytest.raises(SingularMatrixError, match=text):
             run()
@@ -479,22 +479,16 @@ def test_init_q_recursive_singular_border_names_index(variant, m):
 ])
 def test_grow_inverse_leading_entry_errors(m, lead, text):
     """A leading entry that is not positive and finite fails the growth's step 0, with
-    the same text on a dense square (either variant) and on the packed vector, for one
-    trial and as the middle trial of a batch of three; a finite one fails
-    ``init_q_recursive`` the same way."""
-    from vblast.detectors import _OneTrial, _Packed, _Trials
-
+    the same text in either variant, for one trial and as the middle trial of a batch
+    of three; a finite one fails ``init_q_recursive`` the same way."""
     good = 2.0 * np.eye(m, dtype=complex)
     bad = good.copy()
     bad[0, 0] = lead
     stack = np.stack([good, bad, good])
-    runs = [lambda: _grow_inverse(_Packed(_OneTrial(m), _pack_upper(bad), m), m, FlopLedger(), "v"),
-            lambda: _grow_inverse(_Packed(_Trials(3, m), _pack_upper(stack), m), m,
-                                  FlopLedger(), "v")]
+    runs = []
     for variant in ("i", "v"):
-        runs += [lambda v=variant: _grow_inverse(_Square(bad.copy(), bind=True), m, FlopLedger(), v),
-                 lambda v=variant: _grow_inverse(_Square(stack.copy(), bind=True), m,
-                                                 FlopLedger(), v)]
+        runs += [lambda v=variant: _grow(bad.copy(), m, v),
+                 lambda v=variant: _grow(stack.copy(), m, v)]
         if np.isfinite(lead):
             runs += [lambda v=variant: init_q_recursive(bad, FlopLedger(), v),
                      lambda v=variant: init_q_recursive(stack, FlopLedger(), v)]
@@ -772,7 +766,7 @@ def test_inverse_pair_property_all_paths(alpha):
         assert np.abs(r - r_exact).max() <= 1e-12 * np.abs(r_exact).max()
         buf = h.conj().T.copy()
         _cover_gram_rows(buf, alpha, FlopLedger())
-        _grow_inverse(_Square(buf[:, :m], bind=True), m, FlopLedger(), "v")
+        _grow(buf[:, :m], m)
         # the single buffer's Q is its upper triangle: from ZHER_MIN_K rows on, the
         # BLAS route never writes the strict lower one
         grown = np.triu(buf[:, :m]) + np.triu(buf[:, :m], 1).conj().T
@@ -1042,22 +1036,20 @@ def test_herm_packed_takes_only_numbers():
                                    f"{type(bad).__name__}")
 
 
-@pytest.mark.parametrize("packed", [False, True], ids=["square", "packed"])
-def test_one_matrix_binding_is_a_stack_bindings_row(packed):
-    """A binding of one matrix makes one BLAS call per operation, without the
-    stack's per-trial lists: its ``hemv`` and ``her`` give, bit for bit, row 0
-    of a two-matrix stack binding whose first matrix is the same."""
+def test_one_matrix_binding_is_a_stack_bindings_row():
+    """A binding of one square makes one BLAS call per operation, without the
+    stack's per-trial lists: its ``hemv`` (``zhemv``) and ``her`` (``zher``)
+    give, bit for bit, row 0 of a two-square stack binding whose first square
+    is the same."""
     if kernels._zher() is None:
-        pytest.skip("no BLAS zher/zhemv/zhpr/zhpmv in this numpy")
+        pytest.skip("no BLAS zher/zhemv in this numpy")
     dim, k = ZHER_MIN_K + 8, ZHER_MIN_K + 5
     rng = make_rng(71)
-    squares = np.stack([seeded_spd(rng, dim), seeded_spd(rng, dim)])
-    stack = _pack_upper(squares) if packed else squares
+    stack = np.stack([seeded_spd(rng, dim), seeded_spd(rng, dim)])
     one = stack[0].copy()
-    b1, bs = (kernels._bind(a, dim if packed else None) for a in (one, stack))
+    b1, bs = (kernels._bind(a) for a in (one, stack))
     assert b1.single and not bs.single
-    for x1, xs in ((b1.col(k), bs.col(k)), (b1.stage(squares[0, 1, :k]),
-                                             bs.stage(squares[:, 1, :k]))):
+    for x1, xs in ((b1.col(k), bs.col(k)), (b1.stage(stack[0, 1, :k]), bs.stage(stack[:, 1, :k]))):
         assert b1.hemv(k, x1).tobytes() == bs.hemv(k, xs)[0].tobytes()
     x = random_complex(rng, 2, k)
     b1.her(k, b1.stage(x[0]), -0.7)

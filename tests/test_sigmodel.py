@@ -174,6 +174,18 @@ def test_snr_helper():
 
 @pytest.mark.parametrize("call, text", [
     (lambda: ChannelRealization(np.ones((1, 2)), 2, 1), "need N >= M >= 1, got N=1, M=2"),
+    (lambda: ChannelRealization(np.ones((2, 2)), "2", 2),
+     "channel dimension M must be an integer >= 1, got '2'"),
+    (lambda: ChannelRealization(np.ones((2, 2)), 2.0, 2.0),
+     "channel dimension M must be an integer >= 1, got 2.0"),
+    (lambda: ChannelRealization(np.ones((2, 2)), 2, 2.0),
+     "channel dimension N must be an integer >= 1, got 2.0"),
+    (lambda: ChannelRealization(np.ones((1, 1)), True, 1),
+     "channel dimension M must be an integer >= 1, got True"),
+    (lambda: ChannelRealization(np.ones((1, 1)), 1, True),
+     "channel dimension N must be an integer >= 1, got True"),
+    (lambda: ChannelRealization(np.ones((2, 0)), 0, 2),
+     "channel dimension M must be an integer >= 1, got 0"),
     (lambda: ChannelRealization(np.ones((3, 2)), 2, 2), "channel matrix shape (3, 2) != (2, 2)"),
     (lambda: ChannelRealization(np.array([[np.nan]]), 1, 1), "channel matrix contains NaN or Inf"),
     (lambda: ChannelRealization(np.array([[None]]), 1, 1),
@@ -195,6 +207,11 @@ def test_signal_model_input_checks_name_the_misuse(call, text):
     with pytest.raises(ContractViolationError) as info:
         call()
     assert str(info.value) == text
+
+
+def test_channel_takes_numpy_integer_dimensions():
+    ch = ChannelRealization(np.ones((2, 2)), np.int64(2), np.int64(2))
+    assert (ch.m, ch.n) == (2, 2)
 
 
 def test_channel_takes_numbers_of_any_numeric_dtype():

@@ -6,10 +6,11 @@ on its parent and on itself and compares the two printouts::
     PYTHONPATH=src python tools/snapshots.py
 
 The first line names the code that ran the Hermitian rank-one updates and
-matvecs: BLAS ``zher`` and ``zhemv`` (dense squares) and ``zhpr`` and
-``zhpmv`` (packed triangles) from a named library for blocks of
-``kernels.ZHER_MIN_K`` or more, or numpy for every block.  Digests that cover
-blocks on the BLAS route depend on the BLAS build.
+matvecs: BLAS ``zher`` and ``zhemv`` from a named library for blocks of
+``kernels.ZHER_MIN_K`` or more, or numpy for every block.  They run on dense
+squares only; the packed pair packs the single buffer's grown square and
+deflates on numpy.  Digests that cover blocks on the BLAS route depend on
+the BLAS build.
 
 Each routine's digest covers, for every input, its outputs (``s_hat``,
 ``order``, ``soft``), trace, ``q_steps``, ``aux`` (``proposed_2``), flop
