@@ -43,16 +43,25 @@ from .harness import (
 )
 
 
+def _items(text: str) -> list[str]:
+    """The items of a comma-separated list; an empty one (``2,,4``, ``10,``, or
+    an empty list) is misuse, not skipped."""
+    items = text.split(",")
+    if "" in items:
+        raise argparse.ArgumentTypeError(f"empty item in the list {text!r}")
+    return items
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+    return [int(tok) for tok in _items(text)]
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+    return [float(tok) for tok in _items(text)]
 
 
 def _algo_list(text: str) -> list[str]:
-    names = [tok for tok in text.split(",") if tok]
+    names = _items(text)
     if names == ["all"]:
         return list(DETECTOR_NAMES)
     for name in names:
@@ -83,7 +92,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="vblast",
+    # no abbreviations: a mistyped option (--snr for --snr-db) is misuse, not a guess
+    parser = argparse.ArgumentParser(prog="vblast", allow_abbrev=False,
                                      description="Instrumented recursive V-BLAST detector harness")
     subs = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
@@ -92,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("mem", "peak working-set comparison"),
         ("ber", "bit error rate simulation"),
     ]:
-        _add_common(subs.add_parser(name, help=help_text))
+        _add_common(subs.add_parser(name, help=help_text, allow_abbrev=False))
     return parser
 
 

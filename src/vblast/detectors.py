@@ -86,7 +86,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 from typing import NamedTuple
 
@@ -149,12 +149,12 @@ class MemLedger:
         out._registry = dict(self._registry)
         return out
 
-    def merge(self, other: "MemLedger") -> "MemLedger":
-        """Add another run's buffers as if both were live at once (a batch's trials)."""
-        self.peak_words += other.peak_words
-        for name, words in other._registry.items():
-            self._registry[name] = self._registry.get(name, 0) + words
-        return self
+    def times(self, n: int) -> "MemLedger":
+        """The buffers of ``n`` runs like this one, all live at once (a batch's trials)."""
+        out = MemLedger()
+        out.peak_words = n * self.peak_words
+        out._registry = {name: n * words for name, words in self._registry.items()}
+        return out
 
     @property
     def buffers(self) -> list[tuple[str, int]]:
@@ -171,6 +171,10 @@ class OrderingTrace(NamedTuple):
     l: int
     q_min: float
     q_gap: float
+
+
+# a record from one (m, l, q_min, q_gap) tuple, without the field-by-field constructor
+_record = partial(tuple.__new__, OrderingTrace)
 
 
 @dataclass
@@ -197,14 +201,6 @@ class BatchResult:
     trials: list[DetectionResult]
     ledger: FlopLedger
     mem: MemLedger
-
-    @classmethod
-    def of(cls, trials: list[DetectionResult]) -> "BatchResult":
-        led, mem = FlopLedger(), MemLedger()
-        for res in trials:
-            led.merge(res.ledger)
-            mem.merge(res.mem)
-        return cls(trials, led, mem)
 
 
 def _stack(chs, rxs, c):
@@ -268,29 +264,36 @@ def _stack(chs, rxs, c):
             raise ContractViolationError(f"detectors need alpha > 0, got {rx.alpha}")
     if len(chs) == 1:
         return batch, _OneTrial(m), hs[0], xs[0], float(rxs[0].alpha), np.arange(m)
-    return (batch, _Trials(len(chs), m), np.stack(hs), np.stack(xs),
-            np.array([[float(rx.alpha)] for rx in rxs]), np.tile(np.arange(m), (len(chs), 1)))
+    trials = _Trials(len(chs), m)
+    return (batch, trials, np.array(hs), np.array(xs),
+            np.array([[float(rx.alpha)] for rx in rxs]), trials.identity.copy())
 
 
-def _results(batch, trials, p, hard, soft, led, mem, picks, qs, aux=None):
+def _results(batch, trials, p, hard, soft, led, mem, picks, blocks, aux=None):
     """Scatter the decisions, in detection order, back to antenna order and
     return the call's :class:`DetectionResult`, or its :class:`BatchResult`
     when it took a batch.  ``picks`` holds each step's ordering records, one
-    per trial; trial t gets its records as its trace, ``qs[t]`` and ``aux[t]``."""
+    per trial, and ``blocks`` (None unless Q is collected) each step's Q
+    blocks, one per trial along the leading axis of a batch's; trial t gets
+    its records as its trace, its blocks as ``q_steps`` and ``aux[t]``.
+    Every trial's ledgers are the one ledger each, so a batch's are that
+    ledger times its trials."""
     lead = trials.lead
-    traces = [list(trace) for trace in zip(*picks)]
     s_hat, soft_ant = np.empty_like(hard), np.empty_like(soft)
     s_hat[(*lead, p)] = hard
     soft_ant[(*lead, p)] = soft
     if not lead:
-        res = DetectionResult(s_hat, p, soft_ant, led, mem, traces[0], qs and qs[0],
+        res = DetectionResult(s_hat, p, soft_ant, led, mem, [recs[0] for recs in picks], blocks,
                               aux and aux[0])
-        return BatchResult.of([res]) if batch else res
-    return BatchResult.of([
-        DetectionResult(s_hat[t], p[t], soft_ant[t], led.copy(), mem.copy(), traces[t],
-                        qs and qs[t], aux and aux[t])
-        for t in range(len(p))
-    ])
+        return BatchResult([res], led.copy(), mem.times(1)) if batch else res
+    n_trials = len(p)
+    qs = repeat(None) if blocks is None else map(list, zip(*blocks))
+    aux = repeat(None) if aux is None else aux
+    return BatchResult(
+        [DetectionResult(s_hat[t], p[t], soft_ant[t], led.copy(), mem.copy(), list(trace), q, x)
+         for t, trace, q, x in zip(range(n_trials), zip(*picks), qs, aux)],
+        FlopLedger(n_trials * led.cmul, n_trials * led.cadd, n_trials * led.cdiv),
+        mem.times(n_trials))
 
 
 def _argmin_gap(d: list[float]):
@@ -338,7 +341,7 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
     soft = np.zeros(p.shape, np.complex128)     # in detection order
     hard = np.zeros(p.shape, np.complex128)
     picks: list = []                # each step's records, one per trial
-    qs = [[] for _ in range(p.size // m_tx)] if collect_q else None
+    blocks = [] if collect_q else None      # each step's Q, one block per trial
     for m in range(m_tx, 0, -1):
         j = m - 1
         hm = h[..., :m]
@@ -352,9 +355,8 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
             trials.swap_rows((h.mT,), l, j)
             trials.sym_swap(q, l, j, m)
         picks.append(recs)
-        if qs is not None:
-            for steps, blk in zip(qs, q.copy().reshape(-1, m, m)):
-                steps.append(blk)
+        if blocks is not None:
+            blocks.append(q.copy())
         w = np.matvec(h[..., :m].conj().mT, x)
         est = np.vecdot(q[..., j], w)
         s = quantize(est, c)
@@ -363,7 +365,7 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
         if m == 1:
             break
         x = x - np.asarray(est if cancel_soft else s)[..., None] * h[..., j]
-    return _results(batch, trials, p, hard, soft, led, mem, picks, qs)
+    return _results(batch, trials, p, hard, soft, led, mem, picks, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +465,7 @@ class _OneTrial:
         """:func:`_argmin_gap` of the diagonal: the index to swap into place
         ``m - 1`` (None if it is there already) and the trace record."""
         l, q_min, gap = _argmin_gap(dg.tolist())
-        return (None if l == m - 1 else l), (OrderingTrace(m, l, q_min, gap),)
+        return (None if l == m - 1 else l), (_record((m, l, q_min, gap)),)
 
     def swap_entries(self, vecs, l, j):
         for v in vecs:
@@ -497,6 +499,8 @@ class _Trials:
         self.lead, self.lead2 = (ts[:, None],), (ts[:, None, None],)
         self.spans = [(slice(None), slice(0, k)) for k in range(dim + 1)]
         self.ats = [_entry(self.lead, k) for k in range(dim)]
+        self.identity = np.tile(np.arange(dim), (n_trials, 1))     # each trial's first order
+        self.identity.flags.writeable = False
 
     def order(self, dg, m):
         """Each trial's index to swap (None if no trial moves) and records."""
@@ -504,12 +508,12 @@ class _Trials:
             l = dg.argmin(axis=1)
             two = np.partition(dg, 1, axis=1)
             q_min = two[:, 0]
-            recs = list(map(OrderingTrace, repeat(m), l.tolist(), q_min.tolist(),
-                            (two[:, 1] - q_min).tolist()))
+            recs = list(map(_record, zip(repeat(m), l.tolist(), q_min.tolist(),
+                                         (two[:, 1] - q_min).tolist())))
         else:
             # a zero, NaN or infinity: np.partition orders tied zeros of either
             # sign as its SIMD network happens to, so each row runs as one trial
-            recs = [OrderingTrace(m, *_argmin_gap(row)) for row in dg.tolist()]
+            recs = [_record((m, *_argmin_gap(row))) for row in dg.tolist()]
             l = np.array([r.l for r in recs])
         return (l if (l != m - 1).any() else None), recs
 
@@ -900,7 +904,7 @@ def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
     soft = np.zeros(p.shape, np.complex128)     # in detection order
     hard = np.zeros(p.shape, np.complex128)
     picks: list = []                # each step's records, one per trial
-    qs = [[] for _ in range(n_trials)] if collect_q else None
+    blocks = [] if collect_q else None      # each step's Q, one block per trial
     aux = [{"p": [], "z": [], "d": []} for _ in range(n_trials)] if collect_aux else None
     for m in range(m_tx, 0, -1):
         j = m - 1                       # the order position filled at this step
@@ -910,9 +914,8 @@ def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
             if swap is not None:
                 swap(l, j)
         picks.append(recs)
-        if qs is not None:
-            for steps, blk in zip(qs, block(m, p).reshape(-1, m, m)):
-                steps.append(blk)
+        if blocks is not None:
+            blocks.append(block(m, p))
         if aux is not None:
             for key, v in zip(("p", "z", "d"), (p, *vecs)):
                 for rec, row in zip(aux, v[..., :m].reshape(-1, m)):
@@ -925,7 +928,7 @@ def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
         if m == 1:
             break
         cancel(col, rest, last, est if cancel_soft else s)
-    return _results(batch, trials, p, hard, soft, led, mem, picks, qs, aux)
+    return _results(batch, trials, p, hard, soft, led, mem, picks, blocks, aux)
 
 
 # ---------------------------------------------------------------------------

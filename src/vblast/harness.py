@@ -44,7 +44,9 @@ NOISELESS_ALPHA = 1e-6
 
 # A sweep runs the trials of one (M, N) through each detector in batches of
 # at most BATCH_TRIALS, and of at most BATCH_WORDS complex words of M*M*N
-# per batch, which bounds a batch's memory at large M.
+# per batch, which bounds a batch's memory at large M; the equivalence sweep
+# stacks the detectors' Q steps for comparison in groups of at most
+# BATCH_WORDS words too (one trial's steps at least).
 BATCH_TRIALS = 64
 BATCH_WORDS = 1 << 20
 
@@ -92,15 +94,34 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _line_format(types) -> str:
+    """The printf format of a CSV line whose fields have these types."""
+    return ",".join("%.12g" if issubclass(t, float) else "%s" for t in types) + "\n"
+
+
 def write_csv(path, header, rows) -> None:
+    """Write a header and rows: each row through one printf format per tuple of
+    field types, or through the csv writer if its line would need quoting (a
+    comma, quote or line break in a field, or one empty field); the same bytes."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
+            formats = {}
             for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+                row = tuple(row)
+                types = tuple(map(type, row))
+                fmt = formats.get(types)
+                if fmt is None:
+                    fmt = formats[types] = _line_format(types)
+                line = fmt % row
+                if (line.count(",") != len(row) - 1 or '"' in line or "\r" in line
+                        or line.count("\n") != 1 or line == "\n"):
+                    writer.writerow([_fmt(v) for v in row])
+                else:
+                    fh.write(line)
     except OSError as exc:
         raise cannot_write(path, exc) from None
 
@@ -250,14 +271,26 @@ def _flat_steps(results):
     return np.concatenate([np.array(q).reshape(len(results), -1) for q in steps], axis=1)
 
 
+def _step_errors(got, ks, q_or, starts, scale):
+    """Each result's largest Q step error against its oracle's trial ``ks``, each
+    step's error relative to the oracle's largest entry at that step."""
+    diff = _flat_steps(got)
+    diff -= q_or[ks]
+    err = np.maximum.reduceat(np.abs(diff), starts, axis=1)
+    sc = scale[ks]
+    with np.errstate(all="ignore"):     # as a Python float division: no warning
+        err = np.where(sc != 0, err / sc, 0.0)
+    return np.maximum.reduce(err, axis=1, initial=0.0)
+
+
 def _equiv_rows(m, n, points, names, oracles, runs):
     """Comparison rows of each point of a batch: its oracle result (or error)
     against each detector's result (or error) in ``runs[name]``, which holds
     one outcome per point whose oracle ran, in order.
 
-    Each comparison runs over the batch's trials at once: per detector, the
-    hard decisions, the soft estimates and every step's Q, whose error is
-    relative to the oracle's largest entry at that step.
+    The returning trials of all detectors are compared in one pass: their
+    hard decisions and soft estimates stacked at once, their Q steps in
+    groups of as many trials as fit in BATCH_WORDS words (one at least).
     """
     rows = [[_row(m, n, pt, name, error=f"oracle: {o}") for name in names]
             if isinstance(o, Exception) else [None] * len(names)
@@ -267,38 +300,41 @@ def _equiv_rows(m, n, points, names, oracles, runs):
         return rows
     ors = [oracles[i] for i in live]
     min_gap = [min([t.q_gap for t in o.trace if t.m >= 2], default=float("inf")) for o in ors]
-    gated = np.array(min_gap) > GATE_GAP
-    s_or, p_or, soft_or = (np.array([getattr(o, f) for o in ors])
-                           for f in ("s_hat", "order", "soft"))
-    q_or = _flat_steps(ors)
-    starts = np.cumsum([0] + [q.size for q in ors[0].q_steps[:-1]])   # each step's first entry
-    scale = np.maximum.reduceat(np.abs(q_or), starts, axis=1)
+    gated = [gap > GATE_GAP for gap in min_gap]
+    done = []           # (detector, live trial, result) of every trial that returned
     for j, name in enumerate(names):
-        done = []
         for k, res in enumerate(runs[name]):
             if isinstance(res, Exception):
                 rows[live[k]][j] = _row(m, n, points[live[k]], name, min_q_gap=min_gap[k],
-                                        gated=bool(gated[k]), error=str(res))
+                                        gated=gated[k], error=str(res))
             else:
-                done.append(k)
-        if not done:
-            continue
-        got = [runs[name][k] for k in done]
-        hard = ((np.array([r.s_hat for r in got]) == s_or[done]).all(axis=-1)
-                & (np.array([r.order for r in got]) == p_or[done]).all(axis=-1))
-        soft = np.abs(np.array([r.soft for r in got]) - soft_or[done]).max(axis=-1)
-        err = np.maximum.reduceat(np.abs(_flat_steps(got) - q_or[done]), starts, axis=1)
-        sc = scale[done]
-        with np.errstate(all="ignore"):     # as a Python float division: no warning
-            err = np.where(sc != 0, err / sc, 0.0)
-        cov = np.maximum.reduce(err, axis=1, initial=0.0)
-        # a NaN step error is no near-tie in the ordering: it fails the row, gated or not
-        ok = (~gated[done] | (hard & (soft <= SOFT_TOL) & (cov <= COV_RTOL))) & ~np.isnan(cov)
-        for k, h, se, ce, good in zip(done, hard.tolist(), soft.tolist(), cov.tolist(),
-                                      ok.tolist()):
-            rows[live[k]][j] = _row(m, n, points[live[k]], name, hard_match=h,
-                                    min_q_gap=min_gap[k], max_soft_err=se, max_cov_err=ce,
-                                    gated=bool(gated[k]), ok=good)
+                done.append((j, k, res))
+    if not done:
+        return rows
+    js, ks, got = zip(*done)
+    ks = list(ks)       # as an index: a tuple would index one axis per entry
+    s_or, p_or, soft_or = (np.array([getattr(o, f) for o in ors])
+                           for f in ("s_hat", "order", "soft"))
+    hard = ((np.array([r.s_hat for r in got]) == s_or[ks]).all(axis=-1)
+            & (np.array([r.order for r in got]) == p_or[ks]).all(axis=-1))
+    soft = np.abs(np.array([r.soft for r in got]) - soft_or[ks]).max(axis=-1)
+    q_or = _flat_steps(ors)
+    starts = np.cumsum([0] + [q.size for q in ors[0].q_steps[:-1]])   # each step's first entry
+    scale = np.maximum.reduceat(np.abs(q_or), starts, axis=1)
+    size = max(1, BATCH_WORDS // q_or.shape[1])
+    cov = np.concatenate([_step_errors(got[g : g + size], ks[g : g + size], q_or, starts, scale)
+                          for g in range(0, len(got), size)])
+    # a NaN step error is no near-tie in the ordering: it fails the row, gated or not
+    ok = ((~np.array(gated)[ks] | (hard & (soft <= SOFT_TOL) & (cov <= COV_RTOL)))
+          & ~np.isnan(cov))
+    for j, k, h, se, ce, good in zip(js, ks, hard.tolist(), soft.tolist(), cov.tolist(),
+                                     ok.tolist()):
+        _, snr_db, trial = points[live[k]]
+        rows[live[k]][j] = {        # _row's fields, in its order
+            "m": m, "n": n, "snr_db": snr_db, "trial": trial, "algorithm": names[j],
+            "hard_match": h, "min_q_gap": min_gap[k], "max_soft_err": se, "max_cov_err": ce,
+            "gated": gated[k], "ok": good, "error": "",
+        }
     return rows
 
 

@@ -302,6 +302,8 @@ def _complex(a):
     numbers: strings, dates, durations and an object array's non-numbers (None, a
     string of digits) are not taken, even where numpy converts them.  The one
     conversion rule of the detectors' trials, the channel and the public kernels."""
+    if type(a) is np.ndarray and a.dtype == np.complex128:
+        return a
     try:
         arr = np.asarray(a)
         kind = arr.dtype.kind

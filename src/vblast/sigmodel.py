@@ -17,6 +17,7 @@ worker counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,11 +25,33 @@ from .errors import ContractViolationError
 from .kernels import _is_int, _numbers
 
 
+class _PhiloxKey:
+    """A seed sequence that hands Philox its key as it is, so that building a
+    generator draws no OS entropy.  It is registered as numpy's
+    ``ISeedSequence`` at the first draw, so that importing vblast does not
+    load ``numpy.random``."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+@lru_cache(maxsize=None)
+def _register_philox_key() -> None:
+    np.random.bit_generator.ISeedSequence.register(_PhiloxKey)
+
+
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Philox generator for an independent, reproducible stream."""
+    """Philox generator for an independent, reproducible stream: the stream of
+    ``Philox(key=(seed, stream))``."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF],
                    dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    _register_philox_key()
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 @dataclass(frozen=True)

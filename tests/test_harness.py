@@ -1,5 +1,8 @@
 """Harness and CLI behavior: determinism, schemas, gates, exit codes."""
 
+import csv
+import io
+import math
 import os
 import re
 import subprocess
@@ -10,15 +13,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vblast import harness
 from vblast.cli import main
 from vblast.detectors import ALGORITHMS, DETECTOR_NAMES
 from vblast.errors import ContractViolationError, SingularMatrixError
 from vblast.harness import (
     BATCH_TRIALS,
     BER_HEADER,
+    COV_RTOL,
     EQUIV_HEADER,
     FLOPS_HEADER,
+    GATE_GAP,
     MEM_HEADER,
+    SOFT_TOL,
     SweepConfig,
     equiv_trial,
     run_ber,
@@ -27,6 +34,7 @@ from vblast.harness import (
     run_mem,
     _batches,
     _ber_batch,
+    _equiv_batch,
     _map_ordered,
     _run_batch,
     _trial_frame,
@@ -528,8 +536,6 @@ def test_write_csv_under_a_regular_file_is_misuse(tmp_path):
 def test_mem_gate_reports_its_ratio(monkeypatch):
     """At M=N=16 proposed_2 peaks at 288 words against mem_saving's 544; a
     gate below that ratio reports it."""
-    import vblast.harness as harness
-
     monkeypatch.setattr(harness, "MEM_RATIO_BOUND", 0.5)
     rows, failures = run_mem(SweepConfig(algorithms=["proposed_2", "mem_saving"], m_list=[16],
                                          trials=1))
@@ -690,7 +696,6 @@ def test_equiv_batch_mixed_outcomes_match_per_point(monkeypatch):
     """In one batch, one trial's oracle raises and another trial's detector
     raises; each point's rows equal those ``equiv_trial`` gives it alone."""
     import vblast.detectors as det
-    from vblast.harness import _equiv_batch
 
     m, seed, names = 3, 5, ["speed_adv", "proposed_2"]
     points = [((0, 0), 15.0, t) for t in range(4)]
@@ -712,14 +717,181 @@ def test_equiv_batch_mixed_outcomes_match_per_point(monkeypatch):
         monkeypatch.setitem(det.ALGORITHMS, name, failing(name))
     got = _equiv_batch((m, m, points, seed, False, names, "qpsk"))
     want = [equiv_trial((m, m, snr, seed, t, False, names, "qpsk")) for _, snr, t in points]
-
-    def as_text(rows):          # repr, so that NaN fields compare equal
-        return [[{k: repr(v) for k, v in row.items()} for row in point] for point in rows]
-
-    assert as_text(got) == as_text(want)
+    assert _as_text(got) == _as_text(want)
     errors = {(r["trial"], r["algorithm"]): r["error"]
               for point in got for r in point if r["error"]}
     assert errors == {(1, "speed_adv"): "oracle: injected oracle failure",
                       (1, "proposed_2"): "oracle: injected oracle failure",
                       (2, "speed_adv"): "injected speed_adv failure"}
     assert sum(not r["ok"] for point in got for r in point) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["equiv", "--m", "2,,4"],
+    ["equiv", "--snr-db", "10,"],
+    ["equiv", "--m", ","],
+    ["equiv", "--m", "2", "--n", ""],
+    ["equiv", "--m", "2", "--n", "2,"],
+    ["equiv", "--m", "2", "--n"],
+    ["ber", "--algo", "speed_adv,,proposed_2"],
+    ["equiv", "--snr", "10"],          # not an abbreviation of --snr-db
+    ["ber", "--tri", "3"],             # nor of --trials
+])
+def test_cli_empty_list_items_and_abbreviated_options_are_misuse(tmp_path, capsys, argv):
+    """An empty item in a comma list is misuse, not skipped, and an option is
+    taken only by its full name: exit code 2, an ``error:`` line and no file."""
+    out = tmp_path / "runs" / "x.csv"
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(out)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+def _reference_row(m, n, point, name, oracle, res):
+    """One detector's comparison row on one trial, written out on its own."""
+    _, snr_db, trial = point
+    gap = min([t.q_gap for t in oracle.trace if t.m >= 2], default=math.inf)
+    row = {"m": m, "n": n, "snr_db": snr_db, "trial": trial, "algorithm": name,
+           "hard_match": False, "min_q_gap": gap, "max_soft_err": math.inf,
+           "max_cov_err": math.inf, "gated": gap > GATE_GAP, "ok": False, "error": ""}
+    if isinstance(res, Exception):
+        return dict(row, error=str(res))
+    hard = (np.array_equal(res.s_hat, oracle.s_hat)
+            and np.array_equal(res.order, oracle.order))
+    soft = float(np.abs(res.soft - oracle.soft).max())
+    steps = [0.0]
+    for got, want in zip(res.q_steps, oracle.q_steps, strict=True):
+        scale = np.abs(want).max()
+        with np.errstate(all="ignore"):
+            steps.append(np.abs(got - want).max() / scale if scale != 0 else 0.0)
+    cov = float(np.max(steps))      # a NaN step error stays NaN
+    ok = ((not row["gated"] or (hard and soft <= SOFT_TOL and cov <= COV_RTOL))
+          and not math.isnan(cov))
+    return dict(row, hard_match=hard, max_soft_err=soft, max_cov_err=cov, ok=ok)
+
+
+def _as_text(rows):
+    """Rows with every field as its repr: NaN compares equal, and so must the types."""
+    return [[{k: repr(v) for k, v in row.items()} for row in point] for point in rows]
+
+
+def test_one_pass_comparison_matches_one_comparison_per_detector(monkeypatch):
+    """A batch's rows, from one comparison over every detector's returning
+    trials, equal each detector compared with the oracle on each trial alone,
+    in every field: with one trial's oracle raising, one detector raising on
+    one trial (its batch re-runs trial by trial), another's ``soft``
+    perturbed on one trial, and one trial ungated (its oracle's ordering
+    gaps set to 0), where that soft error does not fail the row."""
+    import vblast.detectors as det
+
+    m, seed, names = 4, 8, ["speed_adv", "proposed_2", "mem_saving"]
+    points = [((0, 0), 10.0, t) for t in range(5)]
+    frames = [_trial_frame(m, m, 10.0, seed, t, "qpsk") for t in range(5)]
+    bad = {"oracle": frames[1][1].h, "speed_adv": frames[2][1].h}
+    nudged, close = frames[3][1].h, frames[4][1].h
+
+    def failing(name):
+        run = det.ALGORITHMS[name]
+
+        def wrapped(ch, rx, c, **kw):
+            if any(np.array_equal(one.h, bad[name])
+                   for one in ([ch] if isinstance(ch, ChannelRealization) else ch)):
+                raise SingularMatrixError(f"injected {name} failure")
+            return run(ch, rx, c, **kw)
+        return wrapped
+
+    def altered(name, h, change):
+        run = det.ALGORITHMS[name]
+
+        def wrapped(ch, rx, c, **kw):
+            out = run(ch, rx, c, **kw)
+            chs = [ch] if isinstance(ch, ChannelRealization) else ch
+            for one, res in zip(chs, getattr(out, "trials", [out])):
+                if np.array_equal(one.h, h):
+                    change(res)
+            return out
+        return wrapped
+
+    def nudge(res):
+        res.soft = res.soft + 1e-6
+
+    def tie(res):
+        res.trace = [t._replace(q_gap=0.0) for t in res.trace]
+
+    monkeypatch.delenv("VBLAST_WORKERS", raising=False)
+    for name in bad:
+        monkeypatch.setitem(det.ALGORITHMS, name, failing(name))
+    monkeypatch.setitem(det.ALGORITHMS, "proposed_2", altered("proposed_2", nudged, nudge))
+    monkeypatch.setitem(det.ALGORITHMS, "oracle", altered("oracle", close, tie))
+    monkeypatch.setitem(det.ALGORITHMS, "mem_saving", altered("mem_saving", close, nudge))
+    got = _equiv_batch((m, m, points, seed, False, names, "qpsk"))
+
+    want = []
+    kw = dict(cancel_soft=False, collect_q=True)
+    for point, (c, ch, _frame, rx) in zip(points, frames):
+        try:
+            oracle = det.ALGORITHMS["oracle"](ch, rx, c, **kw)
+        except SingularMatrixError as exc:
+            want.append([harness._row(m, m, point, name, error=f"oracle: {exc}")
+                         for name in names])
+            continue
+        outcomes = []
+        for name in names:
+            try:
+                outcomes.append(det.ALGORITHMS[name](ch, rx, c, **kw))
+            except SingularMatrixError as exc:
+                outcomes.append(exc)
+        want.append([_reference_row(m, m, point, name, oracle, res)
+                     for name, res in zip(names, outcomes)])
+    assert _as_text(got) == _as_text(want)
+    failed = {(r["trial"], r["algorithm"]) for point in got for r in point if not r["ok"]}
+    assert failed == {(1, "speed_adv"), (1, "proposed_2"), (1, "mem_saving"),
+                      (2, "speed_adv"), (3, "proposed_2")}
+    assert [[r["gated"] for r in point] for point in got] == [[True] * 3] * 4 + [[False] * 3]
+    assert math.isclose(got[3][1]["max_soft_err"], 1e-6, rel_tol=1e-6)
+    assert math.isclose(got[4][2]["max_soft_err"], 1e-6, rel_tol=1e-6)
+
+
+@pytest.mark.parametrize("words", [45, 100, 250])
+def test_equiv_comparison_groups_stay_within_batch_words(monkeypatch, words):
+    """With ``BATCH_WORDS`` small, the comparison stacks the detectors' Q
+    steps in groups of at most that many words (one trial's 30 at M=4), some
+    cutting a detector's trials, and every row stays as it was."""
+    args = (4, 4, [((0, 0), 15.0, t) for t in range(6)], 2, False, DETECTOR_NAMES, "qpsk")
+    cfg = SweepConfig(m_list=[3, 4], snr_db_list=[0.0, 15.0], trials=5, seed=2)
+    monkeypatch.delenv("VBLAST_WORKERS", raising=False)
+    want_rows, want_sweep = _equiv_batch(args), run_equiv(cfg)
+    groups = []
+    step_errors = harness._step_errors
+
+    def spy(got, *rest):
+        groups.append(sum(q.size for res in got for q in res.q_steps))
+        return step_errors(got, *rest)
+
+    monkeypatch.setattr(harness, "BATCH_WORDS", words)
+    monkeypatch.setattr(harness, "_step_errors", spy)
+    assert _as_text(_equiv_batch(args)) == _as_text(want_rows)
+    assert len(groups) == -(-54 // (words // 30))      # 6 trials x 9 detectors
+    assert run_equiv(cfg) == want_sweep
+    assert max(groups) <= words
+
+
+def test_write_csv_bytes_are_the_csv_writers(tmp_path):
+    """Rows written through one format per tuple of field types give the csv
+    writer's bytes, floats to 12 significant digits and anything else as
+    ``str``; a field that needs quoting takes the csv writer's own path."""
+    header = ["a", "b,c"]
+    rows = [(1, "plain", 0.1234567890123456), ("a,b", 2), ("",), (), ("x\ny", 2),
+            ('q"q', -0.0), ("\r",), [1.0, 2], (None, True, np.float64(1 / 3), np.int64(7),
+                                                math.nan, -math.inf, math.inf),
+            ("a b ", 1e300, 1e-300, 123456789012345.0, -5), ("", "")]
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{v:.12g}" if isinstance(v, float) else str(v) for v in row])
+    path = tmp_path / "rows.csv"
+    write_csv(path, header, rows)
+    assert read_bytes(path) == want.getvalue().encode()

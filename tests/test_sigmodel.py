@@ -1,5 +1,7 @@
 """Channel, noise, constellation and bit-mapping contracts."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -222,3 +224,20 @@ def test_channel_takes_numbers_of_any_numeric_dtype():
         assert ChannelRealization(h, 1, 2).h is h
     with pytest.raises(ContractViolationError, match="^channel matrix contains NaN or Inf$"):
         ChannelRealization(np.array([[1.0], [float("nan")]], object), 1, 2)
+
+
+@pytest.mark.parametrize("seed, stream", [(0, 0), (1, 2), (2**64 - 1, 5), (-1, -3),
+                                          (2**70 + 3, 9), ((7 << 32) | 5, 40)])
+def test_make_rng_draws_the_keyed_philox_stream(seed, stream):
+    """``make_rng`` builds its Philox without drawing OS entropy; its stream is
+    still that of ``Philox(key=(seed, stream))``, both 64-bit words masked,
+    and its generator still pickles."""
+    mask = 0xFFFFFFFFFFFFFFFF
+    want = np.random.Generator(np.random.Philox(key=np.array([seed & mask, stream & mask],
+                                                               dtype=np.uint64)))
+    got = make_rng(seed, stream)
+    for draw in (lambda g: g.standard_normal(33), lambda g: g.integers(0, 2, 77, np.uint8),
+                 lambda g: g.random(5)):
+        assert draw(got).tobytes() == draw(want).tobytes()
+    assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+    assert pickle.loads(pickle.dumps(got)).random(4).tobytes() == want.random(4).tobytes()
