@@ -37,14 +37,18 @@ M x M square, which the packed forms then pack.  Domain ``x`` estimates from
 cancels with R's column; ``d`` cancels through the deficiency vector ``d``
 and never reads R again.  Swapped storage keeps Q and the domain's vectors
 in detection order by symmetric swaps; R, never updated, never moves either:
-its border is read through the order permutation (:func:`_r_border`).  Packed
-storage keeps Q's upper triangle, and so does dense storage on the BLAS route
-(blocks of ``kernels.ZHER_MIN_K`` or more, see :class:`_Dense`).  Indexed
-storage keeps only Q's upper triangle, in antenna order, in the dense square
-or the packed vector alike, and addresses it through the order permutation:
-an entry below the diagonal is read from its upper mirror, conjugated.  Q is
-deflated from its own column, or from R's border by a Sherman-Morrison step
-on the full square or the upper triangle.
+its border is read through the order permutation (:func:`_r_border`).  Three
+storages keep only Q's upper triangle: the packed vector, indexed storage
+(dense or packed) and dense storage on the BLAS route (blocks of
+``kernels.ZHER_MIN_K`` or more, see :class:`_Dense`).  Each holds a trial's
+buffer as one flat vector with a table ``at``, where ``at[i, j]`` is the flat
+index of entry (min(i, j), max(i, j)); all three read through one function,
+``kernels._read_upper``, which conjugates the entries below the diagonal, and
+the swapped ones move through one conjugate-aware swap, :func:`_swap_upper`.
+Indexed storage keeps the triangle in antenna order and addresses it through
+the order permutation.  Below ``ZHER_MIN_K``, dense Q is a full square again
+and swaps as one.  Q is deflated from its own column, or from R's border by
+a Sherman-Morrison step on the full square or the upper triangle.
 
 On the BLAS route, where numpy's OpenBLAS is found, the growth and the
 dense storages run ``zher`` and ``zhemv``; the dense indexed form deflates
@@ -98,7 +102,6 @@ from .kernels import (
     _arange,
     _cols_off_diagonal,
     _packed_coords,
-    _packed_diag_indices,
     _packed_square_flat,
     conj_matvec,
     gauss_jordan_inverse,
@@ -116,8 +119,9 @@ from .kernels import (
     _mirror,
     _on_blas,
     _pack_upper,
-    _packed_unpack,
+    _read_upper,
     _sm_update_inplace,
+    _strict_lower_mask,
 )
 from .sigmodel import ChannelRealization, Constellation, RxFrame, quantize
 
@@ -412,44 +416,32 @@ def _cover_gram_rows(a, alpha, led):
 # ``_stack`` builds a ``_OneTrial`` or, for a batch, a ``_Trials``; the oracle
 # orders, swaps and records through it, and ``_sic`` also hands it to the
 # initializer and the Q storage.  The two keep only what is faster written
-# per shape: the ordering, the swaps of vectors, rows and dense squares, and
-# the index tables.  ``lead`` indexes the trial axis: ``()``, or the trial
+# per shape: the ordering, the swaps of vectors, rows and full dense squares,
+# and the index tables.  ``lead`` indexes the trial axis: ``()``, or the trial
 # numbers as a column (``lead2``: with two unit axes); ``spans[k]`` and
 # ``ats[k]`` index the leading k entries and entry k of each trial's state
-# vector.  Everything else (the packed swap, the growth and the deflation,
-# the storages) is written once and indexes with ``...``, ``lead`` and these
-# tables, so that one trial and a batch run the same lines.  A batch indexes
-# a position that every trial shares (entry k, the swap target m - 1, a
-# diagonal or border entry) with basic slices: ``ats[k]`` and
-# ``kernels._entry`` give a ``(T, 1)`` view, and one trial a plain int.  It
-# keeps ``lead`` where the position differs per trial (the swap source l,
-# the permuted addresses of indexed storage) and for a gather through an
-# index table: ``u[:, rows]`` would lay the result out otherwise, and the
-# complex multiplies and BLAS calls after it would round unlike one trial's.
+# vector.  Everything else (the swap and the read of Q's upper triangle, the
+# growth and the deflation, the storages) is written once and indexes with
+# ``...``, ``lead`` and these tables, so that one trial and a batch run the
+# same lines.  A batch indexes a position that every trial shares (entry k,
+# the swap target m - 1, a diagonal or border entry) with basic slices:
+# ``ats[k]`` and ``kernels._entry`` give a ``(T, 1)`` view, and one trial a
+# plain int.  It keeps ``lead`` where the position differs per trial (the
+# swap source l, the permuted addresses of indexed storage) and for a gather
+# through an index table: ``u[:, rows]`` would lay the result out otherwise,
+# and the complex multiplies and BLAS calls after it would round unlike one
+# trial's.
 #
 # Swapped storage is ``_Dense`` or ``_Packed``; indexed storage, dense or
-# packed alike, is ``_Indexed``, which reads and writes only Q's upper
-# triangle.  A storage's ``active(m, p)`` returns the detected stream's
-# column of the active block (omega last) and the index expressions of the
-# active, kept and detected streams into the state vectors.
-
-
-def _herm_swap(a, l, j):
-    """Swap rows and columns l < j of the leading (j + 1)-square of a square that
-    keeps only its upper triangle, reading and writing nothing below the diagonal.
-
-    Four O(j) pieces move: column l above l with column j above l, row l between
-    l and j with the conjugate of column j between them, the two diagonal
-    entries, and the corner (l, j), conjugated in place.
-    """
-    col = a[:l, l].copy()
-    a[:l, l] = a[:l, j]
-    a[:l, j] = col
-    row = np.conj(a[l, l + 1 : j])
-    a[l, l + 1 : j] = np.conj(a[l + 1 : j, j])
-    a[l + 1 : j, j] = row
-    a[l, l], a[j, j] = a[j, j], a[l, l]
-    a[l, j] = a[l, j].conjugate()
+# packed alike, is ``_Indexed``.  Every storage that keeps only Q's upper
+# triangle (``_Packed``, ``_Indexed``, and ``_Dense`` on the BLAS route)
+# holds each trial's buffer as one flat vector, with a table ``at`` of the
+# flat index of entry (min(i, j), max(i, j)) for every (i, j).  It reads
+# through ``kernels._read_upper`` and, if swapped, moves through
+# :func:`_swap_upper`, a batch in one gather.  A storage's ``active(m, p)``
+# returns the detected stream's column of the active block (omega last) and
+# the index expressions of the active, kept and detected streams into the
+# state vectors.
 
 
 @lru_cache(maxsize=None)      # one read-only instance per shape: tables built once
@@ -485,8 +477,6 @@ class _OneTrial:
         col = a[:m, i].copy()
         a[:m, i] = a[:m, j]
         a[:m, j] = col
-
-    herm_swap = staticmethod(_herm_swap)
 
 
 @lru_cache(maxsize=None)
@@ -535,40 +525,42 @@ class _Trials:
         a[ts, :m, i] = a[:, :m, j]
         a[:, :m, j] = col
 
-    def herm_swap(self, a, l, j):
-        """:func:`_herm_swap` trial by trial; a trial whose l is j keeps its own."""
-        for t, l_t in enumerate(l.tolist()):
-            if l_t != j:
-                _herm_swap(a[t], l_t, j)
-
 
 class _Dense:
     """Dense Q in detection order by symmetric swaps.
 
+    Q is the leading square of ``buf``, one C-contiguous M x lda buffer per
+    trial.
     ``rows`` (the x domain's transposed channel copy) has its rows swapped.
     With ``herm``, Q is bound once (``kernels._bind``): on the BLAS route, a
     leading block of ``kernels.ZHER_MIN_K`` or more keeps only its upper
-    triangle, is swapped conjugate-aware and comes out of :meth:`block`
-    mirrored; below, Q's blocks are full squares again (the deflation from
-    R's border mirrors the block it first reads there).  ``original`` keeps
-    its full squares (``herm`` false).  R, where kept, never moves: see
+    triangle, which :func:`_swap_upper` and :func:`kernels._read_upper` move
+    and read through ``buf`` as one vector per trial and the table ``at``;
+    below, Q's blocks are full squares again (the deflation from R's border
+    mirrors the block it first reads there).  ``original`` keeps its full
+    squares (``herm`` false).  R, where kept, never moves: see
     :func:`_r_border`.
     """
 
-    def __init__(self, trials, q, rows=None, herm=True):
+    def __init__(self, trials, buf, rows=None, herm=True):
         self.trials = trials
         self.lead, self.spans, self.ats = trials.lead, trials.spans, trials.ats
-        self.q = q
+        dim, lda = buf.shape[-2:]
+        self.q = q = buf[..., :dim]
         self.qdiag = q.diagonal(axis1=-2, axis2=-1).real    # a view: follows Q's updates
         self.rows = rows
         self.bound = _bind(q) if herm else None
+        if self.bound is not None:
+            # a view, or an error: a copy would take the swaps
+            self.flat = buf.reshape(buf.shape[:-2] + (-1,), copy=False)
+            self.at = _dense_upper_flat(dim, lda)
 
     def diag(self, m, p):
         return self.qdiag[..., :m]
 
     def swap(self, l, last):
         if _on_blas(self.bound, last + 1):
-            self.trials.herm_swap(self.q, l, last)
+            _swap_upper(self.flat, self.at, self.lead, l, last)
         else:
             self.trials.sym_swap(self.q, l, last, last + 1)
         if self.rows is not None:
@@ -584,15 +576,14 @@ class _Dense:
                           xat=bound and bound.col(k))
 
     def block(self, m, p):
-        out = self.q[..., :m, :m].copy()
         if _on_blas(self.bound, m):
-            _mirror(out)
-        return out
+            return _read_upper(self.flat, self.trials.lead2, self.at[:m, :m], _strict_lower_mask(m))
+        return self.q[..., :m, :m].copy()
 
 
 @lru_cache(maxsize=None)
-def _packed_swap_order(k):
-    """For :meth:`_Packed.swap` of rows l and k - 1: each moved entry's row or
+def _swap_order(k):
+    """For :func:`_swap_upper` of rows l and k - 1: each moved entry's row or
     column index (it is conjugated where that exceeds l) and the position
     each moved entry goes to, in the order the swap gathers them."""
     j = k - 1
@@ -601,6 +592,26 @@ def _packed_swap_order(k):
     for t in tables:
         t.flags.writeable = False
     return tables
+
+
+def _swap_upper(flat, at, lead, l, last):
+    """Swap rows and columns l and last of the leading block of a storage that
+    keeps only Q's upper triangle (l one per trial), reading and writing
+    nothing below the diagonal.  ``flat`` holds each trial's buffer as one
+    vector and ``at[i, j]`` is the flat index of entry (min(i, j), max(i, j)).
+
+    Only the 2 * last + 1 entries that change move: row l (column l above the
+    diagonal, the diagonal entry, then row l up to column last) with column
+    last above the diagonal, both conjugated past l, except that the two
+    diagonal entries trade places; and the corner (l, last), conjugated in
+    place.  Every trial moves as many entries, so a batch moves them in one
+    gather; a trial whose l is last writes its entries back unchanged.
+    """
+    k = last + 1
+    order, flip = _swap_order(k)
+    # row l and the corner, then column last with its diagonal entry at l
+    src = np.concatenate((at[l, :k], at[last, :k][_cols_off_diagonal(k)[l, :last]]), axis=-1)
+    flat[(*lead, src[..., flip])] = _read_upper(flat, lead, src, order > np.asarray(l)[..., None])
 
 
 class _Packed:
@@ -614,30 +625,15 @@ class _Packed:
     def __init__(self, trials, upper, dim):
         self.trials = trials
         self.lead, self.spans, self.ats = trials.lead, trials.spans, trials.ats
-        self.upper = upper
-        self.dflat = _packed_diag_indices(dim)
+        self.upper, self.at = upper, _packed_square_flat(dim)
+        self.dflat = self.at.diagonal()
         self.ureal = upper.real
 
     def diag(self, m, p):
         return self.ureal[(*self.lead, self.dflat[:m])]
 
     def swap(self, l, last):
-        """Swap rows and columns l and last of the leading block (l one per
-        trial), moving only the 2 * last + 1 entries that change, as
-        :func:`_herm_swap` does: row l (column l above the diagonal, the
-        diagonal entry, then row l up to column last) with column last above the
-        diagonal, both conjugated past l, except that the two diagonal entries
-        trade places; and the corner (l, last), conjugated in place.  Every
-        trial moves as many entries, so a batch moves them in one gather; a
-        trial whose l is last writes its entries back unchanged."""
-        k, upper, lead = last + 1, self.upper, self.lead
-        flat, (order, flip) = _packed_square_flat(k), _packed_swap_order(k)
-        # row l and the corner, then column last with its diagonal entry at l
-        src = np.concatenate((flat[l, :k], flat[last, :k][_cols_off_diagonal(k)[l, :last]]),
-                             axis=-1)
-        moved = upper[(*lead, src)]
-        np.conjugate(moved, out=moved, where=order > np.asarray(l)[..., None])
-        upper[(*lead, src[..., flip])] = moved
+        _swap_upper(self.upper, self.at, self.lead, l, last)
 
     def active(self, m, p):
         base = (m - 1) * m // 2
@@ -654,7 +650,7 @@ class _Packed:
         self.upper.imag[(*lead, self.dflat[:k])] = 0.0
 
     def block(self, m, p):
-        return _packed_unpack(self.upper, m)
+        return _read_upper(self.upper, self.trials.lead2, self.at[:m, :m], _strict_lower_mask(m))
 
 
 @lru_cache(maxsize=None)
@@ -685,18 +681,13 @@ class _Indexed:
         self.freal = flat.real
         self.dflat = at.diagonal()
 
-    def _gather(self, lead, i, j):
-        out = self.flat[(*lead, self.at[i, j])]
-        np.conjugate(out, out=out, where=i > j)
-        return out
-
     def diag(self, m, p):
         return self.freal[(*self.lead, self.dflat[p[..., :m]])]
 
     def active(self, m, p):
         lead, act, last = self.lead, p[self.spans[m]], p[self.ats[m - 1]]
-        return (self._gather(lead, act, last), (*lead, act), (*lead, p[self.spans[m - 1]]),
-                (*lead, last))
+        return (_read_upper(self.flat, lead, self.at[act, last], act > last), (*lead, act),
+                (*lead, p[self.spans[m - 1]]), (*lead, last))
 
     def sub(self, rest, x, c, led):
         """Hermitian ``Q[rest, rest] -= (c x) x^H`` on the upper triangle in rest's
@@ -723,8 +714,8 @@ class _Indexed:
         self.flat.imag[(*lead, self.dflat[rest])] = 0.0
 
     def block(self, m, p):
-        act = p[..., :m]
-        return self._gather(self.trials.lead2, act[..., :, None], act[..., None, :])
+        i, j = p[..., :m, None], p[..., None, :m]
+        return _read_upper(self.flat, self.trials.lead2, self.at[i, j], i > j)
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +848,7 @@ def _init_single_buffer(packed=False, indexed=False):
             q = _Indexed(trials, a.reshape(a.shape[:-2] + (-1,)), _dense_upper_flat(m_tx, n_rx),
                          bound)
         else:
-            q = _Dense(trials, square)
+            q = _Dense(trials, a)
 
         def estimate(col, act, last):
             est = vdot_c(col, z[act], led) - d[last]

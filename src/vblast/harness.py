@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 
 from .detectors import ALGORITHMS, DETECTOR_NAMES, get_detector
 from .errors import ContractViolationError, SingularMatrixError
-from .kernels import FlopLedger, init_gram, init_q_recursive
+from .kernels import FlopLedger, _is_int, init_gram, init_q_recursive
 from .metering import MODEL_FOR_ALGORITHM, TABLE_MODELS, compare, speedup
 from .sigmodel import (
     constellation,
@@ -63,10 +64,20 @@ class SweepConfig:
     constellation: str = "qpsk"
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ContractViolationError("trials must be >= 1")
-        if not self.m_list or any(m < 1 for m in self.m_list):
-            raise ContractViolationError("all M must be >= 1")
+        """Misuse names the field: every field's type and range come first."""
+        text = lambda x: isinstance(x, str)
+        size = lambda x: _is_int(x, 1)
+        real = lambda x: isinstance(x, numbers.Real) and not isinstance(x, bool)
+        for name, ok, want in (
+                ("algorithms", _each(self.algorithms, text), "a list of names"),
+                ("m_list", self.m_list and _each(self.m_list, size), "a list of integers >= 1"),
+                ("n_list", self.n_list is None or _each(self.n_list, size), "None or such a list"),
+                ("snr_db_list", _each(self.snr_db_list, real), "a list of real numbers"),
+                ("trials", _is_int(self.trials, 1), "an integer >= 1"),
+                ("seed", _is_int(self.seed, -math.inf), "an integer"),
+                ("cancel_soft", isinstance(self.cancel_soft, bool), "True or False")):
+            if not ok:
+                raise ContractViolationError(f"{name} must be {want}, got {getattr(self, name)!r}")
         if self.n_list is not None and len(self.n_list) != len(self.m_list):
             raise ContractViolationError("n_list must match m_list in length")
         for m, n in self.dims():
@@ -86,6 +97,11 @@ class SweepConfig:
         if self.n_list is None:
             return [(m, m) for m in self.m_list]
         return list(zip(self.m_list, self.n_list))
+
+
+def _each(items, ok) -> bool:
+    """Whether ``items`` is a list or tuple whose every item passes ``ok``."""
+    return isinstance(items, (list, tuple)) and all(map(ok, items))
 
 
 def _fmt(value) -> str:

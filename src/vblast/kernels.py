@@ -170,7 +170,8 @@ class HermPacked:
 
     def unpack(self, m: int | None = None) -> np.ndarray:
         """Materialize the leading ``m`` x ``m`` Hermitian block."""
-        return _packed_unpack(self.upper, self._size(m, "unpack"))
+        m = self._size(m, "unpack")
+        return _read_upper(self.upper, (), _packed_square_flat(m), _strict_lower_mask(m))
 
     def diagonal(self, m: int | None = None) -> np.ndarray:
         return self.upper[_packed_diag_indices(self._size(m, "diagonal"))].real
@@ -190,15 +191,17 @@ def _is_int(x, lo: int, hi: float = math.inf) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and lo <= x <= hi
 
 
-def _packed_unpack(upper: np.ndarray, m: int) -> np.ndarray:
-    """Dense leading ``m`` x ``m`` Hermitian block of packed upper storage.
+def _read_upper(flat: np.ndarray, lead: tuple, at, lower) -> np.ndarray:
+    """Entries of a storage that keeps only a Hermitian matrix's upper triangle.
 
-    Entries below the diagonal are read from their upper mirror and
-    conjugated, so the result is exactly Hermitian.  ``upper`` may be a
-    stack of packed vectors, one per trial.
+    ``flat[at]``, through the trial index ``lead`` (see :func:`_lead`), with
+    the entries where ``lower`` holds conjugated: those below the diagonal,
+    which ``at`` addresses at their upper mirror.  A whole block read so is
+    exactly Hermitian.  The one read of packed Q, of indexed Q and of dense Q
+    on the BLAS route.
     """
-    out = upper[(*_lead(upper, 1, 2), _packed_square_flat(m))]
-    np.conjugate(out, out=out, where=_strict_lower_mask(m))
+    out = flat[(*lead, at)]
+    np.conjugate(out, out=out, where=lower)
     return out
 
 

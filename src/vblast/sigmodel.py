@@ -48,7 +48,8 @@ def _register_philox_key() -> None:
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator for an independent, reproducible stream: the stream of
     ``Philox(key=(seed, stream))``."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF],
+    # as Python ints: a numpy integer's mask would overflow its own width
+    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, int(stream) & 0xFFFFFFFFFFFFFFFF],
                    dtype=np.uint64)
     _register_philox_key()
     return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
@@ -103,6 +104,8 @@ _CONSTELLATIONS = {"qpsk": _qpsk(), "qam16": _qam16()}
 
 
 def constellation(name: str) -> Constellation:
+    if not isinstance(name, str):
+        raise ContractViolationError(f"constellation must be a name, got {name!r}")
     try:
         return _CONSTELLATIONS[name.lower()]
     except KeyError:

@@ -11,9 +11,10 @@ from vblast.detectors import (
     OrderingTrace,
     _argmin_gap,
     _cover_gram_rows,
-    _herm_swap,
+    _dense_upper_flat,
     _OneTrial,
     _Packed,
+    _swap_upper,
     _Trials,
     detect_mem_saving,
     detect_oracle,
@@ -29,9 +30,9 @@ from vblast.errors import ContractViolationError, SingularMatrixError
 from vblast.kernels import (
     ZHER_MIN_K,
     FlopLedger,
+    HermPacked,
     _grow_inverse,
     _pack_upper,
-    _packed_unpack,
     _strict_lower_mask,
     init_q_recursive,
 )
@@ -490,12 +491,14 @@ def test_sym_swap_is_permutation_similarity(i, j, m):
         assert np.array_equal(buf[outside], before[outside])
 
 
-@pytest.mark.parametrize("l, j, dim", [(0, 1, 2), (0, 4, 5), (2, 6, 8), (3, 4, 6), (5, 6, 7)])
+@pytest.mark.parametrize("l, j, dim", [(0, 1, 2), (0, 4, 5), (2, 6, 8), (3, 4, 6), (5, 6, 7),
+                                       (0, 63, 64), (62, 63, 64)])
 def test_herm_swap_moves_only_the_upper_triangle(l, j, dim):
-    """The conjugate-aware swap, on one trial and on a batch (whose trials may
-    also keep their order), gives the upper triangle of the plain swap of the
-    Hermitian square bit for bit, and reads and writes nothing below the
-    diagonal: NaN there stays NaN."""
+    """The shared conjugate-aware swap on dense buffers of row stride dim + 2,
+    on one trial and on a batch whose trials swap other rows or keep their
+    order, gives the upper triangle of the plain swap of the Hermitian square
+    bit for bit, and reads and writes nothing below the diagonal: NaN there
+    stays NaN, and the columns past the square keep their bytes."""
     rng = make_rng(75, 10 * l + j)
     a = rng.standard_normal((4, dim, dim + 2)) + 1j * rng.standard_normal((4, dim, dim + 2))
     sq = a[..., :dim]
@@ -506,8 +509,9 @@ def test_herm_swap_moves_only_the_upper_triangle(l, j, dim):
         _OneTrial(dim).sym_swap(square, lt, j, j + 1)
     spoiled = a.copy()
     spoiled[..., :dim][..., _strict_lower_mask(dim)] = np.nan
-    _herm_swap(spoiled[0], l, j)
-    _Trials(3, dim).herm_swap(spoiled[1:], trial_l, j)
+    flat, at = spoiled.reshape(4, -1), _dense_upper_flat(dim, dim + 2)
+    _swap_upper(flat[0], at, (), l, j)
+    _swap_upper(flat[1:], at, _Trials(3, dim).lead, trial_l, j)
     ru, cu = np.triu_indices(dim)
     assert spoiled[..., ru, cu].tobytes() == want[..., ru, cu].tobytes()
     assert spoiled[..., dim:].tobytes() == want[..., dim:].tobytes()
@@ -534,7 +538,7 @@ def test_packed_sym_swap_matches_dense_swap(l, last, dim):
     a = a + np.conj(a).swapaxes(-1, -2)
     packed = _pack_upper(a)
     trial_l = np.array([l, (l + 1) % (last + 1), last])
-    want = [_packed_unpack(packed[t], dim) for t in range(4)]
+    want = [HermPacked(dim, packed[t]).unpack() for t in range(4)]
     for square, lt in zip(want, [l, *trial_l.tolist()]):
         _OneTrial(dim).sym_swap(square, lt, last, last + 1)
     one = packed[0].copy()

@@ -70,6 +70,32 @@ def test_sweepconfig_validation():
         SweepConfig(m_list=[2, 4], n_list=[2, 3])
 
 
+@pytest.mark.parametrize("name, value", [
+    ("trials", "3"), ("trials", 2.5), ("trials", True), ("trials", None),
+    ("snr_db_list", ["10"]), ("snr_db_list", 10.0), ("snr_db_list", [True]),
+    ("constellation", None), ("constellation", 16),
+    ("algorithms", "proposed_2"), ("algorithms", [None]),
+    ("m_list", [2.5]), ("m_list", [True]), ("m_list", 4), ("m_list", []),
+    ("n_list", [3.0]), ("n_list", "4"),
+    ("seed", "1"), ("seed", 1.0),
+    ("cancel_soft", "yes"), ("cancel_soft", 1), ("cancel_soft", None),
+])
+def test_sweepconfig_mistyped_field_is_misuse_naming_it(name, value):
+    """A field of the wrong type is a typed error that names it, raised when the
+    config is built, never a raw TypeError or AttributeError, a string read as its
+    letters, or a config that fails later in a sweep."""
+    with pytest.raises(ContractViolationError, match=f"^{name} must be"):
+        SweepConfig(**{name: value})
+
+
+def test_sweepconfig_takes_tuples_and_numpy_numbers():
+    cfg = SweepConfig(algorithms=("speed_adv", "proposed_2"), m_list=(np.int64(2),),
+                      n_list=[np.int32(3)], snr_db_list=(np.float64(10.0), 20), trials=np.int64(2),
+                      seed=np.int64(-1), cancel_soft=True)
+    rows = run_ber(cfg)
+    assert [row[:2] for row in rows] == [(2, 3)] * 4
+
+
 def test_equiv_small_grid_passes():
     cfg = SweepConfig(m_list=[2], snr_db_list=[20.0], trials=100, seed=1)
     rows, failures = run_equiv(cfg)
