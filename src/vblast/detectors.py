@@ -71,7 +71,9 @@ trials through :func:`_stack`, which validates and stacks them and decides
 the trial shape once per call (a batch of one runs as its single trial),
 and return through :func:`_results`.  A batch runs together: each state
 array gains a leading trial axis, each step is one set of numpy calls for
-all trials, and each trial keeps its own ordering.  A trial's outputs,
+all trials, and each trial keeps its own ordering; a step only picks each
+trial's index, and the trace records come from one pass over the whole
+call's diagonals after the last step.  A trial's outputs,
 trace, ledger and memory ledger are bit for bit those of a call on it
 alone, whatever batch it runs in; the batch's ``ledger`` and
 ``mem.peak_words`` are sums over its trials, and it raises the error of its
@@ -81,8 +83,9 @@ of Gram matrices, each with its own pivoting.
 
 Memory accounting counts named, detector-owned working buffers of at least M
 complex words (matrix buffers, copies of mutated inputs, and the M-length
-state/scratch vectors).  Shorter per-step scratch and host-language
-expression temporaries are outside the convention.
+state/scratch vectors).  Shorter per-step scratch, host-language
+expression temporaries and what is kept only to report (``collect_q``'s
+blocks, a batch's recorded diagonals) are outside the convention.
 """
 
 from __future__ import annotations
@@ -273,13 +276,13 @@ def _stack(chs, rxs, c):
             np.array([[float(rx.alpha)] for rx in rxs]), trials.identity.copy())
 
 
-def _results(batch, trials, p, hard, soft, led, mem, picks, blocks, aux=None):
+def _results(batch, trials, p, hard, soft, led, mem, traces, blocks, aux=None):
     """Scatter the decisions, in detection order, back to antenna order and
     return the call's :class:`DetectionResult`, or its :class:`BatchResult`
-    when it took a batch.  ``picks`` holds each step's ordering records, one
-    per trial, and ``blocks`` (None unless Q is collected) each step's Q
-    blocks, one per trial along the leading axis of a batch's; trial t gets
-    its records as its trace, its blocks as ``q_steps`` and ``aux[t]``.
+    when it took a batch.  ``traces`` holds each trial's ordering records,
+    and ``blocks`` (None unless Q is collected) each step's Q blocks, one per
+    trial along the leading axis of a batch's; trial t gets its records as
+    its trace, its blocks as ``q_steps`` and ``aux[t]``.
     Every trial's ledgers are the one ledger each, so a batch's are that
     ledger times its trials."""
     lead = trials.lead
@@ -287,15 +290,14 @@ def _results(batch, trials, p, hard, soft, led, mem, picks, blocks, aux=None):
     s_hat[(*lead, p)] = hard
     soft_ant[(*lead, p)] = soft
     if not lead:
-        res = DetectionResult(s_hat, p, soft_ant, led, mem, [recs[0] for recs in picks], blocks,
-                              aux and aux[0])
+        res = DetectionResult(s_hat, p, soft_ant, led, mem, traces[0], blocks, aux and aux[0])
         return BatchResult([res], led.copy(), mem.times(1)) if batch else res
     n_trials = len(p)
     qs = repeat(None) if blocks is None else map(list, zip(*blocks))
     aux = repeat(None) if aux is None else aux
     return BatchResult(
-        [DetectionResult(s_hat[t], p[t], soft_ant[t], led.copy(), mem.copy(), list(trace), q, x)
-         for t, trace, q, x in zip(range(n_trials), zip(*picks), qs, aux)],
+        [DetectionResult(s_hat[t], p[t], soft_ant[t], led.copy(), mem.copy(), trace, q, x)
+         for t, trace, q, x in zip(range(n_trials), traces, qs, aux)],
         FlopLedger(n_trials * led.cmul, n_trials * led.cadd, n_trials * led.cdiv),
         mem.times(n_trials))
 
@@ -344,7 +346,7 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
     mem.alloc("gj_workspace", 2 * m_tx * m_tx)
     soft = np.zeros(p.shape, np.complex128)     # in detection order
     hard = np.zeros(p.shape, np.complex128)
-    picks: list = []                # each step's records, one per trial
+    log = trials.log()
     blocks = [] if collect_q else None      # each step's Q, one block per trial
     for m in range(m_tx, 0, -1):
         j = m - 1
@@ -353,12 +355,11 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
         if not np.isfinite(r).all():
             raise SingularMatrixError("Gram matrix H^H H + alpha I is not finite")
         q = gauss_jordan_inverse(r)
-        l, recs = trials.order(q.diagonal(0, -2, -1).real, m)
+        l = trials.order(q.diagonal(0, -2, -1).real, m, log)
         if l is not None:       # swap l (one per trial) with j in p, H's columns and Q
             trials.swap_entries((p,), l, j)
             trials.swap_rows((h.mT,), l, j)
             trials.sym_swap(q, l, j, m)
-        picks.append(recs)
         if blocks is not None:
             blocks.append(q.copy())
         w = np.matvec(h[..., :m].conj().mT, x)
@@ -369,7 +370,7 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
         if m == 1:
             break
         x = x - np.asarray(est if cancel_soft else s)[..., None] * h[..., j]
-    return _results(batch, trials, p, hard, soft, led, mem, picks, blocks)
+    return _results(batch, trials, p, hard, soft, led, mem, trials.traces(log), blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +417,9 @@ def _cover_gram_rows(a, alpha, led):
 # ``_stack`` builds a ``_OneTrial`` or, for a batch, a ``_Trials``; the oracle
 # orders, swaps and records through it, and ``_sic`` also hands it to the
 # initializer and the Q storage.  The two keep only what is faster written
-# per shape: the ordering, the swaps of vectors, rows and full dense squares,
-# and the index tables.  ``lead`` indexes the trial axis: ``()``, or the trial
+# per shape: the ordering and its trace (a call's ``log``), the swaps of
+# vectors, rows and full dense squares, and the index tables.  ``lead``
+# indexes the trial axis: ``()``, or the trial
 # numbers as a column (``lead2``: with two unit axes); ``spans[k]`` and
 # ``ats[k]`` index the leading k entries and entry k of each trial's state
 # vector.  Everything else (the swap and the read of Q's upper triangle, the
@@ -453,11 +455,20 @@ class _OneTrial:
     def __init__(self, dim):
         self.spans, self.ats = [slice(0, k) for k in range(dim + 1)], list(range(dim))
 
-    def order(self, dg, m):
+    def log(self):
+        """A call's ordering log, which :meth:`order` fills and :meth:`traces` reads."""
+        return []
+
+    def order(self, dg, m, log):
         """:func:`_argmin_gap` of the diagonal: the index to swap into place
-        ``m - 1`` (None if it is there already) and the trace record."""
+        ``m - 1`` (None if it is there already); the record goes to ``log``."""
         l, q_min, gap = _argmin_gap(dg.tolist())
-        return (None if l == m - 1 else l), (_record((m, l, q_min, gap)),)
+        log.append(_record((m, l, q_min, gap)))
+        return None if l == m - 1 else l
+
+    def traces(self, log):
+        """The call's traces, one per trial: the records in ``log``."""
+        return [log]
 
     def swap_entries(self, vecs, l, j):
         for v in vecs:
@@ -482,7 +493,13 @@ class _OneTrial:
 @lru_cache(maxsize=None)
 class _Trials:
     """A batch's step operations: a leading trial axis on every array and one
-    index per trial.  Each is :class:`_OneTrial`'s on every trial."""
+    index per trial.  Each is :class:`_OneTrial`'s on every trial.
+
+    The ordering keeps only what a step needs, each trial's index; its trace
+    records come from one pass over the whole call's diagonals
+    (:meth:`traces`).  ``flat[j]`` is the flat index of entry j of each
+    trial's row in a C-contiguous ``(T, dim)`` state vector.
+    """
 
     def __init__(self, n_trials, dim):
         self.ts = ts = _arange(n_trials)
@@ -490,31 +507,64 @@ class _Trials:
         self.spans = [(slice(None), slice(0, k)) for k in range(dim + 1)]
         self.ats = [_entry(self.lead, k) for k in range(dim)]
         self.identity = np.tile(np.arange(dim), (n_trials, 1))     # each trial's first order
-        self.identity.flags.writeable = False
+        self.flat = ts * dim + np.arange(dim)[:, None]
+        # step s orders the leading dim - s entries; the rest of its row is
+        # padding, and a row is at least two wide for the partition
+        self.shape = (dim, n_trials, max(dim, 2))
+        self.pad = np.arange(self.shape[-1]) >= np.arange(dim, 0, -1)[:, None, None]
+        for t in (self.identity, self.flat, self.pad):
+            t.flags.writeable = False
 
-    def order(self, dg, m):
-        """Each trial's index to swap (None if no trial moves) and records."""
-        if m >= 2 and 0 < dg.min() and dg.max() < math.inf:
-            l = dg.argmin(axis=1)
-            two = np.partition(dg, 1, axis=1)
-            q_min = two[:, 0]
-            recs = list(map(_record, zip(repeat(m), l.tolist(), q_min.tolist(),
-                                         (two[:, 1] - q_min).tolist())))
-        else:
-            # a zero, NaN or infinity: np.partition orders tied zeros of either
-            # sign as its SIMD network happens to, so each row runs as one trial
-            recs = [_record((m, *_argmin_gap(row))) for row in dg.tolist()]
-            l = np.array([r.l for r in recs])
-        return (l if (l != m - 1).any() else None), recs
+    def log(self):
+        """A call's ordering log: each step's diagonal, padded with +inf, and
+        each trial's index."""
+        return np.full(self.shape, math.inf), np.empty(self.shape[:2], np.intp)
+
+    def order(self, dg, m, log):
+        """Each trial's index to swap, or None if no trial moves; the diagonal
+        and the indices go to ``log``.  ``np.argmin`` gives :func:`_argmin_gap`'s
+        index on every row, NaN and signed zeros included."""
+        diags, ls = log
+        s = self.shape[0] - m
+        row, l = diags[s, :, :m], ls[s]
+        row[...] = dg
+        row.argmin(axis=1, out=l)
+        return None if l.tolist().count(m - 1) == len(l) else l
+
+    @np.errstate(all="ignore")      # only rows that take the per-row rule warn
+    def traces(self, log):
+        """The call's traces, one per trial, from one partition of every step's
+        diagonal: q_min and the gap to the next smallest entry.  A row that
+        holds a zero, a negative, a NaN or an infinity takes
+        :func:`_argmin_gap` instead, since ``np.partition`` orders tied zeros
+        of either sign as its SIMD network happens to; on a positive finite
+        row the two agree bit for bit."""
+        diags, ls = log
+        two = np.partition(diags, 1, axis=-1)
+        q_min = two[..., 0]
+        gap = (two[..., 1] - q_min).T.tolist()
+        odd = ~((q_min > 0) & (np.isfinite(diags) | self.pad).all(axis=-1))
+        q_min = q_min.T.tolist()
+        dim = self.shape[0]
+        for s, t in zip(*np.nonzero(odd)):
+            _, q_min[t][s], gap[t][s] = _argmin_gap(diags[s, t, : dim - s].tolist())
+        ms = range(dim, 0, -1)
+        return [list(map(_record, zip(ms, *rows))) for rows in zip(ls.T.tolist(), q_min, gap)]
 
     def swap_entries(self, vecs, l, j):
         """Swap entries l (one per trial) and j (the same in every trial) of each
-        vector, or row of each matrix; a trial whose l is j keeps its own."""
-        ts = self.ts
+        C-contiguous ``(T, dim)`` vector, through its flat view; a trial whose
+        l is j keeps its own."""
+        src, dst = self.flat[0] + l, self.flat[j]
         for v in vecs:
-            v[:, j], v[ts, l] = v[ts, l], v[:, j].copy()
+            f = v.reshape(-1, copy=False)
+            f[dst], f[src] = f[src], f[dst]
 
-    swap_rows = swap_entries
+    def swap_rows(self, mats, l, j):
+        """Swap rows l (one per trial) and j of each matrix."""
+        ts = self.ts
+        for a in mats:
+            a[:, j], a[ts, l] = a[ts, l], a[:, j].copy()
 
     def sym_swap(self, a, i, j, m):
         ts = self.ts
@@ -894,17 +944,16 @@ def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
     moved = (p,) if swap is None else (p, *vecs)    # swapped storage keeps vecs in p's order
     soft = np.zeros(p.shape, np.complex128)     # in detection order
     hard = np.zeros(p.shape, np.complex128)
-    picks: list = []                # each step's records, one per trial
+    log = trials.log()
     blocks = [] if collect_q else None      # each step's Q, one block per trial
     aux = [{"p": [], "z": [], "d": []} for _ in range(n_trials)] if collect_aux else None
     for m in range(m_tx, 0, -1):
         j = m - 1                       # the order position filled at this step
-        l, recs = order(diag(m, p), m)
+        l = order(diag(m, p), m, log)
         if l is not None:
             swap_entries(moved, l, j)
             if swap is not None:
                 swap(l, j)
-        picks.append(recs)
         if blocks is not None:
             blocks.append(block(m, p))
         if aux is not None:
@@ -919,7 +968,7 @@ def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
         if m == 1:
             break
         cancel(col, rest, last, est if cancel_soft else s)
-    return _results(batch, trials, p, hard, soft, led, mem, picks, blocks, aux)
+    return _results(batch, trials, p, hard, soft, led, mem, trials.traces(log), blocks, aux)
 
 
 # ---------------------------------------------------------------------------

@@ -491,15 +491,18 @@ def conj_matvec(a: np.ndarray, v: np.ndarray, led: FlopLedger) -> np.ndarray:
 def _outer(u: np.ndarray, v: np.ndarray, fused: bool = True) -> np.ndarray:
     """``u v^T``, per trial for a batch, rounded as for one trial.
 
-    One trial takes ``np.outer`` (``fused``) or ``np.multiply.outer``.
-    numpy multiplies complex arrays with fused multiply-adds, except that
-    ``np.multiply.outer`` of two one-element vectors rounds as plain scalar
-    arithmetic; a batch's 1 x 1 products keep that rounding when not
-    ``fused``, so a trial's bits never depend on whether it runs in a batch.
+    The broadcast product ``u[..., :, None] * v[..., None, :]``: what
+    ``np.outer`` computes (``fused``), and ``np.multiply.outer`` from two
+    entries on.  numpy multiplies complex arrays with fused multiply-adds,
+    except that ``np.multiply.outer`` of two one-element vectors rounds as
+    plain scalar arithmetic; the 1 x 1 products keep that rounding when not
+    ``fused``, one trial's through that call and a batch's written out, so a
+    trial's bits never depend on whether it runs in a batch.  The result is
+    C-contiguous.
     """
-    if u.ndim == 1:
-        return np.outer(u, v) if fused else np.multiply.outer(u, v)
     if not fused and u.shape[-1] == 1:
+        if u.ndim == 1:
+            return np.multiply.outer(u, v)
         re = u.real * v.real - u.imag * v.imag
         im = u.real * v.imag + u.imag * v.real
         return np.stack((re, im), axis=-1).view(np.complex128)
@@ -507,13 +510,10 @@ def _outer(u: np.ndarray, v: np.ndarray, fused: bool = True) -> np.ndarray:
 
 
 def _zero_diag_imag(a: np.ndarray) -> None:
-    """Zero the imaginary parts of the diagonal of each trailing square."""
+    """Zero the imaginary parts of the diagonal of each trailing square of the
+    C-contiguous ``a``: a basic strided slice of each square's flat view."""
     k = a.shape[-1]
-    if a.ndim == 2:                 # one square: a flat stride over its diagonal
-        a.imag.flat[:: k + 1] = 0.0
-    else:
-        d = _arange(k)
-        a.imag[..., d, d] = 0.0
+    a.reshape(a.shape[:-2] + (-1,), copy=False).imag[..., :: k + 1] = 0.0
 
 
 # Block size from which the Hermitian kernels run through BLAS ``zher`` and
@@ -692,9 +692,11 @@ def rank1_update_herm(
     Charged as the upper triangle (k*(k+1)/2 products), whichever path runs.
     Below ``ZHER_MIN_K``, and unbound, numpy forms the products ``(c x) x^H``,
     or ``x (c x)^H`` when ``right`` (they round differently, and each caller
-    keeps its form and its bits), over the whole square in one pass, then
-    mirrors the strict lower triangle from the upper one.  From ``ZHER_MIN_K``
-    on, where ``a`` is the leading block of the squares ``bound`` holds
+    keeps its form and its bits), over the whole square in one contiguous
+    buffer, forms ``a +/-`` them there, mirrors its strict lower triangle from
+    the upper one and copies it into ``a``: on a strided leading block such
+    as ``q[:k, :k]`` each pass would cost several times as much.  From
+    ``ZHER_MIN_K`` on, where ``a`` is the leading block of the squares ``bound`` holds
     (:func:`_bind`), BLAS ``zher`` adds ``(+/-c) x x^H`` to the upper
     triangle only, one call per trial, so a trial in a batch is bit for bit
     its call alone; nothing mirrors it.  ``x`` is read where ``xat`` says,
@@ -711,9 +713,11 @@ def rank1_update_herm(
         bound.her(k, xat or bound.stage(x), -c if subtract else c)
         return
     u, w = (x, c * x) if right else (c * x, x)
-    (np.subtract if subtract else np.add)(a, _outer(u, np.conj(w), fused=False), out=a)
-    _zero_diag_imag(a)
-    _mirror(a)
+    t = _outer(u, np.conj(w), fused=False)
+    (np.subtract if subtract else np.add)(a, t, out=t)
+    _zero_diag_imag(t)
+    _mirror(t)
+    a[...] = t
 
 
 def rank1_update_full(
@@ -725,13 +729,15 @@ def rank1_update_full(
 ) -> None:
     """In place ``a +/-= (c x) x^H`` without exploiting symmetry (k**2 products).
 
-    Always numpy.  Hermitian-result semantics as in :func:`rank1_update_herm`:
-    the diagonal is forced real.
+    Always numpy, through a contiguous buffer as in :func:`rank1_update_herm`,
+    with its Hermitian-result semantics: the diagonal is forced real.
     """
     k = x.shape[-1]
     led.tick(cmul=k * k, cadd=k * k)
-    (np.subtract if subtract else np.add)(a, _outer(c * x, np.conj(x), fused=True), out=a)
-    _zero_diag_imag(a)
+    t = _outer(c * x, np.conj(x), fused=True)
+    (np.subtract if subtract else np.add)(a, t, out=t)
+    _zero_diag_imag(t)
+    a[...] = t
 
 
 def _finite(kernel: str, *outs):

@@ -1048,10 +1048,17 @@ def check_batches_equal_single_calls(name, m, modes_for_n, sizes):
                 assert batch.mem.peak_words == (hi - lo) * singles[lo].mem.peak_words
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 8, 17])
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 16, 17])
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_batch_trials_bitwise_equal_single_calls(name, m):
-    """Every trial of batches of 1, 2 and 7 equals its own call, bit for bit."""
+    """Every trial of batches of 1, 2 and 7 equals its own call, bit for bit.
+    M = 16 is ``vblast ber``'s benchmark shape instead: M = N = 16, qam16,
+    hard and soft cancellation, one batch of 10, whose whole recursion runs
+    below ``kernels.ZHER_MIN_K`` on numpy."""
+    if m == 16:
+        check_batches_equal_single_calls(
+            name, m, [(m, [("qam16", False, False), ("qam16", True, False)])], (10,))
+        return
     modes_for_n = [(n, [md for i, md in enumerate(BATCH_MODES)
                         if (i + i // 2 + i // 4) % 2 == parity])
                    for n, parity in ((m, 0), (m + 2, 1))]

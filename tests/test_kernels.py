@@ -107,6 +107,27 @@ def test_rank1_rejects_nan():
         herm_rank1_update(a, np.zeros(2, complex), 1.0, True, FlopLedger())
 
 
+@pytest.mark.parametrize("fused", [True, False])
+def test_outer_is_numpys_outer_bit_for_bit(fused):
+    """``kernels._outer`` is ``np.outer`` (``fused``), else ``np.multiply.outer``,
+    bit for bit, for k = 1..64: on one trial's vectors, contiguous or strided
+    as a column of Q is, and on every trial of a batch of 3.  The result is
+    C-contiguous, as the rank-one updates' product buffer must be."""
+    want_of = np.outer if fused else np.multiply.outer
+    rng = make_rng(47)
+    for k in range(1, 65):
+        u, v = random_complex(rng, 3, 2 * k)[:, ::2], random_complex(rng, 3, k)
+        batch = kernels._outer(u, v, fused)
+        assert batch.shape == (3, k, k) and batch.flags.c_contiguous
+        for t in range(3):
+            want = want_of(u[t], v[t]).tobytes()
+            for uu in (u[t], u[t].copy()):
+                one = kernels._outer(uu, v[t], fused)
+                assert one.shape == (k, k) and one.flags.c_contiguous
+                assert one.tobytes() == want, (k, t)
+            assert batch[t].tobytes() == want, (k, t)
+
+
 def _on_blas(k):
     """Whether a bound k x k block runs on BLAS here: then only its upper triangle is kept."""
     return k >= ZHER_MIN_K and kernels._zher() is not None

@@ -15,6 +15,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
+from vblast import detectors  # noqa: E402
 from vblast.detectors import OrderingTrace, _OneTrial, _Trials  # noqa: E402
 from vblast.errors import ContractViolationError, SingularMatrixError  # noqa: E402
 from vblast.kernels import _check_pivot, real_pivot  # noqa: E402
@@ -95,25 +96,44 @@ def record_bits(rec):
 @example(rows=[[math.inf, 1.0], [1.0, -math.inf], [math.inf, math.inf]])
 @example(rows=[[2.0, -1.0, 3.0], [1.0, 2.0, 3.0]])
 @example(rows=[[0.5], [math.nan]])
+@example(rows=[[1.0, 2.0, 3.0, 0.0], [2.0, 1.0, 3.0, 4.0]])     # only the first step is per-row
 def test_batch_order_is_each_trials_order(rows):
-    """The index, q_min, gap and whether any trial moves, bit for bit; the
-    batch partitions only diagonals that are all positive and finite, since
+    """A call's steps order the leading m, m - 1, ..., 1 entries of each
+    trial's diagonal.  Each step's indices and whether any trial moves, and
+    each trial's trace from the call's one partition, bit for bit what
+    ``_OneTrial`` gives that trial alone.  The steps partition nothing; a row
+    that is not all positive and finite takes the per-row rule, since
     np.partition may order tied zeros of either sign differently by CPU."""
     m = len(rows[0])
     dg = np.array(rows, np.float64)
     before = dg.copy()
+    trials = _Trials(len(rows), m)
     partitioned, partition = [], np.partition
+    per_row, argmin_gap = [], detectors._argmin_gap
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np, "partition", lambda *a, **kw: partitioned.append(1) or partition(*a, **kw))
-        l, recs = _Trials(len(rows), m).order(dg, m)
-    assert bool(partitioned) == (m >= 2 and all(0 < v < math.inf for row in rows for v in row))
-    alone = [_OneTrial(m).order(row, m) for row in before]
+        log, moves = trials.log(), []
+        for k in range(m, 0, -1):
+            l = trials.order(dg[:, :k], k, log)
+            moves.append(None if l is None else l.tolist())
+        assert not partitioned
+        mp.setattr(detectors, "_argmin_gap", lambda d: per_row.append(d) or argmin_gap(d))
+        traces = trials.traces(log)
+    assert len(partitioned) == 1
+    assert [bits(d) for d in per_row] == [bits(row[:k]) for k in range(m, 0, -1) for row in before
+                                          if not all(0 < v < math.inf for v in row[:k])]
     assert dg.tobytes() == before.tobytes()
-    assert [record_bits(rec) for rec in recs] == [record_bits(one[0]) for _, one in alone]
-    if all(moved is None for moved, _ in alone):
-        assert l is None
-    else:
-        assert l.tolist() == [rec.l for _, (rec,) in alone]
+    alone = []
+    for row, trace in zip(before, traces):
+        one, one_log = _OneTrial(m), _OneTrial(m).log()
+        alone.append([one.order(row[:k], k, one_log) for k in range(m, 0, -1)])
+        assert [record_bits(rec) for rec in trace] == \
+            [record_bits(rec) for rec in one.traces(one_log)[0]]
+    for step, (moved, each) in enumerate(zip(moves, zip(*alone))):
+        if all(l is None for l in each):
+            assert moved is None
+        else:
+            assert moved == [rec[step].l for rec in traces]
 
 
 @st.composite
