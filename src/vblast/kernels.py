@@ -55,9 +55,22 @@ no outcome.  A computed pivot with a non-negligible imaginary part
 (``PIVOT_IMAG_RTOL``) fails too, a placeholder for an accuracy guard.  A
 pivot that meets a sufficient condition for passing (finite, above the
 scale's tolerance, imaginary part within ``PIVOT_IMAG_RTOL`` of it) returns
-at once, one trial's as a number and a batch's in one pass over them as
-Python numbers; any other takes the one-trial rule, trial by trial, so a
-batch raises exactly the error its first failing trial raises alone.
+at once; any other takes the one-trial rule, trial by trial, so a batch
+raises exactly the error its first failing trial raises alone.
+
+The SIC loop judges its pivots at every step.  The two initializers judge
+theirs once per call, from ``JUDGE_ONCE_MIN_STEPS`` steps on (below it the
+per-step checks cost less).  The growth's gammas are R's diagonal, which no
+step writes before its own: it reads them once and passes them all if they
+are positive, finite and real, else every step judges its gamma and then
+its pivots as it reaches them.  Where they pass, a batch's growth steps and
+Sherman-Morrison rows record their pivots (the Schur pivot, and the
+three-division step's corner) unjudged, use their real parts, and are judged
+after the last step (:func:`_judge_steps`): one vectorized sufficient
+condition, else the rule step by step.  Only numpy and BLAS arithmetic runs
+between two pivots, so that raises what judging each step as it came
+raises: the earliest failing step's first failing trial.  One trial judges
+each step's pivots as it computes them (a Python ``1.0 / 0.0`` would raise).
 
 The Gauss-Jordan routine at the bottom is the independent oracle used by the
 test-suite: it is deliberately plain, uses partial pivoting, and never
@@ -364,10 +377,12 @@ def real_pivot(x, context: str, step: int | None = None, error=ContractViolation
     """
     if isinstance(x, np.ndarray):
         if x.size > 1:
-            vals = x.ravel().tolist()
-            # a sufficient condition for passing, else the rule trial by trial
-            if not all(abs(v.imag) <= PIVOT_IMAG_RTOL * abs(v.real) < math.inf for v in vals):
-                for v in vals:
+            # a sufficient condition for passing, else the rule trial by trial; one
+            # numpy pass costs about as much as a Python loop over 16 numbers
+            if not (_real_finite(x) if x.size >= 16 else
+                    all(abs(v.imag) <= PIVOT_IMAG_RTOL * abs(v.real) < math.inf
+                        for v in x.ravel().tolist())):
+                for v in x.ravel().tolist():
                     real_pivot(v, context, step, error)
             return x.real.copy()
         if x.size:          # an empty array is no number: complex() below refuses it
@@ -385,6 +400,13 @@ def real_pivot(x, context: str, step: int | None = None, error=ContractViolation
     if not math.isfinite(re) or math.isnan(im):
         raise error(f"{_label(context, step)}: pivot is not finite")
     return re
+
+
+def _real_finite(x: np.ndarray) -> bool:
+    """Whether every entry of ``x`` is a finite number with a zero imaginary part:
+    in one pass, a sufficient condition for :func:`real_pivot` to pass them all."""
+    kind = x.dtype.kind
+    return (kind == "f" or kind == "c" and not x.imag.any()) and bool(np.isfinite(x).all())
 
 
 def _operands(context: str, mat, vec, scalar=None, drop: int = 0):
@@ -439,6 +461,46 @@ def _pivot_rule(x, scale, context: str, step):
     if delta <= (0.0 if scale is None else SINGULAR_RTOL * abs(scale)):
         raise SingularMatrixError(f"singular pivot in {_label(context, step)}: |{delta:g}|")
     return delta
+
+
+# Fewest steps (growth borders or Sherman-Morrison rows) from which an
+# initializer judges pivots once instead of at every step (set by measurement:
+# below it, the one judgement's fixed cost outweighs the per-step checks).
+JUDGE_ONCE_MIN_STEPS = 9
+
+
+def _pivot(x, scale, context: str, step, record=None, slot: int = 0):
+    """:func:`_check_pivot` of ``x`` now, or with ``record`` (a batch's pivots
+    of this step, ``(slots, T, 1)``) its real part, ``x`` kept in
+    ``record[slot]`` for the judgement at the end (:func:`_judge_steps`)."""
+    if record is None:
+        return _check_pivot(x, scale, context, step)
+    record[slot] = x
+    return x.real
+
+
+def _judge_steps(pivots: np.ndarray, scales, context: str, steps) -> None:
+    """:func:`_check_pivot` on the pivots a batch recorded over its steps, at once.
+
+    ``pivots`` is ``(slots, T, n)``: each of n steps' pivots, ``slots`` of one
+    per trial each, judged in slot order within a step.  Slot i's scale is
+    ``scales[i]``: None (its own), a number, or ``(T, n)``, one per pivot.
+    Step j is named ``steps[j]``.  One vectorized sufficient condition passes
+    them all; else the rule runs step by step, slot by slot, and raises the
+    error of the earliest step's first failing slot and, in it, first failing
+    trial: what judging each step as it came raises.
+    """
+    for x, scale in zip(pivots, scales):
+        re = x.real
+        floor = 0.0 if scale is None else SINGULAR_RTOL * np.abs(scale)
+        if not ((floor < re) & (re < math.inf) & (np.abs(x.imag) <= PIVOT_IMAG_RTOL * re)).all():
+            break
+    else:
+        return
+    for j, step in enumerate(steps):
+        for x, scale in zip(pivots, scales):
+            _check_pivot(x[:, j:j + 1], scale if np.ndim(scale) < 2 else scale[:, j:j + 1],
+                         context, step)
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +748,7 @@ def rank1_update_herm(
     right: bool = False,
     bound: _Bound | None = None,
     xat=None,
+    cx=None,
 ) -> None:
     """In place ``a +/-= c x x^H`` for real ``c``: a Hermitian result (per trial).
 
@@ -693,14 +756,16 @@ def rank1_update_herm(
     Below ``ZHER_MIN_K``, and unbound, numpy forms the products ``(c x) x^H``,
     or ``x (c x)^H`` when ``right`` (they round differently, and each caller
     keeps its form and its bits), over the whole square in one contiguous
-    buffer, forms ``a +/-`` them there, mirrors its strict lower triangle from
-    the upper one and copies it into ``a``: on a strided leading block such
-    as ``q[:k, :k]`` each pass would cost several times as much.  From
-    ``ZHER_MIN_K`` on, where ``a`` is the leading block of the squares ``bound`` holds
-    (:func:`_bind`), BLAS ``zher`` adds ``(+/-c) x x^H`` to the upper
-    triangle only, one call per trial, so a trial in a batch is bit for bit
-    its call alone; nothing mirrors it.  ``x`` is read where ``xat`` says,
-    else staged into the bound workspace.
+    buffer (``cx``, when given, is ``c * x`` already formed).  Where ``a`` is
+    C-contiguous it forms ``a +/-`` them in ``a`` and mirrors its strict lower
+    triangle from the upper one; else it does so in the buffer and copies that
+    into ``a``: on a strided leading block such as ``q[:k, :k]`` each pass
+    would cost several times as much.  From ``ZHER_MIN_K`` on, where ``a`` is
+    the leading block of the squares ``bound`` holds (:func:`_bind`), BLAS
+    ``zher`` adds ``(+/-c) x x^H`` to the upper triangle only, one call per
+    trial, so a trial in a batch is bit for bit its call alone; nothing
+    mirrors it.  ``x`` is read where ``xat`` says, else staged into the bound
+    workspace.
 
     Either way the diagonal's imaginary parts are zero, as in the reference
     Hermitian BLAS routines.  ``a`` may be a strided view such as
@@ -712,12 +777,16 @@ def rank1_update_herm(
     if bound is not None and k >= ZHER_MIN_K:
         bound.her(k, xat or bound.stage(x), -c if subtract else c)
         return
-    u, w = (x, c * x) if right else (c * x, x)
+    if cx is None:
+        cx = c * x
+    u, w = (x, cx) if right else (cx, x)
     t = _outer(u, np.conj(w), fused=False)
-    (np.subtract if subtract else np.add)(a, t, out=t)
-    _zero_diag_imag(t)
-    _mirror(t)
-    a[...] = t
+    out = a if a.flags.c_contiguous else t
+    (np.subtract if subtract else np.add)(a, t, out=out)
+    _zero_diag_imag(out)
+    _mirror(out)
+    if out is t:
+        a[...] = t
 
 
 def rank1_update_full(
@@ -729,15 +798,18 @@ def rank1_update_full(
 ) -> None:
     """In place ``a +/-= (c x) x^H`` without exploiting symmetry (k**2 products).
 
-    Always numpy, through a contiguous buffer as in :func:`rank1_update_herm`,
-    with its Hermitian-result semantics: the diagonal is forced real.
+    Always numpy, in ``a`` or through a contiguous buffer as in
+    :func:`rank1_update_herm`, with its Hermitian-result semantics: the
+    diagonal is forced real.
     """
     k = x.shape[-1]
     led.tick(cmul=k * k, cadd=k * k)
     t = _outer(c * x, np.conj(x), fused=True)
-    (np.subtract if subtract else np.add)(a, t, out=t)
-    _zero_diag_imag(t)
-    a[...] = t
+    out = a if a.flags.c_contiguous else t
+    (np.subtract if subtract else np.add)(a, t, out=out)
+    _zero_diag_imag(out)
+    if out is t:
+        a[...] = t
 
 
 def _finite(kernel: str, *outs):
@@ -770,7 +842,7 @@ def herm_rank1_update(
     return _finite("herm_rank1_update", out)
 
 
-def _block_step_i(a, r_bar, gamma, led, bound=None, step=None):
+def _block_step_i(a, r_bar, gamma, led, bound=None, step=None, record=None):
     """Partitioned-inverse growth step, three-division form, in place.
 
     ``a`` holds the leading block's inverse, Hermitian squares (one or a
@@ -779,13 +851,14 @@ def _block_step_i(a, r_bar, gamma, led, bound=None, step=None):
     k x k block of the bound squares and ``r_bar`` their column k above the
     diagonal, read in place.  Division accounting is deliberate: one for the
     Schur denominator, one for 1/gamma and one for 1/gamma**2.  Errors name
-    ``block_inv_step_i``.
+    ``block_inv_step_i``.  With ``record``, a batch's step keeps its Schur
+    pivot and its corner there, unjudged (:func:`_pivot`).
     """
     k = r_bar.shape[-1]
     vat = bound and bound.col(k)
     g = matvec(a, r_bar, led, bound, vat)
     t = vdot_c(r_bar, g, led)
-    delta = _check_pivot(gamma - t, gamma, "block_inv_step_i", step)
+    delta = _pivot(gamma - t, gamma, "block_inv_step_i", step, record)
     beta = 1.0 / delta
     rank1_update_herm(a, g, beta, led, bound=bound, xat=bound and bound.out)
     g2 = matvec(a, r_bar, led, bound, vat)
@@ -793,26 +866,27 @@ def _block_step_i(a, r_bar, gamma, led, bound=None, step=None):
     q_col = (-gamma_inv) * g2
     gamma_inv2 = gamma_inv / gamma
     t2 = vdot_c(r_bar, g2, led)
-    omega = _check_pivot(gamma_inv + gamma_inv2 * t2, None, "block_inv_step_i", step)
+    omega = _pivot(gamma_inv + gamma_inv2 * t2, None, "block_inv_step_i", step, record, 1)
     led.tick(cmul=2 * k + 1, cadd=2, cdiv=3)
     return q_col, omega
 
 
-def _block_step_v(a, r_bar, gamma, led, bound=None, step=None):
+def _block_step_v(a, r_bar, gamma, led, bound=None, step=None, record=None):
     """Partitioned-inverse growth step, single-division form, in place.
 
-    As :func:`_block_step_i`; also returns ``q_tilde = Q r_bar``.
+    As :func:`_block_step_i`, with only the Schur pivot to keep; also returns
+    ``q_tilde = Q r_bar``.
     """
     k = r_bar.shape[-1]
     q_tilde = matvec(a, r_bar, led, bound, bound and bound.col(k))
     t = vdot_c(r_bar, q_tilde, led)
-    delta = _check_pivot(gamma - t, gamma, "block_inv_step_v", step)
+    delta = _pivot(gamma - t, gamma, "block_inv_step_v", step, record)
     omega = 1.0 / delta
     q_col = (-omega) * q_tilde
     led.tick(cmul=k, cadd=1, cdiv=1)
     # q -= q_tilde q_col^H
     rank1_update_herm(a, q_tilde, -omega, led, subtract=True, right=True, bound=bound,
-                      xat=bound and bound.out)
+                      xat=bound and bound.out, cx=q_col)
     return q_col, omega, q_tilde
 
 
@@ -861,8 +935,9 @@ def sm_rank1_inverse_update(
     return _finite("sm_rank1_inverse_update", out)
 
 
-def _sm_update_inplace(q, r, c, led, context, triangle_only=True, bound=None):
-    """Q -= (Q r)(Q r)^H / (c + r^H Q r) in place, the pivot judged against c.
+def _sm_update_inplace(q, r, c, led, context, triangle_only=True, bound=None, record=None):
+    """Q -= (Q r)(Q r)^H / (c + r^H Q r) in place, the pivot judged against c
+    (with ``record``, kept there unjudged: :func:`_pivot`).
 
     With ``bound`` (``q`` its leading block), a block on the BLAS route is read
     and updated in its upper triangle only.
@@ -870,7 +945,7 @@ def _sm_update_inplace(q, r, c, led, context, triangle_only=True, bound=None):
     m = q.shape[-1]
     u = matvec(q, r, led, bound)
     t = vdot_c(r, u, led)
-    delta = _check_pivot(c + t, c, context)
+    delta = _pivot(c + t, c, context, None, record)
     beta = 1.0 / delta
     led.tick(cmul=m, cadd=1, cdiv=1)
     if triangle_only:
@@ -961,7 +1036,8 @@ def init_q_sherman_morrison(
 
     ``h`` may be a stack of channels, with one ``alpha`` per trial.  With
     ``triangle_only``, Q is bound once (:func:`_bind`): on the BLAS route the
-    corrections keep its upper triangle, mirrored once on exit.
+    corrections keep its upper triangle, mirrored once on exit.  A batch's
+    row pivots are judged once, after the last row (:func:`_judge_steps`).
     """
     h = as_cmat(h, "h", stack=True)
     n, m = h.shape[-2:]
@@ -972,9 +1048,15 @@ def init_q_sherman_morrison(
     q[(*_lead(q, 2), _arange(m), _arange(m))] = 1.0 / alpha
     ledger.tick(cdiv=1)
     bound = _bind(q) if triangle_only else None
+    # a batch keeps each row's pivot, judged once after the last row
+    record = (np.empty((1, len(q), n), np.complex128)
+              if q.ndim == 3 and n >= JUDGE_ONCE_MIN_STEPS else None)
     for row in range(n):
+        pivot = None if record is None else record[..., row:row + 1]
         _sm_update_inplace(q, np.conj(h[..., row, :]), 1.0, ledger, "sm_rank1_inverse_update",
-                           triangle_only, bound)
+                           triangle_only, bound, pivot)
+    if record is not None:
+        _judge_steps(record, (1.0,), "sm_rank1_inverse_update", (None,) * n)
     if bound is not None:
         _mirror(q)
     return q
@@ -1003,6 +1085,7 @@ def init_q_recursive(r: np.ndarray, ledger: FlopLedger, variant: str = "v") -> n
     return q
 
 
+@np.errstate(all="ignore")
 def _grow_inverse(q, m, led, variant, bound=None):
     """:func:`init_q_recursive` in place: the leading m x m Hermitian block of
     the squares ``q`` (one or a stack, read from its upper triangle) becomes
@@ -1012,22 +1095,51 @@ def _grow_inverse(q, m, led, variant, bound=None):
     ``bound``, ``q``'s binding (:func:`_bind`), blocks from ``ZHER_MIN_K`` rows
     on run BLAS on the upper triangle; the others take numpy and mirror the
     border row.
+
+    No step writes a later step's gamma, so from ``JUDGE_ONCE_MIN_STEPS``
+    steps on the gammas are read and judged at once (:func:`_border_pivots`).
+    Where they pass, a batch keeps its steps' pivots and judges them once,
+    after the last step (:func:`_judge_steps`), and one trial judges them as
+    each step computes them.  Otherwise every step judges its gamma and then
+    its pivots as it reaches them.
     """
     step_fn = _block_step_i if variant == "i" else _block_step_v
     lead = _lead(q, 2)
+    gammas = _border_pivots(q, m) if m > JUDGE_ONCE_MIN_STEPS else None
+    # a batch whose gammas pass keeps each step's pivots, judged once after the last step
+    record = (np.empty((2 if variant == "i" else 1, len(q), m - 1), np.complex128)
+              if lead and gammas is not None else None)
     for k in range(m):
         ii = _entry(lead, k, k)
-        col, gamma = q[..., :k, k], q[ii]
-        if k:
-            gamma = _check_pivot(gamma, None, "init_q_recursive", k + 1)
-            q_col, omega = step_fn(q[..., :k, :k], col, gamma, led, bound, k + 1)[:2]
-        else:       # the 1 x 1 inverse
-            q_col, omega = col, 1.0 / _check_pivot(gamma, None, "init_q_recursive leading entry")
+        col = q[..., :k, k]
+        if not k:       # the 1 x 1 inverse
+            q_col, omega = col, 1.0 / _check_pivot(q[ii], None, "init_q_recursive leading entry")
             led.tick(cdiv=1)
+        else:
+            if gammas is None:
+                gamma = _check_pivot(q[ii], None, "init_q_recursive", k + 1)
+            else:
+                gamma = gammas[:, k - 1:k] if lead else gammas[k - 1]
+            q_col, omega = step_fn(q[..., :k, :k], col, gamma, led, bound, k + 1,
+                                   None if record is None else record[..., k - 1:k])[:2]
         q[ii] = omega
         q[..., :k, k] = q_col
         if not _on_blas(bound, k + 1):
             q[..., k, :k] = np.conj(q_col)
+    if record is not None:
+        _judge_steps(record, (gammas, None), f"block_inv_step_{variant}", range(2, m + 1))
+
+
+def _border_pivots(q, m):
+    """The growth's gammas, R's diagonal entries 1..m-1 of the squares ``q``:
+    one trial's as floats, a batch's as ``(T, m - 1)``.  None unless all are
+    positive, finite and real, a sufficient condition for passing
+    :func:`_check_pivot` of their own scale."""
+    d = q.diagonal(0, -2, -1)[..., 1:m]
+    re = d.real
+    if d.imag.any() or not (re.min() > 0.0 and re.max() < math.inf):
+        return None
+    return re.tolist() if re.ndim == 1 else re.copy()
 
 
 # ---------------------------------------------------------------------------

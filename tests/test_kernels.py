@@ -263,6 +263,35 @@ def test_rank1_update_herm_blas_route(k, lead, subtract, right):
             assert one.tobytes() == same_c[t].tobytes()
 
 
+@pytest.mark.parametrize("full", [False, True], ids=["herm", "full"])
+@pytest.mark.parametrize("subtract", [False, True])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "batch"])
+@pytest.mark.parametrize("k", [1, 2, 8, 64])
+def test_rank1_update_on_whole_squares_matches_strided_blocks(k, lead, subtract, full):
+    """Unbound, the numpy path updates a C-contiguous square in place and a
+    strided leading block through its product buffer: the same bits either way,
+    for ``rank1_update_herm`` (with ``c x`` formed or given, on either side) and
+    for ``rank1_update_full``."""
+    rng = make_rng(53, k)
+    buf, x, c = _strided_blocks(rng, k, lead)
+    whole = buf[..., :k, :k].copy()
+    assert whole.flags.c_contiguous and not buf[..., :k, :k].flags.c_contiguous or k == 1
+    sides = [{}] if full else [{}, {"cx": c * x}, {"right": True}, {"right": True, "cx": c * x}]
+    for kw in sides:
+        a, b = whole.copy(), buf.copy()
+        for target in (a, b[..., :k, :k]):
+            if full:
+                kernels.rank1_update_full(target, x, c, FlopLedger(), subtract=subtract)
+            else:
+                rank1_update_herm(target, x, c, FlopLedger(), subtract=subtract, **kw)
+        assert a.tobytes() == b[..., :k, :k].copy().tobytes()
+        if kw.get("cx") is not None:
+            plain = whole.copy()
+            rank1_update_herm(plain, x, c, FlopLedger(), subtract=subtract,
+                              right=kw.get("right", False))
+            assert plain.tobytes() == a.tobytes()
+
+
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "batch"])
 @pytest.mark.parametrize("k", [ZHER_MIN_K - 1, ZHER_MIN_K, 64])
 def test_matvec_on_bound_squares_reads_only_the_upper_triangle(k, lead):
@@ -472,7 +501,7 @@ def test_init_q_recursive_grows_in_place_like_public_steps(variant, m):
 
 
 @pytest.mark.parametrize("variant", ["i", "v"])
-@pytest.mark.parametrize("m", [2, 5, 17])
+@pytest.mark.parametrize("m", [2, 5, 17, ZHER_MIN_K + 1])
 def test_init_q_recursive_singular_border_names_index(variant, m):
     # powers of two keep the Schur pivot of the duplicated last border exactly 0
     r = np.diag(2.0 ** np.arange(m)).astype(complex)
@@ -490,6 +519,36 @@ def test_init_q_recursive_singular_border_names_index(variant, m):
     for run in runs:
         with pytest.raises(SingularMatrixError, match=text):
             run()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("variant", ["i", "v"])
+@pytest.mark.parametrize("m", [kernels.JUDGE_ONCE_MIN_STEPS, kernels.JUDGE_ONCE_MIN_STEPS + 1,
+                               17, ZHER_MIN_K + 1])
+def test_growth_judged_once_is_each_trials_growth(variant, m, monkeypatch):
+    """A batch of three growths, below and from ``JUDGE_ONCE_MIN_STEPS`` steps and
+    on the BLAS route: each trial's inverse bit for bit as its own growth, one
+    trial's charge, and the same bits and charges as judging every step."""
+    stack = init_gram(random_complex(make_rng(89, m), 3, m + 2, m), 0.1, FlopLedger())
+    out = {}
+    for once in (True, False):
+        if not once:
+            monkeypatch.setattr(kernels, "JUDGE_ONCE_MIN_STEPS", 10**9)
+        for how in ("init", "grow"):
+            leds = [FlopLedger() for _ in range(4)]
+            if how == "init":
+                got = [init_q_recursive(r, led, variant) for r, led in zip([stack, *stack], leds)]
+            else:
+                got = [q.copy() for q in [stack, *stack]]
+                for q, led in zip(got, leds):
+                    _grow_inverse(q, m, led, variant, kernels._bind(q))
+                    if _on_blas(m):
+                        kernels._mirror(q)
+            for t in range(3):
+                assert got[0][t].tobytes() == got[t + 1].tobytes()
+                assert leds[0] == leds[t + 1]
+            out[once, how] = got[0].tobytes(), leds[0]
+    assert out[True, "init"] == out[False, "init"] == out[True, "grow"] == out[False, "grow"]
 
 
 @pytest.mark.parametrize("m", [3, ZHER_MIN_K + 1])

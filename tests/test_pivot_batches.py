@@ -3,8 +3,10 @@
 ``kernels.real_pivot`` and ``kernels._check_pivot`` take one pivot per trial.
 A batch that passes returns the real parts as a new array, bit for bit; a
 batch that fails raises exactly the error its first failing trial raises
-when judged alone.  ``detectors._Trials``' ordering and swaps give each trial
-what ``detectors._OneTrial``'s give it alone, bit for bit.
+when judged alone.  The initializers' one judgement of a batch's pivots
+(``kernels._judge_steps``) raises what judging each step as it came raises.
+``detectors._Trials``' ordering and swaps give each trial what
+``detectors._OneTrial``'s give it alone, bit for bit.
 """
 
 import math
@@ -15,10 +17,19 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
-from vblast import detectors  # noqa: E402
+from vblast import detectors, kernels  # noqa: E402
 from vblast.detectors import OrderingTrace, _OneTrial, _Trials  # noqa: E402
 from vblast.errors import ContractViolationError, SingularMatrixError  # noqa: E402
-from vblast.kernels import _check_pivot, real_pivot  # noqa: E402
+from vblast.kernels import (  # noqa: E402
+    ZHER_MIN_K,
+    FlopLedger,
+    _check_pivot,
+    _grow_inverse,
+    _judge_steps,
+    init_q_recursive,
+    init_q_sherman_morrison,
+    real_pivot,
+)
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, 1e300, math.nan, math.inf, -math.inf]
 REALS = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(SPECIAL))
@@ -67,6 +78,199 @@ def test_batch_is_judged_trial_by_trial(pivots, scale):
                 assert got.shape == x.shape and not np.shares_memory(got, x)
         else:
             assert type(got) is type(first) and str(got) == str(first)
+
+
+@given(pivots=st.lists(st.one_of(REALS, PIVOTS), min_size=2, max_size=24))
+@example(pivots=[0.5, 2.0, 1e-300])
+@example(pivots=[0.5, -0.0, 5e-324, -1.0])
+@example(pivots=[0.5, math.inf])
+@example(pivots=[0.5, 2.0 + 0.0j, 3.0 - 0.0j])
+# from 16 entries on, one numpy pass tests the sufficient condition first
+@example(pivots=[0.5, -0.0, 5e-324, -1.0] * 4)
+@example(pivots=[0.5 - 0.0j] * 17 + [math.inf])
+@example(pivots=[2.0] * 16 + [1.0 + 1e-300j, 1.0 + 1.0j])
+def test_real_arrays_are_judged_entry_by_entry(pivots):
+    """``real_pivot`` on a float array and on its complex copy: the values, or the
+    first failing entry's error, as each entry judged alone, whether the array's
+    sufficient condition is tested in Python (below 16 entries) or in numpy."""
+    x = np.array(pivots, np.complex128)
+    first = next((e for e in (outcome(real_pivot, v, "ctx", 2) for v in x.tolist())
+                  if isinstance(e, Exception)), None)
+    arrays = [x] if x.imag.any() else [x, x.real.copy()]
+    for a in arrays:
+        got = outcome(real_pivot, a, "ctx", 2)
+        if first is None:
+            assert bits(got) == bits(x.real) and not np.shares_memory(got, a)
+        else:
+            assert type(got) is type(first) and str(got) == str(first)
+
+
+@st.composite
+def pivot_grids(draw):
+    """A batch's recorded pivots ``(slots, T, n)`` and each slot's scale: slot 0's
+    None, one number or one per pivot, slot 1's (a corner's) its own."""
+    slots, t, n = draw(st.integers(1, 2)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    pivots = draw(st.lists(PIVOTS, min_size=slots * t * n, max_size=slots * t * n))
+    scale = draw(st.one_of(st.none(), SCALES, st.lists(SCALES, min_size=t * n, max_size=t * n)))
+    if isinstance(scale, list):
+        scale = np.array(scale).reshape(t, n)
+    return np.array(pivots, np.complex128).reshape(slots, t, n), (scale, None)[:slots]
+
+
+def judged_as_they_came(pivots, scales, steps):
+    """Each step's pivots judged when it computed them: ``_check_pivot`` on each
+    slot's ``(T, 1)`` pivots, slot by slot, step by step."""
+    for j, step in enumerate(steps):
+        for x, scale in zip(pivots, scales):
+            if isinstance(scale, np.ndarray):
+                scale = scale[:, j:j + 1].copy()
+            _check_pivot(x[:, j:j + 1].copy(), scale, "ctx", step)
+
+
+@given(grid=pivot_grids())
+# the last trial fails at an earlier step than the first: the earlier step wins
+@example(grid=(np.array([[[2.0, 2.0, 0.5, 1.0], [1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0]]]),
+               (1.0,)))
+# a corner fails at the step where a later trial's Schur pivot fails: the Schur pivot wins
+@example(grid=(np.array([[[1.0, 1.0], [1.0, 0.0]], [[1.0, math.nan], [1.0, 1.0]]]),
+               (np.ones((2, 2)), None)))
+@example(grid=(np.array([[[1.0, 1.0], [1.0, 1.0]], [[1.0, -2.0], [1.0, 1 + 1j]]]),
+               (np.ones((2, 2)), None)))
+# subnormal real parts pass the rule's imaginary test where the one pass does not
+@example(grid=(np.array([[[1e-310 + 1e-315j, 1.0]]]), (None,)))
+@example(grid=(np.array([[[1e-14, 1.5e-14]]]), (1.0,)))
+def test_one_judgement_raises_what_each_step_raises(grid):
+    """``_judge_steps`` over ``(T, n)`` grids of pivots: it passes where judging each
+    step as it came passes, else raises that judgement's error, type and text
+    alike, and leaves the pivots as they were."""
+    pivots, scales = grid
+    before = pivots.copy()
+    steps = range(2, pivots.shape[-1] + 2)
+    want = outcome(judged_as_they_came, pivots, scales, steps)
+    got = outcome(_judge_steps, pivots, scales, "ctx", steps)
+    if want is None:
+        assert got is None
+    else:
+        assert type(got) is type(want) and str(got) == str(want)
+    assert pivots.tobytes() == before.tobytes()
+
+
+# growths of 11 and of 32 steps, both judged once; the second runs BLAS from ZHER_MIN_K rows
+GROWN = [12, ZHER_MIN_K + 1]
+
+
+def powers(m, j=None, entry=None):
+    """R = diag(1, 2, 4, ...), m x m, with R[j, j] = ``entry`` when given."""
+    r = np.diag(2.0 ** np.arange(m)).astype(complex)
+    if j is not None:
+        r[j, j] = entry
+    return r
+
+
+def doubled(m, j):
+    """``powers(m)`` with border j a copy of border j - 1: growth step j's Schur
+    pivot (recursion index j + 1) is exactly 0."""
+    r = powers(m)
+    r[j, :] = r[j - 1, :]
+    r[:, j] = r[:, j - 1]
+    return r
+
+
+def grow_in_place(stack, variant):
+    q = stack.copy()
+    _grow_inverse(q, stack.shape[-1], FlopLedger(), variant, kernels._bind(q))
+    return q
+
+
+def judged(monkeypatch, run, once):
+    """``run()``'s outcome with pivots judged once per initializer (``once``) or at
+    every step, and how many one-pass judgements it made."""
+    calls = []
+    with monkeypatch.context() as mp:
+        if not once:
+            mp.setattr(kernels, "JUDGE_ONCE_MIN_STEPS", 10**9)
+        mp.setattr(kernels, "_judge_steps", lambda *a: calls.append(1) or _judge_steps(*a))
+        return outcome(run), len(calls)
+
+
+def check_stack(monkeypatch, runs, text, once=True):
+    """Each run raises SingularMatrixError ``text`` (None: returns), as it does
+    judging every step as it comes; with ``once``, from its one judgement."""
+    for run in runs:
+        got, calls = judged(monkeypatch, run, True)
+        want, _ = judged(monkeypatch, run, False)
+        if text is None:
+            assert not isinstance(got, Exception), got
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert type(got) is SingularMatrixError and str(got) == text
+            assert type(want) is SingularMatrixError and str(want) == text
+        assert calls == int(once)
+
+
+def growth_runs(stack, variant):
+    return [lambda: init_q_recursive(stack, FlopLedger(), variant),
+            lambda: grow_in_place(stack, variant)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("variant", ["i", "v"])
+@pytest.mark.parametrize("m", GROWN)
+def test_growth_stack_earlier_step_wins(monkeypatch, m, variant):
+    """The last trial's Schur pivot fails at step 3, the first trial's at step 8:
+    step 3's error, although the first trial is judged first within a step."""
+    stack = np.stack([doubled(m, 8), powers(m), doubled(m, 3)])
+    text = f"singular pivot in block_inv_step_{variant} (recursion index 4): |0|"
+    check_stack(monkeypatch, growth_runs(stack, variant), text)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("m", GROWN)
+def test_growth_stack_corner_fails(monkeypatch, m):
+    """A gamma of 1e-200 passes its Schur pivot, but 1/gamma**2 overflows and the
+    three-division step's corner is not finite; the one-division step needs no
+    corner and returns.  The corner wins over a later step's Schur pivot; at the
+    same step, a later trial's Schur pivot wins."""
+    tiny = powers(m, 5, 1e-200)
+    stack = np.stack([tiny, powers(m), powers(m)])
+    check_stack(monkeypatch, growth_runs(stack, "i"),
+                "block_inv_step_i (recursion index 6): pivot is not finite")
+    check_stack(monkeypatch, growth_runs(stack, "v"), None)
+    stack[2] = doubled(m, 8)
+    check_stack(monkeypatch, growth_runs(stack, "i"),
+                "block_inv_step_i (recursion index 6): pivot is not finite")
+    stack[2] = doubled(m, 5)
+    check_stack(monkeypatch, growth_runs(stack, "i"),
+                "singular pivot in block_inv_step_i (recursion index 6): |0|")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("variant", ["i", "v"])
+@pytest.mark.parametrize("m", GROWN)
+def test_growth_stack_gamma_fails_after_a_schur_pivot(monkeypatch, m, variant):
+    """A negative gamma at step 7 fails the gammas' one check, so each step is
+    judged as it comes: the last trial's Schur pivot at step 3 fails first, and
+    alone the gamma fails at its own step."""
+    stack = np.stack([powers(m, 7, -1.0), powers(m), doubled(m, 3)])
+    check_stack(monkeypatch, growth_runs(stack, variant),
+                f"singular pivot in block_inv_step_{variant} (recursion index 4): |0|", once=False)
+    stack[2] = powers(m)
+    check_stack(monkeypatch, growth_runs(stack, variant),
+                "singular pivot in init_q_recursive (recursion index 8): |-1|", once=False)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("triangle_only", [True, False])
+@pytest.mark.parametrize("m", GROWN)
+def test_sherman_morrison_stack_earlier_row_wins(monkeypatch, m, triangle_only):
+    """Rows of 1e200 make a row's pivot infinite: the last trial's at row 2, the
+    first trial's at row 6.  The build raises row 2's error from its one
+    judgement, as judging each row as it comes does; clean, it returns the same bits."""
+    h = np.stack([powers(m) / 2 ** m + np.eye(m)] * 3)
+    runs = [lambda: init_q_sherman_morrison(h, 0.1, FlopLedger(), triangle_only)]
+    check_stack(monkeypatch, runs, None)
+    h[0, 6] = h[2, 2] = 1e200
+    check_stack(monkeypatch, runs, "sm_rank1_inverse_update: pivot is not finite")
 
 
 # Q's diagonal entries: well-posed, exactly tied, or mixed with the values that
