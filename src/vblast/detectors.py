@@ -65,17 +65,22 @@ updates ``d -= (s + d_m) / omega * q_bar``, swapped or indexed alike.  The
 published update is written in the '+' form, with ``d_paper = -d``.
 
 Trial batches: every routine also takes lists or tuples ``(chs, rxs)`` of
-trials with the same (M, N) and returns a :class:`BatchResult` of per-trial
-:class:`DetectionResult` objects, in order.  All ten routines take their
-trials through :func:`_stack`, which validates and stacks them and decides
-the trial shape once per call (a batch of one runs as its single trial),
-and return through :func:`_results`.  A batch runs together: each state
-array gains a leading trial axis, each step is one set of numpy calls for
-all trials, and each trial keeps its own ordering; a step only picks each
-trial's index, and the trace records come from one pass over the whole
-call's diagonals after the last step.  A trial's outputs,
-trace, ledger and memory ledger are bit for bit those of a call on it
-alone, whatever batch it runs in; the batch's ``ledger`` and
+trials with the same (M, N) and returns a :class:`BatchResult`, the batch's
+outputs stacked: ``s_hat``, ``order`` and ``soft`` as ``(T, M)`` arrays in
+antenna order, and ``q_steps`` as one ``(T, m, m)`` block per step.  All
+ten routines take their trials through :func:`_stack`, which validates and
+stacks them and decides the trial shape once per call (a batch of one runs
+as its single trial and gains a leading axis of 1 at the end), and return
+through :func:`_results`.  A batch runs together: each state array gains a
+leading trial axis, each step is one set of numpy calls for all trials,
+and each trial keeps its own ordering; a step only picks each trial's
+index and keeps the diagonal in the call's ordering log.  The per-trial
+:class:`DetectionResult` objects, ``BatchResult.trials``, are built when
+that attribute is first read, their trace records from one pass over the
+log's diagonals, so a sweep that reads only the stacked outputs builds
+neither.  A trial's outputs, trace, ``q_steps``, ``aux``, ledger and memory
+ledger are bit for bit those of a call on it alone, whatever batch it runs
+in, and so are its rows of the stacked outputs; the batch's ``ledger`` and
 ``mem.peak_words`` are sums over its trials, and it raises the error of its
 first trial to fail, as that trial alone raises it.  The oracle runs the
 same lines for one trial and a batch: one Gauss-Jordan call inverts a stack
@@ -84,8 +89,8 @@ of Gram matrices, each with its own pivoting.
 Memory accounting counts named, detector-owned working buffers of at least M
 complex words (matrix buffers, copies of mutated inputs, and the M-length
 state/scratch vectors).  Shorter per-step scratch, host-language
-expression temporaries and what is kept only to report (``collect_q``'s
-blocks, a batch's recorded diagonals) are outside the convention.
+expression temporaries and what a result keeps for later reads
+(``collect_q``'s blocks, a batch's ordering log) are outside the convention.
 """
 
 from __future__ import annotations
@@ -93,9 +98,9 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import repeat
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -196,18 +201,47 @@ class DetectionResult:
     aux: dict | None = None    # extra per-step state, detector-specific
 
 
-@dataclass
+@dataclass(eq=False)
 class BatchResult:
     """One detector over a batch of trials with the same (M, N).
 
-    ``trials`` holds each trial's :class:`DetectionResult`, in order, equal
-    to what a call on that trial alone returns; ``ledger`` and
-    ``mem.peak_words`` are the sums over the trials.
+    ``s_hat``, ``order`` and ``soft`` are ``(T, M)`` arrays, one trial per
+    row, in antenna order as each trial's :class:`DetectionResult` holds
+    them, and ``q_steps`` (None unless ``collect_q``) is one ``(T, m, m)``
+    block per step.  ``ledger`` and ``mem.peak_words`` are the sums over the
+    trials.  ``trials``, each trial's :class:`DetectionResult` in order, equal
+    to what a call on that trial alone returns, is built by ``build`` when it
+    is first read: its rows of the stacked fields, its trace, its blocks as
+    ``q_steps``, its ``aux`` and its ledgers.
     """
 
-    trials: list[DetectionResult]
+    s_hat: np.ndarray
+    order: np.ndarray
+    soft: np.ndarray
+    q_steps: list[np.ndarray] | None
     ledger: FlopLedger
     mem: MemLedger
+    build: Callable[[], list[DetectionResult]] = field(repr=False)
+
+    @cached_property
+    def trials(self) -> list[DetectionResult]:
+        return self.build()
+
+    @classmethod
+    def of(cls, results: list[DetectionResult]) -> "BatchResult":
+        """``results``, one call's each on trials with the same (M, N), stacked
+        as a batch: ``trials`` is ``results`` itself.  The ledgers are summed;
+        every trial of a routine at one (M, N) has the same memory ledger."""
+        def stack(name):
+            return np.stack([getattr(res, name) for res in results])
+
+        q_steps = (None if results[0].q_steps is None
+                   else [np.stack(step) for step in zip(*(res.q_steps for res in results))])
+        led = FlopLedger()
+        for res in results:
+            led.merge(res.ledger)
+        return cls(stack("s_hat"), stack("order"), stack("soft"), q_steps, led,
+                   results[0].mem.times(len(results)), lambda: results)
 
 
 def _stack(chs, rxs, c):
@@ -276,30 +310,42 @@ def _stack(chs, rxs, c):
             np.array([[float(rx.alpha)] for rx in rxs]), trials.identity.copy())
 
 
-def _results(batch, trials, p, hard, soft, led, mem, traces, blocks, aux=None):
+def _results(batch, trials, p, hard, soft, led, mem, log, blocks, aux=None):
     """Scatter the decisions, in detection order, back to antenna order and
     return the call's :class:`DetectionResult`, or its :class:`BatchResult`
-    when it took a batch.  ``traces`` holds each trial's ordering records,
-    and ``blocks`` (None unless Q is collected) each step's Q blocks, one per
-    trial along the leading axis of a batch's; trial t gets its records as
-    its trace, its blocks as ``q_steps`` and ``aux[t]``.
-    Every trial's ledgers are the one ledger each, so a batch's are that
-    ledger times its trials."""
+    when it took a batch (a batch of one with a leading axis of 1 added).
+    ``log`` is the call's ordering log, and ``blocks`` (None unless Q is
+    collected) each step's Q blocks, one per trial along the leading axis of
+    a batch's; ``aux`` holds each trial's records.  A batch's traces and
+    per-trial results are left to :func:`_trial_results`, when its
+    ``trials`` is first read.  Every trial's ledgers are the one ledger each,
+    so a batch's are that ledger times its trials."""
     lead = trials.lead
     s_hat, soft_ant = np.empty_like(hard), np.empty_like(soft)
     s_hat[(*lead, p)] = hard
     soft_ant[(*lead, p)] = soft
+    if not batch:
+        return DetectionResult(s_hat, p, soft_ant, led, mem, trials.traces(log)[0], blocks,
+                               aux and aux[0])
     if not lead:
-        res = DetectionResult(s_hat, p, soft_ant, led, mem, traces[0], blocks, aux and aux[0])
-        return BatchResult([res], led.copy(), mem.times(1)) if batch else res
+        s_hat, p, soft_ant = s_hat[None], p[None], soft_ant[None]
+        blocks = None if blocks is None else [q[None] for q in blocks]
     n_trials = len(p)
-    qs = repeat(None) if blocks is None else map(list, zip(*blocks))
-    aux = repeat(None) if aux is None else aux
     return BatchResult(
-        [DetectionResult(s_hat[t], p[t], soft_ant[t], led.copy(), mem.copy(), trace, q, x)
-         for t, trace, q, x in zip(range(n_trials), traces, qs, aux)],
+        s_hat, p, soft_ant, blocks,
         FlopLedger(n_trials * led.cmul, n_trials * led.cadd, n_trials * led.cdiv),
-        mem.times(n_trials))
+        mem.times(n_trials),
+        partial(_trial_results, trials, log, s_hat, p, soft_ant, blocks, led, mem, aux))
+
+
+def _trial_results(trials, log, s_hat, order, soft, blocks, led, mem, aux):
+    """Each trial's :class:`DetectionResult` of a batch: its rows of the
+    stacked fields, its records from one pass over the call's ``log``, its
+    blocks, its ``aux`` and copies of the one trial's ledgers."""
+    qs = repeat(None) if blocks is None else ([q[t] for q in blocks] for t in range(len(order)))
+    aux = repeat(None) if aux is None else aux
+    return [DetectionResult(s, p, x, led.copy(), mem.copy(), trace, q, a)
+            for s, p, x, trace, q, a in zip(s_hat, order, soft, trials.traces(log), qs, aux)]
 
 
 def _argmin_gap(d: list[float]):
@@ -370,7 +416,7 @@ def detect_oracle(ch, rx, c, *, cancel_soft=False, collect_q=False):
         if m == 1:
             break
         x = x - np.asarray(est if cancel_soft else s)[..., None] * h[..., j]
-    return _results(batch, trials, p, hard, soft, led, mem, trials.traces(log), blocks)
+    return _results(batch, trials, p, hard, soft, led, mem, log, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +543,7 @@ class _Trials:
 
     The ordering keeps only what a step needs, each trial's index; its trace
     records come from one pass over the whole call's diagonals
-    (:meth:`traces`).  ``flat[j]`` is the flat index of entry j of each
+    (:meth:`traces`), made when the batch's ``trials`` is first read.  ``flat[j]`` is the flat index of entry j of each
     trial's row in a C-contiguous ``(T, dim)`` state vector.
     """
 
@@ -968,7 +1014,7 @@ def _sic(chs, rxs, c, init, cancel_soft, collect_q, collect_aux=False):
         if m == 1:
             break
         cancel(col, rest, last, est if cancel_soft else s)
-    return _results(batch, trials, p, hard, soft, led, mem, trials.traces(log), blocks, aux)
+    return _results(batch, trials, p, hard, soft, led, mem, log, blocks, aux)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detectors import ALGORITHMS, DETECTOR_NAMES, get_detector
+from .detectors import ALGORITHMS, DETECTOR_NAMES, BatchResult, get_detector
 from .errors import ContractViolationError, SingularMatrixError
 from .kernels import FlopLedger, _is_int, init_gram, init_q_recursive
 from .metering import MODEL_FOR_ALGORITHM, TABLE_MODELS, compare, speedup
@@ -246,15 +246,21 @@ def _outcome(name, ch, rx, c, **kw):
 
 
 def _run_batch(name, chs, rxs, c, **kw):
-    """One detector over a batch: each trial's result, or the error it raises.
+    """One detector over a batch: ``(done, out, errors)``, the indices of the
+    trials that returned, their outputs stacked in a :class:`BatchResult`
+    (None if none returned), and the error each other trial raised, by index.
 
     When the batch raises, its trials re-run one at a time, so each gets
-    exactly the result or the error of a call on it alone.
+    exactly the result or the error of a call on it alone, and the results
+    are stacked as the batch would have returned them.
     """
     try:
-        return ALGORITHMS[name](chs, rxs, c, **kw).trials
+        return list(range(len(chs))), ALGORITHMS[name](chs, rxs, c, **kw), {}
     except (SingularMatrixError, ContractViolationError):
-        return [_outcome(name, ch, rx, c, **kw) for ch, rx in zip(chs, rxs)]
+        outcomes = [_outcome(name, ch, rx, c, **kw) for ch, rx in zip(chs, rxs)]
+    done = [i for i, res in enumerate(outcomes) if not isinstance(res, Exception)]
+    errors = {i: res for i, res in enumerate(outcomes) if isinstance(res, Exception)}
+    return done, BatchResult.of([outcomes[i] for i in done]) if done else None, errors
 
 
 def _frames(m, n, points, seed, cname):
@@ -281,16 +287,27 @@ def _row(m, n, point, name, **kw):
     return base
 
 
-def _flat_steps(results):
-    """The results' ``q_steps``, each result's steps flattened into one row."""
-    steps = zip(*(res.q_steps for res in results))
-    return np.concatenate([np.array(q).reshape(len(results), -1) for q in steps], axis=1)
+def _flat_steps(steps):
+    """Stacked Q steps, ``(T, m, m)`` each, as one row of every step per trial."""
+    return np.concatenate([q.reshape(len(q), -1) for q in steps], axis=1)
 
 
-def _step_errors(got, ks, q_or, starts, scale):
-    """Each result's largest Q step error against its oracle's trial ``ks``, each
-    step's error relative to the oracle's largest entry at that step."""
-    diff = _flat_steps(got)
+def _stacked_steps(outs, lo, hi):
+    """Rows lo..hi-1 of the flattened Q steps of ``outs`` taken one after another."""
+    parts, at = [], 0
+    for out in outs:
+        t = len(out.s_hat)
+        a, b = max(lo - at, 0), min(hi - at, t)
+        if a < b:
+            parts.append(_flat_steps([q[a:b] for q in out.q_steps]))
+        at += t
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _step_errors(diff, ks, q_or, starts, scale):
+    """Each row's largest Q step error against its oracle's trial ``ks``, each
+    step's error relative to the oracle's largest entry at that step.  ``diff``
+    holds the flattened steps, and is overwritten."""
     diff -= q_or[ks]
     err = np.maximum.reduceat(np.abs(diff), starts, axis=1)
     sc = scale[ks]
@@ -299,47 +316,50 @@ def _step_errors(got, ks, q_or, starts, scale):
     return np.maximum.reduce(err, axis=1, initial=0.0)
 
 
-def _equiv_rows(m, n, points, names, oracles, runs):
-    """Comparison rows of each point of a batch: its oracle result (or error)
-    against each detector's result (or error) in ``runs[name]``, which holds
-    one outcome per point whose oracle ran, in order.
+def _equiv_rows(m, n, points, names, oracle, runs):
+    """Comparison rows of each point of a batch: its oracle outcome (or error)
+    against each detector's in ``runs[name]``, which ran the points whose
+    oracle returned, in order; every outcome is :func:`_run_batch`'s.
 
     The returning trials of all detectors are compared in one pass: their
-    hard decisions and soft estimates stacked at once, their Q steps in
+    hard decisions and soft estimates concatenated at once, their Q steps in
     groups of as many trials as fit in BATCH_WORDS words (one at least).
+    Only the oracle's per-trial results are read, for their traces.
     """
-    rows = [[_row(m, n, pt, name, error=f"oracle: {o}") for name in names]
-            if isinstance(o, Exception) else [None] * len(names)
-            for pt, o in zip(points, oracles)]
-    live = [i for i, o in enumerate(oracles) if not isinstance(o, Exception)]
+    live, ors, oracle_errors = oracle
+    rows = [[_row(m, n, pt, name, error=f"oracle: {oracle_errors[i]}") for name in names]
+            if i in oracle_errors else [None] * len(names) for i, pt in enumerate(points)]
     if not live:
         return rows
-    ors = [oracles[i] for i in live]
-    min_gap = [min([t.q_gap for t in o.trace if t.m >= 2], default=float("inf")) for o in ors]
+    min_gap = [min([t.q_gap for t in o.trace if t.m >= 2], default=float("inf"))
+               for o in ors.trials]
     gated = [gap > GATE_GAP for gap in min_gap]
-    done = []           # (detector, live trial, result) of every trial that returned
+    js, ks, outs = [], [], []     # detector and live trial of every trial that returned
     for j, name in enumerate(names):
-        for k, res in enumerate(runs[name]):
-            if isinstance(res, Exception):
-                rows[live[k]][j] = _row(m, n, points[live[k]], name, min_q_gap=min_gap[k],
-                                        gated=gated[k], error=str(res))
-            else:
-                done.append((j, k, res))
-    if not done:
+        done, out, errors = runs[name]
+        for k, exc in errors.items():
+            rows[live[k]][j] = _row(m, n, points[live[k]], name, min_q_gap=min_gap[k],
+                                    gated=gated[k], error=str(exc))
+        if done:
+            js += [j] * len(done)
+            ks += done
+            outs.append(out)
+    if not outs:
         return rows
-    js, ks, got = zip(*done)
-    ks = list(ks)       # as an index: a tuple would index one axis per entry
-    s_or, p_or, soft_or = (np.array([getattr(o, f) for o in ors])
-                           for f in ("s_hat", "order", "soft"))
-    hard = ((np.array([r.s_hat for r in got]) == s_or[ks]).all(axis=-1)
-            & (np.array([r.order for r in got]) == p_or[ks]).all(axis=-1))
-    soft = np.abs(np.array([r.soft for r in got]) - soft_or[ks]).max(axis=-1)
-    q_or = _flat_steps(ors)
-    starts = np.cumsum([0] + [q.size for q in ors[0].q_steps[:-1]])   # each step's first entry
+
+    def joined(field):
+        return np.concatenate([getattr(out, field) for out in outs])
+
+    hard = ((joined("s_hat") == ors.s_hat[ks]).all(axis=-1)
+            & (joined("order") == ors.order[ks]).all(axis=-1))
+    soft = np.abs(joined("soft") - ors.soft[ks]).max(axis=-1)
+    q_or = _flat_steps(ors.q_steps)
+    starts = np.cumsum([0] + [q[0].size for q in ors.q_steps[:-1]])   # each step's first entry
     scale = np.maximum.reduceat(np.abs(q_or), starts, axis=1)
     size = max(1, BATCH_WORDS // q_or.shape[1])
-    cov = np.concatenate([_step_errors(got[g : g + size], ks[g : g + size], q_or, starts, scale)
-                          for g in range(0, len(got), size)])
+    cov = np.concatenate([_step_errors(_stacked_steps(outs, g, g + size), ks[g : g + size],
+                                       q_or, starts, scale)
+                          for g in range(0, len(ks), size)])
     # a NaN step error is no near-tie in the ordering: it fails the row, gated or not
     ok = ((~np.array(gated)[ks] | (hard & (soft <= SOFT_TOL) & (cov <= COV_RTOL)))
           & ~np.isnan(cov))
@@ -360,13 +380,13 @@ def _equiv_batch(args):
     m, n, points, seed, cancel_soft, names, cname = args
     c, chs, frames, rxs = _frames(m, n, points, seed, cname)
     kw = dict(cancel_soft=cancel_soft, collect_q=True)
-    oracles = _run_batch("oracle", chs, rxs, c, **kw)
-    live = [i for i, o in enumerate(oracles) if not isinstance(o, Exception)]
+    oracle = _run_batch("oracle", chs, rxs, c, **kw)
+    live = oracle[0]
     runs = {}
     if live:
         for name in names:
             runs[name] = _run_batch(name, [chs[i] for i in live], [rxs[i] for i in live], c, **kw)
-    return _equiv_rows(m, n, points, names, oracles, runs)
+    return _equiv_rows(m, n, points, names, oracle, runs)
 
 
 def equiv_trial(args):
@@ -507,13 +527,14 @@ def _ber_batch(args):
     sent = np.array([frame.bits for frame in frames])
     errors = [{} for _ in points]
     for name in names:
-        runs = _run_batch(name, chs, rxs, c, cancel_soft=cancel_soft)
-        done = [i for i, res in enumerate(runs) if not isinstance(res, Exception)]
-        want = sent[done]
-        got = demap(np.array([runs[i].s_hat for i in done]), c).reshape(want.shape)
-        counts = iter(np.count_nonzero(got != want, axis=1).tolist())
-        for i, res in enumerate(runs):
-            errors[i][name] = res if isinstance(res, Exception) else next(counts)
+        done, out, raised = _run_batch(name, chs, rxs, c, cancel_soft=cancel_soft)
+        if done:
+            want = sent[done]
+            got = demap(out.s_hat, c).reshape(want.shape)
+            for i, count in zip(done, np.count_nonzero(got != want, axis=1).tolist()):
+                errors[i][name] = count
+        for i, exc in raised.items():
+            errors[i][name] = exc
     return errors
 
 

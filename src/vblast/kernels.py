@@ -1068,7 +1068,8 @@ def init_q_recursive(r: np.ndarray, ledger: FlopLedger, variant: str = "v") -> n
 
     ``variant`` selects the border step: "i" is the three-division form,
     "v" the single-division form.  Both produce the full inverse of ``r``,
-    or of each matrix of a stack.  A non-real diagonal entry is misuse.
+    or of each matrix of a stack.  A stack of one runs as its one matrix
+    and keeps its leading axis.  A non-real diagonal entry is misuse.
     """
     r = as_cmat(r, "r", stack=True)
     m = r.shape[-1]
@@ -1077,12 +1078,12 @@ def init_q_recursive(r: np.ndarray, ledger: FlopLedger, variant: str = "v") -> n
     if variant not in ("i", "v"):
         raise ContractViolationError(f"unknown variant {variant!r}")
     real_pivot(r.diagonal(0, -2, -1), "init_q_recursive")
-    q = r.copy()
+    q = (r[0] if len(r) == 1 and r.ndim == 3 else r).copy()      # a stack of one: its matrix
     bound = _bind(q)
     _grow_inverse(q, m, ledger, variant, bound)
     if bound is not None:
         _mirror(q)
-    return q
+    return q.reshape(r.shape)
 
 
 @np.errstate(all="ignore")

@@ -1075,6 +1075,31 @@ def test_batch_trials_bitwise_equal_single_calls_on_blas_blocks(name):
     check_batches_equal_single_calls(name, m, modes_for_n, (1, 2, 3))
 
 
+@pytest.mark.parametrize("trials_first", [True, False])
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_batch_fields_stack_its_trials_fields(name, trials_first):
+    """A batch's ``s_hat``, ``order``, ``soft`` and ``q_steps`` are ``np.stack`` of
+    its trials' fields bit for bit, whether ``trials`` is read before or after
+    them; a batch of one has a leading axis of 1, and ``q_steps`` is None
+    unless collected."""
+    kw = {"collect_q": True, "collect_aux": True} if name == "proposed_2" else {"collect_q": True}
+    c, chs, rxs = batch_trials(5, 6, "qpsk", 9, seed=31)
+    fields = ("s_hat", "order", "soft")
+    for size in (1, 2, 9):
+        batch = ALGORITHMS[name](chs[:size], rxs[:size], c, **kw)
+        if trials_first:
+            trials = batch.trials
+        got = [_bits(getattr(batch, f)) for f in fields] + [_bits(q) for q in batch.q_steps]
+        if not trials_first:
+            trials = batch.trials
+        assert batch.trials is trials and len(trials) == size
+        want = ([_bits(np.stack([getattr(res, f) for res in trials])) for f in fields]
+                + [_bits(np.stack(step)) for step in zip(*(res.q_steps for res in trials))])
+        assert got == want
+        assert batch.s_hat.shape == (size, 5) and len(batch.q_steps) == 5
+    assert ALGORITHMS[name](chs[:2], rxs[:2], c).q_steps is None
+
+
 def test_batch_needs_one_shape():
     c, chs, rxs = batch_trials(3, 3, "qpsk", 2, seed=5)
     _, more, more_rx = batch_trials(3, 4, "qpsk", 1, seed=5)

@@ -15,7 +15,7 @@ import pytest
 
 from vblast import harness
 from vblast.cli import main
-from vblast.detectors import ALGORITHMS, DETECTOR_NAMES
+from vblast.detectors import ALGORITHMS, DETECTOR_NAMES, BatchResult
 from vblast.errors import ContractViolationError, SingularMatrixError
 from vblast.harness import (
     BATCH_TRIALS,
@@ -121,8 +121,7 @@ def test_equiv_row_fails_on_nan_q_steps(monkeypatch):
 
     def nan_steps(*args, **kw):
         out = speed_adv(*args, **kw)
-        for res in getattr(out, "trials", [out]):
-            res.q_steps = [q * np.nan for q in res.q_steps]
+        out.q_steps = [q * np.nan for q in out.q_steps]     # the batch's stacked steps
         return out
 
     monkeypatch.setitem(det.ALGORITHMS, "speed_adv", nan_steps)
@@ -578,8 +577,7 @@ def test_equiv_reports_a_soft_divergence(monkeypatch):
 
     def perturbed(*args, **kw):
         out = speed_adv(*args, **kw)
-        for res in getattr(out, "trials", [out]):
-            res.soft = res.soft + 1e-6
+        out.soft += 1e-6        # every trial's row of the batch's stacked soft
         return out
 
     monkeypatch.setenv("VBLAST_WORKERS", "1")       # the patch reaches no worker
@@ -652,6 +650,18 @@ def test_cli_ber_numerical_failure_is_reported(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _per_trial(outcome):
+    """Each trial's result or error from :func:`_run_batch`'s ``(done, out, errors)``;
+    the stacked rows of ``out`` are its trials' own fields, bit for bit."""
+    done, out, errors = outcome
+    assert sorted([*done, *errors]) == list(range(len(done) + len(errors)))
+    results = dict(zip(done, out.trials)) if done else {}
+    for row, res in enumerate(results.values()):
+        for field in ("s_hat", "order", "soft"):
+            assert getattr(out, field)[row].tobytes() == getattr(res, field).tobytes()
+    return [errors[i] if i in errors else results[i] for i in range(len(done) + len(errors))]
+
+
 def test_batch_with_one_failing_trial():
     """A trial that fails (one column scaled by 1e160, so that its Gram matrix
     overflows) makes its batch raise exactly its own error; run one by one,
@@ -677,7 +687,7 @@ def test_batch_with_one_failing_trial():
             except (SingularMatrixError, ContractViolationError) as exc:
                 singles.append(exc)
         assert not isinstance(singles[0], Exception) and not isinstance(singles[2], Exception)
-        got = _run_batch(name, chs, rxs, c)
+        got = _per_trial(_run_batch(name, chs, rxs, c))
         if isinstance(singles[1], Exception):
             raised += 1
             with pytest.raises(type(singles[1])) as info:
@@ -705,7 +715,7 @@ def test_overflow_batch_types_every_trial_without_warnings():
     for name in ALGORITHMS:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _run_batch(name, chs, rxs, c)
+            got = _per_trial(_run_batch(name, chs, rxs, c))
             for ch, rx, res in zip(chs, rxs, got):
                 try:
                     want = ALGORITHMS[name](ch, rx, c)
@@ -775,6 +785,37 @@ def test_cli_empty_list_items_and_abbreviated_options_are_misuse(tmp_path, capsy
     assert not (tmp_path / "runs").exists()
 
 
+def test_traces_are_built_only_where_read(monkeypatch):
+    """A batch's traces come from one ``_Trials.traces`` pass over its ordering
+    log, made when its ``trials`` is first read: ``run_ber`` makes none,
+    ``run_equiv`` one per batch (the oracle's), and reading every trial of one
+    batch, twice, makes one."""
+    import vblast.detectors as det
+
+    calls = []
+    traces = det._Trials.__wrapped__.traces     # the class behind the lru_cache
+
+    def spy(self, log):
+        calls.append(self.shape)
+        return traces(self, log)
+
+    monkeypatch.delenv("VBLAST_WORKERS", raising=False)
+    monkeypatch.setattr(det._Trials.__wrapped__, "traces", spy)
+    cfg = SweepConfig(m_list=[2, 3], snr_db_list=[0.0, 20.0], trials=3, seed=3)
+    run_ber(cfg)
+    assert calls == []
+    rows, failures = run_equiv(cfg)
+    assert len(rows) == 12 * len(DETECTOR_NAMES) and failures == []
+    assert calls == [(2, 6, 2), (3, 6, 3)]      # (M, trials, row width) of each batch
+    calls.clear()
+    frames = [_trial_frame(4, 5, 10.0, 3, t, "qpsk") for t in range(4)]
+    batch = ALGORITHMS["speed_adv"]([f[1] for f in frames], [f[3] for f in frames], frames[0][0])
+    assert calls == []
+    for _ in range(2):
+        assert [len(res.trace) for res in batch.trials] == [4] * 4
+    assert calls == [(4, 4, 4)]
+
+
 def _reference_row(m, n, point, name, oracle, res):
     """One detector's comparison row on one trial, written out on its own."""
     _, snr_db, trial = point
@@ -834,17 +875,21 @@ def test_one_pass_comparison_matches_one_comparison_per_detector(monkeypatch):
         def wrapped(ch, rx, c, **kw):
             out = run(ch, rx, c, **kw)
             chs = [ch] if isinstance(ch, ChannelRealization) else ch
-            for one, res in zip(chs, getattr(out, "trials", [out])):
+            for t, one in enumerate(chs):
                 if np.array_equal(one.h, h):
-                    change(res)
+                    change(out, t)
             return out
         return wrapped
 
-    def nudge(res):
-        res.soft = res.soft + 1e-6
+    def nudge(out, t):
+        if isinstance(out, BatchResult):
+            out.soft[t] += 1e-6     # the trial's row of the batch's stacked soft
+        else:
+            out.soft = out.soft + 1e-6
 
-    def tie(res):
-        res.trace = [t._replace(q_gap=0.0) for t in res.trace]
+    def tie(out, t):
+        res = out.trials[t] if isinstance(out, BatchResult) else out
+        res.trace = [rec._replace(q_gap=0.0) for rec in res.trace]
 
     monkeypatch.delenv("VBLAST_WORKERS", raising=False)
     for name in bad:
@@ -892,9 +937,9 @@ def test_equiv_comparison_groups_stay_within_batch_words(monkeypatch, words):
     groups = []
     step_errors = harness._step_errors
 
-    def spy(got, *rest):
-        groups.append(sum(q.size for res in got for q in res.q_steps))
-        return step_errors(got, *rest)
+    def spy(diff, *rest):
+        groups.append(diff.size)        # the group's flattened Q steps
+        return step_errors(diff, *rest)
 
     monkeypatch.setattr(harness, "BATCH_WORDS", words)
     monkeypatch.setattr(harness, "_step_errors", spy)

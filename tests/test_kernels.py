@@ -551,6 +551,33 @@ def test_growth_judged_once_is_each_trials_growth(variant, m, monkeypatch):
     assert out[True, "init"] == out[False, "init"] == out[True, "grow"] == out[False, "grow"]
 
 
+@pytest.mark.parametrize("variant", ["i", "v"])
+@pytest.mark.parametrize("m", [kernels.JUDGE_ONCE_MIN_STEPS, kernels.JUDGE_ONCE_MIN_STEPS + 1,
+                               17, ZHER_MIN_K + 1])
+def test_stack_of_one_grows_as_its_one_matrix(variant, m, monkeypatch):
+    """A ``(1, M, M)`` stack passed to ``init_q_recursive`` runs as its one matrix:
+    the 2-D call's bytes and charge, with its leading axis kept, and no batch
+    judgement (:func:`kernels._judge_steps`); a singular one raises the 2-D
+    call's error."""
+    judged = []
+    monkeypatch.setattr(kernels, "_judge_steps", lambda *args: judged.append(args))
+    r = init_gram(random_complex(make_rng(97, m), m + 2, m), 0.1, FlopLedger())
+    led_one, led_stack = FlopLedger(), FlopLedger()
+    want = init_q_recursive(r, led_one, variant)
+    got = init_q_recursive(r[None], led_stack, variant)
+    assert got.shape == (1, m, m) and got.tobytes() == want.tobytes()
+    assert led_stack == led_one and not judged
+    # powers of two keep the Schur pivot of the duplicated last border exactly 0
+    bad = np.diag(2.0 ** np.arange(m)).astype(complex)
+    bad[m - 1, :] = bad[m - 2, :]
+    bad[:, m - 1] = bad[:, m - 2]
+    with pytest.raises(SingularMatrixError) as alone:
+        init_q_recursive(bad, FlopLedger(), variant)
+    with pytest.raises(SingularMatrixError) as stacked:
+        init_q_recursive(bad[None], FlopLedger(), variant)
+    assert str(stacked.value) == str(alone.value) and not judged
+
+
 @pytest.mark.parametrize("m", [3, ZHER_MIN_K + 1])
 @pytest.mark.parametrize("lead, text", [
     (0.0, "singular pivot in init_q_recursive leading entry: |0|"),
